@@ -291,11 +291,16 @@ func (c *tcpConn) Terminate() {
 
 // Kill closes the socket immediately. The agent sees the reset and
 // cancels its worker; the read loop unblocks and Wait reports the
-// connection as killed.
+// connection as killed. The record pipe is closed too: a caller that
+// stopped reading Output() would otherwise leave the read loop parked
+// in a pipe write that no socket close can interrupt.
 func (c *tcpConn) Kill() {
 	c.killed.Store(true)
 	_ = c.c.Close()
+	_ = c.pr.CloseWithError(errConnKilled)
 }
+
+var errConnKilled = errors.New("shard: connection killed")
 
 func (c *tcpConn) Wait() error {
 	<-c.done
