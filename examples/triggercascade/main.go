@@ -66,7 +66,7 @@ func main() {
 	fine := mcds.NewRateCounter("ipc-fine", 2,
 		mcds.Tap{Obs: core, Event: sim.EvInstrExecuted},
 		mcds.Tap{Obs: core, Event: sim.EvCycle}, 50)
-	fine.Enabled = false
+	fine.SetEnabled(false)
 	m.AddCounter(fine)
 
 	m.AddRule(&mcds.TriggerRule{Name: "arm", When: mcds.On(below),
@@ -84,7 +84,7 @@ func main() {
 	wd := &mcds.Counter{Name: "wd", ID: 3, Mode: mcds.ModeWatchdog,
 		Src:        mcds.Tap{Obs: core, Event: sim.EvDScratchAccess},
 		Resolution: 300, Below: mcds.NoSignal, Above: wdFire,
-		EmitTriggerOnFire: true, TriggerID: 9, Enabled: true}
+		EmitTriggerOnFire: true, TriggerID: 9}
 	m.AddCounter(wd)
 
 	s.Clock.Attach("mcds", m)

@@ -309,7 +309,7 @@ func E4Cascade() *Table {
 			mcds.Tap{Obs: core, Event: sim.EvCycle}, hiRes)
 		m.AddCounter(hi)
 		if cascade {
-			hi.Enabled = false
+			hi.SetEnabled(false)
 			below := m.AllocSignal("ipc-low")
 			above := m.AllocSignal("ipc-ok")
 			lo := mcds.NewRateCounter("ipc-lo", 1,

@@ -49,11 +49,13 @@ type Comparator struct {
 	Matches uint64
 }
 
-// AddComparator registers cmp.
+// AddComparator registers cmp. The core logs every retired instruction
+// from then on: the comparator consumes the whole retire stream.
 func (m *MCDS) AddComparator(cmp *Comparator) *Comparator {
 	if cmp.Core == nil {
 		panic(fmt.Sprintf("mcds: comparator %s has no core", cmp.Name))
 	}
+	cmp.Core.cpu.TraceEnabled = true
 	m.comps = append(m.comps, cmp)
 	return cmp
 }
@@ -191,12 +193,12 @@ type Action struct {
 func (m *MCDS) apply(a Action, cycle uint64) {
 	switch a.Kind {
 	case ActEnableCounter:
-		if !a.Counter.Enabled {
-			a.Counter.Enabled = true
+		if !a.Counter.Enabled() {
+			a.Counter.SetEnabled(true)
 			a.Counter.Reset()
 		}
 	case ActDisableCounter:
-		a.Counter.Enabled = false
+		a.Counter.SetEnabled(false)
 	case ActFlowTraceOn:
 		a.Core.FlowTrace = true
 		a.Core.needSync = true

@@ -106,6 +106,6 @@ func (d *Degrader) Tick(cycle uint64) {
 
 func (d *Degrader) apply() {
 	for i, c := range d.counters {
-		c.Resolution = d.base[i] * d.factor
+		c.SetResolution(d.base[i] * d.factor)
 	}
 }

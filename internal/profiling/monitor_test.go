@@ -99,7 +99,7 @@ func TestMonitorArmsCounter(t *testing.T) {
 	s.Clock.Step()
 
 	c := sess.Counter("ipc")
-	if !c.Enabled {
+	if !c.Enabled() {
 		t.Error("counter not re-enabled")
 	}
 	// The counter missed the disabled phase: its total must be well below
@@ -108,7 +108,7 @@ func TestMonitorArmsCounter(t *testing.T) {
 	if total == 0 {
 		t.Fatal("counter never counted after re-arm")
 	}
-	if c.TotalSrc > 1500 {
-		t.Errorf("counter saw %d instructions; the disabled phase should be missing", c.TotalSrc)
+	if c.TotalSrc() > 1500 {
+		t.Errorf("counter saw %d instructions; the disabled phase should be missing", c.TotalSrc())
 	}
 }

@@ -118,13 +118,3 @@ func (c *Counters) Inc(e Event) { c[e]++ }
 
 // Get returns the total count of event e.
 func (c *Counters) Get(e Event) uint64 { return c[e] }
-
-// Delta returns, for every event class, the difference c - prev. It is used
-// by observation blocks that sample component counters once per cycle.
-func (c *Counters) Delta(prev *Counters) Counters {
-	var d Counters
-	for i := range c {
-		d[i] = c[i] - prev[i]
-	}
-	return d
-}

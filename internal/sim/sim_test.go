@@ -2,7 +2,6 @@ package sim
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestClockStepOrder(t *testing.T) {
@@ -98,45 +97,6 @@ func TestRNGForkIndependence(t *testing.T) {
 	f2 := r.Fork(2)
 	if f1.Uint64() == f2.Uint64() {
 		t.Error("different fork labels should diverge")
-	}
-}
-
-func TestCountersDelta(t *testing.T) {
-	var a, b Counters
-	b.Add(EvInstrExecuted, 100)
-	b.Inc(EvICacheMiss)
-	d := b.Delta(&a)
-	if d.Get(EvInstrExecuted) != 100 || d.Get(EvICacheMiss) != 1 {
-		t.Errorf("delta = %v", d)
-	}
-	a = b
-	b.Add(EvInstrExecuted, 3)
-	d = b.Delta(&a)
-	if d.Get(EvInstrExecuted) != 3 || d.Get(EvICacheMiss) != 0 {
-		t.Errorf("second delta wrong: %v", d)
-	}
-}
-
-func TestCountersDeltaProperty(t *testing.T) {
-	f := func(base, inc []uint8) bool {
-		var a, b Counters
-		for i, v := range base {
-			a[i%NumEvents] += uint64(v)
-		}
-		b = a
-		for i, v := range inc {
-			b[i%NumEvents] += uint64(v)
-		}
-		d := b.Delta(&a)
-		for i := range d {
-			if a[i]+d[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -57,7 +57,6 @@ func DefaultTiming() Timing {
 type Retired struct {
 	Cycle  uint64
 	PC     uint32
-	Word   uint32
 	Op     isa.Op
 	Taken  bool   // change of flow taken
 	Target uint32 // flow target when Taken
@@ -65,6 +64,15 @@ type Retired struct {
 	EA     uint32 // effective address when HasMem
 	Write  bool
 	Data   uint32 // value loaded or stored when HasMem
+}
+
+// TraceSwitches are an observer's consumers of the retire log: program
+// flow trace and data trace. A core pointing at them logs retirements
+// only while one is on, so flipping a switch between cycles catches the
+// very next retired instruction.
+type TraceSwitches struct {
+	FlowTrace bool
+	DataTrace bool
 }
 
 type shadowFrame struct {
@@ -121,8 +129,11 @@ type CPU struct {
 	waker *sim.Waker // clock wake handle; nil when driven without a clock
 
 	// TraceEnabled makes the core append every retired instruction to the
-	// retire log drained by the MCDS observation block each cycle.
+	// retire log drained by the MCDS observation block each cycle; Trace
+	// does so only while one of its switches is on. Both are read at every
+	// retirement.
 	TraceEnabled bool
+	Trace        *TraceSwitches
 	retired      []Retired
 
 	// OnDbg, when set, is called for each executed DBG instruction (the
@@ -424,12 +435,11 @@ func (c *CPU) writeReg(r uint8, v uint32, readyAt uint64, fromLoad bool) {
 }
 
 func (c *CPU) retire(now uint64, pc uint32, in isa.Instr, r Retired) {
-	if !c.TraceEnabled {
+	if !c.TraceEnabled && (c.Trace == nil || !c.Trace.FlowTrace && !c.Trace.DataTrace) {
 		return
 	}
 	r.Cycle = now
 	r.PC = pc
 	r.Op = in.Op
-	r.Word = in.Encode()
 	c.retired = append(c.retired, r)
 }
