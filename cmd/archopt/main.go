@@ -58,22 +58,13 @@ func main() {
 	}
 
 	if *report != "" {
-		profiles := make([]core.AppProfile, 0, len(fleet))
-		for _, sp := range fleet {
-			ap, err := core.ProfileApp(soc.TC1797(), sp, prm.ProfileHorizon)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			profiles = append(profiles, ap)
-		}
 		f, err := os.Create(*report)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		rep := &core.Report{Title: "Next-generation architecture assessment",
-			Profiles: profiles, Eval: ev}
+			Profiles: ev.Profiles, Eval: ev}
 		if err := rep.WriteMarkdown(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -161,7 +161,7 @@ func TestCompareGeomeanGate(t *testing.T) {
 func TestCompareNegativeToleranceMustBeFaster(t *testing.T) {
 	// A negative tolerance turns the gate into a must-be-faster check:
 	// -tol -0.2 demands ns/op <= 0.8x (>= 1.25x speedup). Used by CI to
-	// hold the chained dispatcher above the plain block interpreter.
+	// hold the chained dispatcher above the per-word reference decoder.
 	dir := t.TempDir()
 	old := writeReport(t, dir, "old.json", []Result{
 		{Name: "BenchmarkSoCBranchy", NsOp: 100, Extra: map[string]float64{cyclesMetric: 1e6}},

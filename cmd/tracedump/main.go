@@ -44,7 +44,7 @@ func main() {
 	if n := tmsg.FrameLen(raw); n > 0 && n <= len(raw) && tmsg.ValidFrame(raw[:n]) {
 		// A framed stream (tcprof -framed / -faults): decode through the
 		// resynchronizing stream decoder and report the loss accounting.
-		sd := tmsg.NewStreamDecoder(true)
+		sd := tmsg.NewStreamDecoder()
 		msgs = sd.Feed(raw)
 		fmt.Printf("%d bytes (framed), %d messages delivered, %d skipped, %d lost, %d gaps\n",
 			len(raw), sd.Delivered, sd.Skipped, sd.Lost, len(sd.Gaps))

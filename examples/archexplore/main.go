@@ -36,18 +36,13 @@ func main() {
 	prm.Iters = 150
 	prm.ProfileHorizon = 250_000
 
-	fmt.Println("\nprofiles on the current generation (TC1797):")
-	for _, sp := range fleet {
-		ap, err := core.ProfileApp(soc.TC1797(), sp, prm.ProfileHorizon)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %s\n", ap)
-	}
-
 	ev, err := core.Evaluate(soc.TC1797(), fleet, core.Catalog(), prm)
 	if err != nil {
 		log.Fatal(err)
+	}
+	fmt.Println("\nprofiles on the current generation (TC1797):")
+	for _, ap := range ev.Profiles {
+		fmt.Printf("  %s\n", ap)
 	}
 	fmt.Println("\noption ranking (analytical estimate vs re-simulated ground truth):")
 	fmt.Printf("  %-18s %9s %9s %9s %10s\n", "option", "est", "measured", "worst app", "gain/area")

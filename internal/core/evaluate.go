@@ -86,8 +86,9 @@ type Ranked struct {
 
 // Evaluation is the full ranking produced by Evaluate.
 type Evaluation struct {
-	Base    soc.Config
-	Ranking []Ranked
+	Base     soc.Config
+	Profiles []AppProfile // per-app profiles on Base, in fleet order
+	Ranking  []Ranked
 }
 
 // EvalParams tunes the evaluation driver.
@@ -147,7 +148,7 @@ func Evaluate(base soc.Config, fleet []workload.Spec, opts []Option, prm EvalPar
 		}
 	}
 
-	ev := &Evaluation{Base: base}
+	ev := &Evaluation{Base: base, Profiles: profiles}
 	for _, opt := range opts {
 		r := Ranked{Option: opt}
 		var ests, meas []float64

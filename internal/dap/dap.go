@@ -344,8 +344,9 @@ func (d *DAP) DrainAll() {
 	}
 }
 
-// Stream returns the resynchronizing decoder used in reliable mode (nil
-// until Decode has run, or in raw mode).
+// Stream returns the resynchronizing frame decoder used in reliable mode
+// (nil until Decode has run, or when the DAP is not Reliable: an unframed
+// stream is decoded by tmsg.Decoder.DecodeAll).
 func (d *DAP) Stream() *tmsg.StreamDecoder { return d.stream }
 
 // Decode parses every complete message received so far. Decoding is
@@ -359,7 +360,7 @@ func (d *DAP) Stream() *tmsg.StreamDecoder { return d.stream }
 func (d *DAP) Decode() ([]tmsg.Msg, error) {
 	if d.Reliable {
 		if d.stream == nil {
-			d.stream = tmsg.NewStreamDecoder(true)
+			d.stream = tmsg.NewStreamDecoder()
 		}
 		d.msgs = append(d.msgs, d.stream.Feed(d.Received[d.decoded:])...)
 		d.decoded = len(d.Received)

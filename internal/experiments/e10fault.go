@@ -93,7 +93,7 @@ func decodeThroughput(raw []byte) float64 {
 	const reps = 50
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		st := tmsg.NewStreamDecoder(true)
+		st := tmsg.NewStreamDecoder()
 		st.Feed(raw)
 	}
 	sec := time.Since(start).Seconds()

@@ -146,7 +146,7 @@ func TestFramedOverflowIsQuantified(t *testing.T) {
 		t.Fatal("schedule never overflowed the ring")
 	}
 
-	st := tmsg.NewStreamDecoder(true)
+	st := tmsg.NewStreamDecoder()
 	msgs := st.Feed(received)
 	st.Finalize(f.MsgsFramed)
 	if got := uint64(len(msgs)) + st.AccountedLost(); got != f.MsgsFramed {

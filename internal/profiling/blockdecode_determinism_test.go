@@ -13,14 +13,14 @@ import (
 // TestBlockDecodeReportDeterminism is the PR8 analog of the wake-scheduler
 // cross-check: a full SoC with the ED observation path, a fault scenario
 // and the whole trace pipeline must produce a byte-identical RunReport
-// in every decode mode — chained block dispatch (the default), plain block
-// dispatch, or the per-word reference. Any drift means a cached path
-// issued, stalled, or retired differently from the reference issue loop.
+// under chained block dispatch (the default) and the per-word reference.
+// Any drift means the cached path issued, stalled, or retired differently
+// from the reference issue loop.
 func TestBlockDecodeReportDeterminism(t *testing.T) {
-	run := func(mode soc.DecodeMode) []byte {
+	run := func(block bool) []byte {
 		spec := stdSpec()
 		s, app := buildApp(t, soc.TC1797().WithED(), spec)
-		s.SetBlockDecode(mode)
+		s.SetBlockDecode(block)
 		plan, err := fault.Parse("noisy-link", spec.Seed)
 		if err != nil {
 			t.Fatal(err)
@@ -44,11 +44,9 @@ func TestBlockDecodeReportDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	ref := run(soc.DecodeReference)
-	for _, mode := range []soc.DecodeMode{soc.DecodeBlock, soc.DecodeChained} {
-		if got := run(mode); !bytes.Equal(got, ref) {
-			t.Fatalf("RunReport differs between decode modes:\n--- %v ---\n%s\n--- reference ---\n%s", mode, got, ref)
-		}
+	ref := run(false)
+	if got := run(true); !bytes.Equal(got, ref) {
+		t.Fatalf("RunReport differs between decode paths:\n--- chained ---\n%s\n--- reference ---\n%s", got, ref)
 	}
 }
 
@@ -60,7 +58,7 @@ func TestBlockDecodeDeterminismGrid(t *testing.T) {
 			for _, scenario := range []string{"clean", "soft-errors"} {
 				preset, mix, scenario := preset, mix, scenario
 				t.Run(preset+"/"+mix+"/"+scenario, func(t *testing.T) {
-					run := func(mode soc.DecodeMode) []byte {
+					run := func(block bool) []byte {
 						spec, ok := workload.Mix(mix, 17)
 						if !ok {
 							t.Fatalf("unknown mix %q", mix)
@@ -70,7 +68,7 @@ func TestBlockDecodeDeterminismGrid(t *testing.T) {
 							t.Fatal(err)
 						}
 						s := soc.New(cfg.WithED(), 17)
-						s.SetBlockDecode(mode)
+						s.SetBlockDecode(block)
 						app, err := workload.Build(s, spec)
 						if err != nil {
 							t.Fatal(err)
@@ -95,11 +93,8 @@ func TestBlockDecodeDeterminismGrid(t *testing.T) {
 						}
 						return buf.Bytes()
 					}
-					ref := run(soc.DecodeReference)
-					for _, mode := range []soc.DecodeMode{soc.DecodeBlock, soc.DecodeChained} {
-						if !bytes.Equal(run(mode), ref) {
-							t.Fatalf("%s/%s/%s: RunReport differs between %v and reference", preset, mix, scenario, mode)
-						}
+					if !bytes.Equal(run(true), run(false)) {
+						t.Fatalf("%s/%s/%s: RunReport differs between chained and reference", preset, mix, scenario)
 					}
 				})
 			}

@@ -507,7 +507,7 @@ func (sess *Session) Result(appName string) (*Profile, error) {
 			msgs, _ = sess.DAP.Decode()
 			stream = sess.DAP.Stream()
 		} else {
-			stream = tmsg.NewStreamDecoder(true)
+			stream = tmsg.NewStreamDecoder()
 			msgs = stream.Feed(raw)
 		}
 		stream.Finalize(sess.MCDS.Framer().MsgsFramed)

@@ -216,9 +216,9 @@ func VerifySummed(data []byte) (body []byte, crc uint32, summed bool, err error)
 }
 
 // LoadRunReportChecked loads one run report from a file, verifying its
-// CRC-32 trailer when present. Reports written without a trailer load
-// exactly as LoadRunReport would; checksummed reports whose content no
-// longer matches the trailer are refused.
+// CRC-32 trailer when present. Reports written without a trailer load as
+// plain ReadRunReport JSON; checksummed reports whose content no longer
+// matches the trailer are refused.
 func LoadRunReportChecked(path string) (*RunReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -252,18 +252,4 @@ func ReadRunReport(rd io.Reader) (*RunReport, error) {
 			r.Schema, ReportSchemaVersion)
 	}
 	return &r, nil
-}
-
-// LoadRunReport reads one run report from a file.
-func LoadRunReport(path string) (*RunReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := ReadRunReport(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
 }

@@ -83,10 +83,10 @@ func periphHeavySoC(b *testing.B) *SoC {
 	return s
 }
 
-func benchHotLoop(b *testing.B, sched bool, mode DecodeMode) {
+func benchHotLoop(b *testing.B, sched, block bool) {
 	s := periphHeavySoC(b)
 	s.Clock.SetWakeScheduling(sched)
-	s.SetBlockDecode(mode)
+	s.SetBlockDecode(block)
 	b.ResetTimer()
 	s.Clock.Run(uint64(b.N))
 	b.StopTimer()
@@ -96,31 +96,29 @@ func benchHotLoop(b *testing.B, sched bool, mode DecodeMode) {
 // BenchmarkSoCHotLoop is the PR5 acceptance benchmark: simulated cycles
 // per host second on the periph-heavy mix with the wake scheduler and
 // chained block dispatch on (the defaults). Its NoSched twin runs the
-// identical system with the scheduler forced off, the NoChain twin with
-// plain block dispatch, and the NoBlock twin with per-word decode forced,
-// so one `go test -bench SoCHotLoop` run carries its own before/after
-// comparisons for every optimization rung.
-func BenchmarkSoCHotLoop(b *testing.B)        { benchHotLoop(b, true, DecodeChained) }
-func BenchmarkSoCHotLoopNoSched(b *testing.B) { benchHotLoop(b, false, DecodeChained) }
-func BenchmarkSoCHotLoopNoChain(b *testing.B) { benchHotLoop(b, true, DecodeBlock) }
-func BenchmarkSoCHotLoopNoBlock(b *testing.B) { benchHotLoop(b, true, DecodeReference) }
+// identical system with the scheduler forced off and the NoBlock twin
+// with per-word decode forced, so one `go test -bench SoCHotLoop` run
+// carries its own before/after comparison for each optimization.
+func BenchmarkSoCHotLoop(b *testing.B)        { benchHotLoop(b, true, true) }
+func BenchmarkSoCHotLoopNoSched(b *testing.B) { benchHotLoop(b, false, true) }
+func BenchmarkSoCHotLoopNoBlock(b *testing.B) { benchHotLoop(b, true, false) }
 
 // branchySoC builds the branch-proof acceptance system: a ring of
 // single-instruction blocks closed by zero-overhead LOOP back edges, so
 // nearly every simulated cycle crosses a block boundary via taken control
-// flow. Block-entry lookup cost dominates and the chained-vs-block delta
-// is isolated: each ring block has exactly one successor, the best case
-// for the bounded chain slots and the worst case for the PC-keyed map.
+// flow. Block-entry cost dominates: each ring block has exactly one
+// successor, the best case for the bounded chain slots and the worst case
+// for the PC-keyed map.
 // The ring lives in the program scratchpad — the paper's flash-avoidance
 // mapping for hot control code — so fetch timing stays out of the way of
 // what this benchmark isolates.
-func branchySoC(b *testing.B) *SoC {
+func branchySoC(b testing.TB) *SoC {
 	b.Helper()
 	s := New(TC1797(), 1)
 	// Ring size: enough distinct blocks that the PC-keyed map works at a
 	// realistic branchy-code footprint (hundreds of live blocks) instead
 	// of a toy L1-resident handful, while staying well under the decoder's
-	// DefaultBlockCacheSize so neither mode thrashes decode.
+	// DefaultBlockCacheSize so the block cache never thrashes.
 	const ring = 500
 	a := isa.NewAsm(mem.PSPRBase)
 	a.Movw(3, 1<<30)
@@ -143,9 +141,9 @@ func branchySoC(b *testing.B) *SoC {
 	return s
 }
 
-func benchBranchy(b *testing.B, mode DecodeMode) {
+func benchBranchy(b *testing.B, block bool) {
 	s := branchySoC(b)
-	s.SetBlockDecode(mode)
+	s.SetBlockDecode(block)
 	b.ResetTimer()
 	s.Clock.Run(uint64(b.N))
 	b.StopTimer()
@@ -153,11 +151,10 @@ func benchBranchy(b *testing.B, mode DecodeMode) {
 }
 
 // BenchmarkSoCBranchy is the PR10 acceptance benchmark: the branch-heavy
-// kernel under chained dispatch, with twins pinning plain block dispatch
-// and the per-word reference so one run carries the chaining delta.
-func BenchmarkSoCBranchy(b *testing.B)        { benchBranchy(b, DecodeChained) }
-func BenchmarkSoCBranchyBlock(b *testing.B)   { benchBranchy(b, DecodeBlock) }
-func BenchmarkSoCBranchyNoBlock(b *testing.B) { benchBranchy(b, DecodeReference) }
+// kernel under chained dispatch, with a twin pinning the per-word
+// reference so one run carries the chaining delta.
+func BenchmarkSoCBranchy(b *testing.B)        { benchBranchy(b, true) }
+func BenchmarkSoCBranchyNoBlock(b *testing.B) { benchBranchy(b, false) }
 
 // BenchmarkSoCBuild measures system assembly cost (per evaluation run).
 func BenchmarkSoCBuild(b *testing.B) {

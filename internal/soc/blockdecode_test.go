@@ -38,14 +38,14 @@ func TestPresetLookup(t *testing.T) {
 }
 
 func TestSetBlockDecode(t *testing.T) {
-	run := func(mode DecodeMode) (uint64, uint64, uint32) {
+	run := func(block bool) (uint64, uint64, uint32) {
 		s := New(TC1797(), 1)
-		if s.BlockDecode() != DecodeChained {
-			t.Fatalf("default decode mode = %v, want chained", s.BlockDecode())
+		if s.CPU.Decoder() != s.Decoder {
+			t.Fatal("block decode is not the default")
 		}
-		s.SetBlockDecode(mode)
-		if s.BlockDecode() != mode {
-			t.Fatalf("BlockDecode() = %v after SetBlockDecode(%v)", s.BlockDecode(), mode)
+		s.SetBlockDecode(block)
+		if got := s.CPU.Decoder() != nil; got != block {
+			t.Fatalf("block decode = %v after SetBlockDecode(%v)", got, block)
 		}
 		a := isa.NewAsm(mem.FlashBase)
 		a.Movw(1, mem.SRAMBase)
@@ -62,7 +62,7 @@ func TestSetBlockDecode(t *testing.T) {
 		if !ok {
 			t.Fatal("did not halt")
 		}
-		if mode != DecodeReference {
+		if block {
 			// The hot loop may be served entirely from the executor's block
 			// hint (no repeated lookups), but the block must have been built.
 			if st := s.Decoder.Stats(); st.Misses == 0 || s.Decoder.Len() == 0 {
@@ -71,13 +71,27 @@ func TestSetBlockDecode(t *testing.T) {
 		}
 		return cy, s.CPU.Counters().Get(sim.EvInstrExecuted), s.CPU.Reg(2)
 	}
-	cyRef, inRef, r2Ref := run(DecodeReference)
-	for _, mode := range []DecodeMode{DecodeBlock, DecodeChained} {
-		cy, in, r2 := run(mode)
-		if cy != cyRef || in != inRef || r2 != r2Ref {
-			t.Errorf("%v changed behaviour: (%d,%d,%d) vs reference (%d,%d,%d)",
-				mode, cy, in, r2, cyRef, inRef, r2Ref)
-		}
+	cyRef, inRef, r2Ref := run(false)
+	cy, in, r2 := run(true)
+	if cy != cyRef || in != inRef || r2 != r2Ref {
+		t.Errorf("chained dispatch changed behaviour: (%d,%d,%d) vs reference (%d,%d,%d)",
+			cy, in, r2, cyRef, inRef, r2Ref)
+	}
+}
+
+// TestChainedDispatchFollowsLinks runs the branchy ring, where nearly every
+// cycle leaves a block through taken control flow, and requires almost
+// every block entry to follow a chain link rather than the PC-keyed map:
+// if chain capture or link following broke, behaviour would stay
+// identical and only this count would show it.
+func TestChainedDispatchFollowsLinks(t *testing.T) {
+	s := branchySoC(t)
+	s.Clock.Run(200_000)
+	st := s.Decoder.Stats()
+	lookups := st.Hits + st.Misses + st.ChainFollows
+	if lookups == 0 || float64(st.ChainFollows) < 0.99*float64(lookups) {
+		t.Fatalf("chain follows %d of %d block lookups, want >= 99%%: %+v",
+			st.ChainFollows, lookups, st)
 	}
 }
 

@@ -196,7 +196,7 @@ type SoC struct {
 	// Decoder is the decode-once basic-block cache shared by the TriCore
 	// cores (the PCP core decodes per-word: its PRAM doubles as its data
 	// scratchpad, so code there is trivially self-modifiable). Chained
-	// dispatch (DecodeChained) by default; SetBlockDecode selects the mode.
+	// dispatch by default; SetBlockDecode(false) selects per-word decode.
 	Decoder *isa.Decoder
 
 	Timers  []*periph.Timer
@@ -284,7 +284,6 @@ func New(cfg Config, seed uint64) *SoC {
 		cfg.CPUTiming, ctrs)
 	s.CPU.IRQ = s.Router.View(irq.ToCPU)
 	s.CPU.SetDecoder(s.Decoder)
-	s.CPU.SetChaining(true)
 
 	if cfg.SecondCore {
 		s.PSPR1 = mem.NewRAM("pspr1", mem.PSPR1Base, cfg.PSPRSize, 0)
@@ -307,7 +306,6 @@ func New(cfg Config, seed uint64) *SoC {
 			cfg.CPUTiming, ctrs1)
 		s.CPU1.IRQ = s.Router.View(irq.ToCPU1)
 		s.CPU1.SetDecoder(s.Decoder)
-		s.CPU1.SetChaining(true)
 	}
 
 	if cfg.HasPCP {
@@ -357,62 +355,22 @@ func (w codeWriteWatch) Access(grant uint64, req *bus.Request) uint64 {
 	return w.t.Access(grant, req)
 }
 
-// DecodeMode selects how the TriCore cores dispatch instructions. All
-// modes are bit-for-bit identical in simulated behaviour — only wall-clock
-// cost per simulated cycle differs; the ladder exists so tests can prove
-// it (it mirrors sim.Clock.SetWakeScheduling).
-type DecodeMode uint8
-
-const (
-	// DecodeReference: per-word decode, no block cache — the determinism
-	// reference mode.
-	DecodeReference DecodeMode = iota
-	// DecodeBlock: decode-once basic-block dispatch with superinstruction
-	// fusion, every block entry through the PC-keyed cache lookup.
-	DecodeBlock
-	// DecodeChained: block dispatch plus threaded handler dispatch and
-	// direct block-to-block chain links across taken branches. The
-	// default.
-	DecodeChained
-)
-
-// String names the decode mode.
-func (m DecodeMode) String() string {
-	switch m {
-	case DecodeReference:
-		return "reference"
-	case DecodeBlock:
-		return "block"
-	case DecodeChained:
-		return "chained"
-	}
-	return "??"
-}
-
-// SetBlockDecode selects the dispatch mode on every TriCore core.
-func (s *SoC) SetBlockDecode(mode DecodeMode) {
+// SetBlockDecode selects how the TriCore cores dispatch instructions: on
+// (the default) is chained block dispatch — decode-once basic blocks with
+// superinstruction fusion, threaded handlers and direct block-to-block
+// links across taken branches; off is per-word decode, the determinism
+// reference. Both are bit-for-bit identical in simulated behaviour — only
+// wall-clock cost per simulated cycle differs; the switch exists so tests
+// can prove it (it mirrors sim.Clock.SetWakeScheduling).
+func (s *SoC) SetBlockDecode(on bool) {
 	d := s.Decoder
-	if mode == DecodeReference {
+	if !on {
 		d = nil
 	}
-	chain := mode == DecodeChained
 	s.CPU.SetDecoder(d)
-	s.CPU.SetChaining(chain)
 	if s.CPU1 != nil {
 		s.CPU1.SetDecoder(d)
-		s.CPU1.SetChaining(chain)
 	}
-}
-
-// BlockDecode reports the dispatch mode the cores are running in.
-func (s *SoC) BlockDecode() DecodeMode {
-	if s.CPU.Decoder() == nil {
-		return DecodeReference
-	}
-	if s.CPU.Chaining() {
-		return DecodeChained
-	}
-	return DecodeBlock
 }
 
 // Peek implements the timing-free backdoor read used by caches, fetch and

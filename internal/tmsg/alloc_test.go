@@ -52,7 +52,7 @@ func TestStreamDecoderFeedZeroAlloc(t *testing.T) {
 	if len(frames) < 64 {
 		t.Fatalf("only %d frames", len(frames))
 	}
-	s := NewStreamDecoder(true)
+	s := NewStreamDecoder()
 	// Warm-up: let buf and the msgs scratch reach steady-state capacity.
 	warm := len(frames) / 2
 	for _, fr := range frames[:warm] {
@@ -74,41 +74,12 @@ func TestStreamDecoderFeedZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestStreamDecoderRawFeedZeroAlloc(t *testing.T) {
-	var enc Encoder
-	var chunks [][]byte
-	var buf []byte
-	m := Msg{Kind: KindRate, Src: 0, CounterID: 1, Basis: 500}
-	for i := 0; i < 10_000; i++ {
-		m.Cycle += 600
-		m.Count = uint64(i % 9)
-		buf = enc.Encode(buf[:0], &m)
-		chunks = append(chunks, append([]byte(nil), buf...))
-	}
-	s := NewStreamDecoder(false)
-	warm := len(chunks) / 2
-	for _, c := range chunks[:warm] {
-		s.Feed(c)
-	}
-	i := warm
-	allocs := testing.AllocsPerRun(len(chunks)-warm-1, func() {
-		s.Feed(chunks[i])
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("raw Feed allocates %.1f objects/op, want 0", allocs)
-	}
-	if s.Delivered != uint64(len(chunks)) {
-		t.Errorf("delivered %d of %d", s.Delivered, len(chunks))
-	}
-}
-
 func TestFeedReturnValidUntilNextFeed(t *testing.T) {
 	// The documented aliasing contract: Feed's return is scratch. Two
 	// consecutive feeds must not require the first result after the second
 	// call, and copying via append keeps callers safe.
 	_, frames := buildFrames(300)
-	s := NewStreamDecoder(true)
+	s := NewStreamDecoder()
 	var all []Msg
 	for _, fr := range frames {
 		all = append(all, s.Feed(fr)...)

@@ -79,7 +79,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("MsgsFramed = %d, want %d", f.MsgsFramed, len(msgs))
 	}
 
-	s := NewStreamDecoder(true)
+	s := NewStreamDecoder()
 	got := s.Feed(stream)
 	s.Finalize(f.MsgsFramed)
 	msgsEqual(t, msgs, got)
@@ -95,7 +95,7 @@ func TestFrameRoundTripChunked(t *testing.T) {
 	msgs := genMsgs(300)
 	stream, f := frameStream(msgs)
 
-	s := NewStreamDecoder(true)
+	s := NewStreamDecoder()
 	var got []Msg
 	for i := 0; i < len(stream); i += 13 {
 		end := i + 13
@@ -122,7 +122,7 @@ func TestFrameCorruptionIsQuantified(t *testing.T) {
 	copy(corrupt, stream)
 	corrupt[len(stream)/2] ^= 0x10
 
-	s := NewStreamDecoder(true)
+	s := NewStreamDecoder()
 	got := s.Feed(corrupt)
 	s.Finalize(f.MsgsFramed)
 
@@ -187,7 +187,7 @@ func TestLostFrameAccounting(t *testing.T) {
 		stream = append(stream, fr...)
 	}
 
-	s := NewStreamDecoder(true)
+	s := NewStreamDecoder()
 	s.Feed(stream)
 	s.Finalize(f.MsgsFramed)
 	if s.Lost < droppedMsgs {
@@ -237,84 +237,4 @@ func TestFramingOverheadBound(t *testing.T) {
 	if worst >= 0.15 {
 		t.Fatalf("worst-case overhead %.1f%% ≥ 15%% bound", worst*100)
 	}
-}
-
-// TestRawResyncScansToNextSync corrupts a raw (unframed) stream and checks
-// the decoder scans forward to the next valid Sync instead of failing.
-func TestRawResyncScansToNextSync(t *testing.T) {
-	msgs := genMsgs(200)
-	var enc Encoder
-	var stream []byte
-	for i := range msgs {
-		stream = enc.Encode(stream, &msgs[i])
-	}
-
-	corrupt := make([]byte, len(stream))
-	copy(corrupt, stream)
-	// Force an invalid kind byte (>= numKinds) at a message boundary.
-	var d Decoder
-	_, off, _ := d.DecodeAll(corrupt[:len(corrupt)/2])
-	corrupt[off] = 0xFF // kind 7 with write bit: always invalid
-
-	s := NewStreamDecoder(false)
-	got := s.Feed(corrupt)
-	if len(got) == 0 {
-		t.Fatal("nothing delivered")
-	}
-	if s.Resyncs == 0 || s.Garbage == 0 || len(s.Gaps) == 0 {
-		t.Fatalf("no resync recorded: resyncs=%d garbage=%d gaps=%d",
-			s.Resyncs, s.Garbage, len(s.Gaps))
-	}
-	if got[len(got)-1].Cycle != msgs[len(msgs)-1].Cycle {
-		t.Fatalf("raw stream did not recover to the end (last cycle %d, want %d)",
-			got[len(got)-1].Cycle, msgs[len(msgs)-1].Cycle)
-	}
-	// Delivered messages must all be genuine.
-	want := make(map[Msg]int)
-	for _, m := range msgs {
-		want[m]++
-	}
-	for _, m := range got {
-		if want[m] == 0 {
-			t.Fatalf("resync delivered a message that was never emitted: %+v", m)
-		}
-		want[m]--
-	}
-}
-
-func TestDecoderFeedIncremental(t *testing.T) {
-	msgs := genMsgs(300)
-	var enc Encoder
-	var stream []byte
-	for i := range msgs {
-		stream = enc.Encode(stream, &msgs[i])
-	}
-
-	var one Decoder
-	want, n, err := one.DecodeAll(stream)
-	if err != nil || n != len(stream) {
-		t.Fatalf("one-shot decode: n=%d err=%v", n, err)
-	}
-
-	var inc Decoder
-	var got []Msg
-	for end := 0; end <= len(stream); end += 7 {
-		if end > len(stream) {
-			end = len(stream)
-		}
-		ms, err := inc.Feed(stream[:end])
-		if err != nil {
-			t.Fatalf("Feed: %v", err)
-		}
-		got = append(got, ms...)
-	}
-	ms, err := inc.Feed(stream)
-	if err != nil {
-		t.Fatalf("final Feed: %v", err)
-	}
-	got = append(got, ms...)
-	if inc.Consumed() != len(stream) {
-		t.Fatalf("Consumed = %d, want %d", inc.Consumed(), len(stream))
-	}
-	msgsEqual(t, want, got)
 }

@@ -18,24 +18,16 @@ type Gap struct {
 func (g Gap) Open() bool { return g.EndCycle == 0 }
 
 // StreamDecoder is the hardened tool-side decoder: instead of failing
-// terminally on a bad byte (the old DecodeAll contract), it resynchronizes
-// and reports a quantified Gap.
+// terminally on a bad byte (the DecodeAll contract), it resynchronizes and
+// reports a quantified Gap.
 //
-// In framed mode it consumes the frame stream a reliable DAP delivers:
+// It consumes the frame stream (tmsg.Framer) a reliable DAP delivers:
 // CRC-invalid regions are scanned for the next valid frame, the cumulative
 // message counter in each frame header converts every loss into an exact
 // message count, and messages of a source whose delta state may be stale
 // are discarded (and accounted) until that source's next Sync re-anchor.
-//
-// In raw mode (Framed == false) it decodes the bare message stream and, on
-// a corrupt byte, scans forward to the next plausible Sync message — the
-// re-anchor the MCDS emits periodically and after every overflow — then
-// resumes. Raw-mode losses are quantified in bytes only; framed mode is
-// exact in messages.
+// Unframed streams go through Decoder.DecodeAll.
 type StreamDecoder struct {
-	// Framed selects the frame-stream format produced by tmsg.Framer.
-	Framed bool
-
 	dec      Decoder
 	buf      []byte
 	anchored [MaxSources]bool
@@ -64,8 +56,8 @@ type StreamDecoder struct {
 
 // NewStreamDecoder returns a decoder for a tool that attached at cycle 0
 // (every source starts anchored, matching the encoder's zero state).
-func NewStreamDecoder(framed bool) *StreamDecoder {
-	s := &StreamDecoder{Framed: framed}
+func NewStreamDecoder() *StreamDecoder {
+	s := &StreamDecoder{}
 	for i := range s.anchored {
 		s.anchored[i] = true
 	}
@@ -144,15 +136,7 @@ func (s *StreamDecoder) accept(out []Msg, m Msg) []Msg {
 // feeds must copy them out (an append does).
 func (s *StreamDecoder) Feed(p []byte) []Msg {
 	s.buf = append(s.buf, p...)
-	if s.Framed {
-		s.msgs = s.feedFramed(s.msgs[:0])
-	} else {
-		s.msgs = s.feedRaw(s.msgs[:0])
-	}
-	return s.msgs
-}
-
-func (s *StreamDecoder) feedFramed(out []Msg) []Msg {
+	out := s.msgs[:0]
 	i := 0
 	for {
 		// Hunt for the next frame marker.
@@ -193,6 +177,7 @@ func (s *StreamDecoder) feedFramed(out []Msg) []Msg {
 		out = s.frame(out, f)
 	}
 	s.buf = append(s.buf[:0], s.buf[i:]...)
+	s.msgs = out
 	return out
 }
 
@@ -245,82 +230,6 @@ func (s *StreamDecoder) frame(out []Msg, f []byte) []Msg {
 		out = s.accept(out, m)
 	}
 	return out
-}
-
-func (s *StreamDecoder) feedRaw(out []Msg) []Msg {
-	i := 0
-	for i < len(s.buf) {
-		m, k, err := s.dec.Decode(s.buf[i:])
-		if err == ErrTruncated {
-			break
-		}
-		if err != nil {
-			// Corruption: scan forward to the next plausible Sync message
-			// and resume there. Everything in between is garbage.
-			s.Resyncs++
-			adv, found := s.scanSync(s.buf[i:])
-			s.noteLoss(0, uint64(adv), 0)
-			s.unanchorAll()
-			i += adv
-			if !found {
-				break // need more bytes to find the anchor
-			}
-			continue
-		}
-		i += k
-		out = s.accept(out, m)
-	}
-	s.buf = append(s.buf[:0], s.buf[i:]...)
-	return out
-}
-
-// scanSync searches b (starting after the corrupt byte) for a decodable
-// Sync whose absolute cycle is plausible — not in the past, not
-// implausibly far in the future — and which starts a chain of decodable
-// messages (garbage varints usually fail one of the two tests). It returns
-// how many bytes to discard and whether an anchor was found; when not
-// found the caller must wait for more bytes (the discard count then
-// excludes the still-ambiguous tail).
-func (s *StreamDecoder) scanSync(b []byte) (int, bool) {
-	// horizon bounds how far in the future a re-anchor may claim to be:
-	// the MCDS emits a Sync at least every SyncEvery cycles, so a genuine
-	// anchor is never astronomically ahead of the last good timestamp.
-	const horizon = 1 << 24
-	for i := 1; i < len(b); i++ {
-		h := b[i]
-		if Kind(h>>3&0x7) != KindSync || h&0xC0 != 0 {
-			continue
-		}
-		var probe Decoder
-		m, n, err := probe.Decode(b[i:])
-		if err == ErrTruncated {
-			// Possibly a genuine Sync split across reads: stop here and
-			// retry once more bytes arrive.
-			return i, false
-		}
-		if err != nil || m.Cycle < s.lastGood || m.Cycle > s.lastGood+horizon {
-			continue
-		}
-		// Lookahead: a genuine anchor is followed by messages that decode
-		// cleanly with plausible timestamps.
-		plausible := true
-		off := i + n
-		for k := 0; k < 3 && off < len(b); k++ {
-			m2, n2, err2 := probe.Decode(b[off:])
-			if err2 == ErrTruncated {
-				break
-			}
-			if err2 != nil || m2.Cycle > m.Cycle+horizon {
-				plausible = false
-				break
-			}
-			off += n2
-		}
-		if plausible {
-			return i, true
-		}
-	}
-	return len(b), false
 }
 
 // Finalize closes the books at end of stream: total is the emitter's

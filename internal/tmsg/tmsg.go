@@ -179,8 +179,7 @@ func (e *Encoder) Encode(dst []byte, m *Msg) []byte {
 // Decoder reconstructs messages from the byte stream produced by one
 // Encoder.
 type Decoder struct {
-	st  [MaxSources]srcState
-	off int // bytes consumed by Feed
+	st [MaxSources]srcState
 }
 
 // ErrTruncated is returned when the buffer ends inside a message; feed
@@ -292,12 +291,11 @@ func (d *Decoder) Decode(b []byte) (Msg, int, error) {
 	return m, n, nil
 }
 
-// decodeRange parses every complete message in b starting at start and
-// returns them with the offset reached (trailing partial messages are
-// left).
-func (d *Decoder) decodeRange(b []byte, start int) ([]Msg, int, error) {
+// DecodeAll parses every complete message in b and returns them with the
+// number of bytes consumed (trailing partial messages are left).
+func (d *Decoder) DecodeAll(b []byte) ([]Msg, int, error) {
 	var out []Msg
-	off := start
+	off := 0
 	for off < len(b) {
 		m, n, err := d.Decode(b[off:])
 		if err == ErrTruncated {
@@ -311,22 +309,3 @@ func (d *Decoder) decodeRange(b []byte, start int) ([]Msg, int, error) {
 	}
 	return out, off, nil
 }
-
-// DecodeAll parses every complete message in b and returns them with the
-// number of bytes consumed (trailing partial messages are left).
-func (d *Decoder) DecodeAll(b []byte) ([]Msg, int, error) {
-	return d.decodeRange(b, 0)
-}
-
-// Feed decodes incrementally: buf must be the same logical stream on every
-// call, extended by appending (a receive buffer). Only bytes beyond the
-// offset already consumed by earlier Feed calls are decoded, making
-// repeated decode-as-you-drain loops O(total) instead of O(total²).
-func (d *Decoder) Feed(buf []byte) ([]Msg, error) {
-	msgs, off, err := d.decodeRange(buf, d.off)
-	d.off = off
-	return msgs, err
-}
-
-// Consumed returns the stream offset Feed has decoded up to.
-func (d *Decoder) Consumed() int { return d.off }

@@ -182,13 +182,13 @@ func rehint(blk *isa.Block, pc uint32) (*isa.Block, int) {
 }
 
 // rehintChain is rehint plus chain capture: when the flow target leaves
-// blk and chaining is on, the exited block is remembered (with the
-// generation it is known valid at) so the next lookup goes through
-// Decoder.Next. Callers must only use it when no invalidation happened
-// during the exiting instruction — the gen-bump path drops hints instead.
+// blk, the exited block is remembered (with the generation it is known
+// valid at) so the next lookup goes through Decoder.Next. Callers must
+// only use it when no invalidation happened during the exiting
+// instruction — the gen-bump path drops hints instead.
 func (c *CPU) rehintChain(blk *isa.Block, gen uint64) (*isa.Block, int) {
 	nb, ni := rehint(blk, c.pc)
-	if nb == nil && c.chain {
+	if nb == nil {
 		c.chainFrom, c.chainGen = blk, gen
 	}
 	return nb, ni

@@ -1,7 +1,6 @@
 package tricore
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/isa"
@@ -23,37 +22,23 @@ func (r *rig) enableDecoder() *isa.Decoder {
 	return d
 }
 
-// dispatchMode mirrors soc.DecodeMode for the rig-level tests (tricore
-// cannot import soc).
-type dispatchMode uint8
-
-const (
-	modeRef dispatchMode = iota
-	modeBlock
-	modeChained
-)
-
-func (m dispatchMode) String() string {
-	switch m {
-	case modeRef:
-		return "reference"
-	case modeBlock:
-		return "block"
-	case modeChained:
+// dispatchName names a dispatch path in test output.
+func dispatchName(block bool) string {
+	if block {
 		return "chained"
 	}
-	return "??"
+	return "reference"
 }
 
-// runObserved executes the program on a fresh rig and returns the complete
-// retire stream, the final counter values, register file, and cycle count.
-func runObserved(t *testing.T, opt rigOpt, prog *isa.Program, limit uint64, mode dispatchMode) (
+// runObserved executes the program on a fresh rig, per-word or through
+// the chained block path, and returns the complete retire stream, the final
+// counter values, register file, and cycle count.
+func runObserved(t *testing.T, opt rigOpt, prog *isa.Program, limit uint64, block bool) (
 	[]Retired, sim.Counters, [isa.NumRegs]uint32, uint64) {
 	t.Helper()
 	r := newRig(t, opt)
-	if mode != modeRef {
+	if block {
 		r.enableDecoder()
-		r.cpu.SetChaining(mode == modeChained)
 	}
 	r.cpu.TraceEnabled = true
 	var retired []Retired
@@ -72,36 +57,34 @@ func runObserved(t *testing.T, opt rigOpt, prog *isa.Program, limit uint64, mode
 	return retired, *r.cpu.Counters(), regs, n
 }
 
-// diffRun runs prog in every dispatch mode and requires every observable —
+// diffRun runs prog per-word and chained and requires every observable —
 // retire stream, counters, registers, cycles — to match the per-word
 // reference exactly.
 func diffRun(t *testing.T, opt rigOpt, prog *isa.Program, limit uint64) {
 	t.Helper()
-	retRef, ctrRef, regRef, cycRef := runObserved(t, opt, prog, limit, modeRef)
-	for _, mode := range []dispatchMode{modeBlock, modeChained} {
-		ret, ctr, reg, cyc := runObserved(t, opt, prog, limit, mode)
-		if cycRef != cyc {
-			t.Fatalf("cycle count diverged: per-word %d, %v %d", cycRef, mode, cyc)
-		}
-		if regRef != reg {
-			t.Fatalf("register file diverged:\nper-word %v\n%v %v", regRef, mode, reg)
-		}
-		if ctrRef != ctr {
-			for ev := 0; ev < sim.NumEvents; ev++ {
-				if ctrRef[ev] != ctr[ev] {
-					t.Errorf("counter %v diverged: per-word %d, %v %d",
-						sim.Event(ev), ctrRef[ev], mode, ctr[ev])
-				}
+	retRef, ctrRef, regRef, cycRef := runObserved(t, opt, prog, limit, false)
+	ret, ctr, reg, cyc := runObserved(t, opt, prog, limit, true)
+	if cycRef != cyc {
+		t.Fatalf("cycle count diverged: per-word %d, chained %d", cycRef, cyc)
+	}
+	if regRef != reg {
+		t.Fatalf("register file diverged:\nper-word %v\nchained  %v", regRef, reg)
+	}
+	if ctrRef != ctr {
+		for ev := 0; ev < sim.NumEvents; ev++ {
+			if ctrRef[ev] != ctr[ev] {
+				t.Errorf("counter %v diverged: per-word %d, chained %d",
+					sim.Event(ev), ctrRef[ev], ctr[ev])
 			}
-			t.FailNow()
 		}
-		if len(retRef) != len(ret) {
-			t.Fatalf("retire stream length diverged: per-word %d, %v %d", len(retRef), mode, len(ret))
-		}
-		for i := range retRef {
-			if retRef[i] != ret[i] {
-				t.Fatalf("retired[%d] diverged:\nper-word %+v\n%v %+v", i, retRef[i], mode, ret[i])
-			}
+		t.FailNow()
+	}
+	if len(retRef) != len(ret) {
+		t.Fatalf("retire stream length diverged: per-word %d, chained %d", len(retRef), len(ret))
+	}
+	for i := range retRef {
+		if retRef[i] != ret[i] {
+			t.Fatalf("retired[%d] diverged:\nper-word %+v\nchained  %+v", i, retRef[i], ret[i])
 		}
 	}
 }
@@ -307,9 +290,9 @@ func TestBlockDecodeSelfModify(t *testing.T) {
 	}
 	prog := &isa.Program{Base: mem.FlashBase, Words: words}
 
-	for _, mode := range []dispatchMode{modeRef, modeBlock, modeChained} {
-		t.Run(fmt.Sprintf("mode=%v", mode), func(t *testing.T) {
-			_, _, regs, _ := runObserved(t, rigOpt{}, prog, 10000, mode)
+	for _, block := range []bool{false, true} {
+		t.Run("mode="+dispatchName(block), func(t *testing.T) {
+			_, _, regs, _ := runObserved(t, rigOpt{}, prog, 10000, block)
 			if regs[4] != 1 {
 				t.Fatalf("r4 = %d, want 1 (the patched instruction)", regs[4])
 			}
@@ -318,44 +301,41 @@ func TestBlockDecodeSelfModify(t *testing.T) {
 	diffRun(t, rigOpt{}, prog, 10000)
 }
 
-// TestBlockDispatchZeroAlloc pins the warmed block- and chained-dispatch
-// hot paths at zero heap allocations per simulated chunk, matching the PR5
-// zero-alloc gates on the trace path.
+// TestBlockDispatchZeroAlloc pins the warmed chained-dispatch hot path at
+// zero heap allocations per simulated chunk, matching the PR5 zero-alloc
+// gates on the trace path.
 func TestBlockDispatchZeroAlloc(t *testing.T) {
-	for _, mode := range []dispatchMode{modeBlock, modeChained} {
-		t.Run(fmt.Sprintf("mode=%v", mode), func(t *testing.T) {
-			r := newRig(t, rigOpt{icache: true})
-			r.enableDecoder()
-			r.cpu.SetChaining(mode == modeChained)
-			// Hot loop with a cross-block back edge: ldw/addi/stw/loop — the
-			// periph-heavy bench kernel shape — plus a J so the chained path
-			// keeps exercising link follows after warm-up.
-			ins := []isa.Instr{
-				{Op: isa.OpMOVH, Rd: 1, Imm: int32(mem.DSPRBase >> 16)},
-				{Op: isa.OpORIL, Rd: 1, Imm: int32(mem.DSPRBase & 0xFFFF)},
-				{Op: isa.OpMOVI, Rd: 9, Imm: 2047},
-				{Op: isa.OpLDW, Rd: 2, Ra: 1, Imm: 0},
-				{Op: isa.OpADDI, Rd: 2, Ra: 2, Imm: 1},
-				{Op: isa.OpSTW, Rd: 2, Ra: 1, Imm: 0},
-				{Op: isa.OpLOOP, Ra: 9, Imm: -3},
-				{Op: isa.OpMOVI, Rd: 9, Imm: 2047},
-				{Op: isa.OpJ, Off24: -5},
-			}
-			words := make([]uint32, len(ins))
-			for i, in := range ins {
-				words[i] = in.Encode()
-			}
-			r.load(t, &isa.Program{Base: mem.FlashBase, Words: words})
-			r.clock.Run(20000) // warm caches, the block cache, and chain links
+	t.Run("mode=chained", func(t *testing.T) {
+		r := newRig(t, rigOpt{icache: true})
+		r.enableDecoder()
+		// Hot loop with a cross-block back edge: ldw/addi/stw/loop — the
+		// periph-heavy bench kernel shape — plus a J so the chained path
+		// keeps exercising link follows after warm-up.
+		ins := []isa.Instr{
+			{Op: isa.OpMOVH, Rd: 1, Imm: int32(mem.DSPRBase >> 16)},
+			{Op: isa.OpORIL, Rd: 1, Imm: int32(mem.DSPRBase & 0xFFFF)},
+			{Op: isa.OpMOVI, Rd: 9, Imm: 2047},
+			{Op: isa.OpLDW, Rd: 2, Ra: 1, Imm: 0},
+			{Op: isa.OpADDI, Rd: 2, Ra: 2, Imm: 1},
+			{Op: isa.OpSTW, Rd: 2, Ra: 1, Imm: 0},
+			{Op: isa.OpLOOP, Ra: 9, Imm: -3},
+			{Op: isa.OpMOVI, Rd: 9, Imm: 2047},
+			{Op: isa.OpJ, Off24: -5},
+		}
+		words := make([]uint32, len(ins))
+		for i, in := range ins {
+			words[i] = in.Encode()
+		}
+		r.load(t, &isa.Program{Base: mem.FlashBase, Words: words})
+		r.clock.Run(20000) // warm caches, the block cache, and chain links
 
-			avg := testing.AllocsPerRun(10, func() {
-				r.clock.Run(5000)
-			})
-			if avg != 0 {
-				t.Fatalf("%v hot path allocates: %v allocs per 5000-cycle chunk", mode, avg)
-			}
+		avg := testing.AllocsPerRun(10, func() {
+			r.clock.Run(5000)
 		})
-	}
+		if avg != 0 {
+			t.Fatalf("chained hot path allocates: %v allocs per 5000-cycle chunk", avg)
+		}
+	})
 }
 
 // TestChainSeverOnSelfModify warms a call/return/loop spine until chain
@@ -365,7 +345,6 @@ func TestBlockDispatchZeroAlloc(t *testing.T) {
 func TestChainSeverOnSelfModify(t *testing.T) {
 	r := newRig(t, rigOpt{})
 	d := r.enableDecoder()
-	r.cpu.SetChaining(true)
 
 	slot := uint32(12) // word index of the instruction the program patches
 	patch := isa.Instr{Op: isa.OpADDI, Rd: 4, Ra: 4, Imm: 1}.Encode()

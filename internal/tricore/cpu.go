@@ -122,7 +122,6 @@ type CPU struct {
 	// block exits via taken control flow, the exited block is remembered so
 	// the next lookup can follow a direct block-to-block link instead of
 	// the PC-keyed map.
-	chain     bool
 	chainFrom *isa.Block // block exited by the pending control transfer
 	chainGen  uint64     // decoder generation chainFrom was captured at
 
@@ -180,19 +179,6 @@ func (c *CPU) SetDecoder(d *isa.Decoder) {
 
 // Decoder returns the installed block decoder (nil = per-word path).
 func (c *CPU) Decoder() *isa.Decoder { return c.dec }
-
-// SetChaining enables or disables block chaining on the cached dispatch
-// path. It has no effect without a decoder installed. Like SetDecoder, it
-// changes only wall-clock cost — simulated behaviour is bit-identical.
-func (c *CPU) SetChaining(on bool) {
-	c.chain = on
-	if !on {
-		c.chainFrom = nil
-	}
-}
-
-// Chaining reports whether block chaining is enabled.
-func (c *CPU) Chaining() bool { return c.chain }
 
 // NextWake implements sim.Sleeper: a halted core's Tick is a pure no-op,
 // so the clock may park it until Reset reschedules. A running core is due
