@@ -63,9 +63,9 @@ type journalEntry struct {
 	CRC string `json:"crc32,omitempty"`
 }
 
-// Journal appends per-cell outcomes to the manifest and persists
+// journal appends per-cell outcomes to the manifest and persists
 // completed reports. Safe for concurrent use by the worker pool.
-type Journal struct {
+type journal struct {
 	dir string
 	mu  sync.Mutex
 	f   *os.File
@@ -143,17 +143,11 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// OpenJournal starts a fresh journal in dir for the expanded campaign.
+// openJournal starts a fresh journal in dir for the expanded campaign.
 // An existing manifest is refused — silently truncating one would
 // destroy the very state a crash-tolerant run exists to preserve;
-// resume instead. Callers that already run inside Run never need this;
-// it is exported for the sharded supervisor, which owns the journal at
-// the campaign tier while cells execute in worker processes.
-func OpenJournal(dir string, m Matrix, cells []Cell) (*Journal, error) {
-	return openJournal(dir, m, MatrixHash(cells), cells)
-}
-
-func openJournal(dir string, m Matrix, hash string, cells []Cell) (*Journal, error) {
+// resume instead.
+func openJournal(dir string, m Matrix, hash string, cells []Cell) (*journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -165,7 +159,7 @@ func openJournal(dir string, m Matrix, hash string, cells []Cell) (*Journal, err
 		}
 		return nil, err
 	}
-	j := &Journal{dir: dir, f: f}
+	j := &journal{dir: dir, f: f}
 	h := journalHeader{
 		Version: JournalVersion, Name: m.Name, Seed: m.Seed,
 		Cells: len(cells), MatrixHash: hash, Matrix: m,
@@ -233,17 +227,12 @@ func LoadJournalMatrix(dir string) (Matrix, error) {
 	return h.Matrix, nil
 }
 
-// ResumeJournal validates the manifest in dir against the expanded
+// resumeJournal validates the manifest in dir against the expanded
 // matrix and loads every journaled-complete cell's verified report.
 // Cells whose report is missing, torn, or checksum-inconsistent are
 // surfaced as warnings and left for re-execution — resume degrades to
-// re-running a cell, never to trusting corrupt data. Exported for the
-// sharded supervisor (see OpenJournal).
-func ResumeJournal(dir string, cells []Cell) (*Journal, map[int]*profiling.RunReport, []string, error) {
-	return resumeJournal(dir, MatrixHash(cells), cells)
-}
-
-func resumeJournal(dir string, hash string, cells []Cell) (*Journal, map[int]*profiling.RunReport, []string, error) {
+// re-running a cell, never to trusting corrupt data.
+func resumeJournal(dir string, hash string, cells []Cell) (*journal, map[int]*profiling.RunReport, []string, error) {
 	h, entries, err := readManifest(dir)
 	if err != nil {
 		return nil, nil, nil, err
@@ -294,13 +283,13 @@ func resumeJournal(dir string, hash string, cells []Cell) (*Journal, map[int]*pr
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return &Journal{dir: dir, f: f}, resumed, warns, nil
+	return &journal{dir: dir, f: f}, resumed, warns, nil
 }
 
-// RecordDone persists the cell's report atomically (with its embedded
+// recordDone persists the cell's report atomically (with its embedded
 // CRC-32 trailer) and then appends the manifest line — in that order,
 // so a manifest "done" entry always implies a verifiable report file.
-func (j *Journal) RecordDone(cell Cell, attempts int, r *profiling.RunReport) error {
+func (j *journal) recordDone(cell Cell, attempts int, r *profiling.RunReport) error {
 	b, crc, err := r.EncodeSummed()
 	if err != nil {
 		return err
@@ -318,9 +307,9 @@ func (j *Journal) RecordDone(cell Cell, attempts int, r *profiling.RunReport) er
 	})
 }
 
-// RecordFailed appends the classified failure, so resume re-runs the
+// recordFailed appends the classified failure, so resume re-runs the
 // cell and operators can audit what went wrong and how often.
-func (j *Journal) RecordFailed(ce CellError) error {
+func (j *journal) recordFailed(ce CellError) error {
 	return j.appendLine(journalEntry{
 		Cell: ce.Cell.ID, Index: ce.Cell.Index, Status: "failed",
 		Attempts: ce.Attempts, Class: string(ce.Class), Error: ce.Err.Error(),
@@ -328,7 +317,7 @@ func (j *Journal) RecordFailed(ce CellError) error {
 }
 
 // appendLine marshals v onto its own manifest line and fsyncs.
-func (j *Journal) appendLine(v any) error {
+func (j *journal) appendLine(v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return err
@@ -343,7 +332,7 @@ func (j *Journal) appendLine(v any) error {
 }
 
 // Close releases the manifest handle.
-func (j *Journal) Close() error {
+func (j *journal) Close() error {
 	if j == nil || j.f == nil {
 		return nil
 	}

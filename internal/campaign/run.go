@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -152,58 +152,7 @@ func runCellWith(ctx context.Context, cell Cell, tune func(*soc.SoC)) (*profilin
 // the aggregator canonicalizes its output, so it cannot matter which
 // cells were loaded from the journal and which were executed.
 func Run(ctx context.Context, m Matrix, opt Options) (*Result, error) {
-	expSpan := opt.Tracer.Start("expand", "campaign")
-	cells, err := m.Expand()
-	expSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Cells: len(cells)}
-	opt.Obs.Counter("campaign_cells_total").Add(uint64(len(cells)))
-	opt.Status.Begin(m.Name, cells)
-
-	acc := profiling.NewAccumulator()
-	var simCycles0 uint64
-
-	// Journal setup: open fresh, or resume — validating the manifest
-	// against this expansion and pre-loading journaled-complete reports
-	// into the aggregate.
-	var jr *Journal
-	pending := cells
-	if opt.JournalDir != "" {
-		jSpan := opt.Tracer.Start("journal", "campaign")
-		hash := MatrixHash(cells)
-		if opt.Resume {
-			var resumed map[int]*profiling.RunReport
-			jr, resumed, res.Warnings, err = resumeJournal(opt.JournalDir, hash, cells)
-			if err == nil {
-				resumeSkips := opt.Obs.Counter("campaign_resume_skips")
-				pending = make([]Cell, 0, len(cells))
-				for _, cell := range cells {
-					if rep, ok := resumed[cell.Index]; ok {
-						acc.Add(cell.ID, rep)
-						resumeSkips.Inc()
-						res.Resumed++
-						simCycles0 += rep.Cycles
-						opt.Status.CellResumedFromJournal(cell.Index, rep.Cycles)
-						continue
-					}
-					pending = append(pending, cell)
-				}
-			}
-		} else {
-			jr, err = openJournal(opt.JournalDir, m, hash, cells)
-		}
-		jSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		defer jr.Close()
-	}
-	if err := executeCells(ctx, pending, opt, jr, acc, res, simCycles0); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return RunWith(ctx, m, opt, pool{})
 }
 
 // RunCells executes an explicit, already-expanded cell subset under the
@@ -211,26 +160,31 @@ func Run(ctx context.Context, m Matrix, opt Options) (*Result, error) {
 // classified retries. It is the shard worker's entry point: the cells
 // keep the indices and derived seeds their coordinating campaign
 // expanded, so a report computed here is byte-identical to one computed
-// in-process. Journaling stays with the campaign-tier coordinator, so
-// JournalDir/Resume are rejected.
+// in-process. Journaling and aggregation stay with the coordinating
+// campaign, so JournalDir/Resume are rejected and Result.Profile is
+// always nil.
 func RunCells(ctx context.Context, cells []Cell, opt Options) (*Result, error) {
 	if opt.JournalDir != "" || opt.Resume {
-		return nil, fmt.Errorf("campaign: RunCells does not journal (the campaign-tier supervisor owns the journal)")
+		return nil, fmt.Errorf("campaign: RunCells does not journal (the coordinating campaign owns the journal)")
 	}
 	res := &Result{Cells: len(cells)}
 	opt.Obs.Counter("campaign_cells_total").Add(uint64(len(cells)))
-	if err := executeCells(ctx, cells, opt, nil, profiling.NewAccumulator(), res, 0); err != nil {
-		return nil, err
-	}
+	l := newLedger(cells, &opt)
+	l.execute(ctx, pool{}, res)
+	l.settle(ctx, res)
 	return res, nil
 }
 
-// executeCells runs the pending cells across the bounded worker pool
-// under the per-cell supervisor, streaming every completed report into
-// acc (and jr, when journaling), then finalizes the canonical aggregate
-// into res. simCycles0 carries cycles pre-loaded from a resumed
-// journal so throughput gauges and totals stay truthful.
-func executeCells(ctx context.Context, pending []Cell, opt Options, jr *Journal, acc *profiling.Accumulator, res *Result, simCycles0 uint64) error {
+// pool is the in-process executor: a bounded pool of goroutines, each
+// running one cell at a time under the per-cell supervisor.
+type pool struct{}
+
+// Execute runs the ledger's pending cells, fed in index order.
+// Workers <= 0 means GOMAXPROCS. The journal records each cell's real
+// attempt count, and a cell whose report it cannot take fails.
+func (pool) Execute(ctx context.Context, l *Ledger, res *Result) {
+	opt := l.opt
+	pending := l.pending()
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -240,8 +194,6 @@ func executeCells(ctx context.Context, pending []Cell, opt Options, jr *Journal,
 	}
 	res.Workers = workers
 
-	doneCtr := opt.Obs.Counter("campaign_sessions_done")
-	failCtr := opt.Obs.Counter("campaign_sessions_failed")
 	sessRate := opt.Obs.Gauge("campaign_sessions_per_sec")
 	cycleRate := opt.Obs.Gauge("campaign_sim_cycles_per_sec")
 	met := supMetrics{
@@ -249,24 +201,13 @@ func executeCells(ctx context.Context, pending []Cell, opt Options, jr *Journal,
 		panics:   opt.Obs.Counter("campaign_panics"),
 		timeouts: opt.Obs.Counter("campaign_timeouts"),
 	}
-
 	exec := opt.exec
 	if exec == nil {
 		exec = runCell
 	}
 
-	var (
-		mu        sync.Mutex // guards errs, warns, simCycles, retried
-		errs      []CellError
-		warns     = res.Warnings
-		simCycles = simCycles0
-		retried   int
-	)
-
+	var retried atomic.Int64
 	feed := make(chan Cell)
-	execSpan := opt.Tracer.Start("execute", "campaign")
-	start := time.Now()
-
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -275,58 +216,32 @@ func executeCells(ctx context.Context, pending []Cell, opt Options, jr *Journal,
 			var busy time.Duration
 			for cell := range feed {
 				cellStart := time.Now()
-				report, attempts, err := supervise(ctx, cell, opt, exec, met, opt.Tracer)
+				report, attempts, err := supervise(ctx, cell, *opt, exec, met, opt.Tracer)
 				busy += time.Since(cellStart)
-				if attempts > 1 {
-					mu.Lock()
-					retried += attempts - 1
-					mu.Unlock()
-				}
-				if err == nil && jr != nil {
-					if jerr := jr.RecordDone(cell, attempts, report); jerr != nil {
+				retried.Add(int64(attempts - 1))
+				if err == nil {
+					if _, jerr := l.Complete(cell, attempts, report); jerr != nil {
 						// A report we cannot persist is a failed cell:
 						// counting it complete would let a resume silently
 						// drop it from the fleet.
 						err = fmt.Errorf("journal: %w", jerr)
-						report = nil
 					}
 				}
 				switch {
 				case err == nil:
-					if opt.OnReport != nil {
-						opt.OnReport(cell, report)
-					}
-					acc.Add(cell.ID, report)
-					doneCtr.Inc()
-					opt.Status.CellCompleted(cell.Index, report.Cycles)
-					mu.Lock()
-					simCycles += report.Cycles
-					cy := simCycles
-					mu.Unlock()
-					if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-						sessRate.Set(float64(acc.Len()) / elapsed)
+					n, cy := l.progress()
+					if elapsed := time.Since(l.start).Seconds(); elapsed > 0 {
+						sessRate.Set(float64(n) / elapsed)
 						cycleRate.Set(float64(cy) / elapsed)
 					}
 				case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 					// Canceled mid-cell by the campaign: neither completed
 					// nor failed; a journaled resume re-runs it.
 				default:
-					failCtr.Inc()
-					ce := newCellError(cell, err, attempts)
-					opt.Status.CellFailedTerminally(cell.Index, ce.Class, err)
-					if jr != nil {
-						if jerr := jr.RecordFailed(ce); jerr != nil {
-							mu.Lock()
-							warns = append(warns, fmt.Sprintf("cell %s: failure not journaled: %v", cell.ID, jerr))
-							mu.Unlock()
-						}
-					}
-					mu.Lock()
-					errs = append(errs, ce)
-					mu.Unlock()
+					l.Fail(newCellError(cell, err, attempts))
 				}
 			}
-			if wall := time.Since(start); wall > 0 {
+			if wall := time.Since(l.start); wall > 0 {
 				opt.Obs.Gauge(fmt.Sprintf("campaign_worker%02d_util", w)).
 					Set(busy.Seconds() / wall.Seconds())
 			}
@@ -346,26 +261,5 @@ feedLoop:
 	}
 	close(feed)
 	wg.Wait()
-	res.Wall = time.Since(start)
-	execSpan.End()
-
-	res.Canceled = ctx.Err() != nil
-	res.Completed = acc.Len()
-	res.Failed = len(errs)
-	res.Retried = retried
-	sort.Slice(errs, func(i, j int) bool { return errs[i].Cell.Index < errs[j].Cell.Index })
-	res.Errors = errs
-	res.Warnings = warns
-	res.SimCycles = simCycles
-
-	if res.Completed > 0 {
-		aggSpan := opt.Tracer.Start("aggregate", "campaign")
-		fp, err := acc.Finalize()
-		aggSpan.End()
-		if err != nil {
-			return err
-		}
-		res.Profile = fp
-	}
-	return nil
+	res.Retried = int(retried.Load())
 }

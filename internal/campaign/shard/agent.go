@@ -52,9 +52,6 @@ type Agent struct {
 	// HandshakeTimeout bounds authentication + spec upload per
 	// connection; 0 means DefaultHandshakeTimeout.
 	HandshakeTimeout time.Duration
-	// WriteTimeout bounds any single stream-frame write toward the
-	// supervisor; 0 means DefaultWriteTimeout.
-	WriteTimeout time.Duration
 
 	active atomic.Int64 // live assignments, mirrored to the obs gauge
 }
@@ -77,13 +74,6 @@ func (a *Agent) handshakeTimeout() time.Duration {
 		return a.HandshakeTimeout
 	}
 	return DefaultHandshakeTimeout
-}
-
-func (a *Agent) writeTimeout() time.Duration {
-	if a.WriteTimeout > 0 {
-		return a.WriteTimeout
-	}
-	return DefaultWriteTimeout
 }
 
 // Serve accepts connections on ln until ctx is canceled (or ln is
@@ -194,7 +184,7 @@ func (a *Agent) handle(ctx context.Context, nc net.Conn) {
 		}
 	}()
 
-	out := &frameWriter{c: nc, timeout: a.writeTimeout()}
+	out := &frameWriter{c: nc}
 	a.Obs.Gauge("agent_workers_active").Set(float64(a.active.Add(1)))
 	code := RunWorker(wctx, spec.Args(), bytes.NewReader(spec.Matrix), out, a.stderr())
 	a.Obs.Gauge("agent_workers_active").Set(float64(a.active.Add(-1)))
@@ -210,10 +200,9 @@ func (a *Agent) handle(ctx context.Context, nc net.Conn) {
 // sticky — once the supervisor is unreachable the worker's emitter
 // sees every subsequent write fail, exactly like a broken pipe.
 type frameWriter struct {
-	mu      sync.Mutex
-	c       net.Conn
-	timeout time.Duration
-	err     error
+	mu  sync.Mutex
+	c   net.Conn
+	err error
 }
 
 func (w *frameWriter) Write(p []byte) (int, error) {
@@ -231,7 +220,7 @@ func (w *frameWriter) control(ft frameType, payload []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	_ = w.c.SetWriteDeadline(time.Now().Add(w.timeout))
+	_ = w.c.SetWriteDeadline(time.Now().Add(WriteTimeout))
 	if err := writeFrame(w.c, ft, payload); err != nil {
 		w.err = err
 		return err

@@ -225,7 +225,9 @@ func (s Spec) Args() []string {
 // Conn is one live shard worker as the supervisor sees it: a byte
 // stream to ingest and a process to signal. Implementations must make
 // Output return EOF (or an error) once the worker is gone, and Wait
-// must be callable exactly once after Output is drained.
+// must be callable exactly once. Liveness contract (TestConnLiveness):
+// even when the caller has stopped reading Output mid-stream, Wait
+// returns promptly after Kill, and after the worker crashes on its own.
 type Conn interface {
 	// Output is the worker's record/control stream (its stdout).
 	Output() io.Reader
@@ -234,7 +236,7 @@ type Conn interface {
 	// Kill stops the worker immediately (SIGKILL).
 	Kill()
 	// Wait reaps the worker and returns its exit error, nil on clean
-	// exit. Call after draining Output.
+	// exit. Call after draining Output, or after Kill.
 	Wait() error
 	// Pid identifies the worker process for logs (0 when not applicable).
 	Pid() int

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"os/signal"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -37,6 +39,17 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	case "crash":
 		os.Exit(3)
+	case "flood", "floodcrash":
+		// Streams heartbeats until its stdout blocks, and shrugs off
+		// SIGTERM: a worker wedged in a write nobody drains. The
+		// floodcrash variant dies on its own shortly after starting.
+		signal.Ignore(syscall.SIGTERM)
+		if os.Getenv("SHARD_TEST_MODE") == "floodcrash" {
+			time.AfterFunc(100*time.Millisecond, func() { os.Exit(3) })
+		}
+		for {
+			fmt.Println("//shard hb done=0")
+		}
 	}
 	os.Exit(m.Run())
 }

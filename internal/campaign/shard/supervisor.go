@@ -2,8 +2,9 @@
 // per-cell supervisor. Workers are processes, and processes fail in
 // ways goroutines cannot: SIGKILL, OOM, a wedged runtime, a pipe torn
 // mid-record. The supervisor therefore trusts only two things — the
-// journal it owns, and records that survive CRC-32 verification — and
-// treats everything else as evidence to classify:
+// campaign ledger, which journals before it aggregates, and records
+// that survive CRC-32 verification — and treats everything else as
+// evidence to classify:
 //
 //   - silence past the heartbeat deadline → hang: kill, respawn
 //   - nonzero exit / spawn failure → crash: respawn
@@ -25,7 +26,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,8 +45,9 @@ const shardBackoffLabel = 0x5a4db0ff
 
 // Options tunes the sharded supervisor. Campaign carries the options
 // forwarded to each worker's in-process pool (Workers, CellTimeout,
-// Retries) and the campaign-tier journal (JournalDir, Resume), which
-// the supervisor owns — workers never journal.
+// Retries) and the campaign-tier ones (journal, telemetry, OnReport),
+// which the campaign driver applies here, in the supervising process —
+// workers never journal.
 type Options struct {
 	Campaign campaign.Options
 	// Shards is the number of worker processes; <=0 means 1.
@@ -79,47 +80,23 @@ func (o *Options) logf(format string, args ...any) {
 	}
 }
 
-// supState is the shared ledger every shard runner writes through: which
-// cells are done or terminally failed, the aggregate, and the journal.
-// One mutex serializes it all — ingest is I/O-bound, not lock-bound.
-type supState struct {
-	mu     sync.Mutex
-	cells  []campaign.Cell
-	done   map[int]bool
-	failed map[int]campaign.CellError
-	acc    *profiling.Accumulator
-	jr     *campaign.Journal
-	warns  []string
-	cycles uint64
-
-	// torn/dup accumulate across all runners for Result — the record
-	// anomalies an operator wants in the post-mortem summary without
-	// scraping the obs endpoint.
-	torn, dup atomic.Int64
-
-	opt     *Options
-	doneCtr *obs.Counter
-	failCtr *obs.Counter
-}
-
 // shardTracePid maps a shard ordinal to its pid row in the stitched
 // Chrome trace; pid 1 is the supervisor itself.
 func shardTracePid(si int) int { return si + 2 }
 
 // Run expands the matrix, splits it across opt.Shards worker processes,
-// and supervises them to completion. It is the sharded analogue of
-// campaign.Run and keeps its contract: the returned Profile is
-// byte-identical to a single-process run of the same matrix, for any
-// shard/worker count and across any schedule of worker crashes and
-// recoveries, because every cell lands in the aggregate exactly once
-// with its expansion-time seed.
+// and supervises them to completion. It is campaign.Run with worker
+// processes in place of the in-process pool, and keeps its contract:
+// the returned Profile is byte-identical to a single-process run of the
+// same matrix, for any shard/worker count and across any schedule of
+// worker crashes and recoveries, because every cell lands in the
+// campaign ledger exactly once with its expansion-time seed.
 func Run(ctx context.Context, m campaign.Matrix, opt Options) (*campaign.Result, error) {
 	if opt.Transport == nil {
 		return nil, fmt.Errorf("shard: no transport configured")
 	}
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = 1
+	if opt.Shards <= 0 {
+		opt.Shards = 1
 	}
 	if opt.HeartbeatEvery <= 0 {
 		opt.HeartbeatEvery = DefaultHeartbeatEvery
@@ -136,70 +113,47 @@ func Run(ctx context.Context, m campaign.Matrix, opt Options) (*campaign.Result,
 	if opt.DrainTimeout <= 0 {
 		opt.DrainTimeout = DefaultDrainTimeout
 	}
-
-	reg := opt.Campaign.Obs
-	tr := opt.Campaign.Tracer
-	expSpan := tr.Start("expand", "campaign")
-	cells, err := m.Expand()
-	expSpan.End()
-	if err != nil {
-		return nil, err
-	}
 	matrixJSON, err := json.Marshal(m)
 	if err != nil {
 		return nil, err
 	}
-	hash := campaign.MatrixHash(cells)
-	res := &campaign.Result{Cells: len(cells)}
-	reg.Counter("campaign_cells_total").Add(uint64(len(cells)))
-	opt.Campaign.Status.Begin(m.Name, cells)
+	return campaign.RunWith(ctx, m, opt.Campaign, &supervisor{opt: &opt, matrix: matrixJSON})
+}
 
-	st := &supState{
-		cells:   cells,
-		done:    map[int]bool{},
-		failed:  map[int]campaign.CellError{},
-		acc:     profiling.NewAccumulator(),
-		opt:     &opt,
-		doneCtr: reg.Counter("campaign_sessions_done"),
-		failCtr: reg.Counter("campaign_sessions_failed"),
-	}
+// supervisor is the sharded campaign.Executor: it runs the campaign's
+// cells in worker processes and feeds every verified report and verdict
+// into the campaign ledger. Its policy differs from the in-process
+// pool's in three places: the journal records one attempt per cell
+// (the worker's retries are not visible here), a report the journal
+// cannot take leaves its cell remaining for the next respawn, and
+// Workers <= 0 means one worker per shard.
+type supervisor struct {
+	opt    *Options
+	matrix []byte // campaign matrix JSON, fed to every worker
+	l      *campaign.Ledger
+	cells  []campaign.Cell
 
-	// Journal: owned here, at the campaign tier. Workers stream; the
-	// supervisor persists — so "journaled done" is exactly "ingested and
-	// verified", and a respawned shard re-runs precisely the complement.
-	if opt.Campaign.JournalDir != "" {
-		jSpan := tr.Start("journal", "campaign")
-		if opt.Campaign.Resume {
-			var resumed map[int]*profiling.RunReport
-			st.jr, resumed, st.warns, err = campaign.ResumeJournal(opt.Campaign.JournalDir, cells)
-			if err == nil {
-				skips := reg.Counter("campaign_resume_skips")
-				for idx, rep := range resumed {
-					st.acc.Add(cells[idx].ID, rep)
-					st.done[idx] = true
-					st.cycles += rep.Cycles
-					skips.Inc()
-					res.Resumed++
-					opt.Campaign.Status.CellResumedFromJournal(idx, rep.Cycles)
-				}
-			}
-		} else {
-			st.jr, err = campaign.OpenJournal(opt.Campaign.JournalDir, m, cells)
-		}
-		jSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		defer st.jr.Close()
-	}
+	// restarts/torn/dup accumulate across all runners for Result — the
+	// record anomalies an operator wants in the post-mortem summary
+	// without scraping the obs endpoint.
+	restarts, torn, dup atomic.Int64
+}
 
-	workers := opt.Campaign.Workers
+// Execute splits every cell of the campaign across the shards — a
+// resumed cell is skipped by its shard, not re-split — and runs one
+// respawning runner per shard to completion.
+func (s *supervisor) Execute(ctx context.Context, l *campaign.Ledger, res *campaign.Result) {
+	s.l, s.cells = l, l.Cells()
+	workers := s.opt.Campaign.Workers
 	if workers <= 0 {
 		workers = 1
 	}
 	res.Workers = workers
+	reg := s.opt.Campaign.Obs
+	tr := s.opt.Campaign.Tracer
+	hash := campaign.MatrixHash(s.cells)
 
-	assign := Split(len(cells), shards)
+	assign := Split(len(s.cells), s.opt.Shards)
 	// Trace stitching: the supervisor is pid 1; each shard ordinal gets
 	// its own pid row (si+2), stable across respawns, so the merged
 	// Chrome trace shows one timeline of supervisor + every worker.
@@ -209,24 +163,20 @@ func Run(ctx context.Context, m campaign.Matrix, opt Options) (*campaign.Result,
 			tr.SetProcessName(shardTracePid(si), fmt.Sprintf("shard %d", si))
 		}
 	}
-	execSpan := tr.Start("execute", "campaign")
-	start := time.Now()
 	var wg sync.WaitGroup
-	var restarts atomic.Int64
 	for si := range assign {
 		wg.Add(1)
 		go func(si int, indices []int) {
 			defer wg.Done()
 			r := &shardRunner{
-				st: st, opt: &opt, si: si,
+				sup: s, opt: s.opt, si: si,
 				spec: Spec{
-					Shard: si, Shards: len(assign), Matrix: matrixJSON,
-					Workers: workers, Hash: hash, HB: opt.HeartbeatEvery,
+					Shard: si, Shards: len(assign), Matrix: s.matrix,
+					Workers: workers, Hash: hash, HB: s.opt.HeartbeatEvery,
 					Spans:       tr != nil,
-					CellTimeout: opt.Campaign.CellTimeout, Retries: opt.Campaign.Retries,
+					CellTimeout: s.opt.Campaign.CellTimeout, Retries: s.opt.Campaign.Retries,
 				},
 				indices:   indices,
-				restarts:  &restarts,
 				alive:     reg.Gauge(fmt.Sprintf("campaign_shard%02d_alive", si)),
 				respawns:  reg.Gauge(fmt.Sprintf("campaign_shard%02d_restarts", si)),
 				cellsDone: reg.Gauge(fmt.Sprintf("campaign_shard%02d_cells_done", si)),
@@ -242,111 +192,18 @@ func Run(ctx context.Context, m campaign.Matrix, opt Options) (*campaign.Result,
 		}(si, assign[si])
 	}
 	wg.Wait()
-	res.Wall = time.Since(start)
-	execSpan.End()
-
-	st.mu.Lock()
-	res.Canceled = ctx.Err() != nil
-	res.Completed = st.acc.Len()
-	res.Restarts = int(restarts.Load())
-	res.Torn = int(st.torn.Load())
-	res.Dup = int(st.dup.Load())
-	res.SimCycles = st.cycles
-	res.Warnings = st.warns
-	errs := make([]campaign.CellError, 0, len(st.failed))
-	for _, ce := range st.failed {
-		errs = append(errs, ce)
-	}
-	st.mu.Unlock()
-	sort.Slice(errs, func(i, j int) bool { return errs[i].Cell.Index < errs[j].Cell.Index })
-	res.Failed = len(errs)
-	res.Errors = errs
-
-	if res.Completed > 0 {
-		aggSpan := tr.Start("aggregate", "campaign")
-		fp, err := st.acc.Finalize()
-		aggSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		res.Profile = fp
-	}
-	return res, nil
-}
-
-// remaining returns the shard's assigned indices that are neither done
-// nor terminally failed.
-func (s *supState) remaining(indices []int) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []int
-	for _, idx := range indices {
-		if !s.done[idx] {
-			if _, bad := s.failed[idx]; !bad {
-				out = append(out, idx)
-			}
-		}
-	}
-	return out
-}
-
-// ingest records one verified cell report: journal first (a report we
-// cannot persist is not done — the next spawn re-runs it), then the
-// aggregate. Duplicates — a record replayed across a respawn boundary,
-// or a doubled pipe write — are dropped idempotently.
-func (s *supState) ingest(idx int, rep *profiling.RunReport) (dup bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done[idx] {
-		return true, nil
-	}
-	if s.jr != nil {
-		if jerr := s.jr.RecordDone(s.cells[idx], 1, rep); jerr != nil {
-			s.warns = append(s.warns, fmt.Sprintf("cell %s: report not journaled: %v", s.cells[idx].ID, jerr))
-			return false, jerr
-		}
-	}
-	s.done[idx] = true
-	s.cycles += rep.Cycles
-	s.acc.Add(s.cells[idx].ID, rep)
-	s.doneCtr.Inc()
-	s.opt.Campaign.Status.CellCompleted(idx, rep.Cycles)
-	if s.opt.Campaign.OnReport != nil {
-		s.opt.Campaign.OnReport(s.cells[idx], rep)
-	}
-	return false, nil
-}
-
-// markFailed records a terminal per-cell failure (worker-reported, or
-// budget exhaustion). The first verdict for a cell wins.
-func (s *supState) markFailed(ce campaign.CellError) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := ce.Cell.Index
-	if s.done[idx] {
-		return
-	}
-	if _, ok := s.failed[idx]; ok {
-		return
-	}
-	s.failed[idx] = ce
-	s.failCtr.Inc()
-	s.opt.Campaign.Status.CellFailedTerminally(idx, ce.Class, ce.Err)
-	if s.jr != nil {
-		if jerr := s.jr.RecordFailed(ce); jerr != nil {
-			s.warns = append(s.warns, fmt.Sprintf("cell %s: failure not journaled: %v", ce.Cell.ID, jerr))
-		}
-	}
+	res.Restarts = int(s.restarts.Load())
+	res.Torn = int(s.torn.Load())
+	res.Dup = int(s.dup.Load())
 }
 
 // shardRunner supervises one shard ordinal across its spawns.
 type shardRunner struct {
-	st       *supState
-	opt      *Options
-	si       int
-	spec     Spec
-	indices  []int
-	restarts *atomic.Int64
+	sup     *supervisor
+	opt     *Options
+	si      int
+	spec    Spec
+	indices []int
 
 	alive, respawns, cellsDone, hbAge *obs.Gauge
 	restCtr, hangCtr, crashCtr        *obs.Counter
@@ -359,10 +216,10 @@ type shardRunner struct {
 // either finish, back off and respawn, or fail the remainder when the
 // budget is spent.
 func (r *shardRunner) run(ctx context.Context) {
-	jitter := sim.NewRNG(r.st.cells[0].Run.Seed ^ shardBackoffLabel).Fork(uint64(r.si) + 1)
+	jitter := sim.NewRNG(r.sup.cells[0].Run.Seed ^ shardBackoffLabel).Fork(uint64(r.si) + 1)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		remaining := r.st.remaining(r.indices)
+		remaining := r.sup.l.Remaining(r.indices)
 		if len(remaining) == 0 {
 			return
 		}
@@ -373,8 +230,8 @@ func (r *shardRunner) run(ctx context.Context) {
 			r.opt.logf("shard %d: respawn budget exhausted (%d spawns); failing %d remaining cells",
 				r.si, attempt, len(remaining))
 			for _, idx := range remaining {
-				r.st.markFailed(campaign.CellError{
-					Cell:     r.st.cells[idx],
+				r.sup.l.Fail(campaign.CellError{
+					Cell:     r.sup.cells[idx],
 					Err:      campaign.Transient(fmt.Errorf("shard %d unrecoverable after %d spawns: %v", r.si, attempt, lastErr)),
 					Class:    campaign.ClassTransient,
 					Attempts: attempt,
@@ -383,7 +240,7 @@ func (r *shardRunner) run(ctx context.Context) {
 			return
 		}
 		if attempt > 0 {
-			r.restarts.Add(1)
+			r.sup.restarts.Add(1)
 			r.restCtr.Inc()
 			r.respawns.Set(float64(attempt))
 			// Seed-derived jittered exponential backoff, the shard
@@ -466,7 +323,7 @@ func (r *shardRunner) runOnce(ctx context.Context, attempt int, remaining []int)
 	}
 	if n := sc.Skipped(); n > 0 {
 		r.tornCtr.Add(uint64(n))
-		r.st.torn.Add(int64(n))
+		r.sup.torn.Add(int64(n))
 		status.ShardAnomaly(r.si, "torn_records", fmt.Sprintf("%d torn/corrupt records dropped", n))
 		r.opt.logf("shard %d: %d torn/corrupt records dropped", r.si, n)
 	}
@@ -556,8 +413,8 @@ func (r *shardRunner) handleControl(line string, assigned map[int]bool, pending 
 			r.orphanCtr.Inc()
 			return
 		}
-		r.st.markFailed(campaign.CellError{
-			Cell:     r.st.cells[c.idx],
+		r.sup.l.Fail(campaign.CellError{
+			Cell:     r.sup.cells[c.idx],
 			Err:      fmt.Errorf("shard %d worker: %s", r.si, c.msg),
 			Class:    campaign.Class(c.class),
 			Attempts: c.attempts,
@@ -588,23 +445,26 @@ func (r *shardRunner) ingestRecord(body []byte, assigned map[int]bool, pending *
 	rep, err := profiling.ReadRunReport(bytes.NewReader(body))
 	if err != nil {
 		r.tornCtr.Inc()
-		r.st.torn.Add(1)
+		r.sup.torn.Add(1)
 		return
 	}
-	if !assigned[idx] || rep.Seed != r.st.cells[idx].Run.Seed {
+	if !assigned[idx] || rep.Seed != r.sup.cells[idx].Run.Seed {
 		r.orphanCtr.Inc()
 		r.opt.logf("shard %d: dropping record for cell %d (unassigned or seed mismatch)", r.si, idx)
 		return
 	}
-	dup, err := r.st.ingest(idx, rep)
+	dup, err := r.sup.l.Complete(r.sup.cells[idx], 1, rep)
 	if dup {
 		r.dupCtr.Inc()
-		r.st.dup.Add(1)
+		r.sup.dup.Add(1)
 		r.opt.Campaign.Status.ShardAnomaly(r.si, "dup_record", fmt.Sprintf("cell %d replayed across a respawn boundary", idx))
 		return
 	}
 	if err != nil {
-		return // journaling failed; the cell stays remaining
+		// A report the journal cannot take is not done: the cell stays
+		// remaining, and the next spawn re-runs it.
+		r.sup.l.Warnf("cell %s: report not journaled: %v", r.sup.cells[idx].ID, err)
+		return
 	}
 	r.ingested++
 	r.cellsDone.Set(float64(r.ingested))

@@ -489,6 +489,73 @@ func TestShardDrainAndResume(t *testing.T) {
 	}
 }
 
+// TestShardResumeAnnouncesCellsInIndexOrder: resuming a fully journaled
+// sharded campaign announces its cell_resumed events in cell-index
+// order, so /events and the -events log repeat from run to run. The
+// sharded supervisor and the in-process pool resume through the same
+// campaign ledger, so both are checked against the same journal.
+func TestShardResumeAnnouncesCellsInIndexOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	m := testMatrix()
+	m.Seeds = 4 // 16 journaled cells
+	cells, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, c := range cells {
+		want = append(want, c.ID)
+	}
+	dir := t.TempDir()
+	ctx := context.Background()
+	res, err := Run(ctx, m, Options{
+		Campaign:  campaign.Options{Workers: 1, JournalDir: dir},
+		Shards:    2,
+		Transport: modeTransport("worker"),
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != res.Cells {
+		t.Fatalf("journaling run completed %d/%d cells: %v", res.Completed, res.Cells, res.Errors)
+	}
+
+	for _, tc := range []struct {
+		name string
+		run  func(campaign.Options) (*campaign.Result, error)
+	}{
+		{"sharded", func(o campaign.Options) (*campaign.Result, error) {
+			return Run(ctx, m, Options{Campaign: o, Shards: 2, Transport: modeTransport("worker"), Logf: t.Logf})
+		}},
+		{"in-process", func(o campaign.Options) (*campaign.Result, error) {
+			return campaign.Run(ctx, m, o)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events := obs.NewEventLog(4 * len(cells))
+			res, err := tc.run(campaign.Options{JournalDir: dir, Resume: true, Status: campaign.NewStatus(events)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Resumed != len(cells) {
+				t.Fatalf("resumed %d cells, want %d", res.Resumed, len(cells))
+			}
+			var got []string
+			for _, ev := range events.Snapshot().Events {
+				if ev.Kind == "cell_resumed" {
+					got = append(got, ev.Cell)
+				}
+			}
+			if strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Errorf("cell_resumed order:\n got %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
 // TestShardSpanStitching: a sharded run with a tracer yields ONE
 // coherent Chrome trace — the supervisor's campaign phases on pid 1 and
 // every worker's spans on that shard's own pid row (si+2), with

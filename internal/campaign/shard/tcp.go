@@ -37,16 +37,17 @@ import (
 	"repro/internal/obs"
 )
 
-// TCP transport defaults; zero fields on TCPTransport fall back here.
+// TCP transport timeouts.
 const (
-	// DefaultDialTimeout bounds one connection attempt to one agent.
+	// DefaultDialTimeout bounds one connection attempt to one agent when
+	// TCPTransport.DialTimeout is zero.
 	DefaultDialTimeout = 5 * time.Second
 	// DefaultHandshakeTimeout bounds the authentication + spec-upload
 	// exchange after the socket is up.
 	DefaultHandshakeTimeout = 10 * time.Second
-	// DefaultWriteTimeout bounds any single frame write, so a stalled
-	// peer cannot wedge the writing side forever.
-	DefaultWriteTimeout = 30 * time.Second
+	// WriteTimeout bounds any single frame write, so a stalled peer
+	// cannot wedge the writing side forever.
+	WriteTimeout = 30 * time.Second
 )
 
 // TCPTransport starts shard workers on remote tcfleet agents. It is
@@ -67,11 +68,9 @@ type TCPTransport struct {
 	// even Close would have nothing to interrupt. 0 means
 	// DefaultHeartbeatTimeout.
 	HeartbeatTimeout time.Duration
-	// DialTimeout / HandshakeTimeout / WriteTimeout bound the respective
-	// phases; zero values use the Default* constants.
-	DialTimeout      time.Duration
-	HandshakeTimeout time.Duration
-	WriteTimeout     time.Duration
+	// DialTimeout bounds one connection attempt; 0 means
+	// DefaultDialTimeout.
+	DialTimeout time.Duration
 	// Obs receives per-shard connection counters (dials, redials,
 	// handshake failures, stream bytes) alongside the supervisor's
 	// per-shard gauges; nil disables them.
@@ -100,11 +99,7 @@ func (t *TCPTransport) readTimeout() time.Duration {
 	if hb <= 0 {
 		hb = DefaultHeartbeatTimeout
 	}
-	rt := 2 * hb
-	if min := t.handshakeTimeout(); rt < min {
-		rt = min
-	}
-	return rt
+	return max(2*hb, DefaultHandshakeTimeout)
 }
 
 func (t *TCPTransport) dialTimeout() time.Duration {
@@ -112,20 +107,6 @@ func (t *TCPTransport) dialTimeout() time.Duration {
 		return t.DialTimeout
 	}
 	return DefaultDialTimeout
-}
-
-func (t *TCPTransport) handshakeTimeout() time.Duration {
-	if t.HandshakeTimeout > 0 {
-		return t.HandshakeTimeout
-	}
-	return DefaultHandshakeTimeout
-}
-
-func (t *TCPTransport) writeTimeout() time.Duration {
-	if t.WriteTimeout > 0 {
-		return t.WriteTimeout
-	}
-	return DefaultWriteTimeout
 }
 
 // Start dials an agent for the spec's shard, authenticates, uploads
@@ -201,7 +182,7 @@ func (t *TCPTransport) dialAgent(addr string, spec Spec) (*tcpConn, error) {
 	}
 	// One deadline covers the whole handshake + spec exchange; cleared
 	// once the connection graduates to streaming.
-	if err := nc.SetDeadline(time.Now().Add(t.handshakeTimeout())); err != nil {
+	if err := nc.SetDeadline(time.Now().Add(DefaultHandshakeTimeout)); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -241,15 +222,14 @@ func (t *TCPTransport) dialAgent(addr string, spec Spec) (*tcpConn, error) {
 	}
 	pr, pw := io.Pipe()
 	c := &tcpConn{
-		c:            nc,
-		pr:           pr,
-		pw:           pw,
-		pid:          int(binary.BigEndian.Uint32(payload)),
-		readTimeout:  t.readTimeout(),
-		writeTimeout: t.writeTimeout(),
-		bytes:        t.Obs.Counter(fmt.Sprintf("campaign_shard%02d_net_bytes", spec.Shard)),
-		bytesAgg:     t.Obs.Counter("campaign_tcp_bytes"),
-		done:         make(chan struct{}),
+		c:           nc,
+		pr:          pr,
+		pw:          pw,
+		pid:         int(binary.BigEndian.Uint32(payload)),
+		readTimeout: t.readTimeout(),
+		bytes:       t.Obs.Counter(fmt.Sprintf("campaign_shard%02d_net_bytes", spec.Shard)),
+		bytesAgg:    t.Obs.Counter("campaign_tcp_bytes"),
+		done:        make(chan struct{}),
 	}
 	go c.readLoop()
 	return c, nil
@@ -261,15 +241,14 @@ func (t *TCPTransport) dialAgent(addr string, spec Spec) (*tcpConn, error) {
 // the unchanged //shard protocol — while ftExit and read errors are
 // folded into Wait's verdict.
 type tcpConn struct {
-	c            net.Conn
-	pr           *io.PipeReader
-	pw           *io.PipeWriter
-	wmu          sync.Mutex
-	pid          int
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-	bytes        *obs.Counter
-	bytesAgg     *obs.Counter
+	c           net.Conn
+	pr          *io.PipeReader
+	pw          *io.PipeWriter
+	wmu         sync.Mutex
+	pid         int
+	readTimeout time.Duration
+	bytes       *obs.Counter
+	bytesAgg    *obs.Counter
 
 	killed  atomic.Bool
 	done    chan struct{}
@@ -285,7 +264,7 @@ func (c *tcpConn) Output() io.Reader { return c.pr }
 func (c *tcpConn) Terminate() {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	_ = c.c.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	_ = c.c.SetWriteDeadline(time.Now().Add(WriteTimeout))
 	_ = writeFrame(c.c, ftTerm, nil)
 }
 
@@ -300,9 +279,17 @@ func (c *tcpConn) Kill() {
 	_ = c.pr.CloseWithError(errConnKilled)
 }
 
-var errConnKilled = errors.New("shard: connection killed")
+var (
+	errConnKilled   = errors.New("shard: connection killed")
+	errOutputClosed = errors.New("shard: output closed before the stream ended")
+)
 
+// Wait closes the record pipe before it waits: stream bytes the caller
+// has not read are discarded. Otherwise a caller that abandoned Output()
+// would leave the read loop parked in a pipe write, blind to the peer
+// dropping the socket, and Wait would never return.
 func (c *tcpConn) Wait() error {
+	_ = c.pr.CloseWithError(errOutputClosed)
 	<-c.done
 	return c.waitErr
 }

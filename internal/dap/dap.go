@@ -60,7 +60,7 @@ type LinkFault interface {
 	Transmit(cycle uint64, frame []byte) ([]byte, bool)
 }
 
-// Drain-protocol defaults: bounded retries with exponential backoff. The
+// Drain-protocol limits: bounded retries with exponential backoff. The
 // backoff is expressed in CPU cycles (the simulation time base).
 const (
 	// DefaultMaxRetries bounds the retransmission attempts per frame
@@ -79,9 +79,10 @@ const (
 // moves bytes verbatim — the original happy-path model. The reliable
 // protocol (Reliable == true, for frame streams produced via
 // tmsg.Framer) validates each frame's CRC on arrival and NAKs corrupted
-// frames: the frame is retransmitted after a bounded exponential backoff,
-// and abandoned after MaxRetries attempts (a frame corrupted in the EMEM
-// itself never heals, so unbounded retry would wedge the link). Every
+// frames: the frame is retransmitted after a bounded exponential
+// backoff, and abandoned after DefaultMaxRetries attempts (a frame
+// corrupted in the EMEM itself never heals, so unbounded retry would
+// wedge the link). Every
 // retransmission costs link bandwidth; only the first copy of each frame
 // rides the regular drain credit.
 type DAP struct {
@@ -96,10 +97,6 @@ type DAP struct {
 	Reliable bool
 	// Fault, when non-nil, injects link faults (nil = perfect link).
 	Fault LinkFault
-	// MaxRetries and BackoffBase tune the retry protocol; zero values
-	// select the defaults.
-	MaxRetries  int
-	BackoffBase uint64
 
 	credit       uint64 // fixed-point byte credit, scaled by CPUFreq in Hz
 	TotalDrained uint64
@@ -121,7 +118,7 @@ type DAP struct {
 	// Statistics.
 	FramesDelivered uint64
 	Retries         uint64 // NAKed transmission attempts
-	FramesAbandoned uint64 // frames given up after MaxRetries
+	FramesAbandoned uint64 // frames given up after DefaultMaxRetries
 	GarbageBytes    uint64 // staging bytes discarded hunting for a frame
 	BackoffCycles   uint64 // cycles spent waiting out NAK backoff windows
 
@@ -161,20 +158,6 @@ func (d *DAP) Instrument(reg *obs.Registry) {
 // New creates a DAP draining e.
 func New(cfg Config, e *emem.EMEM) *DAP {
 	return &DAP{Cfg: cfg, Emem: e}
-}
-
-func (d *DAP) maxRetries() int {
-	if d.MaxRetries > 0 {
-		return d.MaxRetries
-	}
-	return DefaultMaxRetries
-}
-
-func (d *DAP) backoffBase() uint64 {
-	if d.BackoffBase > 0 {
-		return d.BackoffBase
-	}
-	return DefaultBackoffBase
 }
 
 // Tick implements sim.Ticker: accumulate fractional byte credit per CPU
@@ -259,7 +242,7 @@ func (d *DAP) pump(cycle uint64, flush bool) {
 		d.attempts++
 		d.Retries++
 		d.obs.retries.Inc()
-		if d.attempts > d.maxRetries() {
+		if d.attempts > DefaultMaxRetries {
 			// Give up — likely corrupted at the source (EMEM soft error),
 			// where retransmission re-reads the same bad bytes. The
 			// tool-side cumulative counters will account the loss.
@@ -273,7 +256,7 @@ func (d *DAP) pump(cycle uint64, flush bool) {
 			if shift > 6 {
 				shift = 6
 			}
-			wait := d.backoffBase() << shift
+			wait := uint64(DefaultBackoffBase) << shift
 			d.retryAt = cycle + wait
 			d.BackoffCycles += wait
 			d.obs.backoff.Add(wait)

@@ -85,7 +85,7 @@ func TestReliableRetryRecoversEverything(t *testing.T) {
 }
 
 // TestReliableAbandonsSourceCorruption: a frame corrupted in the EMEM
-// itself never passes CRC — the protocol must give up after MaxRetries and
+// itself never passes CRC — the protocol must give up after DefaultMaxRetries and
 // the tool must account the loss exactly.
 func TestReliableAbandonsSourceCorruption(t *testing.T) {
 	e := emem.New(1<<16, 0, 0)

@@ -102,9 +102,6 @@ func (c *Controller) AddChannel(ch *Channel, trigger *irq.SRN) {
 	c.bySRNPrio[trigger.Prio] = ch
 }
 
-// Channels returns the registered channels.
-func (c *Controller) Channels() []*Channel { return c.channels }
-
 // Counters exposes DMA events for MCDS taps.
 func (c *Controller) Counters() *sim.Counters { return &c.counters }
 

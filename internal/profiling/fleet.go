@@ -11,8 +11,8 @@ import (
 
 // Fleet aggregation: the paper's end goal is not one measurement but
 // "statistical system profiles" aggregated from many customer runs,
-// feeding the F-model architecture decisions. Aggregate turns a set of
-// machine-readable run reports into that fleet-level profile:
+// feeding the F-model architecture decisions. Accumulator turns a set
+// of machine-readable run reports into that fleet-level profile:
 // per-parameter distributions across runs, confidence-weighted so lossy
 // runs influence the result less, with statistical outliers flagged for
 // the engineer instead of silently averaged away.
@@ -97,7 +97,7 @@ type obsRun struct {
 }
 
 // Accumulator ingests run reports one at a time and produces the fleet
-// profile on demand — the streaming form of Aggregate. A campaign's
+// profile on demand. A campaign's
 // worker pool streams each completed report in as it lands (any order,
 // any thread) and only the per-parameter summary statistics are retained;
 // the heavy parts of a report (per-window series were never included,
@@ -229,23 +229,6 @@ func (a *Accumulator) Finalize() (*FleetProfile, error) {
 		fp.Params = append(fp.Params, p)
 	}
 	return fp, nil
-}
-
-// Aggregate builds the fleet profile from run reports in one shot. ids
-// names each report (file name, run label); when shorter than reports,
-// missing IDs are synthesized from app/seed/fault plan. Runs and
-// parameters in the result are deterministically ordered (by ID and name
-// respectively). It is the batch form of Accumulator.
-func Aggregate(ids []string, reports []*RunReport) (*FleetProfile, error) {
-	acc := NewAccumulator()
-	for i, r := range reports {
-		id := ""
-		if i < len(ids) {
-			id = ids[i]
-		}
-		acc.Add(id, r)
-	}
-	return acc.Finalize()
 }
 
 // quantile returns the q-quantile of sorted values by nearest rank.

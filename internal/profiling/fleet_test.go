@@ -33,7 +33,7 @@ func TestAggregateWeighting(t *testing.T) {
 		synthReport("c", 3, 1, 0.98, 1),
 		synthReport("lossy", 4, 0.05, 0.20, 0.5),
 	}
-	fp, err := Aggregate([]string{"a", "b", "c", "lossy"}, reports)
+	fp, err := aggregate([]string{"a", "b", "c", "lossy"}, reports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestAggregateOutlierFlagging(t *testing.T) {
 	}
 	reports = append(reports, synthReport("weird", 99, 1, 5.0, 1))
 	ids = append(ids, "weird")
-	fp, err := Aggregate(ids, reports)
+	fp, err := aggregate(ids, reports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +81,27 @@ func TestAggregateOutlierFlagging(t *testing.T) {
 	}
 }
 
+// aggregate streams reports into a fresh Accumulator in slice order;
+// ids[i] names reports[i], and a missing or empty ID is synthesized.
+func aggregate(ids []string, reports []*RunReport) (*FleetProfile, error) {
+	acc := NewAccumulator()
+	for i, r := range reports {
+		id := ""
+		if i < len(ids) {
+			id = ids[i]
+		}
+		acc.Add(id, r)
+	}
+	return acc.Finalize()
+}
+
 func TestAggregateEmptyAndIDSynthesis(t *testing.T) {
-	if _, err := Aggregate(nil, nil); err == nil {
+	if _, err := aggregate(nil, nil); err == nil {
 		t.Error("empty fleet must error")
 	}
 	r := synthReport("app", 42, 1, 1, 1)
 	r.FaultPlan = "noisy-link"
-	fp, err := Aggregate(nil, []*RunReport{r})
+	fp, err := aggregate(nil, []*RunReport{r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +162,7 @@ func TestFleetCleanVsLossyIntegration(t *testing.T) {
 		t.Fatalf("lossy confidence %v not below clean %v", lossy.Confidence, clean.Confidence)
 	}
 
-	fp, err := Aggregate([]string{"clean.json", "lossy.json"}, []*RunReport{clean, lossy})
+	fp, err := aggregate([]string{"clean.json", "lossy.json"}, []*RunReport{clean, lossy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +185,7 @@ func TestFleetCleanVsLossyIntegration(t *testing.T) {
 // TestAccumulatorOrderIndependence is the determinism contract the
 // campaign runner builds on: streaming reports into an Accumulator in
 // any order — including concurrently from many goroutines — must yield
-// a profile byte-identical to the batch Aggregate of the same reports.
+// a profile byte-identical to in-order ingest of the same reports.
 func TestAccumulatorOrderIndependence(t *testing.T) {
 	var reports []*RunReport
 	var ids []string
@@ -183,7 +197,7 @@ func TestAccumulatorOrderIndependence(t *testing.T) {
 		reports = append(reports, synthReport(fmt.Sprintf("app%d", i), uint64(i), conf, 0.9+0.01*float64(i), conf))
 		ids = append(ids, fmt.Sprintf("run%02d", i))
 	}
-	want, err := Aggregate(ids, reports)
+	want, err := aggregate(ids, reports)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -351,9 +351,6 @@ func (sess *Session) Run(ctx context.Context, app Runner, cycles uint64) error {
 // CPUObs exposes the TriCore observation block for custom triggers.
 func (sess *Session) CPUObs() *mcds.CoreObs { return sess.cpuObs }
 
-// CPU1Obs exposes the second core's observation block (nil without one).
-func (sess *Session) CPU1Obs() *mcds.CoreObs { return sess.cpu1Obs }
-
 // Counter returns the counter measuring the named parameter.
 func (sess *Session) Counter(name string) *mcds.Counter {
 	for i, p := range sess.params {

@@ -171,9 +171,6 @@ func (c *Clock) SetWakeScheduling(enabled bool) {
 	c.refreshSched()
 }
 
-// WakeScheduling reports whether the quiescence scheduler is enabled.
-func (c *Clock) WakeScheduling() bool { return c.wakeEnabled }
-
 // Cycle returns the number of completed cycles.
 func (c *Clock) Cycle() uint64 { return c.cycle }
 
