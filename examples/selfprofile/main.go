@@ -69,12 +69,13 @@ func main() {
 	}
 	s.AddTimer("montimer", 10_000, 500, 7, irq.ToCPU, monitor)
 
-	// MCDS session: standard parameters, measured in parallel on-chip;
-	// the session also maps the EEC register file the monitor reads.
+	// MCDS session: standard parameters, measured in parallel on-chip,
+	// with the EEC register file the monitor reads mapped onto the bus.
 	sess := profiling.NewSession(s, profiling.Spec{
 		Resolution: 1000,
 		Params:     profiling.StandardParams(),
 	})
+	sess.MapRegs()
 
 	if _, ok := s.RunUntilHalt(100_000_000); !ok {
 		log.Fatal("did not halt")

@@ -9,9 +9,11 @@ package dap
 
 import (
 	"bytes"
+	"math/bits"
 
 	"repro/internal/emem"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/tmsg"
 )
 
@@ -95,7 +97,9 @@ type DAP struct {
 
 	// Reliable selects the frame-aware CRC/NAK/retry drain protocol.
 	Reliable bool
-	// Fault, when non-nil, injects link faults (nil = perfect link).
+	// Fault, when non-nil, injects link faults (nil = perfect link). On a
+	// clock, the fault must call Wake whenever a link-down window opens:
+	// the DAP may be asleep, and every down cycle must be seen.
 	Fault LinkFault
 
 	credit       uint64 // fixed-point byte credit, scaled by CPUFreq in Hz
@@ -103,11 +107,19 @@ type DAP struct {
 	drainBuf     []byte // per-tick drain scratch, reused every cycle
 
 	// Reliable-mode state.
-	staging  []byte // drained bytes not yet assembled into frames
+	staging  []byte // drained bytes; staging[stagePos:] awaits framing
+	stagePos int
+	frame    []byte // reused buffer inflight points into
 	inflight []byte // frame awaiting successful transmission
 	attempts int
 	retryAt  uint64
 	lastTick uint64
+
+	// Wake schedule. The credit is accrued in closed form for the cycles
+	// the DAP sleeps through: next is the first cycle not yet accrued.
+	wake   *sim.Waker
+	next   uint64
+	parked bool // asleep until the ring rises or the link goes down
 
 	// Incremental decode state.
 	dec     tmsg.Decoder
@@ -155,14 +167,95 @@ func (d *DAP) Instrument(reg *obs.Registry) {
 	}
 }
 
-// New creates a DAP draining e.
+// New creates a DAP draining e. An append into the empty ring wakes it.
 func New(cfg Config, e *emem.EMEM) *DAP {
-	return &DAP{Cfg: cfg, Emem: e}
+	d := &DAP{Cfg: cfg, Emem: e}
+	if e != nil {
+		e.OnRise = d.rise
+	}
+	return d
+}
+
+// BindWake implements sim.WakeBinder; the DAP accrues credit from the
+// cycle it is attached on.
+func (d *DAP) BindWake(w *sim.Waker) {
+	d.wake = w
+	d.next = w.Cycle()
+}
+
+// NextWake implements sim.Sleeper. The DAP is due every cycle of a
+// link-down window (each one is counted and earns no credit) and parks
+// while the ring, the staging buffer and the in-flight frame are all
+// empty. Otherwise it is due on the next cycle a byte comes due, or a
+// NAKed frame's retry, whichever is first. Nothing else happens between
+// those cycles: the credit grows by a fixed amount per cycle, a cycle
+// without a whole byte due drains nothing, and a retransmission costs
+// whole bytes of credit, never available between them.
+func (d *DAP) NextWake(from uint64) uint64 {
+	if d.wake == nil {
+		return from // not bound yet: BindWake sets the accrual start
+	}
+	if d.Fault != nil && d.Fault.Down(from) {
+		return from
+	}
+	next := sim.NoWake
+	if d.Emem != nil && (d.Emem.Level() > 0 || d.stagePos < len(d.staging) || d.inflight != nil) {
+		next = d.due(from)
+		if d.inflight != nil && d.retryAt >= from {
+			next = min(next, d.retryAt)
+		}
+	}
+	d.parked = next == sim.NoWake
+	return next
+}
+
+// Wake makes a sleeping DAP due on the current cycle. The fault injector
+// calls it when a link-down window opens.
+func (d *DAP) Wake() {
+	d.parked = false
+	d.wake.Reschedule(d.wake.Cycle())
+}
+
+// rise is the ring's OnRise hook: a parked DAP wakes on the first cycle a
+// byte comes due.
+func (d *DAP) rise() {
+	if d.parked {
+		d.parked = false
+		d.wake.Reschedule(d.due(d.wake.Cycle()))
+	}
+}
+
+// due returns the first cycle >= from (and past the last tick) on which a
+// whole byte of credit comes due.
+func (d *DAP) due(from uint64) uint64 {
+	from = max(from, d.next)
+	bps, denom := d.Cfg.BytesPerSecond(), d.Cfg.CPUFreqMHz*1_000_000
+	if bps == 0 {
+		return sim.NoWake
+	}
+	return from + (denom-d.creditAt(from)-1)/bps
+}
+
+// creditAt returns the credit after cycle from-1, from >= next: the
+// cycles since the last tick each added the per-cycle credit and gave up
+// whole bytes, so (credit + k·bps) mod denom remains. The product is
+// 128-bit, so no horizon overflows it.
+func (d *DAP) creditAt(from uint64) uint64 {
+	if from <= d.next {
+		return d.credit
+	}
+	denom := d.Cfg.CPUFreqMHz * 1_000_000
+	hi, lo := bits.Mul64(from-d.next, d.Cfg.BytesPerSecond())
+	lo, carry := bits.Add64(lo, d.credit, 0)
+	_, rem := bits.Div64((hi+carry)%denom, lo, denom)
+	return rem
 }
 
 // Tick implements sim.Ticker: accumulate fractional byte credit per CPU
 // cycle and drain whole bytes.
 func (d *DAP) Tick(cycle uint64) {
+	d.credit = d.creditAt(cycle)
+	d.next = cycle + 1
 	d.lastTick = cycle
 	if d.Fault != nil && d.Fault.Down(cycle) {
 		d.obs.downCyc.Inc()
@@ -203,6 +296,12 @@ func (d *DAP) Tick(cycle uint64) {
 // the retry bound still applies.
 func (d *DAP) pump(cycle uint64, flush bool) {
 	denom := d.Cfg.CPUFreqMHz * 1_000_000
+	// Drop the bytes the previous pump framed: one move per pump instead
+	// of one per frame.
+	if d.stagePos > 0 {
+		d.staging = append(d.staging[:0], d.staging[d.stagePos:]...)
+		d.stagePos = 0
+	}
 	for {
 		if d.inflight == nil {
 			d.inflight = d.nextFrame()
@@ -268,22 +367,25 @@ func (d *DAP) pump(cycle uint64, flush bool) {
 // nextFrame extracts one complete frame from staging, discarding garbage
 // prefixes (a corrupted length or marker byte desynchronizes the staging
 // stream until the next genuine marker). It returns nil when no complete
-// frame is available yet.
+// frame is available yet. The frame is a copy in a reused buffer, valid
+// until the next call.
 func (d *DAP) nextFrame() []byte {
 	for {
-		i := bytes.IndexByte(d.staging, tmsg.FrameMarker)
+		buf := d.staging[d.stagePos:]
+		i := bytes.IndexByte(buf, tmsg.FrameMarker)
 		if i < 0 {
-			d.GarbageBytes += uint64(len(d.staging))
-			d.obs.garbage.Add(uint64(len(d.staging)))
-			d.staging = d.staging[:0]
+			d.GarbageBytes += uint64(len(buf))
+			d.obs.garbage.Add(uint64(len(buf)))
+			d.staging, d.stagePos = d.staging[:0], 0
 			return nil
 		}
 		if i > 0 {
 			d.GarbageBytes += uint64(i)
 			d.obs.garbage.Add(uint64(i))
-			d.staging = append(d.staging[:0], d.staging[i:]...)
+			d.stagePos += i
+			buf = buf[i:]
 		}
-		n := tmsg.FrameLen(d.staging)
+		n := tmsg.FrameLen(buf)
 		if n == -1 {
 			return nil // header incomplete
 		}
@@ -291,16 +393,15 @@ func (d *DAP) nextFrame() []byte {
 			// Implausible header: false marker. Skip one byte.
 			d.GarbageBytes++
 			d.obs.garbage.Inc()
-			d.staging = append(d.staging[:0], d.staging[1:]...)
+			d.stagePos++
 			continue
 		}
-		if n > len(d.staging) {
+		if n > len(buf) {
 			return nil // frame incomplete
 		}
-		frame := make([]byte, n)
-		copy(frame, d.staging)
-		d.staging = append(d.staging[:0], d.staging[n:]...)
-		return frame
+		d.frame = append(d.frame[:0], buf[:n]...)
+		d.stagePos += n
+		return d.frame
 	}
 }
 

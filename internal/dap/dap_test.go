@@ -1,6 +1,7 @@
 package dap
 
 import (
+	"math/big"
 	"testing"
 
 	"repro/internal/emem"
@@ -75,4 +76,60 @@ func TestDrainAllAndDecode(t *testing.T) {
 
 func TestTickerInterface(t *testing.T) {
 	var _ sim.Ticker = New(DefaultConfig(180), nil)
+}
+
+// TestCreditClosedForm checks the credit a sleeping DAP folds in on wake
+// against per-cycle accrual, and against exact big-integer arithmetic
+// for horizons whose product overflows 64 bits.
+func TestCreditClosedForm(t *testing.T) {
+	rng := sim.NewRNG(3)
+	for trial := 0; trial < 200; trial++ {
+		d := New(Config{ClockMHz: uint64(rng.Range(1, 200)), BitsPerClock: uint64(rng.Range(1, 4)),
+			Overhead: uint64(rng.Range(0, 50)), CPUFreqMHz: uint64(rng.Range(1, 400))}, nil)
+		bps, denom := d.Cfg.BytesPerSecond(), d.Cfg.CPUFreqMHz*1_000_000
+		d.credit = rng.Uint64() % denom
+		d.next = uint64(rng.Intn(1000))
+		credit := d.credit
+		for k := uint64(1); k <= 5000; k++ {
+			credit = (credit + bps) % denom
+			if got := d.creditAt(d.next + k); got != credit {
+				t.Fatalf("trial %d: credit after %d skipped cycles = %d, per-cycle %d", trial, k, got, credit)
+			}
+		}
+		// Random long horizons, and ones whose product ends just below
+		// 2^64 so that adding the credit carries into the high word.
+		for _, k := range []uint64{1<<62 + rng.Uint64()>>2, ^uint64(0) / bps, ^uint64(0)/bps + 1} {
+			for _, c := range []uint64{d.credit, denom - 1} {
+				d.credit = c
+				want := new(big.Int).Mul(new(big.Int).SetUint64(k), new(big.Int).SetUint64(bps))
+				want.Add(want, new(big.Int).SetUint64(c))
+				want.Mod(want, new(big.Int).SetUint64(denom))
+				if got := d.creditAt(d.next + k); got != want.Uint64() {
+					t.Fatalf("trial %d: credit %d after %d skipped cycles = %d, exact %d", trial, c, k, got, want.Uint64())
+				}
+			}
+		}
+	}
+}
+
+// TestDAPTickZeroAlloc gates a warmed DAP tick, raw and reliable, at zero
+// allocations: drain scratch, staging and frame buffers are reused.
+func TestDAPTickZeroAlloc(t *testing.T) {
+	for _, reliable := range []bool{false, true} {
+		e := emem.New(1<<20, 0, 0)
+		fillFrames(e, 40_000)
+		d := New(Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 0, CPUFreqMHz: 10}, e)
+		d.Reliable = reliable
+		d.Received = make([]byte, 0, 2*e.Level())
+		cy := uint64(0)
+		for ; cy < 20_000; cy++ {
+			d.Tick(cy)
+		}
+		if allocs := testing.AllocsPerRun(5000, func() { d.Tick(cy); cy++ }); allocs != 0 {
+			t.Errorf("reliable=%v: warmed DAP tick allocates %.2f objects, want 0", reliable, allocs)
+		}
+		if e.Level() == 0 || d.TotalDrained == 0 {
+			t.Fatalf("reliable=%v: gate ran dry (level %d, drained %d)", reliable, e.Level(), d.TotalDrained)
+		}
+	}
 }

@@ -8,6 +8,7 @@ package emem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bus"
 	"repro/internal/mem"
@@ -32,6 +33,11 @@ type EMEM struct {
 	// MCDS reacts exactly as it does to a genuine overflow (overflow
 	// marker + re-sync), so the jam is visible, not silent.
 	Backpressure bool
+
+	// OnRise, when set, is called when an append lifts the ring out of
+	// empty: the wake of a drain that sleeps while there is nothing to
+	// drain.
+	OnRise func()
 
 	// Statistics.
 	MsgsWritten  uint64
@@ -122,6 +128,7 @@ func (e *EMEM) AppendTrace(msg []byte) bool {
 		e.RAM.Write(mem.EMEMBase+e.traceBase, msg[first:])
 	}
 	e.head = (e.head + n) % e.traceSize
+	rose := e.level == 0
 	e.level += n
 	e.MsgsWritten++
 	e.BytesWritten += uint64(n)
@@ -132,6 +139,9 @@ func (e *EMEM) AppendTrace(msg []byte) bool {
 	e.obs.msgs.Inc()
 	e.obs.written.Add(uint64(n))
 	e.obs.level.Set(float64(e.level))
+	if rose && e.OnRise != nil {
+		e.OnRise()
+	}
 	return true
 }
 
@@ -149,7 +159,9 @@ func (e *EMEM) DrainInto(dst []byte, n uint32) []byte {
 		n = e.level
 	}
 	start := len(dst)
-	dst = append(dst, make([]byte, n)...)
+	// Grow rather than append a make: the race detector's instrumentation
+	// turns the latter into an allocation per call.
+	dst = slices.Grow(dst, int(n))[:start+int(n)]
 	out := dst[start:]
 	first := e.traceSize - e.tail
 	if first > n {

@@ -82,6 +82,11 @@ type Injector struct {
 	stallUntil uint64
 	jamUntil   uint64
 
+	// Drain, when set, is woken when a stall window opens, before its
+	// drain of that cycle: the DAP may be asleep, and must see every down
+	// cycle.
+	Drain interface{ Wake() }
+
 	// Statistics.
 	FramesCorrupted uint64
 	FramesTruncated uint64
@@ -116,6 +121,9 @@ func (in *Injector) Tick(cycle uint64) {
 		in.stallUntil = cycle + n
 		in.Stalls++
 		in.StallCycles += n
+		if in.Drain != nil {
+			in.Drain.Wake()
+		}
 	}
 	if p.Fifo.JamProb > 0 && in.Emem != nil {
 		if cycle >= in.jamUntil && in.winRNG.Bool(p.Fifo.JamProb) {

@@ -3,7 +3,9 @@ package mcds
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/tmsg"
+	"repro/internal/tricore"
 )
 
 // CounterMode selects what a counter structure does.
@@ -76,11 +78,25 @@ type Counter struct {
 }
 
 // word is one tapped event word: its value at the last MCDS tick (what
-// register accesses between ticks see) and the value from which a counter
-// tapping it is due a visit (a lower bound: early visits are harmless).
+// register accesses between ticks see), the value from which a counter
+// tapping it is due a visit (a lower bound: early visits are harmless),
+// and the most it can rise in one cycle (0: unknown).
 type word struct {
-	p         *uint64
-	last, due uint64
+	p               *uint64
+	last, due, rise uint64
+}
+
+// maxRise bounds the per-cycle rise of event e's word: a core counts one
+// EvCycle per tick and retires at most tricore.MaxIssueWidth instructions
+// per cycle. No other event has a proven bound.
+func maxRise(e sim.Event) uint64 {
+	switch e {
+	case sim.EvCycle:
+		return 1
+	case sim.EvInstrExecuted:
+		return tricore.MaxIssueWidth
+	}
+	return 0
 }
 
 // NewRateCounter builds a rate counter measuring src per resolution basis
@@ -115,10 +131,11 @@ func (m *MCDS) AddCounter(c *Counter) *Counter {
 		c.basisW = m.tap(c.Basis)
 	} else {
 		m.watchdogs = append(m.watchdogs, c)
+		m.pin()
 	}
 	c.rebase()
 	m.counters = append(m.counters, c)
-	m.arm(c)
+	m.rearm()
 	return c
 }
 
@@ -130,26 +147,34 @@ func (m *MCDS) tap(t Tap) int {
 			return i
 		}
 	}
-	m.words = append(m.words, word{p: p, last: *p, due: ^uint64(0)})
+	m.words = append(m.words, word{p: p, last: *p, due: ^uint64(0), rise: maxRise(t.Event)})
 	return len(m.words) - 1
 }
 
-// rearm recomputes each word's due value: the earliest window end of the
-// armed rate counters it is the basis of.
+// rearm re-arms the due values and reschedules the MCDS on them.
 func (m *MCDS) rearm() {
+	m.arm()
+	m.poke()
+}
+
+// arm recomputes each word's due value, the earliest window end of the
+// armed rate counters it is the basis of, and collects the words that
+// have one.
+func (m *MCDS) arm() {
 	for i := range m.words {
 		m.words[i].due = ^uint64(0)
 	}
 	for _, c := range m.counters {
-		m.arm(c)
+		if c.Mode == ModeRate && !c.off {
+			w := &m.words[c.basisW]
+			w.due = min(w.due, c.basisStart-c.winBasis+c.Resolution)
+		}
 	}
-}
-
-// arm lowers the due value of rate counter c's basis word to its window end.
-func (m *MCDS) arm(c *Counter) {
-	if c.Mode == ModeRate && !c.off {
-		w := &m.words[c.basisW]
-		w.due = min(w.due, c.basisStart-c.winBasis+c.Resolution)
+	m.bases = m.bases[:0]
+	for i := range m.words {
+		if m.words[i].due != ^uint64(0) {
+			m.bases = append(m.bases, i)
+		}
 	}
 }
 
@@ -183,17 +208,34 @@ func (c *Counter) SetResolution(r uint64) {
 // Reset clears the running window: a window close, or a cascade re-arming
 // the counter.
 func (c *Counter) Reset() {
+	c.restart()
+	if c.m != nil {
+		c.m.rearm()
+	}
+}
+
+// restart clears the running window without re-arming the due values
+// (a tick closing windows re-arms once after visiting every counter).
+func (c *Counter) restart() {
 	count, _ := c.window()
 	c.total += count
 	c.winCount, c.winBasis = 0, 0
 	if c.m != nil {
 		c.rebase()
-		c.m.rearm()
+	}
+}
+
+// refresh brings the counter's two words up to date on a lazy MCDS.
+func (c *Counter) refresh() {
+	if m := c.m; m.lazy() {
+		s, b := &m.words[c.srcW], &m.words[c.basisW]
+		s.last, b.last = *s.p, *b.p
 	}
 }
 
 // rebase starts the tapped words' progress at the last tick.
 func (c *Counter) rebase() {
+	c.refresh()
 	c.srcStart, c.basisStart = c.m.words[c.srcW].last, c.m.words[c.basisW].last
 }
 
@@ -202,6 +244,7 @@ func (c *Counter) window() (count, basis uint64) {
 	if c.off || c.m == nil || c.Mode == ModeWatchdog {
 		return c.winCount, c.winBasis
 	}
+	c.refresh()
 	return c.winCount + c.m.words[c.srcW].last - c.srcStart,
 		c.winBasis + c.m.words[c.basisW].last - c.basisStart
 }
@@ -244,7 +287,7 @@ func (c *Counter) tick(m *MCDS, cycle uint64) {
 		if basis < c.Resolution {
 			return
 		}
-		c.Reset()
+		c.restart()
 		c.Windows++
 		if c.TrackExtremes {
 			c.updateExtremes(count, basis)

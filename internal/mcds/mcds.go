@@ -69,6 +69,7 @@ type MCDS struct {
 	counters  []*Counter
 	watchdogs []*Counter // the ModeWatchdog subset, stepped every cycle
 	words     []word     // distinct tapped event words
+	bases     []int      // words that are the basis of an armed rate counter
 	comps     []*Comparator
 	sms       []*StateMachine
 	rules     []*TriggerRule
@@ -109,6 +110,12 @@ type MCDS struct {
 	MsgsEmitted  uint64
 	BytesEmitted uint64
 	MsgsLost     uint64
+
+	// wake is the clock's handle on the MCDS (nil until attached).
+	// everyCycle pins it to a tick on every cycle: watchdogs, comparators,
+	// state machines, trigger rules and the register file all need one.
+	wake       *sim.Waker
+	everyCycle bool
 
 	obs mcdsObs
 }
@@ -213,18 +220,20 @@ func (m *MCDS) Tick(cycle uint64) {
 	for i := range m.signals {
 		m.signals[i] = false
 	}
+	if !m.lazy() {
+		m.refresh()
+	}
 	due := false
-	for i := range m.words {
-		w := &m.words[i]
-		w.last = *w.p
-		if w.last >= w.due {
+	for _, i := range m.bases {
+		if w := &m.words[i]; *w.p >= w.due {
 			due = true
+			break
 		}
 	}
 	for _, c := range m.cores {
 		// A core logs retirements only while they are consumed; skipping
 		// it otherwise is exact, as its periodic-sync deadline is monotone.
-		if c.FlowTrace || c.DataTrace || c.cpu.TraceEnabled {
+		if c.tracing() {
 			c.tick(m, cycle)
 		}
 	}
@@ -232,6 +241,7 @@ func (m *MCDS) Tick(cycle uint64) {
 		for _, c := range m.counters {
 			c.tick(m, cycle)
 		}
+		m.arm()
 	} else {
 		for _, c := range m.watchdogs {
 			c.tick(m, cycle)
@@ -242,6 +252,73 @@ func (m *MCDS) Tick(cycle uint64) {
 	}
 	for _, r := range m.rules {
 		r.tick(m, cycle)
+	}
+}
+
+// NextWake implements sim.Sleeper. A pinned MCDS, a traced core or a
+// signal raised this cycle (cleared on the next) keeps it due every cycle.
+// Otherwise it sleeps until the next anchor or until a basis word can
+// first reach its due value: the word's value after cycle from-1 plus at
+// most its per-cycle rise on every cycle after that.
+func (m *MCDS) NextWake(from uint64) uint64 {
+	if m.everyCycle {
+		return from
+	}
+	for _, c := range m.cores {
+		if c.tracing() {
+			return from
+		}
+	}
+	for _, s := range m.signals {
+		if s {
+			return from
+		}
+	}
+	next := sim.NoWake
+	if m.AnchorEvery > 0 {
+		next = m.lastAnchor + m.AnchorEvery
+	}
+	for _, i := range m.bases {
+		w := &m.words[i]
+		v := *w.p
+		if v >= w.due || w.rise == 0 {
+			return from
+		}
+		next = min(next, from-1+(w.due-v+w.rise-1)/w.rise)
+	}
+	return max(next, from)
+}
+
+// BindWake implements sim.WakeBinder. From then on, reads between wakes
+// refresh the words they use (see lazy).
+func (m *MCDS) BindWake(w *sim.Waker) { m.wake = w }
+
+// lazy reports whether the words' last-tick values are refreshed on access
+// instead of on every tick. That is exact only where the MCDS may sleep:
+// every reader then runs between cycles or after the MCDS in a cycle, when
+// no tapped word changes any more. The register file is read mid-cycle,
+// so it pins the MCDS (pin) and with it the per-tick refresh.
+func (m *MCDS) lazy() bool { return m.wake != nil && !m.everyCycle }
+
+// poke makes the MCDS due on the current cycle, so NextWake sees a change
+// to its configuration or to a core's retire log.
+func (m *MCDS) poke() { m.wake.Reschedule(m.wake.Cycle()) }
+
+// pin keeps the MCDS due every cycle from now on, its words refreshed on
+// every tick; they are brought up to date first, for readers that run
+// before the next tick.
+func (m *MCDS) pin() {
+	if m.lazy() {
+		m.refresh()
+	}
+	m.everyCycle = true
+	m.poke()
+}
+
+// refresh sets every word's last-tick value to its live value.
+func (m *MCDS) refresh() {
+	for i := range m.words {
+		m.words[i].last = *m.words[i].p
 	}
 }
 
@@ -364,16 +441,22 @@ type CoreObs struct {
 // AddCore attaches an observation block to cpu under trace source id src.
 // The core logs retired instructions only while the block's trace
 // switches or a comparator consume them (observation is non-intrusive
-// either way: the log is outside the timing model).
+// either way: the log is outside the timing model), and a log turning
+// non-empty wakes the MCDS, so a switch flipped between runs is seen.
 func (m *MCDS) AddCore(cpu *tricore.CPU, src uint8) *CoreObs {
 	if src >= tmsg.MaxSources {
 		panic(fmt.Sprintf("mcds: source id %d out of range", src))
 	}
 	c := &CoreObs{id: src, cpu: cpu, needSync: true}
 	cpu.Trace = &c.TraceSwitches
+	cpu.OnRetireLog = m.poke
 	m.cores = append(m.cores, c)
+	m.poke()
 	return c
 }
+
+// tracing reports whether something consumes the core's retire log.
+func (c *CoreObs) tracing() bool { return c.FlowTrace || c.DataTrace || c.cpu.TraceEnabled }
 
 // Counters implements Observer.
 func (c *CoreObs) Counters() *sim.Counters { return c.cpu.Counters() }

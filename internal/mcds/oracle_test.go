@@ -98,7 +98,7 @@ func (c *refCounter) tick(m *refMCDS, cycle uint64) {
 				c.updateExtremes()
 			}
 			if c.Emit {
-				m.msgs = append(m.msgs, tmsg.Msg{Kind: tmsg.KindRate, Src: c.Src.obs.id,
+				m.emit(tmsg.Msg{Kind: tmsg.KindRate, Src: c.Src.obs.id,
 					Cycle: cycle, CounterID: c.ID, Basis: c.curBasis, Count: c.curCount})
 			}
 			if c.ThreshDen > 0 {
@@ -121,7 +121,7 @@ func (c *refCounter) tick(m *refMCDS, cycle uint64) {
 			c.Fires++
 			m.set(c.Above)
 			if c.EmitTriggerOnFire {
-				m.msgs = append(m.msgs, tmsg.Msg{Kind: tmsg.KindTrigger, Src: c.Src.obs.id,
+				m.emit(tmsg.Msg{Kind: tmsg.KindTrigger, Src: c.Src.obs.id,
 					Cycle: cycle, TriggerID: c.TriggerID})
 			}
 			c.curBasis = 0
@@ -142,6 +142,11 @@ type refMCDS struct {
 	rules    []refRule
 	signals  []bool
 	msgs     []tmsg.Msg
+
+	// Periodic re-anchoring (MCDS.AnchorEvery): a source's first message
+	// after an anchor cycle is preceded by a Sync.
+	anchorEvery, lastAnchor uint64
+	needSync                [tmsg.MaxSources]bool
 }
 
 func (m *refMCDS) set(s Signal) {
@@ -150,7 +155,21 @@ func (m *refMCDS) set(s Signal) {
 	}
 }
 
+func (m *refMCDS) emit(msg tmsg.Msg) {
+	if m.needSync[msg.Src] {
+		m.msgs = append(m.msgs, tmsg.Msg{Kind: tmsg.KindSync, Src: msg.Src, Cycle: msg.Cycle})
+		m.needSync[msg.Src] = false
+	}
+	m.msgs = append(m.msgs, msg)
+}
+
 func (m *refMCDS) Tick(cycle uint64) {
+	if m.anchorEvery > 0 && cycle-m.lastAnchor >= m.anchorEvery {
+		for i := range m.needSync {
+			m.needSync[i] = true
+		}
+		m.lastAnchor = cycle
+	}
 	for i := range m.signals {
 		m.signals[i] = false
 	}
@@ -415,8 +434,17 @@ func (r *oracleRig) perturb() {
 	default:
 		off := RegCounterBase + uint32(i)*counterStride + regCtrl
 		v := uint32(r.rng.Intn(2))
-		r.rf.write(off, v)
 		r.ref.write(off, v)
+		if r.rf == nil {
+			// No register file: apply the control write's action.
+			a := Action{Kind: ActDisableCounter, Counter: c}
+			if v != 0 {
+				a.Kind = ActEnableCounter
+			}
+			r.m.apply(a, 0)
+			return
+		}
+		r.rf.write(off, v)
 	}
 }
 
@@ -478,6 +506,192 @@ func TestCountersMatchPerCycleReference(t *testing.T) {
 			var fine, wdFires uint64 = r.ctrs[5].Windows, r.ctrs[7].Fires
 			if fine == 0 || wdFires == 0 {
 				t.Errorf("cascade or watchdog never engaged: fine windows %d, watchdog fires %d", fine, wdFires)
+			}
+		})
+	}
+}
+
+// rateProgram keeps rate counters busy without touching the register
+// file: flash table loads (data-flash reads and stalls), a DSPR store and
+// an ALU stretch, then a halt, after which nothing counts any more.
+func rateProgram() *isa.Asm {
+	a := isa.NewAsm(mem.FlashBase)
+	a.Movw(5, mem.DSPRBase)
+	a.Movw(3, 120)
+	a.Label("outer")
+	a.Movw(7, mem.FlashBase+0x10000)
+	a.Movw(4, 24)
+	a.Label("inner")
+	a.Ldw(6, 7, 0)
+	a.Add(8, 8, 6)
+	a.Addi(7, 7, 32)
+	a.Loop(4, "inner")
+	a.Stw(8, 5, 0)
+	a.Movw(4, 40)
+	a.Label("alu")
+	a.Addi(12, 12, 3)
+	a.Addi(13, 13, 1)
+	a.Loop(4, "alu")
+	a.Loop(3, "outer")
+	a.Halt()
+	return a
+}
+
+// tickCount counts the Ticks the clock delivers to an MCDS.
+type tickCount struct {
+	*MCDS
+	ticks uint64
+}
+
+func (c *tickCount) Tick(cycle uint64) {
+	c.ticks++
+	c.MCDS.Tick(cycle)
+}
+
+// newRateRig builds the sleeping variant of the oracle rig: rate counters
+// on EvCycle and EvInstrExecuted bases with periodic anchors, and no
+// watchdog, comparator, trigger or register file, so the MCDS sleeps
+// between window closes. A host compares and perturbs it between cycles
+// (perturb); a ticker attached after the MCDS and the reference compares
+// mid-cycle and changes every resolution the way the Degrader does.
+func newRateRig(t *testing.T, seed int64) (*oracleRig, *tickCount) {
+	s := soc.New(soc.TC1797().WithED(), uint64(seed))
+	p, err := rateProgram().Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.LoadProgram(p)
+	s.ResetCPU(p.Base)
+
+	r := &oracleRig{t: t, soc: s, m: New("mcds", nil), ref: &refMCDS{}, rng: rand.New(rand.NewSource(seed))}
+	r.m.OnEmit = func(msg *tmsg.Msg) {
+		if msg.Kind == tmsg.KindRate || msg.Kind == tmsg.KindSync {
+			r.got = append(r.got, *msg)
+		}
+	}
+	r.m.AnchorEvery = uint64(200 + r.rng.Intn(800))
+	r.ref.anchorEvery = r.m.AnchorEvery
+	core := r.m.AddCore(s.CPU, 0)
+	dlmb := r.m.AddBus(s.DLMB.Counters(), 2)
+	rcore := newRefObs(s.CPU.Counters(), 0)
+	rdlmb := newRefObs(s.DLMB.Counters(), 2)
+	r.ref.obs = []*refObs{rcore, rdlmb}
+	r.ref.signals = []bool{false, false}
+	below, above := r.m.AllocSignal("ipc-low"), r.m.AllocSignal("ipc-ok")
+
+	res := func(lo, hi int) uint64 { return uint64(lo + r.rng.Intn(hi-lo+1)) }
+	add := func(c *Counter, src Observer, rsrc *refObs, ev sim.Event, basis sim.Event) {
+		c.Src = Tap{Obs: src, Event: ev}
+		c.Basis = Tap{Obs: core, Event: basis}
+		r.m.AddCounter(c)
+		r.ctrs = append(r.ctrs, c)
+		r.ref.counters = append(r.ref.counters, &refCounter{ID: c.ID, Mode: c.Mode,
+			Src: refTap{rsrc, ev}, Basis: refTap{rcore, basis}, Resolution: c.Resolution,
+			Emit: c.Emit, ThreshNum: c.ThreshNum, ThreshDen: c.ThreshDen, Below: c.Below,
+			Above: c.Above, Enabled: c.Enabled(), TrackExtremes: c.TrackExtremes})
+	}
+	rate := func(id uint8, resolution uint64) *Counter {
+		return NewRateCounter(fmt.Sprint("c", id), id, Tap{}, Tap{}, resolution)
+	}
+
+	ipc := rate(0, res(20, 400))
+	ipc.ThreshNum, ipc.ThreshDen = 8, 10
+	ipc.Below, ipc.Above = below, above
+	ipc.TrackExtremes = true
+	add(ipc, core, rcore, sim.EvInstrExecuted, sim.EvCycle)
+	add(rate(1, res(10, 300)), core, rcore, sim.EvDFlashRead, sim.EvInstrExecuted)
+	imiss := rate(2, res(30, 500))
+	imiss.TrackExtremes = true
+	add(imiss, core, rcore, sim.EvICacheMiss, sim.EvInstrExecuted)
+	add(rate(3, res(50, 600)), core, rcore, sim.EvStallData, sim.EvCycle)
+	add(rate(4, res(20, 300)), dlmb, rdlmb, sim.EvBusRequest, sim.EvInstrExecuted)
+	fine := rate(5, res(5, 60))
+	fine.SetEnabled(false)
+	add(fine, core, rcore, sim.EvInstrExecuted, sim.EvCycle)
+
+	counted := &tickCount{MCDS: r.m}
+	s.Clock.Attach("mcds", counted)
+	s.Clock.Attach("ref", r.ref)
+	s.Clock.Attach("degrader", sim.TickerFunc(func(cycle uint64) {
+		r.compareRates(cycle, "after the MCDS")
+		if r.rng.Intn(300) != 0 {
+			return
+		}
+		up := r.rng.Intn(2) == 0
+		for j, c := range r.ctrs {
+			res := c.Resolution * 2
+			if !up {
+				res = max(c.Resolution/2, 1)
+			}
+			c.SetResolution(res)
+			r.ref.counters[j].Resolution = res
+		}
+	}))
+	return r, counted
+}
+
+// compareRates checks every counter's window, total and arming, every
+// signal and the emitted message stream against the reference, through
+// the counter methods a host uses (the rig has no register file).
+func (r *oracleRig) compareRates(cycle uint64, when string) {
+	t := r.t
+	t.Helper()
+	for i, c := range r.ctrs {
+		rc := r.ref.counters[i]
+		count, basis := c.window()
+		got := [...]uint64{count, basis, c.TotalSrc()}
+		want := [...]uint64{rc.curCount, rc.curBasis, rc.TotalSrc}
+		if got != want || c.Enabled() != rc.Enabled {
+			t.Fatalf("cycle %d %s: counter %d window/basis/total %v enabled %v, reference %v enabled %v",
+				cycle, when, i, got, c.Enabled(), want, rc.Enabled)
+		}
+	}
+	for s := range r.ref.signals {
+		if r.m.signals[s] != r.ref.signals[s] {
+			t.Fatalf("cycle %d %s: signal %s = %v, reference %v", cycle, when,
+				r.m.SignalName(Signal(s)), r.m.signals[s], r.ref.signals[s])
+		}
+	}
+	if len(r.got) != len(r.ref.msgs) {
+		t.Fatalf("cycle %d %s: %d messages, reference %d", cycle, when, len(r.got), len(r.ref.msgs))
+	}
+	for ; r.checked < len(r.got); r.checked++ {
+		if k := r.checked; r.got[k] != r.ref.msgs[k] {
+			t.Fatalf("cycle %d %s: message %d = %+v, reference %+v", cycle, when, k, r.got[k], r.ref.msgs[k])
+		}
+	}
+}
+
+// TestSleepingCountersMatchPerCycleReference is the oracle for the MCDS
+// wake schedule: a rate-only MCDS sleeps between window closes and
+// anchors, and must still match the per-cycle reference on every cycle —
+// messages (anchoring Syncs included), signals, windows and totals read
+// between cycles and mid-cycle after the MCDS, and the statistics at the
+// end — under host arming, resets and Degrader-style resolution changes.
+func TestSleepingCountersMatchPerCycleReference(t *testing.T) {
+	const cycles = 60_000
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			r, counted := newRateRig(t, seed)
+			for c := uint64(0); c < cycles; c++ {
+				r.soc.Clock.Step()
+				r.compareRates(c, "after tick")
+				r.perturb()
+			}
+			for i, c := range r.ctrs {
+				rc := r.ref.counters[i]
+				got := [...]uint64{c.Windows, c.Fires, c.TotalSrc(), c.MaxCount, c.MaxBasis, c.MinCount, c.MinBasis}
+				want := [...]uint64{rc.Windows, rc.Fires, rc.TotalSrc, rc.MaxCount, rc.MaxBasis, rc.MinCount, rc.MinBasis}
+				if got != want {
+					t.Errorf("counter %d statistics %v, reference %v", i, got, want)
+				}
+			}
+			if !r.soc.CPU.Halted() || r.ctrs[5].Windows == 0 || len(r.got) == 0 {
+				t.Fatalf("schedule exercised too little: halted %v, fine windows %d, %d messages",
+					r.soc.CPU.Halted(), r.ctrs[5].Windows, len(r.got))
+			}
+			if counted.ticks*2 > cycles {
+				t.Errorf("MCDS ticked on %d of %d cycles: it did not sleep", counted.ticks, cycles)
 			}
 		})
 	}

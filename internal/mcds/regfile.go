@@ -39,8 +39,11 @@ type RegFile struct {
 	Writes uint64
 }
 
-// RegFile returns the memory-mapped view of the MCDS based at base.
+// RegFile returns the memory-mapped view of the MCDS based at base. A bus
+// master reads it mid-cycle and must see the values as of the previous
+// cycle, which only a tick on every cycle keeps: the MCDS stops sleeping.
 func (m *MCDS) RegFile(base uint32) *RegFile {
+	m.pin()
 	return &RegFile{m: m, base: base}
 }
 

@@ -57,6 +57,7 @@ func (m *MCDS) AddComparator(cmp *Comparator) *Comparator {
 	}
 	cmp.Core.cpu.TraceEnabled = true
 	m.comps = append(m.comps, cmp)
+	m.pin()
 	return cmp
 }
 
@@ -231,6 +232,7 @@ type TriggerRule struct {
 // AddRule registers a trigger rule.
 func (m *MCDS) AddRule(r *TriggerRule) *TriggerRule {
 	m.rules = append(m.rules, r)
+	m.pin()
 	return r
 }
 
@@ -276,6 +278,7 @@ func (m *MCDS) AddStateMachine(name string, states []string) *StateMachine {
 		sm.stateSigs = append(sm.stateSigs, m.AllocSignal(name+"."+st))
 	}
 	m.sms = append(m.sms, sm)
+	m.pin()
 	return sm
 }
 

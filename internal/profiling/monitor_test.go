@@ -44,6 +44,7 @@ func TestMonitorRoutineReadsEEC(t *testing.T) {
 	sess := NewSession(s, Spec{Resolution: 100, Params: []Param{
 		StandardParams()[0], // ipc: Src = instructions
 	}})
+	sess.MapRegs()
 
 	if _, ok := s.RunUntilHalt(1_000_000); !ok {
 		t.Fatal("did not halt")
@@ -93,6 +94,7 @@ func TestMonitorArmsCounter(t *testing.T) {
 	s.ResetCPU(p.Base)
 
 	sess := NewSession(s, Spec{Resolution: 100, Params: StandardParams()[:1]})
+	sess.MapRegs()
 	if _, ok := s.RunUntilHalt(1_000_000); !ok {
 		t.Fatal("did not halt")
 	}

@@ -152,7 +152,7 @@ type Session struct {
 	SoC  *soc.SoC
 	MCDS *mcds.MCDS
 	DAP  *dap.DAP
-	Regs *mcds.RegFile // memory-mapped EEC access (monitor/MLI path)
+	Regs *mcds.RegFile // memory-mapped EEC access; nil until MapRegs
 
 	// Injector is the active fault injector (nil without Spec.Fault).
 	Injector *fault.Injector
@@ -171,6 +171,12 @@ type Session struct {
 // NewSession programs an MCDS for spec on s (which must be an ED variant —
 // the production device has no EEC) and attaches it to the SoC clock.
 func NewSession(s *soc.SoC, spec Spec) *Session {
+	return newSession(s, spec, s.Clock.Attach)
+}
+
+// newSession is NewSession with the clock attachment supplied: tests wrap
+// the observers to count their ticks.
+func newSession(s *soc.SoC, spec Spec, attach func(string, sim.Ticker)) *Session {
 	if s.EMEM == nil {
 		panic("profiling: SoC has no EMEM (use an ED preset)")
 	}
@@ -274,31 +280,26 @@ func NewSession(s *soc.SoC, spec Spec) *Session {
 		m.AnchorEvery = DefaultAnchorEvery
 	}
 
-	s.Clock.Attach("mcds", m)
+	attach("mcds", m)
 	if spec.Fault.Active() {
 		sess.Injector = fault.New(*spec.Fault, s.EMEM)
 		// Attached before the DAP: a stall window opened at cycle c
 		// already blocks that cycle's drain.
-		s.Clock.Attach("fault", sess.Injector)
+		attach("fault", sess.Injector)
 	}
 	if spec.Degrade != nil {
 		sess.Degrader = newDegrader(*spec.Degrade, s.EMEM, sess.counters)
-		s.Clock.Attach("degrade", sess.Degrader)
+		attach("degrade", sess.Degrader)
 	}
 	if spec.DAP != nil {
 		sess.DAP = dap.New(*spec.DAP, s.EMEM)
 		sess.DAP.Reliable = spec.framed()
 		if sess.Injector != nil {
 			sess.DAP.Fault = sess.Injector
+			sess.Injector.Drain = sess.DAP
 		}
-		s.Clock.Attach("dap", sess.DAP)
+		attach("dap", sess.DAP)
 	}
-
-	// The EEC register file is reachable from the TriCore over the data
-	// bus (the paper's MLI/monitor access path) and from the tool over
-	// the Back Bone Bus.
-	sess.Regs = m.RegFile(mem.MCDSRegBase)
-	s.DLMB.Map(mem.MCDSRegBase, sess.Regs.Size(), sess.Regs)
 
 	if spec.Obs != nil {
 		s.EMEM.Instrument(spec.Obs)
@@ -310,6 +311,19 @@ func NewSession(s *soc.SoC, spec Spec) *Session {
 		s.Clock.Instrument(spec.Obs, 0)
 	}
 	return sess
+}
+
+// MapRegs maps the EEC register file onto the data bus, so a monitor
+// routine on the TriCore can read and arm the counters (the paper's
+// MLI/monitor access path), and returns it. Call it before the run. The
+// MCDS then ticks every cycle: a mid-cycle register read sees the values
+// as of the previous cycle, which only a per-cycle tick keeps.
+func (sess *Session) MapRegs() *mcds.RegFile {
+	if sess.Regs == nil {
+		sess.Regs = sess.MCDS.RegFile(mem.MCDSRegBase)
+		sess.SoC.DLMB.Map(mem.MCDSRegBase, sess.Regs.Size(), sess.Regs)
+	}
+	return sess.Regs
 }
 
 // Runner is anything that can advance the simulated system by a number of
@@ -559,20 +573,26 @@ func (sess *Session) Result(appName string) (*Profile, error) {
 }
 
 // markSuspect flags every sample whose window (prev sample's end, own end]
-// overlaps a loss gap.
+// overlaps a loss gap: a gap that starts before the window ends and ends
+// after it starts (an open gap never ends). It is one merge walk. A
+// series' samples are in emission order, so their ends never decrease;
+// the stream decoder opens each gap at its highest delivered cycle, so
+// gap starts never decrease either. The walk keeps the latest end among
+// the gaps started before the current sample's end.
 func markSuspect(se *Series, gaps []tmsg.Gap) {
-	prev := uint64(0)
+	var prev, latest uint64
+	j := 0
 	for i := range se.Samples {
 		s := &se.Samples[i]
-		for _, g := range gaps {
-			end := g.EndCycle
-			if g.Open() {
+		for ; j < len(gaps) && gaps[j].StartCycle < s.Cycle; j++ {
+			end := gaps[j].EndCycle
+			if gaps[j].Open() {
 				end = ^uint64(0)
 			}
-			if g.StartCycle < s.Cycle && end > prev {
-				s.Suspect = true
-				break
-			}
+			latest = max(latest, end)
+		}
+		if latest > prev {
+			s.Suspect = true
 		}
 		prev = s.Cycle
 	}

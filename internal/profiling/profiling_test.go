@@ -2,6 +2,7 @@ package profiling
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -270,5 +271,65 @@ func TestExternalSamplingModel(t *testing.T) {
 	got := ExternalSamplingBytes(17, 1000)
 	if got != 17*1000*2*9 {
 		t.Errorf("ExternalSamplingBytes = %d", got)
+	}
+}
+
+// markSuspectQuadratic checks every gap against every sample: the oracle
+// for markSuspect's merge walk.
+func markSuspectQuadratic(se *Series, gaps []tmsg.Gap) {
+	prev := uint64(0)
+	for i := range se.Samples {
+		s := &se.Samples[i]
+		for _, g := range gaps {
+			end := g.EndCycle
+			if g.Open() {
+				end = ^uint64(0)
+			}
+			if g.StartCycle < s.Cycle && end > prev {
+				s.Suspect = true
+				break
+			}
+		}
+		prev = s.Cycle
+	}
+}
+
+// TestMarkSuspectMatchesQuadratic compares the merge walk with the
+// quadratic scan over random cycle-ordered samples and gaps in decoder
+// order (starts never decrease), with open gaps, empty gaps, gaps ending
+// before they start and samples sharing a cycle.
+func TestMarkSuspectMatchesQuadratic(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		var samples []Sample
+		cy := uint64(0)
+		for i := rng.Intn(40); i > 0; i-- {
+			cy += uint64(rng.Intn(50))
+			samples = append(samples, Sample{Cycle: cy})
+		}
+		var gaps []tmsg.Gap
+		start := uint64(0)
+		for i := rng.Intn(8); i > 0; i-- {
+			start += uint64(rng.Intn(300))
+			g := tmsg.Gap{StartCycle: start}
+			switch rng.Intn(4) {
+			case 0: // open: runs to the end of the stream
+			case 1:
+				g.EndCycle = start - min(start, uint64(rng.Intn(20)))
+			default:
+				g.EndCycle = start + uint64(rng.Intn(200))
+			}
+			gaps = append(gaps, g)
+		}
+		got := &Series{Samples: append([]Sample(nil), samples...)}
+		want := &Series{Samples: append([]Sample(nil), samples...)}
+		markSuspect(got, gaps)
+		markSuspectQuadratic(want, gaps)
+		for i := range want.Samples {
+			if got.Samples[i] != want.Samples[i] {
+				t.Fatalf("trial %d sample %d (cycle %d): suspect %v, quadratic %v\nsamples %v\ngaps %+v",
+					trial, i, want.Samples[i].Cycle, got.Samples[i].Suspect, want.Samples[i].Suspect, samples, gaps)
+			}
+		}
 	}
 }

@@ -16,24 +16,30 @@ import (
 // produce a byte-identical RunReport whether the quiescence scheduler is
 // on (the default) or force-disabled (every ticker dispatched every
 // cycle). Any drift here means a Sleeper computed a wrong wake cycle or a
-// component with per-cycle side effects was allowed to sleep.
+// component with per-cycle side effects was allowed to sleep. The
+// "everything" plan opens link-down windows on a sleeping DAP and runs
+// the Degrader's mid-cycle resolution changes against a sleeping MCDS.
 func TestWakeSchedulerReportDeterminism(t *testing.T) {
-	run := func(scheduled bool) []byte {
+	run := func(faults string, degrade bool, scheduled bool) []byte {
 		spec := stdSpec()
 		s, app := buildApp(t, soc.TC1797().WithED(), spec)
 		s.Clock.SetWakeScheduling(scheduled)
-		plan, err := fault.Parse("noisy-link", spec.Seed)
+		plan, err := fault.Parse(faults, spec.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := dap.DefaultConfig(s.Cfg.CPUFreqMHz)
-		sess := NewSession(s, Spec{
+		sp := Spec{
 			Resolution: 500,
 			Params:     StandardParams(),
 			DAP:        &cfg,
 			Framed:     true,
 			Fault:      &plan,
-		})
+		}
+		if degrade {
+			sp.Degrade = &DegradePolicy{}
+		}
+		sess := NewSession(s, sp)
 		mustRun(t, sess, app, 600_000)
 		p, err := sess.Result(spec.Name)
 		if err != nil {
@@ -45,10 +51,15 @@ func TestWakeSchedulerReportDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	on := run(true)
-	off := run(false)
-	if !bytes.Equal(on, off) {
-		t.Fatalf("RunReport differs between scheduler modes:\n--- scheduled ---\n%s\n--- always-on ---\n%s", on, off)
+	for _, c := range []struct {
+		faults  string
+		degrade bool
+	}{{"noisy-link", false}, {"everything", true}} {
+		on := run(c.faults, c.degrade, true)
+		off := run(c.faults, c.degrade, false)
+		if !bytes.Equal(on, off) {
+			t.Fatalf("%s: RunReport differs between scheduler modes:\n--- scheduled ---\n%s\n--- always-on ---\n%s", c.faults, on, off)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -80,3 +81,30 @@ func benchClock(b *testing.B, reg *obs.Registry) {
 
 func BenchmarkClockDisabled(b *testing.B)     { benchClock(b, obs.Disabled) }
 func BenchmarkClockInstrumented(b *testing.B) { benchClock(b, obs.New()) }
+
+// TestInstrumentedSoloRunKeepsCadence: an instrumented clock runs a lone
+// due ticker solo between its timed cycles, and the timing cadence and
+// every delivered Tick stay what per-cycle stepping gives.
+func TestInstrumentedSoloRunKeepsCadence(t *testing.T) {
+	run := func(reg *obs.Registry) (cpu, sparse *periodic) {
+		c := NewClock()
+		cpu = &periodic{period: 1, enabled: true}
+		sparse = &periodic{period: 37, offset: 5, enabled: true}
+		c.Attach("cpu", cpu)
+		c.Attach("sparse", sparse)
+		c.Instrument(reg, 4)
+		c.Run(1000)
+		return cpu, sparse
+	}
+	reg := obs.New()
+	cpu, sparse := run(reg)
+	refCPU, refSparse := run(nil)
+	if v := reg.Counter("sim.sampled_cycles").Value(); v != 250 {
+		t.Errorf("sim.sampled_cycles = %d, want 250", v)
+	}
+	if cpu.ticks != refCPU.ticks || sparse.ticks != refSparse.ticks ||
+		fmt.Sprint(sparse.fired) != fmt.Sprint(refSparse.fired) {
+		t.Errorf("instrumented: cpu %d ticks, sparse fired %v; uninstrumented: cpu %d ticks, sparse fired %v",
+			cpu.ticks, sparse.fired, refCPU.ticks, refSparse.fired)
+	}
+}

@@ -44,12 +44,16 @@ const NoWake = ^uint64(0)
 // after every delivered Tick with from = cycle+1. Waking a component early
 // must be harmless — a Tick on a cycle with no work must be a behavioural
 // no-op — because external reschedules (see Waker) may be conservative.
-// A component whose per-cycle Tick has side effects beyond its own lazily
-// reconstructible state (RNG draws, credit accrual, watermark sampling)
-// must NOT implement Sleeper. A component that is *terminally idle* is the
-// easy case: a halted CPU core has no per-cycle work at all, so it may
-// report NoWake — provided whatever un-halts it (Reset, an interrupt
-// router delivering to a halted core) reschedules via its Waker.
+// Per-cycle state may sleep only if the skipped cycles can be folded in
+// closed form on the next Tick (the DAP's drain credit after k cycles is
+// (credit + k·rate) mod denom) and the next cycle with an observable
+// effect is computable from state the component owns or is woken on (the
+// MCDS bounds when a basis word can reach its due value by its maximum
+// rise per cycle). Per-cycle side effects with no closed form — RNG draws,
+// watermark sampling — must NOT sleep. A component that is *terminally
+// idle* is the easy case: a halted CPU core has no per-cycle work at all,
+// so it may report NoWake — provided whatever un-halts it (Reset, an
+// interrupt router delivering to a halted core) reschedules via its Waker.
 type Sleeper interface {
 	Ticker
 	NextWake(from uint64) uint64
@@ -309,12 +313,13 @@ func (c *Clock) Run(n uint64) {
 	c.runTo(c.cycle + n)
 }
 
-// runTo advances the clock to cycle end. The obs nil-check is hoisted out
-// of the per-cycle loop, and when every attached ticker is a Sleeper the
-// clock jumps straight to the earliest wake cycle instead of dispatching
-// empty cycles one by one. Callers that need finer-grained control (e.g.
-// Session.Run's cancellation polling) call Run in chunks; the bulk skip
-// never crosses the chunk boundary, so the two compose.
+// runTo advances the clock to cycle end. When every attached ticker is a
+// Sleeper the clock jumps straight to the earliest wake cycle instead of
+// dispatching empty cycles one by one, and a lone due ticker runs solo
+// (soloRun) — on an instrumented clock up to the next timed cycle.
+// Callers that need finer-grained control (e.g. Session.Run's
+// cancellation polling) call Run in chunks; neither fast path crosses the
+// chunk boundary, so the two compose.
 func (c *Clock) runTo(end uint64) {
 	o := c.obs
 	for c.cycle < end {
@@ -338,20 +343,23 @@ func (c *Clock) runTo(end uint64) {
 				continue
 			}
 		}
+		limit := end
 		if o != nil {
 			if o.sampleIn == 0 {
 				o.sampleIn = o.sampleEvery - 1
 				c.stepTimed(o)
 				continue
 			}
-			o.sampleIn--
+			// A solo run stops short of the next timed cycle.
+			limit = min(end, c.cycle+o.sampleIn)
+		}
+		start := c.cycle
+		if !c.scheduling || !c.soloRun(limit) {
 			c.stepPlain()
-			continue
 		}
-		if c.scheduling && c.soloRun(end) {
-			continue
+		if o != nil {
+			o.sampleIn -= c.cycle - start
 		}
-		c.stepPlain()
 	}
 }
 
@@ -429,8 +437,8 @@ func (c *Clock) soloRun(end uint64) bool {
 // and only there: once the limit is hit the last evaluation's result is
 // returned without an extra call, so side-effecting predicates see exactly
 // one call per executed cycle. Because done may read state only the
-// predicate can see, RunUntil never bulk-skips; halting workloads keep an
-// always-on CPU attached anyway, which disables skipping.
+// predicate can see, RunUntil never bulk-skips or runs a ticker solo: it
+// steps cycle by cycle, dispatching only the due tickers.
 func (c *Clock) RunUntil(done func() bool, limit uint64) (uint64, bool) {
 	if c.obs != nil {
 		defer c.measureRun(time.Now(), c.cycle)

@@ -40,21 +40,31 @@ const frameHeader = 7
 // crc8 computes CRC-8/AUTOSAR (poly 0x2F, init 0xFF, xorout 0xFF) — the
 // automotive profile checksum, small enough for the frame builder in the
 // EEC and strong enough to catch every single- and double-bit error within
-// a 64-byte frame.
+// a 64-byte frame. One table lookup per byte.
 func crc8(b []byte) byte {
 	c := byte(0xFF)
 	for _, x := range b {
-		c ^= x
-		for i := 0; i < 8; i++ {
+		c = crc8Table[c^x]
+	}
+	return c ^ 0xFF
+}
+
+// crc8Table[i] is the register after shifting byte i through the
+// polynomial 0x2F bit by bit.
+var crc8Table = func() (t [256]byte) {
+	for i := range t {
+		c := byte(i)
+		for k := 0; k < 8; k++ {
 			if c&0x80 != 0 {
 				c = c<<1 ^ 0x2F
 			} else {
 				c <<= 1
 			}
 		}
+		t[i] = c
 	}
-	return c ^ 0xFF
-}
+	return t
+}()
 
 // ValidFrame reports whether b is one complete, uncorrupted frame.
 func ValidFrame(b []byte) bool {

@@ -1,6 +1,7 @@
 package tmsg
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -68,6 +69,43 @@ func TestCRC8DetectsBitErrors(t *testing.T) {
 				t.Fatalf("single-bit flip at byte %d bit %d undetected", i, bit)
 			}
 			b[i] ^= 1 << bit
+		}
+	}
+}
+
+// crc8Bitwise is the bit-serial CRC-8/AUTOSAR, the oracle for the
+// table-driven crc8.
+func crc8Bitwise(b []byte) byte {
+	c := byte(0xFF)
+	for _, x := range b {
+		c ^= x
+		for i := 0; i < 8; i++ {
+			if c&0x80 != 0 {
+				c = c<<1 ^ 0x2F
+			} else {
+				c <<= 1
+			}
+		}
+	}
+	return c ^ 0xFF
+}
+
+func TestCRC8TableMatchesBitwise(t *testing.T) {
+	if got := crc8([]byte("123456789")); got != 0xDF {
+		t.Fatalf("CRC-8/AUTOSAR check value = %#02x, want 0xdf", got)
+	}
+	for i := 0; i < 256; i++ {
+		b := []byte{byte(i)}
+		if got, want := crc8(b), crc8Bitwise(b); got != want {
+			t.Fatalf("byte %#02x: table %#02x, bitwise %#02x", i, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 2000; n++ {
+		b := make([]byte, rng.Intn(2*MaxFramePayload))
+		rng.Read(b)
+		if got, want := crc8(b), crc8Bitwise(b); got != want {
+			t.Fatalf("buffer %x: table %#02x, bitwise %#02x", b, got, want)
 		}
 	}
 }

@@ -36,8 +36,8 @@ func (c *CPU) issueBundleCached(now uint64) {
 	issued := 0
 	blocks := 0
 	width := c.Timing.IssueWidth
-	if width <= 0 || width > 3 {
-		width = 3
+	if width <= 0 || width > MaxIssueWidth {
+		width = MaxIssueWidth
 	}
 
 bundle:

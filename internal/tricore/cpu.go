@@ -37,6 +37,11 @@ type Timing struct {
 	IssueWidth       int    // instructions per cycle (3 = TriCore, 1 = PCP)
 }
 
+// MaxIssueWidth is the most instructions a core retires in one cycle: one
+// per pipe. A core's EvInstrExecuted counter therefore rises by at most
+// this much per cycle, a bound the MCDS schedules its wakes on.
+const MaxIssueWidth = 3
+
 // DefaultTiming returns the standard core timing.
 func DefaultTiming() Timing {
 	return Timing{
@@ -48,7 +53,7 @@ func DefaultTiming() Timing {
 		LoadUseLatency:   1,
 		ShadowDepth:      16,
 		FetchBlocksCycle: 2,
-		IssueWidth:       3,
+		IssueWidth:       MaxIssueWidth,
 	}
 }
 
@@ -134,6 +139,11 @@ type CPU struct {
 	TraceEnabled bool
 	Trace        *TraceSwitches
 	retired      []Retired
+
+	// OnRetireLog, when set, is called whenever the retire log turns
+	// non-empty: the wake of an observer that sleeps while nothing is
+	// traced.
+	OnRetireLog func()
 
 	// OnDbg, when set, is called for each executed DBG instruction (the
 	// MCDS debug-marker hook).
@@ -353,8 +363,8 @@ func (c *CPU) issueBundle(now uint64) {
 	issued := 0
 	blocks := 0
 	width := c.Timing.IssueWidth
-	if width <= 0 || width > 3 {
-		width = 3
+	if width <= 0 || width > MaxIssueWidth {
+		width = MaxIssueWidth
 	}
 
 	for issued < width {
@@ -423,6 +433,9 @@ func (c *CPU) writeReg(r uint8, v uint32, readyAt uint64, fromLoad bool) {
 func (c *CPU) retire(now uint64, pc uint32, in isa.Instr, r Retired) {
 	if !c.TraceEnabled && (c.Trace == nil || !c.Trace.FlowTrace && !c.Trace.DataTrace) {
 		return
+	}
+	if len(c.retired) == 0 && c.OnRetireLog != nil {
+		c.OnRetireLog()
 	}
 	r.Cycle = now
 	r.PC = pc
