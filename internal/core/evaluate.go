@@ -25,7 +25,8 @@ func MeasureCycles(cfg soc.Config, spec workload.Spec, iters uint32, limit uint6
 	if err != nil {
 		return 0, nil, err
 	}
-	cy, ok := s.Clock.RunUntil(func() bool { return s.CPU.Reg(workReg) >= iters }, limit)
+	s.CPU.StopAtReg(workReg, iters)
+	cy, ok := s.Clock.RunToStop(limit)
 	if !ok {
 		return 0, nil, fmt.Errorf("core: %s did not reach %d iterations in %d cycles",
 			spec.Name, iters, limit)

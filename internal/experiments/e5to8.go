@@ -42,7 +42,8 @@ func E5Intrusiveness() *Table {
 	sess := profiling.NewSession(s, profiling.Spec{Resolution: 500,
 		Params: profiling.StandardParams()})
 	sess.CPUObs().FlowTrace = true
-	cyMCDS, ok := s.Clock.RunUntil(func() bool { return s.CPU.Reg(9) >= iters }, limit)
+	s.CPU.StopAtReg(9, iters)
+	cyMCDS, ok := s.Clock.RunToStop(limit)
 	if !ok {
 		panic("E5 MCDS run did not finish")
 	}

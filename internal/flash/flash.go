@@ -121,12 +121,21 @@ func (p *port) victim() *lineBuf {
 	return v
 }
 
+// The array content is stored in 4 KiB pages.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
+
 // Flash is the embedded flash module with two bus ports sharing one array.
 // The code port is exposed with CodePort() on the program LMB and the data
 // port with DataPort() on the data LMB.
 type Flash struct {
-	cfg   Config
-	data  []byte
+	cfg Config
+	// pages holds the array content. A page is allocated on its first
+	// write; a nil page reads as zero, so a SoC pays only for the image it
+	// loads, not for the whole multi-megabyte array.
+	pages []*[pageSize]byte
 	ports [2]port
 
 	arrayBusyUntil uint64
@@ -156,7 +165,7 @@ func New(cfg Config) *Flash {
 	if cfg.LineBytes == 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("flash: LineBytes must be a power of two")
 	}
-	f := &Flash{cfg: cfg, data: make([]byte, cfg.Size)}
+	f := &Flash{cfg: cfg, pages: make([]*[pageSize]byte, (uint64(cfg.Size)+pageSize-1)>>pageShift)}
 	f.ports[PortCode].bufs = make([]lineBuf, max(1, cfg.CodeBuffers))
 	f.ports[PortData].bufs = make([]lineBuf, max(1, cfg.DataBuffers))
 	return f
@@ -179,21 +188,63 @@ func (f *Flash) Counters() *sim.Counters { return &f.counters }
 // used at system initialization).
 func (f *Flash) Load(addr uint32, image []byte) {
 	off := addr - f.cfg.Base
-	if int(off)+len(image) > len(f.data) {
+	if !f.inArray(off, len(image)) {
 		panic(fmt.Sprintf("flash %s: load beyond array (%#x+%d)", f.cfg.Name, addr, len(image)))
 	}
-	copy(f.data[off:], image)
+	f.write(off, image)
 	if f.OnWrite != nil {
 		f.OnWrite(addr, len(image))
 	}
 }
 
 // ReadDirect returns the raw array content (no timing; used by trace
-// decoders that need the program image).
+// decoders that need the program image). A window running past the end of
+// the array fills only its in-array prefix.
 func (f *Flash) ReadDirect(addr uint32, p []byte) {
 	off := addr - f.cfg.Base
-	copy(p, f.data[off:])
+	if off > f.cfg.Size {
+		panic(fmt.Sprintf("flash %s: direct read beyond array (%#x)", f.cfg.Name, addr))
+	}
+	f.read(off, p[:min(len(p), int(f.cfg.Size-off))])
 }
+
+// inArray reports whether the n bytes at array offset off lie inside the
+// array.
+func (f *Flash) inArray(off uint32, n int) bool {
+	return uint64(off)+uint64(n) <= uint64(f.cfg.Size)
+}
+
+// read copies the array content at offset off into p, page by page; an
+// unwritten page reads as zero. The window must lie inside the array.
+func (f *Flash) read(off uint32, p []byte) {
+	for len(p) > 0 {
+		src := zeroPage[:]
+		if pg := f.pages[off>>pageShift]; pg != nil {
+			src = pg[:]
+		}
+		n := copy(p, src[off&(pageSize-1):])
+		p = p[n:]
+		off += uint32(n)
+	}
+}
+
+// write copies p into the array at offset off, allocating pages on first
+// write. The window must lie inside the array.
+func (f *Flash) write(off uint32, p []byte) {
+	for len(p) > 0 {
+		pg := f.pages[off>>pageShift]
+		if pg == nil {
+			pg = new([pageSize]byte)
+			f.pages[off>>pageShift] = pg
+		}
+		n := copy(pg[off&(pageSize-1):], p)
+		p = p[n:]
+		off += uint32(n)
+	}
+}
+
+// zeroPage is what an unwritten page reads as.
+var zeroPage [pageSize]byte
 
 // CodePort returns the bus target for instruction fetches.
 func (f *Flash) CodePort() bus.Target { return flashPort{f: f, port: PortCode} }
@@ -221,13 +272,13 @@ func (fp flashPort) Access(grant uint64, req *bus.Request) uint64 {
 // cycles beyond the bus transfer.
 func (f *Flash) access(grant uint64, portID int, req *bus.Request) uint64 {
 	off := req.Addr - f.cfg.Base
-	if int(off)+len(req.Data) > len(f.data) {
+	if !f.inArray(off, len(req.Data)) {
 		panic(fmt.Sprintf("flash %s: access beyond array (%#x)", f.cfg.Name, req.Addr))
 	}
 	if req.Write {
 		// Abstracted program operation: occupies the array for WriteCycles.
 		start := f.acquireArray(grant, portID)
-		copy(f.data[off:], req.Data)
+		f.write(off, req.Data)
 		if f.OnWrite != nil {
 			f.OnWrite(req.Addr, len(req.Data))
 		}
@@ -271,7 +322,7 @@ func (f *Flash) access(grant uint64, portID int, req *bus.Request) uint64 {
 		f.maybePrefetch(line+1, readyAt)
 	}
 
-	copy(req.Data, f.data[off:])
+	f.read(off, req.Data)
 	return readyAt - grant
 }
 
@@ -321,7 +372,7 @@ func (f *Flash) holdArray(until uint64, portID int) {
 }
 
 func (f *Flash) maybePrefetch(line uint32, from uint64) {
-	if int64(line)*int64(f.cfg.LineBytes) >= int64(len(f.data)) {
+	if int64(line)*int64(f.cfg.LineBytes) >= int64(f.cfg.Size) {
 		return
 	}
 	p := &f.ports[PortCode]

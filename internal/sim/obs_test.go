@@ -41,10 +41,10 @@ func TestClockInstrument(t *testing.T) {
 		t.Errorf("instrumentation changed ticker behaviour: %d/%d", a.n, b.n)
 	}
 
-	// RunUntil episodes are accounted too.
-	c.RunUntil(func() bool { return false }, 100)
+	// RunToStop episodes are accounted too.
+	c.RunToStop(100)
 	if v := reg.Counter("sim.cycles").Value(); v != 1100 {
-		t.Errorf("sim.cycles after RunUntil = %d, want 1100", v)
+		t.Errorf("sim.cycles after RunToStop = %d, want 1100", v)
 	}
 }
 

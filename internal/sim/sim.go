@@ -96,6 +96,21 @@ func (w *Waker) Reschedule(next uint64) {
 	w.c.resched = true
 }
 
+// Stop asks the running Run to end at the boundary after the current
+// cycle. The rest of the cycle completes as if nothing happened: every
+// other ticker due this cycle still ticks, in registration order. The stop
+// stays latched — a chunked caller's next Run returns without executing a
+// cycle — until RunToStop returns. Raised outside a Run it ends the next
+// one before its first cycle. Unlike Reschedule it works with wake
+// scheduling disabled too; it is a no-op when unattached.
+func (w *Waker) Stop() {
+	if w == nil {
+		return
+	}
+	w.c.stopped = true
+	w.c.resched = true // ends a solo run after this cycle
+}
+
 // Clock drives the simulation. Components are stepped in registration
 // order; registration order therefore defines intra-cycle priority (bus
 // masters registered earlier win same-cycle arbitration races
@@ -117,7 +132,8 @@ type Clock struct {
 	wakeEnabled bool // SetWakeScheduling state (default true)
 	scheduling  bool // wakeEnabled && numSleepers > 0
 	skippable   bool // scheduling && every ticker is a Sleeper
-	resched     bool // a Waker.Reschedule happened (invalidates solo runs)
+	resched     bool // a Waker.Reschedule or Stop happened (ends solo runs)
+	stopped     bool // a Waker.Stop is latched: Run executes no more cycles
 
 	obs *clockObs // nil when the clock is not instrumented
 }
@@ -189,7 +205,7 @@ type clockObs struct {
 	sampleIn    uint64 // cycles until the next fully timed step
 
 	cycles        *obs.Counter // sim.cycles
-	wallNS        *obs.Counter // sim.wall_ns (Run/RunUntil wall time)
+	wallNS        *obs.Counter // sim.wall_ns (Run wall time)
 	cyclesPerSec  *obs.Gauge   // sim.cycles_per_sec (latest Run)
 	sampledCycles *obs.Counter // sim.sampled_cycles
 	tickerNS      []*obs.Counter
@@ -305,7 +321,8 @@ func (c *Clock) nextWake() uint64 {
 	return next
 }
 
-// Run advances the simulation by n cycles.
+// Run advances the simulation by n cycles, or to the boundary of the
+// cycle in which a ticker raised a stop (Waker.Stop).
 func (c *Clock) Run(n uint64) {
 	if c.obs != nil {
 		defer c.measureRun(time.Now(), c.cycle)
@@ -319,10 +336,11 @@ func (c *Clock) Run(n uint64) {
 // (soloRun) — on an instrumented clock up to the next timed cycle.
 // Callers that need finer-grained control (e.g. Session.Run's
 // cancellation polling) call Run in chunks; neither fast path crosses the
-// chunk boundary, so the two compose.
+// chunk boundary, so the two compose. A latched stop ends the loop at the
+// next cycle boundary.
 func (c *Clock) runTo(end uint64) {
 	o := c.obs
-	for c.cycle < end {
+	for c.cycle < end && !c.stopped {
 		if c.skippable {
 			if next := c.nextWake(); next > c.cycle {
 				if next > end {
@@ -431,30 +449,22 @@ func (c *Clock) soloRun(end uint64) bool {
 	return true
 }
 
-// RunUntil advances the simulation until done returns true or the cycle
-// limit is reached. It returns the number of cycles executed and whether
-// done was satisfied. The predicate is re-evaluated before every cycle —
-// and only there: once the limit is hit the last evaluation's result is
-// returned without an extra call, so side-effecting predicates see exactly
-// one call per executed cycle. Because done may read state only the
-// predicate can see, RunUntil never bulk-skips or runs a ticker solo: it
-// steps cycle by cycle, dispatching only the due tickers.
-func (c *Clock) RunUntil(done func() bool, limit uint64) (uint64, bool) {
-	if c.obs != nil {
-		defer c.measureRun(time.Now(), c.cycle)
-	}
+// RunToStop advances the simulation until a ticker raises a stop or limit
+// cycles have run. It returns the cycles executed and whether a stop ended
+// the run; a stop latched before the call (a watch armed already
+// satisfied) gives 0 cycles. The latch is cleared on return, so the next
+// run starts afresh. Unlike a predicate polled between cycles, a stop
+// leaves the bulk skip and the solo-run fast path in play.
+func (c *Clock) RunToStop(limit uint64) (uint64, bool) {
 	start := c.cycle
-	for c.cycle-start < limit {
-		if done() {
-			return c.cycle - start, true
-		}
-		c.Step()
-	}
-	return limit, false
+	c.Run(limit)
+	stopped := c.stopped
+	c.stopped = false
+	return c.cycle - start, stopped
 }
 
-// measureRun accounts one Run/RunUntil episode: executed cycles, wall
-// time, and the resulting simulation rate.
+// measureRun accounts one Run episode: executed cycles, wall time, and the
+// resulting simulation rate.
 func (c *Clock) measureRun(start time.Time, startCycle uint64) {
 	o := c.obs
 	n := c.cycle - startCycle

@@ -22,20 +22,6 @@ func TestClockStepOrder(t *testing.T) {
 	}
 }
 
-func TestClockRunUntil(t *testing.T) {
-	c := NewClock()
-	n := 0
-	c.Attach("n", TickerFunc(func(uint64) { n++ }))
-	ran, ok := c.RunUntil(func() bool { return n >= 5 }, 100)
-	if !ok || ran != 5 {
-		t.Errorf("ran=%d ok=%v, want 5 true", ran, ok)
-	}
-	ran, ok = c.RunUntil(func() bool { return false }, 7)
-	if ok || ran != 7 {
-		t.Errorf("ran=%d ok=%v, want 7 false", ran, ok)
-	}
-}
-
 func TestClockTickReceivesCycle(t *testing.T) {
 	c := NewClock()
 	var got []uint64

@@ -247,19 +247,6 @@ func TestSoloRescheduleEarlierSleeperNextCycle(t *testing.T) {
 	}
 }
 
-func TestRunUntilDoesNotReevaluateDoneAtLimit(t *testing.T) {
-	c := NewClock()
-	c.Attach("t", TickerFunc(func(uint64) {}))
-	calls := 0
-	ran, ok := c.RunUntil(func() bool { calls++; return false }, 25)
-	if ok || ran != 25 {
-		t.Fatalf("ran=%d ok=%v, want 25 false", ran, ok)
-	}
-	if calls != 25 {
-		t.Errorf("done evaluated %d times, want exactly 25 (one per executed cycle)", calls)
-	}
-}
-
 func TestBulkSkipStopsAtRunBoundary(t *testing.T) {
 	// A chunked caller (Session.Run polls every 4096 cycles) must see the
 	// clock stop exactly at each chunk boundary even when the next wake is

@@ -453,7 +453,9 @@ func (s *SoC) ResetCPU1(entry uint32) {
 // RunUntilHalt advances the system until the TriCore halts or limit cycles
 // elapse; it returns the cycles executed and whether the CPU halted.
 func (s *SoC) RunUntilHalt(limit uint64) (uint64, bool) {
-	return s.Clock.RunUntil(s.CPU.Halted, limit)
+	s.CPU.StopOnHalt()
+	defer s.CPU.DisarmStop()
+	return s.Clock.RunToStop(limit)
 }
 
 // allocPeriph reserves a register window on the SPB.

@@ -321,8 +321,7 @@ func TestSecondCoreRunsConcurrently(t *testing.T) {
 
 	s.ResetCPU(p0.Base)
 	s.ResetCPU1(p1.Base)
-	done := func() bool { return s.CPU.Halted() && s.CPU1.Halted() }
-	if _, ok := s.Clock.RunUntil(done, 10_000_000); !ok {
+	if !stepUntilBothHalted(s, 10_000_000) {
 		t.Fatal("cores did not finish")
 	}
 	if got := s.DSPR.Read32(mem.DSPRBase); got != 5000 {
@@ -361,8 +360,7 @@ func TestSecondCoreBusContention(t *testing.T) {
 	s.LoadProgram(p1)
 	s.ResetCPU(p0.Base)
 	s.ResetCPU1(p1.Base)
-	done := func() bool { return s.CPU.Halted() && s.CPU1.Halted() }
-	if _, ok := s.Clock.RunUntil(done, 10_000_000); !ok {
+	if !stepUntilBothHalted(s, 10_000_000) {
 		t.Fatal("cores did not finish")
 	}
 	if s.DLMB.Counters().Get(sim.EvBusContention) == 0 {
@@ -400,7 +398,8 @@ func TestSecondCoreInterrupts(t *testing.T) {
 	s.LoadProgram(p0)
 	s.ResetCPU(p0.Base)
 	s.ResetCPU1(p.Base)
-	if _, ok := s.Clock.RunUntil(s.CPU1.Halted, 10_000_000); !ok {
+	s.CPU1.StopOnHalt()
+	if _, ok := s.Clock.RunToStop(10_000_000); !ok {
 		t.Fatal("core1 did not halt")
 	}
 	if s.CPU1.Reg(4) == 0 {
@@ -528,4 +527,17 @@ func TestResetCPU1WithoutSecondCorePanics(t *testing.T) {
 		}
 	}()
 	s.ResetCPU1(mem.FlashBase)
+}
+
+// stepUntilBothHalted steps s cycle by cycle until both cores have halted
+// or limit cycles have run: a condition over two cores, which no single
+// core's stop watch expresses.
+func stepUntilBothHalted(s *SoC, limit uint64) bool {
+	for n := uint64(0); n < limit; n++ {
+		if s.CPU.Halted() && s.CPU1.Halted() {
+			return true
+		}
+		s.Clock.Step()
+	}
+	return s.CPU.Halted() && s.CPU1.Halted()
 }

@@ -48,7 +48,7 @@ func runObserved(t *testing.T, opt rigOpt, prog *isa.Program, limit uint64, bloc
 		retired = append(retired, r.cpu.DrainRetired()...)
 	}))
 	r.load(t, prog)
-	n, _ := r.clock.RunUntil(r.cpu.Halted, limit)
+	n, _ := r.runToHalt(limit)
 	retired = append(retired, r.cpu.DrainRetired()...)
 	var regs [isa.NumRegs]uint32
 	for i := range regs {
@@ -368,7 +368,7 @@ func TestChainSeverOnSelfModify(t *testing.T) {
 		words[i] = in.Encode()
 	}
 	r.load(t, &isa.Program{Base: mem.FlashBase, Words: words})
-	n, ok := r.clock.RunUntil(r.cpu.Halted, 10000)
+	n, ok := r.runToHalt(10000)
 	if !ok {
 		t.Fatalf("did not halt in %d cycles", n)
 	}
@@ -411,7 +411,7 @@ func TestCPUHaltWake(t *testing.T) {
 	// would otherwise skip it forever.
 	r.cpu.Reset(prog.Base, mem.DSPRBase+0x7000)
 	r.cpu.SetReg(2, 0)
-	n, ok := r.clock.RunUntil(r.cpu.Halted, 100)
+	n, ok := r.runToHalt(100)
 	if !ok || n == 0 {
 		t.Fatalf("core did not resume after Reset (ran %d, halted=%v)", n, ok)
 	}

@@ -132,6 +132,13 @@ type CPU struct {
 
 	waker *sim.Waker // clock wake handle; nil when driven without a clock
 
+	// Stop watch (StopAtReg, StopOnHalt): while armed, the end of every
+	// issuing Tick checks it and stops the clock's run once it holds.
+	stopOnHalt bool
+	stopOnReg  bool
+	stopReg    int
+	stopMin    uint32
+
 	// TraceEnabled makes the core append every retired instruction to the
 	// retire log drained by the MCDS observation block each cycle; Trace
 	// does so only while one of its switches is on. Both are read at every
@@ -233,7 +240,42 @@ func (c *CPU) Halted() bool { return c.halted }
 
 // DebugBreak halts the core from outside the instruction stream — the
 // OCDS run-control path the MCDS break action drives. Reset resumes.
-func (c *CPU) DebugBreak() { c.halted = true }
+func (c *CPU) DebugBreak() {
+	c.halted = true
+	c.checkStop()
+}
+
+// StopAtReg arms the core's stop watch on register r: the run of the clock
+// the core is attached to (sim.Clock.RunToStop) ends at the end of the
+// first cycle in which r holds at least v — before its first cycle when r
+// already does. Registers change only when the core issues, so the watch
+// is checked only after an issuing cycle. A watch fires once; DisarmStop
+// drops one that has not.
+func (c *CPU) StopAtReg(r int, v uint32) {
+	c.stopOnReg, c.stopReg, c.stopMin = true, r, v
+	c.checkStop()
+}
+
+// StopOnHalt arms the core's stop watch on the core halting (HALT or a
+// debug break); on an already halted core it stops the next run at once.
+func (c *CPU) StopOnHalt() {
+	c.stopOnHalt = true
+	c.checkStop()
+}
+
+// DisarmStop drops every armed stop condition.
+func (c *CPU) DisarmStop() {
+	c.stopOnHalt, c.stopOnReg = false, false
+}
+
+// checkStop raises the clock stop, and disarms, once an armed condition
+// holds.
+func (c *CPU) checkStop() {
+	if c.stopOnHalt && c.halted || c.stopOnReg && c.regs[c.stopReg] >= c.stopMin {
+		c.DisarmStop()
+		c.waker.Stop()
+	}
+}
 
 // PC returns the address of the next instruction to issue.
 func (c *CPU) PC() uint32 { return c.pc }
@@ -286,6 +328,9 @@ func (c *CPU) Tick(now uint64) {
 	}
 
 	c.issueBundle(now)
+	if c.stopOnHalt || c.stopOnReg {
+		c.checkStop()
+	}
 }
 
 func (c *CPU) enterIRQ(now uint64, prio, vector uint32) {

@@ -260,7 +260,7 @@ func TestDifferentialVsReference(t *testing.T) {
 		for _, opt := range []rigOpt{{icache: true, dcache: true, prefetch: true}, {}} {
 			r := newRigQuiet(t, opt)
 			r.load(t, p)
-			if _, ok := r.clock.RunUntil(r.cpu.Halted, 5_000_000); !ok {
+			if _, ok := r.runToHalt(5_000_000); !ok {
 				t.Logf("core did not halt for recipe %v", recipe)
 				return false
 			}

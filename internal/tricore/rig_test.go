@@ -104,10 +104,18 @@ func (r *rig) load(t *testing.T, p *isa.Program) {
 	r.cpu.Reset(p.Base, mem.DSPRBase+0x7000)
 }
 
+// runToHalt runs the clock until the core halts or limit cycles have run,
+// reporting the cycles executed and whether the core halted.
+func (r *rig) runToHalt(limit uint64) (uint64, bool) {
+	r.cpu.StopOnHalt()
+	defer r.cpu.DisarmStop()
+	return r.clock.RunToStop(limit)
+}
+
 // run executes until HALT or the cycle limit.
 func (r *rig) run(t *testing.T, limit uint64) uint64 {
 	t.Helper()
-	n, ok := r.clock.RunUntil(r.cpu.Halted, limit)
+	n, ok := r.runToHalt(limit)
 	if !ok {
 		t.Fatalf("program did not halt within %d cycles (pc=%#x)", limit, r.cpu.PC())
 	}
