@@ -2,8 +2,8 @@
 // a fleet of synthetic customer applications is profiled on the current
 // generation, every catalog option is estimated analytically and verified
 // by re-simulation, and the options are ranked by performance-gain / area
-// ratio. With -fmodel N it additionally drives N generations of the
-// F-model loop.
+// ratio. With -fmodel N it instead drives N generations of the F-model
+// loop and prints generation 0's ranking from that run.
 //
 // Usage:
 //
@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/core"
@@ -29,17 +30,46 @@ func main() {
 	report := flag.String("report", "", "write a markdown architect report to this file")
 	flag.Parse()
 
+	if *fleetN < 0 {
+		fail(fmt.Errorf("archopt: -fleet %d is negative", *fleetN))
+	}
+	if *iters > math.MaxUint32 {
+		fail(fmt.Errorf("archopt: -iters %d exceeds %d", *iters, uint32(math.MaxUint32)))
+	}
 	fleet := workload.Fleet(*fleetN, *seed)
 	prm := core.DefaultEvalParams()
 	prm.Iters = uint32(*iters)
 	prm.SkipMeasured = *analytical
+	base := soc.TC1797()
 
-	fmt.Printf("profiling %d customer applications on %s ...\n", len(fleet), soc.TC1797().Name)
-	ev, err := core.Evaluate(soc.TC1797(), fleet, core.Catalog(), prm)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	fmt.Println("customer fleet (each structurally different, as in the field):")
+	for _, sp := range fleet {
+		fmt.Printf("  %s\n", structure(sp))
 	}
+	fmt.Printf("profiling %d customer applications on %s ...\n", len(fleet), base.Name)
+
+	// The F-model's first generation evaluates exactly what the ranking
+	// alone would, so one call serves both.
+	var ev *core.Evaluation
+	var chain []core.Generation
+	var err error
+	if *fmodel > 0 {
+		chain, err = core.FModel(base, fleet, core.Catalog(), prm, *fmodel)
+		if err == nil {
+			ev = chain[0].Eval
+		}
+	} else {
+		ev, err = core.Evaluate(base, fleet, core.Catalog(), prm)
+	}
+	if err != nil {
+		fail(err)
+	}
+
+	fmt.Printf("\nprofiles on the current generation (%s):\n", base.Name)
+	for _, ap := range ev.Profiles {
+		fmt.Printf("  %s\n", ap)
+	}
+	fmt.Println()
 
 	fmt.Printf("%-18s %6s %9s %9s %9s %10s  %s\n",
 		"option", "area", "est gain", "meas gain", "min gain", "gain/area", "verdict")
@@ -60,14 +90,12 @@ func main() {
 	if *report != "" {
 		f, err := os.Create(*report)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
 		rep := &core.Report{Title: "Next-generation architecture assessment",
 			Profiles: ev.Profiles, Eval: ev}
 		if err := rep.WriteMarkdown(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
 		f.Close()
 		fmt.Printf("report written to %s\n", *report)
@@ -75,11 +103,6 @@ func main() {
 
 	if *fmodel > 0 {
 		fmt.Printf("\nF-model loop (%d generations):\n", *fmodel)
-		chain, err := core.FModel(soc.TC1797(), fleet, core.Catalog(), prm, *fmodel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		for i, g := range chain {
 			fmt.Printf("  gen %d: %s", i, g.Config.Name)
 			if g.Chosen != nil {
@@ -89,4 +112,27 @@ func main() {
 			fmt.Println()
 		}
 	}
+}
+
+// structure summarizes how a customer application is built: code and
+// table footprint, where CAN reception runs, and where tables live.
+func structure(sp workload.Spec) string {
+	split := "CAN on CPU"
+	if sp.CANOnPCP {
+		split = "CAN on PCP"
+	}
+	if sp.CANViaDMA {
+		split = "CAN via DMA"
+	}
+	tbl := "tables in flash"
+	if sp.TablesInScratch {
+		tbl = "tables in scratchpad"
+	}
+	return fmt.Sprintf("%-10s code %2dKB, tables %2dKB, %s, %s",
+		sp.Name, sp.CodeKB, sp.TableKB, split, tbl)
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

@@ -30,7 +30,11 @@ func TestAggregateSkipsCorruptReports(t *testing.T) {
 	dir := t.TempDir()
 	for i, r := range []*profiling.RunReport{testReport(1), testReport(2)} {
 		path := filepath.Join(dir, "good"+string(rune('a'+i))+".json")
-		if err := writeFile(path, r.WriteJSONSummed); err != nil {
+		b, _, err := r.EncodeSummed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,7 +17,6 @@ func TestExamplesRun(t *testing.T) {
 	examples := []string{
 		"quickstart",
 		"enginecontrol",
-		"archexplore",
 		"triggercascade",
 		"calibration",
 		"selfprofile",

@@ -22,11 +22,7 @@ func (a *Alias) Name() string { return a.target.Name() + "~alias" }
 func (a *Alias) Access(grant uint64, req *Request) uint64 {
 	shifted := *req
 	shifted.Addr = req.Addr + a.delta
-	lat := a.target.Access(grant, &shifted)
-	if !req.Write {
-		// Data was read into the shifted copy's slice, which is the same
-		// backing array; nothing to copy back.
-		_ = shifted
-	}
-	return lat
+	// The copy shares Data's backing array, so reads land in the caller's
+	// buffer.
+	return a.target.Access(grant, &shifted)
 }

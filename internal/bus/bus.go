@@ -29,11 +29,9 @@ import (
 // Request describes one bus transaction. Data is read into or written from
 // the supplied slice; its length is the access size in bytes.
 type Request struct {
-	Master int    // master identity, for per-master statistics
-	Addr   uint32 // byte address
-	Data   []byte // length 1, 2 or 4 for CPU accesses; larger for line fills
-	Write  bool
-	Fetch  bool // instruction fetch (routes to flash code port)
+	Addr  uint32 // byte address
+	Data  []byte // length 1, 2 or 4 for CPU accesses; larger for line fills
+	Write bool
 }
 
 // Target is a slave device mapped on a bus. Access is called with the cycle
@@ -50,14 +48,6 @@ type region struct {
 	target      Target
 }
 
-// MasterStats accumulates per-master arbitration statistics.
-type MasterStats struct {
-	Requests   uint64
-	Granted    uint64
-	WaitCycles uint64
-	Conflicts  uint64 // requests that had to wait at least one cycle
-}
-
 // Bus is a single shared interconnect.
 type Bus struct {
 	name      string
@@ -65,7 +55,6 @@ type Bus struct {
 	busyUntil uint64
 	regions   []region
 	counters  sim.Counters
-	masters   map[int]*MasterStats
 }
 
 // New creates a bus. transferCycles is the bus occupancy per transaction
@@ -74,11 +63,7 @@ func New(name string, transferCycles uint64) *Bus {
 	if transferCycles == 0 {
 		transferCycles = 1
 	}
-	return &Bus{
-		name:     name,
-		transfer: transferCycles,
-		masters:  make(map[int]*MasterStats),
-	}
+	return &Bus{name: name, transfer: transferCycles}
 }
 
 // Name returns the bus name.
@@ -128,24 +113,15 @@ func (b *Bus) Access(now uint64, req *Request) (done uint64, err error) {
 	if t == nil {
 		return now, &ErrUnmapped{Bus: b.name, Addr: req.Addr}
 	}
-	ms := b.masters[req.Master]
-	if ms == nil {
-		ms = &MasterStats{}
-		b.masters[req.Master] = ms
-	}
-	ms.Requests++
 	b.counters.Inc(sim.EvBusRequest)
 
 	grant := now
 	if b.busyUntil > grant {
 		wait := b.busyUntil - grant
 		grant = b.busyUntil
-		ms.WaitCycles += wait
-		ms.Conflicts++
 		b.counters.Inc(sim.EvBusContention)
 		b.counters.Add(sim.EvBusWaitCycle, wait)
 	}
-	ms.Granted++
 	b.counters.Inc(sim.EvBusGrant)
 
 	dev := t.Access(grant, req)
@@ -158,18 +134,6 @@ func (b *Bus) Access(now uint64, req *Request) (done uint64, err error) {
 // observation block).
 func (b *Bus) Counters() *sim.Counters { return &b.counters }
 
-// Stats returns the per-master statistics for master id (zero value if the
-// master never accessed this bus).
-func (b *Bus) Stats(id int) MasterStats {
-	if s := b.masters[id]; s != nil {
-		return *s
-	}
-	return MasterStats{}
-}
-
-// BusyUntil reports the cycle up to which the bus is currently held.
-func (b *Bus) BusyUntil() uint64 { return b.busyUntil }
-
 // Bridge forwards a window of one bus into another (the LMB↔SPB bridge of
 // the real SoC). It is a Target on the near bus and a master on the far
 // bus; crossing adds its own forwarding latency on top of far-bus
@@ -177,14 +141,13 @@ func (b *Bus) BusyUntil() uint64 { return b.busyUntil }
 type Bridge struct {
 	name     string
 	far      *Bus
-	master   int
 	overhead uint64
 }
 
-// NewBridge creates a bridge that forwards accesses onto far using the
-// given master id, adding overhead cycles per crossing.
-func NewBridge(name string, far *Bus, master int, overhead uint64) *Bridge {
-	return &Bridge{name: name, far: far, master: master, overhead: overhead}
+// NewBridge creates a bridge that forwards accesses onto far, adding
+// overhead cycles per crossing.
+func NewBridge(name string, far *Bus, overhead uint64) *Bridge {
+	return &Bridge{name: name, far: far, overhead: overhead}
 }
 
 // Name returns the bridge name.
@@ -192,9 +155,7 @@ func (br *Bridge) Name() string { return br.name }
 
 // Access forwards the request to the far bus.
 func (br *Bridge) Access(grant uint64, req *Request) uint64 {
-	fwd := *req
-	fwd.Master = br.master
-	done, err := br.far.Access(grant+br.overhead, &fwd)
+	done, err := br.far.Access(grant+br.overhead, req)
 	if err != nil {
 		// An unmapped address behind a bridge is an SoC wiring bug; fail
 		// loudly rather than silently returning garbage timing.

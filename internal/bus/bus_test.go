@@ -83,18 +83,14 @@ func TestContentionSerializesAndCounts(t *testing.T) {
 	tg := &fixedTarget{name: "sram", latency: 2}
 	b.Map(0, 0x1000, tg)
 
-	// Master 0 and master 1 both request at cycle 5.
-	d0, _ := b.Access(5, &Request{Master: 0, Addr: 0, Data: make([]byte, 4)})
-	d1, _ := b.Access(5, &Request{Master: 1, Addr: 4, Data: make([]byte, 4)})
+	// Two masters both request at cycle 5.
+	d0, _ := b.Access(5, &Request{Addr: 0, Data: make([]byte, 4)})
+	d1, _ := b.Access(5, &Request{Addr: 4, Data: make([]byte, 4)})
 	if d0 != 8 {
 		t.Errorf("first done = %d, want 8", d0)
 	}
 	if d1 != 11 { // waits until 8, then 1+2
 		t.Errorf("second done = %d, want 11", d1)
-	}
-	s1 := b.Stats(1)
-	if s1.WaitCycles != 3 || s1.Conflicts != 1 {
-		t.Errorf("stats = %+v, want wait=3 conflicts=1", s1)
 	}
 	c := b.Counters()
 	if c.Get(sim.EvBusContention) != 1 || c.Get(sim.EvBusWaitCycle) != 3 {
@@ -116,8 +112,10 @@ func TestBusFreesAfterIdle(t *testing.T) {
 	if d1 != d0+10+3 {
 		t.Errorf("idle access done = %d, want %d", d1, d0+10+3)
 	}
-	if b.Stats(0).WaitCycles != 0 {
-		t.Errorf("no wait expected, got %d", b.Stats(0).WaitCycles)
+	c := b.Counters()
+	if c.Get(sim.EvBusContention) != 0 || c.Get(sim.EvBusWaitCycle) != 0 {
+		t.Errorf("no wait expected, got %d conflicts / %d cycles",
+			c.Get(sim.EvBusContention), c.Get(sim.EvBusWaitCycle))
 	}
 }
 
@@ -139,10 +137,10 @@ func TestBridgeForwards(t *testing.T) {
 	far.Map(0xF000_0000, 0x1000, tg)
 
 	near := New("lmb", 1)
-	br := NewBridge("lfi", far, 9, 1)
+	br := NewBridge("lfi", far, 1)
 	near.Map(0xF000_0000, 0x1000_0000, br)
 
-	done, err := near.Access(0, &Request{Master: 1, Addr: 0xF000_0010, Data: make([]byte, 4)})
+	done, err := near.Access(0, &Request{Addr: 0xF000_0010, Data: make([]byte, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +149,11 @@ func TestBridgeForwards(t *testing.T) {
 	if done != 5 {
 		t.Errorf("bridged done = %d, want 5", done)
 	}
-	if len(tg.log) != 1 || tg.log[0].Master != 9 {
-		t.Errorf("far side must see bridge master id, got %+v", tg.log)
+	if len(tg.log) != 1 || tg.log[0].Addr != 0xF000_0010 {
+		t.Errorf("far side must see the forwarded request, got %+v", tg.log)
 	}
-	if far.Stats(9).Requests != 1 {
-		t.Error("far bus must account the bridge as master")
+	if far.Counters().Get(sim.EvBusRequest) != 1 {
+		t.Error("far bus must count the bridged request")
 	}
 }
 
@@ -191,17 +189,20 @@ func TestBusAccessors(t *testing.T) {
 	if done != 7 { // grant 5 + clamped transfer 1 + device 1
 		t.Errorf("done = %d", done)
 	}
-	if b.BusyUntil() != done {
-		t.Errorf("busy until = %d", b.BusyUntil())
+	// The bus is held until the completion cycle and free from it on.
+	again, _ := b.Access(done, &Request{Addr: 0, Data: make([]byte, 4)})
+	if again != done+2 || b.Counters().Get(sim.EvBusContention) != 0 {
+		t.Errorf("back-to-back done = %d, want %d without contention", again, done+2)
 	}
-	if s := b.Stats(99); s.Requests != 0 {
-		t.Error("unknown master must have zero stats")
+	b.Access(again-1, &Request{Addr: 0, Data: make([]byte, 4)})
+	if b.Counters().Get(sim.EvBusWaitCycle) != 1 {
+		t.Errorf("early access waited %d cycles, want 1", b.Counters().Get(sim.EvBusWaitCycle))
 	}
 	err := &ErrUnmapped{Bus: "lmb", Addr: 0xBEEF}
 	if err.Error() == "" {
 		t.Error("empty error string")
 	}
-	br := NewBridge("br", b, 1, 0)
+	br := NewBridge("br", b, 0)
 	if br.Name() != "br" {
 		t.Errorf("bridge name = %q", br.Name())
 	}
@@ -209,7 +210,7 @@ func TestBusAccessors(t *testing.T) {
 
 func TestBridgePanicsOnUnmappedFarSide(t *testing.T) {
 	far := New("spb", 1)
-	br := NewBridge("br", far, 1, 0)
+	br := NewBridge("br", far, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("bridge to unmapped address must panic")

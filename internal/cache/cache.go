@@ -112,9 +112,6 @@ func New(cfg Config, kind string, ctrs *sim.Counters) *Cache {
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Counters exposes the counter set lookups are recorded into.
 func (c *Cache) Counters() *sim.Counters { return c.counters }
 
@@ -211,13 +208,3 @@ func (c *Cache) InvalidateAll() {
 
 // LineBytes returns the configured line length.
 func (c *Cache) LineBytes() uint32 { return c.cfg.LineBytes }
-
-// HitRate returns hits/accesses over the cache lifetime (1 when never
-// accessed, matching "no misses yet").
-func (c *Cache) HitRate() float64 {
-	acc := c.counters.Get(c.evI[0])
-	if acc == 0 {
-		return 1
-	}
-	return float64(c.counters.Get(c.evI[1])) / float64(acc)
-}

@@ -109,16 +109,15 @@ func TestGeometryValidation(t *testing.T) {
 
 func TestHitRate(t *testing.T) {
 	c := New(cfg4x2(), "i", nil)
-	if c.HitRate() != 1 {
-		t.Error("untouched cache hit rate must be 1")
-	}
+	ctr := c.Counters()
 	c.Lookup(0) // miss
 	c.Fill(0)
 	for i := 0; i < 3; i++ {
 		c.Lookup(0) // hits
 	}
-	if got := c.HitRate(); got != 0.75 {
-		t.Errorf("hit rate = %v, want 0.75", got)
+	acc, hit, miss := ctr.Get(sim.EvICacheAccess), ctr.Get(sim.EvICacheHit), ctr.Get(sim.EvICacheMiss)
+	if acc != 4 || hit != 3 || miss != 1 {
+		t.Errorf("access/hit/miss = %d/%d/%d, want 4/3/1", acc, hit, miss)
 	}
 }
 

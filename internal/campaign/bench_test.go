@@ -27,7 +27,8 @@ func benchMatrix() Matrix {
 // BenchmarkCampaignJournal measures the supervisor's write-ahead
 // journal overhead on a clean campaign (the BENCH_pr4 comparison):
 // journal=on adds one atomic report write plus one fsync'd manifest
-// append per cell, and must stay within the ≤5% envelope.
+// append per cell. The difference is below this benchmark's run-to-run
+// noise on a shared host, so CI records it without gating on it.
 func BenchmarkCampaignJournal(b *testing.B) {
 	m := benchMatrix()
 	for _, journal := range []bool{false, true} {

@@ -209,7 +209,10 @@ func TestCampaignObsAndCallbacks(t *testing.T) {
 	if util <= 0 || util > 1 {
 		t.Errorf("worker 0 utilization = %v", util)
 	}
-	names := tr.SpanNames()
+	var names []string
+	for _, ev := range tr.Trace().TraceEvents {
+		names = append(names, ev.Name)
+	}
 	joined := strings.Join(names, " ")
 	for _, want := range []string{"expand", "execute", "aggregate", "cell:"} {
 		if !strings.Contains(joined, want) {

@@ -79,16 +79,6 @@ func NewStatus(events *obs.EventLog) *Status {
 	return &Status{start: time.Now(), shards: map[int]*shardStat{}, events: events}
 }
 
-// Events exposes the attached flight recorder (nil when absent or on a
-// nil tracker) so callers can wire the /events endpoint and -events
-// persistence off the same ring.
-func (s *Status) Events() *obs.EventLog {
-	if s == nil {
-		return nil
-	}
-	return s.events
-}
-
 // Begin registers the expanded matrix: every cell starts pending. Call
 // once, before execution; resumed cells are marked via CellResumedFromJournal.
 func (s *Status) Begin(name string, cells []Cell) {

@@ -32,9 +32,6 @@ func TestStatusNilSafe(t *testing.T) {
 	s.ShardBeat(0)
 	s.ShardDown(0, "clean")
 	s.ShardAnomaly(0, "torn_records", "x")
-	if s.Events() != nil {
-		t.Error("nil Status.Events() != nil")
-	}
 	snap := s.Snapshot()
 	if snap.Cells != 0 || snap.CellStates == nil {
 		t.Errorf("nil snapshot = %+v", snap)

@@ -43,11 +43,9 @@ type AppProfile struct {
 	// (per instruction unless the parameter is cycle-based).
 	Rates map[string]float64
 
-	// Config snapshot relevant to the analytical model.
-	FlashWS     uint64
-	ICacheBytes uint32
-	DCacheBytes uint32
-	SRAMLatency uint64
+	// FlashWS is the flash wait-state setting the profile was measured
+	// with (the analytical model's miss penalty).
+	FlashWS uint64
 }
 
 // FromProfile condenses a profiling result measured on cfg.
@@ -65,13 +63,6 @@ func FromProfile(p *profiling.Profile, cfg soc.Config) AppProfile {
 		ap.Rates[name] = se.Mean()
 	}
 	ap.FlashWS = cfg.Flash.WaitStates
-	if cfg.ICache != nil {
-		ap.ICacheBytes = cfg.ICache.Size
-	}
-	if cfg.DCache != nil {
-		ap.DCacheBytes = cfg.DCache.Size
-	}
-	ap.SRAMLatency = cfg.SRAMLatency
 	return ap
 }
 

@@ -73,6 +73,20 @@ func TestMeasureCyclesEqualWork(t *testing.T) {
 	}
 }
 
+func TestMeasureCyclesRejectsZeroIters(t *testing.T) {
+	if _, _, err := MeasureCycles(soc.TC1797(), testFleet()[0], 0, 50_000_000); err == nil {
+		t.Fatal("zero iterations must be an error, not a zero-cycle measurement")
+	}
+}
+
+func TestEvaluateRejectsEmptyFleet(t *testing.T) {
+	prm := quickParams()
+	prm.SkipMeasured = true
+	if _, err := Evaluate(soc.TC1797(), nil, Catalog(), prm); err == nil {
+		t.Fatal("an empty fleet must be an error, not a ranking on no data")
+	}
+}
+
 func TestAnalyticalEstimatesDirectionallyCorrect(t *testing.T) {
 	ap, err := ProfileApp(soc.TC1797(), testFleet()[0], 200_000)
 	if err != nil {
@@ -154,6 +168,19 @@ func TestFModelConverges(t *testing.T) {
 	}
 	if chain[0].Chosen == nil {
 		t.Fatal("generation 0 chose nothing")
+	}
+	// Each generation that chose a successor carries the ranking that
+	// chose it.
+	for i, g := range chain {
+		if g.Chosen == nil {
+			continue
+		}
+		if best, ok := g.Eval.Best(); !ok || best.Option.Name != g.Chosen.Option.Name {
+			t.Errorf("gen %d: Eval best = %v, chosen %s", i, best.Option.Name, g.Chosen.Option.Name)
+		}
+	}
+	if len(chain) == 3 && chain[2].Eval != nil {
+		t.Error("unevaluated last generation carries an Eval")
 	}
 	if chain[1].Config.Name == chain[0].Config.Name {
 		t.Error("generation name did not evolve")

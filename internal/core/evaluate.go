@@ -19,7 +19,11 @@ const workReg = 9
 // MeasureCycles builds spec on a SoC with cfg and returns the cycles
 // needed to complete iters main-loop iterations (ground-truth speedup
 // measurement). It also returns the application for further inspection.
+// Zero iterations measure nothing and are an error.
 func MeasureCycles(cfg soc.Config, spec workload.Spec, iters uint32, limit uint64) (uint64, *workload.App, error) {
+	if iters == 0 {
+		return 0, nil, fmt.Errorf("core: %s: zero iterations to measure", spec.Name)
+	}
 	s := soc.New(cfg, spec.Seed)
 	app, err := workload.Build(s, spec)
 	if err != nil {
@@ -129,8 +133,12 @@ func geomean(vs []float64) float64 {
 
 // Evaluate runs the full methodology: profile every application on the
 // base configuration, estimate every option analytically, optionally
-// re-simulate for ground truth, and rank by gain/cost.
+// re-simulate for ground truth, and rank by gain/cost. An empty fleet is
+// an error: there is nothing to rank on.
 func Evaluate(base soc.Config, fleet []workload.Spec, opts []Option, prm EvalParams) (*Evaluation, error) {
+	if len(fleet) == 0 {
+		return nil, fmt.Errorf("core: empty fleet")
+	}
 	// Per-app base measurements.
 	profiles := make([]AppProfile, len(fleet))
 	baseCycles := make([]uint64, len(fleet))
@@ -231,7 +239,8 @@ func (ev *Evaluation) Best() (Ranked, bool) {
 // which profiles of generation N guide the architecture of generation N+1.
 type Generation struct {
 	Config soc.Config
-	Chosen *Ranked // option applied to produce the next generation
+	Chosen *Ranked     // option applied to produce the next generation
+	Eval   *Evaluation // ranking of this generation; nil if not evaluated
 }
 
 // FModel runs gens generations: profile → rank → adopt the best option.
@@ -248,6 +257,7 @@ func FModel(base soc.Config, fleet []workload.Spec, opts []Option, prm EvalParam
 		if err != nil {
 			return chain, err
 		}
+		chain[len(chain)-1].Eval = ev
 		best, ok := ev.Best()
 		if !ok {
 			break

@@ -51,9 +51,9 @@ type Controller struct {
 	waker     *sim.Waker
 }
 
-// New creates a DMA controller mastering b with master id.
-func New(name string, b *bus.Bus, master int, router *irq.Router) *Controller {
-	c := &Controller{Name: name, busRef: b, master: master, router: router,
+// New creates a DMA controller mastering b.
+func New(name string, b *bus.Bus, router *irq.Router) *Controller {
+	c := &Controller{Name: name, busRef: b, router: router,
 		bySRNPrio: make(map[uint32]*Channel)}
 	// Leave the wake schedule when a trigger lands mid-sleep. Waker
 	// methods are nil-receiver safe, so this works unattached too.
@@ -137,11 +137,11 @@ func (c *Controller) Tick(now uint64) {
 
 	// Move one unit: read then write.
 	buf := make([]byte, ch.UnitBytes)
-	rdDone, err := c.busRef.Access(now, &bus.Request{Master: c.master, Addr: ch.curSrc, Data: buf})
+	rdDone, err := c.busRef.Access(now, &bus.Request{Addr: ch.curSrc, Data: buf})
 	if err != nil {
 		panic(fmt.Sprintf("dma %s: read failed: %v", ch.Name, err))
 	}
-	wrDone, err := c.busRef.Access(rdDone, &bus.Request{Master: c.master, Addr: ch.curDst, Data: buf, Write: true})
+	wrDone, err := c.busRef.Access(rdDone, &bus.Request{Addr: ch.curDst, Data: buf, Write: true})
 	if err != nil {
 		panic(fmt.Sprintf("dma %s: write failed: %v", ch.Name, err))
 	}

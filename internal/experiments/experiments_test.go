@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -108,6 +109,50 @@ func TestF1FModelRuns(t *testing.T) {
 	}
 	if g := tb.Metrics["cumulative_gain"]; g < 1 {
 		t.Errorf("cumulative gain = %v", g)
+	}
+}
+
+// TestE10FaultRecoveryShape: a clean link delivers everything; 1 %
+// corruption forces retries and abandons frames; and the delivered
+// fraction falls strictly as corruption rises. Decode MB/s is wall
+// clock and asserted on nowhere.
+func TestE10FaultRecoveryShape(t *testing.T) {
+	tb := E10FaultRecovery()
+	if f := tb.Metrics["delivered_frac_clean"]; f != 1 {
+		t.Errorf("clean delivered fraction = %v, want exactly 1", f)
+	}
+	if r := tb.Metrics["retries_1pct"]; r <= 0 {
+		t.Errorf("1%% corruption caused %v retries, want > 0", r)
+	}
+	if len(tb.Rows) != 3 {
+		t.Fatalf("rows = %d, want one per corruption level (0%%, 0.1%%, 1%%)", len(tb.Rows))
+	}
+	col := func(name string) int {
+		for i, h := range tb.Header {
+			if h == name {
+				return i
+			}
+		}
+		t.Fatalf("no %q column in %v", name, tb.Header)
+		return -1
+	}
+	gaps, abandoned, delivered := col("gaps"), col("abandoned"), col("delivered")
+	if g := tb.Rows[0][gaps]; g != "0" {
+		t.Errorf("clean run has %s gaps, want 0", g)
+	}
+	if a := tb.Rows[2][abandoned]; a == "0" {
+		t.Error("1% corruption abandoned no frames")
+	}
+	prev := 101.0
+	for _, row := range tb.Rows {
+		var pct float64
+		if _, err := fmt.Sscanf(row[delivered], "%f%%", &pct); err != nil {
+			t.Fatalf("delivered %q: %v", row[delivered], err)
+		}
+		if pct >= prev {
+			t.Errorf("delivered %s at %s corruption does not fall below %.1f%%", row[delivered], row[0], prev)
+		}
+		prev = pct
 	}
 }
 

@@ -142,7 +142,6 @@ type Flash struct {
 	arrayHolder    int  // port holding the array until arrayBusyUntil
 	prefetchInFly  bool // current array occupancy is a speculative prefetch
 	prefetchTarget *lineBuf
-	prefetchLine   uint32
 
 	counters sim.Counters
 
@@ -177,9 +176,6 @@ func max(a, b int) int {
 	}
 	return b
 }
-
-// Config returns the configuration the flash was built with.
-func (f *Flash) Config() Config { return f.cfg }
 
 // Counters exposes the flash event counters for MCDS taps.
 func (f *Flash) Counters() *sim.Counters { return &f.counters }
@@ -390,5 +386,4 @@ func (f *Flash) maybePrefetch(line uint32, from uint64) {
 	f.arrayHolder = PortCode
 	f.prefetchInFly = true
 	f.prefetchTarget = b
-	f.prefetchLine = line
 }

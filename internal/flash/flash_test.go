@@ -192,11 +192,7 @@ func TestPolicyStringsAndConfig(t *testing.T) {
 			t.Errorf("%d.String() = %q", p, got)
 		}
 	}
-	cfg := testCfg()
-	f := New(cfg)
-	if f.Config().Size != cfg.Size {
-		t.Error("Config accessor wrong")
-	}
+	f := New(testCfg())
 	if f.CodePort().Name() == "" || f.DataPort().Name() == "" {
 		t.Error("port names empty")
 	}
@@ -217,11 +213,12 @@ func TestBadGeometryPanics(t *testing.T) {
 }
 
 func TestOutOfArrayAccessPanics(t *testing.T) {
-	f := New(testCfg())
+	cfg := testCfg()
+	f := New(cfg)
 	defer func() {
 		if recover() == nil {
 			t.Error("access beyond array must panic")
 		}
 	}()
-	read(t, f.DataPort(), 0, 0x8000_0000+f.Config().Size)
+	read(t, f.DataPort(), 0, 0x8000_0000+cfg.Size)
 }

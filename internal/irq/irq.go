@@ -55,9 +55,6 @@ type SRN struct {
 	Lost     uint64 // requests raised while already pending (collapsed)
 }
 
-// Pending reports whether a request is waiting for service.
-func (s *SRN) Pending() bool { return s.pending }
-
 // Router arbitrates SRNs per provider.
 type Router struct {
 	srns     []*SRN
@@ -88,9 +85,6 @@ func (r *Router) AddSRN(name string, prio uint32, prov Provider, vector uint32) 
 	r.srns = append(r.srns, s)
 	return s
 }
-
-// SRNs returns all registered nodes.
-func (r *Router) SRNs() []*SRN { return r.srns }
 
 // Request raises a service request on s. Raising while already pending is
 // collapsed into one service (and counted as Lost), like the hardware's

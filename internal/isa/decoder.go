@@ -1,10 +1,6 @@
 package isa
 
-import (
-	"sort"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // This file is the decode-once half of the isa API. Decode remains the
 // one-word reference primitive (disassemblers and differential tests use
@@ -424,17 +420,6 @@ func (d *Decoder) InvalidateRange(addr uint32, n uint32) {
 		}
 		d.fifo = keep
 	}
-}
-
-// CachedPCs returns the entry PCs of all cached blocks in ascending order
-// (test and diagnostic use).
-func (d *Decoder) CachedPCs() []uint32 {
-	pcs := make([]uint32, 0, len(d.blocks))
-	for pc := range d.blocks {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	return pcs
 }
 
 // ReadRegs stores the registers the instruction reads into regs and

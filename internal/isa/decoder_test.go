@@ -2,8 +2,19 @@ package isa
 
 import (
 	"encoding/binary"
+	"sort"
 	"testing"
 )
+
+// cachedPCs returns the entry PCs of all cached blocks in ascending order.
+func cachedPCs(d *Decoder) []uint32 {
+	pcs := make([]uint32, 0, len(d.blocks))
+	for pc := range d.blocks {
+		pcs = append(pcs, pc)
+	}
+	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	return pcs
+}
 
 // memWord adapts a word slice at base to the Decoder's word callback.
 // Addresses beyond the slice read as zero (OpNOP), like erased memory.
@@ -168,10 +179,10 @@ func TestDecoderInvalidateRange(t *testing.T) {
 	// blocks, keeps the distant one.
 	d.InvalidateRange(base+9, 1)
 	if d.Len() != 1 {
-		t.Fatalf("Len after overlap = %d, want 1 (got PCs %#x)", d.Len(), d.CachedPCs())
+		t.Fatalf("Len after overlap = %d, want 1 (got PCs %#x)", d.Len(), cachedPCs(d))
 	}
-	if pcs := d.CachedPCs(); len(pcs) != 1 || pcs[0] != base+0x100 {
-		t.Fatalf("CachedPCs = %#x, want [%#x]", pcs, base+0x100)
+	if pcs := cachedPCs(d); len(pcs) != 1 || pcs[0] != base+0x100 {
+		t.Fatalf("cached PCs = %#x, want [%#x]", pcs, base+0x100)
 	}
 
 	// n == 0 is a no-op: no generation bump.
@@ -219,14 +230,14 @@ func TestDecoderFIFOEviction(t *testing.T) {
 	if st := d.Stats(); st.Evictions != 1 {
 		t.Fatalf("Evictions = %d, want 1", st.Evictions)
 	}
-	pcs := d.CachedPCs()
+	pcs := cachedPCs(d)
 	want := []uint32{0x8000_0040, 0x8000_0080, 0x8000_00C0}
 	if len(pcs) != len(want) {
-		t.Fatalf("CachedPCs = %#x, want %#x", pcs, want)
+		t.Fatalf("cached PCs = %#x, want %#x", pcs, want)
 	}
 	for i := range want {
 		if pcs[i] != want[i] {
-			t.Fatalf("CachedPCs = %#x, want %#x", pcs, want)
+			t.Fatalf("cached PCs = %#x, want %#x", pcs, want)
 		}
 	}
 

@@ -226,9 +226,6 @@ func (o Op) IsLoad() bool { return o.Valid() && opTable[o].flags&flagLoad != 0 }
 // IsStore reports whether the opcode writes data memory.
 func (o Op) IsStore() bool { return o.Valid() && opTable[o].flags&flagStore != 0 }
 
-// IsMem reports whether the opcode accesses data memory.
-func (o Op) IsMem() bool { return o.IsLoad() || o.IsStore() }
-
 // IsWide reports whether the opcode uses the imm16 encoding.
 func (o Op) IsWide() bool { return o.Valid() && opTable[o].flags&flagWide != 0 }
 

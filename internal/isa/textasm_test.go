@@ -128,7 +128,7 @@ func canonInstr(in Instr) Instr {
 		out.Ra, out.Imm = in.Ra, in.Imm
 	case op.IsBranch():
 		out.Ra, out.Rb, out.Imm = in.Ra, in.Rb, in.Imm
-	case op.IsMem() || op == OpLEA,
+	case op.IsLoad() || op.IsStore() || op == OpLEA,
 		op == OpADDI || op == OpANDI || op == OpORI || op == OpXORI ||
 			op == OpSHLI || op == OpSHRI || op == OpSLTI:
 		out.Rd, out.Ra, out.Imm = in.Rd, in.Ra, in.Imm

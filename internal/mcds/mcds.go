@@ -464,9 +464,6 @@ func (c *CoreObs) Counters() *sim.Counters { return c.cpu.Counters() }
 // SrcID implements Observer.
 func (c *CoreObs) SrcID() uint8 { return c.id }
 
-// CPU returns the observed core.
-func (c *CoreObs) CPU() *tricore.CPU { return c.cpu }
-
 func (c *CoreObs) tick(m *MCDS, cycle uint64) {
 	retired := c.cpu.DrainRetired()
 

@@ -41,23 +41,3 @@ func Reconstruct(msgs []tmsg.Msg, src uint8) []uint32 {
 	}
 	return pcs
 }
-
-// FlowEvent is one timestamped change of flow (for cross-core analyses).
-type FlowEvent struct {
-	Src    uint8
-	Cycle  uint64
-	Target uint32
-}
-
-// FlowEvents extracts the taken-branch timeline of all sources, in stream
-// order (which the MCDS guarantees is cycle order per source and globally
-// monotonic across sources observed by the same MCDS instance).
-func FlowEvents(msgs []tmsg.Msg) []FlowEvent {
-	var out []FlowEvent
-	for i := range msgs {
-		if msgs[i].Kind == tmsg.KindFlow {
-			out = append(out, FlowEvent{Src: msgs[i].Src, Cycle: msgs[i].Cycle, Target: msgs[i].PC})
-		}
-	}
-	return out
-}

@@ -125,12 +125,6 @@ func (rf *RegFile) write(off uint32, v uint32) {
 	}
 }
 
-// CounterRegBase returns the byte address of counter i's register block
-// when the file is mapped at its base.
-func (rf *RegFile) CounterRegBase(i int) uint32 {
-	return rf.base + RegCounterBase + uint32(i)*counterStride
-}
-
 func put32(p []byte, v uint32) {
 	for i := range p {
 		p[i] = byte(v >> (8 * uint(i)))

@@ -1,6 +1,7 @@
 package mcds
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bus"
@@ -156,19 +157,25 @@ func TestComparatorValidation(t *testing.T) {
 	m.AddComparator(&Comparator{Name: "bad"})
 }
 
+// TestFlowEvents: flow messages of interleaved sources reconstruct per
+// source; other kinds and flows before a source's first Sync add nothing.
 func TestFlowEvents(t *testing.T) {
 	msgs := []tmsg.Msg{
 		{Kind: tmsg.KindSync, Src: 0, Cycle: 1, PC: 0x100},
 		{Kind: tmsg.KindFlow, Src: 0, Cycle: 10, ICount: 3, PC: 0x200},
 		{Kind: tmsg.KindRate, Src: 1, Cycle: 11},
 		{Kind: tmsg.KindFlow, Src: 1, Cycle: 12, ICount: 1, PC: 0x300},
+		{Kind: tmsg.KindSync, Src: 1, Cycle: 13, PC: 0x400},
+		{Kind: tmsg.KindFlow, Src: 1, Cycle: 14, ICount: 2, PC: 0x500},
+		{Kind: tmsg.KindFlow, Src: 0, Cycle: 15, ICount: 1, PC: 0x600},
 	}
-	ev := FlowEvents(msgs)
-	if len(ev) != 2 {
-		t.Fatalf("events = %d", len(ev))
-	}
-	if ev[0].Target != 0x200 || ev[1].Src != 1 || ev[1].Cycle != 12 {
-		t.Errorf("events = %+v", ev)
+	for src, want := range map[uint8][]uint32{
+		0: {0x100, 0x104, 0x108, 0x200},
+		1: {0x400, 0x404},
+	} {
+		if got := Reconstruct(msgs, src); !reflect.DeepEqual(got, want) {
+			t.Errorf("src %d: pcs = %#x, want %#x", src, got, want)
+		}
 	}
 }
 
@@ -196,7 +203,7 @@ func TestRegFileDirect(t *testing.T) {
 		t.Error("trace level should be 0")
 	}
 	// Disable counter 0 via CTRL.
-	req := &bus.Request{Addr: rf.CounterRegBase(0), Data: []byte{0, 0, 0, 0}, Write: true}
+	req := &bus.Request{Addr: 0x1000 + RegCounterBase, Data: []byte{0, 0, 0, 0}, Write: true}
 	rf.Access(0, req)
 	if ctr.Enabled() {
 		t.Error("counter not disabled via regfile")

@@ -73,9 +73,6 @@ func NewRAM(name string, base, size uint32, latency uint64) *RAM {
 // Name returns the RAM instance name.
 func (r *RAM) Name() string { return r.name }
 
-// Base returns the first mapped address.
-func (r *RAM) Base() uint32 { return r.base }
-
 // Size returns the capacity in bytes.
 func (r *RAM) Size() uint32 { return uint32(len(r.data)) }
 

@@ -73,7 +73,7 @@ func TestRAMOutOfRangePanics(t *testing.T) {
 
 func TestRAMAccessors(t *testing.T) {
 	r := NewRAM("x", 0x1000, 0x100, 2)
-	if r.Name() != "x" || r.Base() != 0x1000 || r.Size() != 0x100 {
+	if r.Name() != "x" || r.base != 0x1000 || r.Size() != 0x100 {
 		t.Error("accessors wrong")
 	}
 	r.Write(0x1010, []byte{9, 8})

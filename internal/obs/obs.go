@@ -1,5 +1,5 @@
 // Package obs is the toolchain's self-observability layer: a
-// zero-dependency metrics registry (counters, gauges, histograms) and a
+// zero-dependency metrics registry (counters and gauges) and a
 // lightweight span tracer with a Chrome trace_event exporter.
 //
 // The paper instruments the TriCore with the MCDS — non-intrusive
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"net/http"
 	"sort"
 	"sync"
@@ -69,22 +68,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// SetMax stores v if it exceeds the current value (high-water marks).
-func (g *Gauge) SetMax(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the stored value (0 on a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -93,102 +76,12 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// histBuckets is the bucket count of a Histogram: bucket i holds values
-// whose bit length is i, i.e. exponential base-2 buckets covering the full
-// uint64 range.
-const histBuckets = 65
-
-// Histogram accumulates a distribution of uint64 observations in
-// exponential base-2 buckets. The zero value is ready; a nil Histogram is
-// disabled.
-type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	min     atomic.Uint64 // offset by +1 so zero means "unset"
-	max     atomic.Uint64
-	buckets [histBuckets]atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
-	// min is stored offset by +1 so that 0 means "no observation yet";
-	// MaxUint64 observations saturate one below to keep the offset valid.
-	mv := v
-	if mv == math.MaxUint64 {
-		mv--
-	}
-	for {
-		old := h.min.Load()
-		if old != 0 && old-1 <= mv {
-			break
-		}
-		if h.min.CompareAndSwap(old, mv+1) {
-			break
-		}
-	}
-	for {
-		old := h.max.Load()
-		if old >= v {
-			break
-		}
-		if h.max.CompareAndSwap(old, v) {
-			break
-		}
-	}
-}
-
-// snapshot captures the histogram state.
-func (h *Histogram) snapshot() HistogramSnap {
-	s := HistogramSnap{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
-	if m := h.min.Load(); m > 0 {
-		s.Min = m - 1
-	}
-	bk := make([]uint64, histBuckets)
-	for i := range bk {
-		bk[i] = h.buckets[i].Load()
-	}
-	s.P50 = bucketQuantile(bk, s.Count, 0.50)
-	s.P95 = bucketQuantile(bk, s.Count, 0.95)
-	s.Buckets = bk
-	return s
-}
-
-// bucketQuantile returns the upper bound of the bucket containing the
-// q-quantile observation: an upper-bound estimate exact to a factor of 2.
-func bucketQuantile(buckets []uint64, count uint64, q float64) uint64 {
-	if count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(count))
-	if rank >= count {
-		rank = count - 1
-	}
-	var seen uint64
-	for i, n := range buckets {
-		seen += n
-		if seen > rank {
-			if i == 0 {
-				return 0
-			}
-			return 1<<uint(i) - 1
-		}
-	}
-	return math.MaxUint64
-}
-
 // Registry owns a namespace of metrics. A nil Registry is the disabled
 // registry: it returns nil handles and empty snapshots.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // New returns an empty, enabled registry.
@@ -196,7 +89,6 @@ func New() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
 	}
 }
 
@@ -232,22 +124,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use. Returns
-// nil on the disabled registry.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // CounterSnap is one counter in a snapshot.
 type CounterSnap struct {
 	Name  string `json:"name"`
@@ -260,30 +136,12 @@ type GaugeSnap struct {
 	Value float64 `json:"value"`
 }
 
-// HistogramSnap is one histogram in a snapshot. P50/P95 are upper-bound
-// estimates from the base-2 buckets (exact to a factor of two).
-// Buckets carries the raw per-bucket counts (bucket i = observations of
-// bit length i) for exporters that need the full distribution, e.g. the
-// Prometheus exposition; it is deliberately excluded from the JSON
-// snapshot, whose shape is pinned by golden tests.
-type HistogramSnap struct {
-	Name    string   `json:"name,omitempty"`
-	Count   uint64   `json:"count"`
-	Sum     uint64   `json:"sum"`
-	Min     uint64   `json:"min"`
-	Max     uint64   `json:"max"`
-	P50     uint64   `json:"p50"`
-	P95     uint64   `json:"p95"`
-	Buckets []uint64 `json:"-"`
-}
-
 // Snapshot is a point-in-time copy of every metric, ordered by name within
 // each kind — deterministic, so two snapshots of identical state serialize
 // identically (golden tests, fleet diffing).
 type Snapshot struct {
-	Counters   []CounterSnap   `json:"counters,omitempty"`
-	Gauges     []GaugeSnap     `json:"gauges,omitempty"`
-	Histograms []HistogramSnap `json:"histograms,omitempty"`
+	Counters []CounterSnap `json:"counters,omitempty"`
+	Gauges   []GaugeSnap   `json:"gauges,omitempty"`
 }
 
 // Snapshot captures the registry. On the disabled registry it returns the
@@ -301,14 +159,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.Value()})
 	}
-	for name, h := range r.hists {
-		hs := h.snapshot()
-		hs.Name = name
-		s.Histograms = append(s.Histograms, hs)
-	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -26,13 +25,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 3.5 {
 		t.Errorf("gauge = %v, want 3.5", got)
 	}
-	g.SetMax(2)
-	if got := g.Value(); got != 3.5 {
-		t.Errorf("SetMax lowered the gauge to %v", got)
-	}
-	g.SetMax(9)
-	if got := g.Value(); got != 9 {
-		t.Errorf("SetMax = %v, want 9", got)
+	if r.Gauge("a.level") != g {
+		t.Error("same name must return the same gauge")
 	}
 }
 
@@ -40,63 +34,22 @@ func TestDisabledRegistryIsFree(t *testing.T) {
 	var r *Registry // == Disabled
 	c := r.Counter("x")
 	g := r.Gauge("x")
-	h := r.Histogram("x")
-	if c != nil || g != nil || h != nil {
+	if c != nil || g != nil {
 		t.Fatal("disabled registry must return nil handles")
 	}
 	// Every operation on nil handles must be a safe no-op.
 	c.Inc()
 	c.Add(7)
 	g.Set(1)
-	g.SetMax(2)
-	h.Observe(3)
 	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil handles must read zero")
 	}
 	s := r.Snapshot()
-	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+	if len(s.Counters)+len(s.Gauges) != 0 {
 		t.Error("disabled snapshot must be empty")
 	}
 	if Disabled != nil {
 		t.Error("Disabled must be the nil registry")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	r := New()
-	h := r.Histogram("lat")
-	for _, v := range []uint64{1, 2, 3, 4, 100, 1000} {
-		h.Observe(v)
-	}
-	s := h.snapshot()
-	if s.Count != 6 || s.Sum != 1110 {
-		t.Errorf("count/sum = %d/%d", s.Count, s.Sum)
-	}
-	if s.Min != 1 || s.Max != 1000 {
-		t.Errorf("min/max = %d/%d", s.Min, s.Max)
-	}
-	// p50 upper bound must cover the median (3..4) and p95 the tail.
-	if s.P50 < 3 || s.P50 > 7 {
-		t.Errorf("p50 = %d", s.P50)
-	}
-	if s.P95 < 1000 || s.P95 > 2047 {
-		t.Errorf("p95 = %d", s.P95)
-	}
-}
-
-func TestHistogramZeroAndExtremes(t *testing.T) {
-	var h Histogram
-	h.Observe(0)
-	h.Observe(math.MaxUint64)
-	s := h.snapshot()
-	if s.Min != 0 {
-		t.Errorf("min = %d, want 0", s.Min)
-	}
-	if s.Max != math.MaxUint64 {
-		t.Errorf("max = %d", s.Max)
-	}
-	if s.P95 != math.MaxUint64 {
-		t.Errorf("p95 = %d", s.P95)
 	}
 }
 
@@ -108,8 +61,6 @@ func TestSnapshotDeterministicOrdering(t *testing.T) {
 	r.Counter("m").Add(3)
 	r.Gauge("beta").Set(1)
 	r.Gauge("alpha").Set(2)
-	r.Histogram("h2").Observe(1)
-	r.Histogram("h1").Observe(2)
 
 	s := r.Snapshot()
 	wantC := []string{"a", "m", "z"}
@@ -118,8 +69,8 @@ func TestSnapshotDeterministicOrdering(t *testing.T) {
 			t.Errorf("counter[%d] = %s, want %s", i, c.Name, wantC[i])
 		}
 	}
-	if s.Gauges[0].Name != "alpha" || s.Histograms[0].Name != "h1" {
-		t.Error("gauges/histograms not sorted by name")
+	if s.Gauges[0].Name != "alpha" {
+		t.Error("gauges not sorted by name")
 	}
 
 	// Two snapshots of the same state must serialize identically.
@@ -148,12 +99,10 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("shared")
-			h := r.Histogram("dist")
 			g := r.Gauge("hw")
 			for k := 0; k < 1000; k++ {
 				c.Inc()
-				h.Observe(uint64(k))
-				g.SetMax(float64(k))
+				g.Set(float64(k))
 				r.Snapshot()
 			}
 		}()
@@ -163,11 +112,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Errorf("counter = %d, want 8000", got)
 	}
 	if got := r.Gauge("hw").Value(); got != 999 {
-		t.Errorf("high-water gauge = %v, want 999", got)
-	}
-	s := r.Histogram("dist").snapshot()
-	if s.Count != 8000 || s.Min != 0 || s.Max != 999 {
-		t.Errorf("hist = %+v", s)
+		t.Errorf("gauge = %v, want 999 (every writer's last value)", got)
 	}
 }
 
@@ -193,7 +138,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := New()
 	r.Counter("c").Add(7)
 	r.Gauge("g").Set(1.5)
-	r.Histogram("h").Observe(64)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -202,12 +146,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	// Buckets is a prom-exposition-only field excluded from the JSON
-	// wire form, so it does not survive the round trip.
 	want := r.Snapshot()
-	for i := range want.Histograms {
-		want.Histograms[i].Buckets = nil
-	}
 	if !reflect.DeepEqual(back, want) {
 		t.Errorf("round trip mismatch:\n%+v\n%+v", back, want)
 	}

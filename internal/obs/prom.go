@@ -27,10 +27,7 @@ import (
 //	campaign_worker03_util       → campaign_worker_util{worker="3"}
 //
 // so a dashboard can aggregate across shards/workers without knowing
-// the fleet size in advance. Histograms are exposed with cumulative
-// base-2 buckets (le = 2^i - 1), matching the internal bucketing
-// exactly: no re-binning, no estimate beyond what the JSON already
-// reports.
+// the fleet size in advance.
 
 // promDim matches one embedded dimension ordinal: the dimension name
 // followed by decimal digits, delimited by the name's underscores.
@@ -83,15 +80,13 @@ func splitDims(name string) (base string, labels string) {
 // promFamily is one exposition family: every series that folded to the
 // same base name, kept in snapshot (hence deterministic) order.
 type promFamily struct {
-	kind   string // "counter" | "gauge" | "histogram"
+	kind   string // "counter" | "gauge"
 	series []promSeries
 }
 
 type promSeries struct {
 	labels string
-	ctr    uint64
-	gauge  float64
-	hist   *HistogramSnap
+	value  string // rendered sample value
 }
 
 // WritePrometheus writes the current snapshot in the Prometheus text
@@ -104,7 +99,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	snap := r.Snapshot()
 	var order []string
 	fams := map[string]*promFamily{}
-	add := func(name, kind string, fill func(*promSeries)) {
+	add := func(name, kind, value string) {
 		base, labels := splitDims(name)
 		base = promName(base)
 		f := fams[base]
@@ -113,21 +108,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fams[base] = f
 			order = append(order, base)
 		}
-		s := promSeries{labels: labels}
-		fill(&s)
-		f.series = append(f.series, s)
+		f.series = append(f.series, promSeries{labels: labels, value: value})
 	}
-	for i := range snap.Counters {
-		c := snap.Counters[i]
-		add(c.Name, "counter", func(s *promSeries) { s.ctr = c.Value })
+	for _, c := range snap.Counters {
+		add(c.Name, "counter", strconv.FormatUint(c.Value, 10))
 	}
-	for i := range snap.Gauges {
-		g := snap.Gauges[i]
-		add(g.Name, "gauge", func(s *promSeries) { s.gauge = g.Value })
-	}
-	for i := range snap.Histograms {
-		h := snap.Histograms[i]
-		add(h.Name, "histogram", func(s *promSeries) { s.hist = &h })
+	for _, g := range snap.Gauges {
+		add(g.Name, "gauge", promFloat(g.Value))
 	}
 
 	var b strings.Builder
@@ -135,50 +122,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		f := fams[base]
 		fmt.Fprintf(&b, "# TYPE %s %s\n", base, f.kind)
 		for _, s := range f.series {
-			switch f.kind {
-			case "counter":
-				fmt.Fprintf(&b, "%s%s %d\n", base, s.labels, s.ctr)
-			case "gauge":
-				fmt.Fprintf(&b, "%s%s %s\n", base, s.labels, promFloat(s.gauge))
-			case "histogram":
-				writePromHistogram(&b, base, s.labels, s.hist)
-			}
+			fmt.Fprintf(&b, "%s%s %s\n", base, s.labels, s.value)
 		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// writePromHistogram emits one histogram series: cumulative base-2
-// buckets up to the highest populated one, +Inf, sum, and count.
-func writePromHistogram(b *strings.Builder, base, labels string, h *HistogramSnap) {
-	var cum uint64
-	top := 0
-	for i, n := range h.Buckets {
-		if n > 0 {
-			top = i
-		}
-	}
-	for i := 0; i <= top; i++ {
-		cum += h.Buckets[i]
-		// Bucket i holds values of bit length i: upper bound 2^i - 1.
-		var le uint64 = math.MaxUint64
-		if i < 64 {
-			le = 1<<uint(i) - 1
-		}
-		fmt.Fprintf(b, "%s_bucket%s %d\n", base, promBucketLabels(labels, strconv.FormatUint(le, 10)), cum)
-	}
-	fmt.Fprintf(b, "%s_bucket%s %d\n", base, promBucketLabels(labels, "+Inf"), h.Count)
-	fmt.Fprintf(b, "%s_sum%s %d\n", base, labels, h.Sum)
-	fmt.Fprintf(b, "%s_count%s %d\n", base, labels, h.Count)
-}
-
-// promBucketLabels merges the series labels with the le bucket label.
-func promBucketLabels(labels, le string) string {
-	if labels == "" {
-		return fmt.Sprintf("{le=%q}", le)
-	}
-	return strings.TrimSuffix(labels, "}") + fmt.Sprintf(",le=%q}", le)
 }
 
 // promFloat renders a gauge value; Prometheus accepts Go's shortest

@@ -3,7 +3,6 @@ package obs
 import (
 	"net/http/httptest"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,10 +24,6 @@ func TestPrometheusFormat(t *testing.T) {
 	r.Gauge("campaign_shard01_alive").Set(0)
 	r.Gauge("campaign_shard11_hb_age_sec").Set(0.25)
 	r.Gauge("campaign_worker03_util").Set(0.5)
-	h := r.Histogram("drain_batch_bytes")
-	for _, v := range []uint64{0, 1, 2, 3, 100, 5000} {
-		h.Observe(v)
-	}
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -52,11 +47,8 @@ func TestPrometheusFormat(t *testing.T) {
 			continue
 		}
 		name := line[:strings.IndexAny(line, "{ ")]
-		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
 		if _, ok := typed[name]; !ok {
-			if _, ok := typed[base]; !ok {
-				t.Errorf("sample %q precedes (or lacks) its # TYPE line", name)
-			}
+			t.Errorf("sample %q precedes (or lacks) its # TYPE line", name)
 		}
 	}
 
@@ -79,62 +71,6 @@ func TestPrometheusFormat(t *testing.T) {
 	}
 }
 
-// TestPrometheusHistogram pins the histogram contract: cumulative
-// base-2 buckets (le = 2^i - 1), a +Inf bucket equal to the count, and
-// the _sum/_count pair.
-func TestPrometheusHistogram(t *testing.T) {
-	r := New()
-	h := r.Histogram("batch_bytes")
-	obs := []uint64{0, 1, 1, 5, 900}
-	var sum uint64
-	for _, v := range obs {
-		h.Observe(v)
-		sum += v
-	}
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-
-	var prev uint64
-	var infSeen bool
-	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "batch_bytes_bucket{") {
-			continue
-		}
-		f := strings.Fields(line)
-		v, err := strconv.ParseUint(f[len(f)-1], 10, 64)
-		if err != nil {
-			t.Fatalf("bucket value in %q: %v", line, err)
-		}
-		if v < prev {
-			t.Errorf("buckets not cumulative: %q after %d", line, prev)
-		}
-		prev = v
-		if strings.Contains(line, `le="+Inf"`) {
-			infSeen = true
-			if v != uint64(len(obs)) {
-				t.Errorf("+Inf bucket = %d, want count %d", v, len(obs))
-			}
-		}
-	}
-	if !infSeen {
-		t.Error("no +Inf bucket emitted")
-	}
-	for _, want := range []string{
-		`batch_bytes_bucket{le="0"} 1`, // the single 0 (bit length 0)
-		`batch_bytes_bucket{le="1"} 3`, // + the two 1s (bit length 1)
-		`batch_bytes_bucket{le="7"} 4`, // + the 5 (bit length 3); 2^3-1 = 7
-		"batch_bytes_sum " + strconv.FormatUint(sum, 10),
-		"batch_bytes_count " + strconv.Itoa(len(obs)),
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("histogram exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestPrometheusDeterministic: identical registry state must serialize
 // identically (the exposition inherits Snapshot's ordering).
 func TestPrometheusDeterministic(t *testing.T) {
@@ -143,7 +79,6 @@ func TestPrometheusDeterministic(t *testing.T) {
 		r.Counter("b_total").Add(1)
 		r.Counter("a_total").Add(2)
 		r.Gauge("campaign_shard03_alive").Set(1)
-		r.Histogram("h").Observe(9)
 		return r
 	}
 	var x, y strings.Builder

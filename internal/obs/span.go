@@ -137,28 +137,6 @@ func (s *Span) End() {
 	})
 }
 
-// Measure runs fn under a span.
-func (t *Tracer) Measure(name, cat string, fn func()) {
-	sp := t.Start(name, cat)
-	fn()
-	sp.End()
-}
-
-// SpanNames returns the names of completed spans in completion order
-// (introspection for tests; empty on a nil tracer).
-func (t *Tracer) SpanNames() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, len(t.spans))
-	for i, s := range t.spans {
-		out[i] = s.name
-	}
-	return out
-}
-
 // TraceEvent is one event of the Chrome trace_event format ("X" = complete
 // event with duration). Timestamps and durations are microseconds.
 type TraceEvent struct {

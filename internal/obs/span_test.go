@@ -14,10 +14,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatal("nil tracer must return nil span")
 	}
 	sp.End() // must not panic
-	tr.Measure("m", "c", func() {})
-	if names := tr.SpanNames(); names != nil {
-		t.Errorf("nil tracer spans = %v", names)
-	}
 	ct := tr.Trace()
 	if len(ct.TraceEvents) != 0 {
 		t.Error("nil tracer trace must be empty")
@@ -30,16 +26,16 @@ func TestSpanRecording(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	run.End()
 	run.End() // double End must not duplicate
-	tr.Measure("decode", "pipeline", func() {})
+	tr.Start("decode", "pipeline").End()
 
-	names := tr.SpanNames()
+	events := tr.Trace().TraceEvents
 	want := []string{"run", "decode"}
-	if len(names) != len(want) {
-		t.Fatalf("spans = %v, want %v", names, want)
+	if len(events) != len(want) {
+		t.Fatalf("spans = %+v, want %v", events, want)
 	}
 	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("span[%d] = %s, want %s", i, names[i], want[i])
+		if events[i].Name != want[i] {
+			t.Errorf("span[%d] = %s, want %s", i, events[i].Name, want[i])
 		}
 	}
 }

@@ -103,9 +103,6 @@ func (p *PCP) AddChannel(name string, trigger *irq.SRN, entry uint32) *Channel {
 // block tap).
 func (p *PCP) Counters() *sim.Counters { return p.counters }
 
-// Busy reports whether a channel program is executing.
-func (p *PCP) Busy() bool { return p.current != nil }
-
 // Tick implements sim.Ticker: dispatch a pending channel when idle,
 // otherwise advance the core. A channel program ends with RFE (the core
 // halts, having an empty shadow stack).

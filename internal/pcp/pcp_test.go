@@ -26,8 +26,8 @@ func newRig(t *testing.T) *rig {
 	router := irq.New()
 	peek := func(addr uint32, p []byte) { pram.Read(addr, p) }
 	core := tricore.New("pcp", 1,
-		tricore.PMI{PSPR: pram, Bus: spb, Master: 0, Peek: peek},
-		tricore.DMI{DSPR: pram, Bus: spb, Master: 0, Peek: peek},
+		tricore.PMI{PSPR: pram, Bus: spb, Peek: peek},
+		tricore.DMI{DSPR: pram, Bus: spb, Peek: peek},
 		Timing(), nil)
 	p := New(core, pram, router)
 	clk := sim.NewClock()
@@ -60,12 +60,12 @@ func TestChannelRunsOnTrigger(t *testing.T) {
 	ch := r.p.AddChannel("ch0", srn, entry)
 
 	r.clock.Run(50)
-	if r.p.Busy() {
+	if r.p.current != nil {
 		t.Fatal("PCP busy without trigger")
 	}
 	r.router.Request(srn)
 	r.clock.Run(200)
-	if r.p.Busy() {
+	if r.p.current != nil {
 		t.Fatal("channel did not finish")
 	}
 	if got := r.pram.Read32(mem.PRAMBase + 0x100); got != 5 {

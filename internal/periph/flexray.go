@@ -163,6 +163,3 @@ func (f *FlexRayNode) Access(_ uint64, req *bus.Request) uint64 {
 	}
 	return 2
 }
-
-// FIFOLevel returns the queued frame count (test access).
-func (f *FlexRayNode) FIFOLevel() int { return len(f.fifo) }

@@ -286,9 +286,6 @@ func (a *ADC) Access(_ uint64, req *bus.Request) uint64 {
 	return 1
 }
 
-// Result returns the latest conversion (test access).
-func (a *ADC) Result() uint32 { return a.result }
-
 // CANMsg is one received message.
 type CANMsg struct {
 	ID   uint32
@@ -400,9 +397,6 @@ func (c *CANNode) Access(_ uint64, req *bus.Request) uint64 {
 	}
 	return 2
 }
-
-// FIFOLevel returns the number of queued messages (test access).
-func (c *CANNode) FIFOLevel() int { return len(c.fifo) }
 
 func put32(p []byte, v uint32) {
 	for i := range p {

@@ -32,7 +32,7 @@ func TestTimerOffsetPhase(t *testing.T) {
 	var first uint64
 	for cy := uint64(0); cy < 200; cy++ {
 		tm.Tick(cy)
-		if s.Pending() && first == 0 {
+		if s.Requests > 0 && first == 0 {
 			first = cy
 			break
 		}
@@ -111,8 +111,8 @@ func TestADCConversionAndRead(t *testing.T) {
 	}
 	adc.Access(0, &bus.Request{Addr: 0xF000_0100 + RegResult, Data: buf})
 	v := uint32(buf[0]) | uint32(buf[1])<<8
-	if v != adc.Result() {
-		t.Errorf("result read %d != %d", v, adc.Result())
+	if v != adc.result {
+		t.Errorf("result read %d != %d", v, adc.result)
 	}
 	adc.Access(0, &bus.Request{Addr: 0xF000_0100 + RegStatus, Data: buf})
 	if buf[0] != 0 {
@@ -130,8 +130,8 @@ func TestCANFIFOAndDrops(t *testing.T) {
 	if cn.Received == 0 {
 		t.Fatal("no messages received")
 	}
-	if cn.FIFOLevel() != 4 {
-		t.Errorf("fifo level = %d, want full (4)", cn.FIFOLevel())
+	if len(cn.fifo) != 4 {
+		t.Errorf("fifo level = %d, want full (4)", len(cn.fifo))
 	}
 	if cn.Dropped == 0 {
 		t.Error("undrained fifo must drop")
@@ -141,8 +141,8 @@ func TestCANFIFOAndDrops(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cn.Access(0, &bus.Request{Addr: 0xF000_0200 + RegResult, Data: buf})
 	}
-	if cn.FIFOLevel() != 0 {
-		t.Errorf("fifo level after pops = %d", cn.FIFOLevel())
+	if len(cn.fifo) != 0 {
+		t.Errorf("fifo level after pops = %d", len(cn.fifo))
 	}
 }
 
@@ -255,19 +255,19 @@ func TestCANEmptyReadsAndIDRegister(t *testing.T) {
 		t.Error("empty FIFO id must read zero")
 	}
 	// Receive something, then the ID register shows the head without popping.
-	for cy := uint64(0); cy < 500 && cn.FIFOLevel() == 0; cy++ {
+	for cy := uint64(0); cy < 500 && len(cn.fifo) == 0; cy++ {
 		cn.Tick(cy)
 	}
-	if cn.FIFOLevel() == 0 {
+	if len(cn.fifo) == 0 {
 		t.Fatal("no message arrived")
 	}
-	before := cn.FIFOLevel()
+	before := len(cn.fifo)
 	cn.Access(0, &bus.Request{Addr: 0x300 + RegID, Data: buf})
 	id := uint32(buf[0]) | uint32(buf[1])<<8
 	if id < 0x100 || id > 0x11F {
 		t.Errorf("message id = %#x", id)
 	}
-	if cn.FIFOLevel() != before {
+	if len(cn.fifo) != before {
 		t.Error("ID read must not pop")
 	}
 }
@@ -288,8 +288,8 @@ func TestFlexRaySlotSchedule(t *testing.T) {
 	if fr.Slot(0) != 0 || fr.Slot(999) != 9 || fr.Slot(1000) != 0 {
 		t.Error("slot arithmetic wrong")
 	}
-	if fr.FIFOLevel() != 8 || fr.Dropped != 2 {
-		t.Errorf("fifo=%d dropped=%d, want 8/2", fr.FIFOLevel(), fr.Dropped)
+	if len(fr.fifo) != 8 || fr.Dropped != 2 {
+		t.Errorf("fifo=%d dropped=%d, want 8/2", len(fr.fifo), fr.Dropped)
 	}
 }
 
@@ -328,7 +328,7 @@ func TestFlexRayReceivePop(t *testing.T) {
 	s := r.AddSRN("fr", 9, irq.ToCPU, 0)
 	fr := NewFlexRay("fr0", 0, 100, 10, []int{0}, 5, 4, sim.NewRNG(3), r, s)
 	fr.Tick(0) // slot 0 -> frame
-	if fr.FIFOLevel() != 1 || !s.Pending() {
+	if len(fr.fifo) != 1 || s.Requests != 1 {
 		t.Fatal("frame not delivered")
 	}
 	buf := make([]byte, 4)
@@ -337,7 +337,7 @@ func TestFlexRayReceivePop(t *testing.T) {
 		t.Error("level register wrong")
 	}
 	fr.Access(0, &bus.Request{Addr: RegResult, Data: buf})
-	if fr.FIFOLevel() != 0 {
+	if len(fr.fifo) != 0 {
 		t.Error("pop failed")
 	}
 	fr.Access(0, &bus.Request{Addr: RegResult, Data: buf})

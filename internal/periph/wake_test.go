@@ -158,8 +158,8 @@ func TestADCScheduledMatchesAlwaysOn(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		clkOn.Run(250)
 		clkOff.Run(250)
-		onResults = append(onResults, on.Result())
-		offResults = append(offResults, off.Result())
+		onResults = append(onResults, on.result)
+		offResults = append(offResults, off.result)
 	}
 	if on.Conversions != off.Conversions {
 		t.Fatalf("conversions: scheduled=%d always-on=%d", on.Conversions, off.Conversions)
@@ -199,8 +199,8 @@ func TestCANScheduledMatchesAlwaysOn(t *testing.T) {
 		t.Errorf("scheduled rx=%d drop=%d, always-on rx=%d drop=%d",
 			on.Received, on.Dropped, off.Received, off.Dropped)
 	}
-	if on.FIFOLevel() != off.FIFOLevel() {
-		t.Errorf("fifo level: scheduled=%d always-on=%d", on.FIFOLevel(), off.FIFOLevel())
+	if len(on.fifo) != len(off.fifo) {
+		t.Errorf("fifo level: scheduled=%d always-on=%d", len(on.fifo), len(off.fifo))
 	}
 }
 

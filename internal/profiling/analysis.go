@@ -47,22 +47,6 @@ func (p *Profile) HotWindows(name string, lo float64) []Sample {
 	return out
 }
 
-// WindowsAbove returns the windows whose rate is at least hi (for miss- and
-// contention-style parameters).
-func (p *Profile) WindowsAbove(name string, hi float64) []Sample {
-	se, ok := p.Series[name]
-	if !ok {
-		return nil
-	}
-	var out []Sample
-	for _, s := range se.Samples {
-		if s.Rate() >= hi {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // FuncCost is the instruction count attributed to one function.
 type FuncCost struct {
 	Name  string

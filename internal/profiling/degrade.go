@@ -76,9 +76,6 @@ func newDegrader(p DegradePolicy, e *emem.EMEM, counters []*mcds.Counter) *Degra
 	return d
 }
 
-// Factor returns the current widening factor (1 = native resolution).
-func (d *Degrader) Factor() uint64 { return d.factor }
-
 // Tick implements sim.Ticker.
 func (d *Degrader) Tick(cycle uint64) {
 	if d.factor > 1 {

@@ -158,7 +158,7 @@ func (r *RunReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// ChecksumPrefix marks the CRC-32 trailer line that WriteJSONSummed
+// ChecksumPrefix marks the CRC-32 trailer line that EncodeSummed
 // appends after the report JSON. The trailer rides in the same file
 // (an embedded sidecar line), and because ReadRunReport stops at the
 // end of the first JSON value, plain readers accept checksummed files
@@ -178,17 +178,6 @@ func (r *RunReport) EncodeSummed() ([]byte, uint32, error) {
 	crc := crc32.ChecksumIEEE(buf.Bytes())
 	fmt.Fprintf(&buf, "%s%08x\n", ChecksumPrefix, crc)
 	return buf.Bytes(), crc, nil
-}
-
-// WriteJSONSummed writes the checksummed encoding (report JSON plus
-// CRC-32 trailer line) to w.
-func (r *RunReport) WriteJSONSummed(w io.Writer) error {
-	b, _, err := r.EncodeSummed()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }
 
 // VerifySummed splits a report encoding into its JSON body and CRC-32

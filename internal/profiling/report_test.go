@@ -276,7 +276,10 @@ func TestSessionRunReport(t *testing.T) {
 	}
 
 	// The pipeline spans are all present, in order.
-	names := tr.SpanNames()
+	var names []string
+	for _, ev := range tr.Trace().TraceEvents {
+		names = append(names, ev.Name)
+	}
 	want := []string{"run", "drain", "decode", "assemble"}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("spans = %v, want %v", names, want)

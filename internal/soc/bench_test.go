@@ -52,7 +52,7 @@ func periphHeavySoC(b *testing.B) *SoC {
 		prio++
 	}
 	for i := 0; i < 8; i++ {
-		sig := periph.NewSignal(0, 4095, 997, 10, s.RNG().Fork(uint64(0x51+i)))
+		sig := periph.NewSignal(0, 4095, 997, 10, s.rng.Fork(uint64(0x51+i)))
 		s.AddADC(fmt.Sprintf("ba%d", i), 3000+389*uint64(i), 71*uint64(i), sig, prio, irq.ToCPU, 0)
 		prio++
 	}

@@ -28,19 +28,6 @@ import (
 	"repro/internal/tricore"
 )
 
-// Bus master identities.
-const (
-	MasterCPUFetch = iota
-	MasterCPUData
-	MasterDMA
-	MasterPCP
-	MasterBridgeDown // LMB→SPB bridge
-	MasterBridgeUp   // SPB→LMB bridge
-	MasterDAP
-	MasterCPU1Fetch
-	MasterCPU1Data
-)
-
 // Config describes one SoC variant.
 type Config struct {
 	Name       string
@@ -262,12 +249,12 @@ func New(cfg Config, seed uint64) *SoC {
 	s.DLMB.Map(mem.SRAMBase, cfg.SRAMSize, s.SRAM)
 	s.DLMB.Map(mem.SRAMUncach, cfg.SRAMSize, bus.NewAlias(s.SRAM, mem.DeltaUncachedToCached))
 	// The whole 0xF segment (peripherals and PRAM) is bridged down to SPB.
-	s.DLMB.Map(mem.PeriphBase, 0x1000_0000, bus.NewBridge("lfi-down", s.SPB, MasterBridgeDown, 1))
+	s.DLMB.Map(mem.PeriphBase, 0x1000_0000, bus.NewBridge("lfi-down", s.SPB, 1))
 
 	// SPB: bridge up to the data LMB covering the memory segments
 	// (0x8..0xB: flash and SRAM, both views) for DMA and PCP masters.
 	// Peripherals and PRAM are mapped on the SPB as they are added.
-	s.SPB.Map(mem.FlashBase, 0x4000_0000, bus.NewBridge("lfi-up", s.DLMB, MasterBridgeUp, 1))
+	s.SPB.Map(mem.FlashBase, 0x4000_0000, bus.NewBridge("lfi-up", s.DLMB, 1))
 
 	// CPU with caches counting into the core counter set.
 	ctrs := new(sim.Counters)
@@ -279,8 +266,8 @@ func New(cfg Config, seed uint64) *SoC {
 		dc = cache.New(*cfg.DCache, "d", ctrs)
 	}
 	s.CPU = tricore.New("tricore", 0,
-		tricore.PMI{ICache: ic, PSPR: s.PSPR, Bus: s.PLMB, Master: MasterCPUFetch, Peek: s.Peek},
-		tricore.DMI{DCache: dc, DSPR: s.DSPR, Bus: s.DLMB, Master: MasterCPUData, Peek: s.Peek},
+		tricore.PMI{ICache: ic, PSPR: s.PSPR, Bus: s.PLMB, Peek: s.Peek},
+		tricore.DMI{DCache: dc, DSPR: s.DSPR, Bus: s.DLMB, Peek: s.Peek},
 		cfg.CPUTiming, ctrs)
 	s.CPU.IRQ = s.Router.View(irq.ToCPU)
 	s.CPU.SetDecoder(s.Decoder)
@@ -301,8 +288,8 @@ func New(cfg Config, seed uint64) *SoC {
 			dc1 = cache.New(c, "d", ctrs1)
 		}
 		s.CPU1 = tricore.New("tricore1", 1,
-			tricore.PMI{ICache: ic1, PSPR: s.PSPR1, Bus: s.PLMB, Master: MasterCPU1Fetch, Peek: s.Peek},
-			tricore.DMI{DCache: dc1, DSPR: s.DSPR1, Bus: s.DLMB, Master: MasterCPU1Data, Peek: s.Peek},
+			tricore.PMI{ICache: ic1, PSPR: s.PSPR1, Bus: s.PLMB, Peek: s.Peek},
+			tricore.DMI{DCache: dc1, DSPR: s.DSPR1, Bus: s.DLMB, Peek: s.Peek},
 			cfg.CPUTiming, ctrs1)
 		s.CPU1.IRQ = s.Router.View(irq.ToCPU1)
 		s.CPU1.SetDecoder(s.Decoder)
@@ -312,13 +299,13 @@ func New(cfg Config, seed uint64) *SoC {
 		s.PRAM = mem.NewRAM("pram", mem.PRAMBase, cfg.PRAMSize, 1)
 		s.SPB.Map(mem.PRAMBase, cfg.PRAMSize, s.PRAM)
 		core := tricore.New("pcp", 1,
-			tricore.PMI{PSPR: s.PRAM, Bus: s.SPB, Master: MasterPCP, Peek: s.Peek},
-			tricore.DMI{DSPR: s.PRAM, Bus: s.SPB, Master: MasterPCP, Peek: s.Peek},
+			tricore.PMI{PSPR: s.PRAM, Bus: s.SPB, Peek: s.Peek},
+			tricore.DMI{DSPR: s.PRAM, Bus: s.SPB, Peek: s.Peek},
 			pcp.Timing(), nil)
 		s.PCP = pcp.New(core, s.PRAM, s.Router)
 	}
 	if cfg.HasDMA {
-		s.DMA = dma.New("dma", s.SPB, MasterDMA, s.Router)
+		s.DMA = dma.New("dma", s.SPB, s.Router)
 	}
 
 	// Step order fixes same-cycle priorities: CPU first, then PCP, DMA,
@@ -508,7 +495,3 @@ func (s *SoC) AddFlexRay(name string, cycleLen uint64, numSlots int, rxSlots []i
 	s.FlexRay = append(s.FlexRay, f)
 	return f, srn
 }
-
-// RNG returns the SoC's seed-derived random source (for workload builders
-// that need additional deterministic randomness).
-func (s *SoC) RNG() *sim.RNG { return s.rng }

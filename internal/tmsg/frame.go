@@ -166,6 +166,3 @@ func (f *Framer) Flush() (dropped uint64) {
 	f.BytesFramed += uint64(len(f.frame))
 	return 0
 }
-
-// Pending returns the number of messages buffered in the unflushed frame.
-func (f *Framer) Pending() uint64 { return f.count }

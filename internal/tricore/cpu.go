@@ -286,9 +286,6 @@ func (c *CPU) Reg(r int) uint32 { return c.regs[r] }
 // SetReg sets register r (test and loader use).
 func (c *CPU) SetReg(r int, v uint32) { c.regs[r] = v }
 
-// CSRValue returns core special register n.
-func (c *CPU) CSRValue(n int) uint32 { return c.csr[n] }
-
 // DrainRetired returns the retire log accumulated since the last drain and
 // resets it. The MCDS observation block calls this once per cycle (it is
 // stepped after the core within the same cycle).

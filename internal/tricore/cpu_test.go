@@ -503,8 +503,8 @@ func TestAccessorsAndIllegalInstr(t *testing.T) {
 	if r.cpu.Reg(5) != 77 {
 		t.Error("SetReg/Reg wrong")
 	}
-	if r.cpu.CSRValue(isa.CsrCoreID) != 0 {
-		t.Error("CSRValue wrong")
+	if r.cpu.csr[isa.CsrCoreID] != 0 {
+		t.Error("core id CSR wrong")
 	}
 	r.run(t, 1000)
 

@@ -22,7 +22,6 @@ type PMI struct {
 	ICache *cache.Cache // nil = no instruction cache
 	PSPR   *mem.RAM     // nil = no program scratchpad
 	Bus    *bus.Bus     // program LMB (reaches the flash code port)
-	Master int          // bus master id of this core's fetch port
 	Peek   Backdoor
 
 	ctrs *sim.Counters
@@ -53,7 +52,7 @@ func (p *PMI) FetchBlock(now uint64, addr uint32) uint64 {
 		if p.fill == nil {
 			p.fill = make([]byte, p.ICache.LineBytes())
 		}
-		p.req = bus.Request{Master: p.Master, Addr: line, Data: p.fill, Fetch: true}
+		p.req = bus.Request{Addr: line, Data: p.fill}
 		done, err := p.Bus.Access(now, &p.req)
 		if err != nil {
 			panic(fmt.Sprintf("pmi: fetch fill failed: %v", err))
@@ -74,7 +73,7 @@ func (p *PMI) fetchUncached(now uint64, block uint32) uint64 {
 	if p.fill == nil || len(p.fill) < 8 {
 		p.fill = make([]byte, 8)
 	}
-	p.req = bus.Request{Master: p.Master, Addr: block, Data: p.fill[:8], Fetch: true}
+	p.req = bus.Request{Addr: block, Data: p.fill[:8]}
 	done, err := p.Bus.Access(now, &p.req)
 	if err != nil {
 		panic(fmt.Sprintf("pmi: uncached fetch failed: %v", err))
@@ -100,7 +99,6 @@ type DMI struct {
 	DCache *cache.Cache // nil = no data cache
 	DSPR   *mem.RAM     // nil = no data scratchpad
 	Bus    *bus.Bus     // data LMB (reaches flash data port, SRAM, bridge)
-	Master int
 	Peek   Backdoor
 
 	ctrs *sim.Counters
@@ -142,7 +140,7 @@ func (d *DMI) Load(now uint64, addr uint32, p []byte) uint64 {
 		if d.fill == nil {
 			d.fill = make([]byte, d.DCache.LineBytes())
 		}
-		d.req = bus.Request{Master: d.Master, Addr: line, Data: d.fill}
+		d.req = bus.Request{Addr: line, Data: d.fill}
 		done, err := d.Bus.Access(now, &d.req)
 		if err != nil {
 			panic(fmt.Sprintf("dmi: load fill failed: %v", err))
@@ -152,7 +150,7 @@ func (d *DMI) Load(now uint64, addr uint32, p []byte) uint64 {
 		d.Peek(addr, p)
 		return done
 	}
-	d.req = bus.Request{Master: d.Master, Addr: addr, Data: p}
+	d.req = bus.Request{Addr: addr, Data: p}
 	done, err := d.Bus.Access(now, &d.req)
 	if err != nil {
 		panic(fmt.Sprintf("dmi: load failed: %v", err))
@@ -169,7 +167,7 @@ func (d *DMI) Store(now uint64, addr uint32, p []byte) uint64 {
 		d.DSPR.Write(addr, p)
 		return now
 	}
-	d.req = bus.Request{Master: d.Master, Addr: addr, Data: p, Write: true}
+	d.req = bus.Request{Addr: addr, Data: p, Write: true}
 	done, err := d.Bus.Access(now, &d.req)
 	if err != nil {
 		panic(fmt.Sprintf("dmi: store failed: %v", err))

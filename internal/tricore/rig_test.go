@@ -80,8 +80,8 @@ func newRig(t *testing.T, opt rigOpt) *rig {
 	}
 
 	cpu := New("tc0", 0,
-		PMI{ICache: ic, PSPR: pspr, Bus: plmb, Master: 0, Peek: peek},
-		DMI{DCache: dc, DSPR: dspr, Bus: dlmb, Master: 1, Peek: peek},
+		PMI{ICache: ic, PSPR: pspr, Bus: plmb, Peek: peek},
+		DMI{DCache: dc, DSPR: dspr, Bus: dlmb, Peek: peek},
 		DefaultTiming(), ctrs)
 
 	clock := sim.NewClock()

@@ -8,7 +8,6 @@ package vcd
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -126,15 +125,4 @@ func (vw *Writer) Emit(cycle uint64, v *Var, val uint64) {
 func (vw *Writer) Close() error {
 	vw.beginBody()
 	return vw.err
-}
-
-// Names returns the declared variable names, sorted (introspection for
-// tests).
-func (vw *Writer) Names() []string {
-	out := make([]string, 0, len(vw.vars))
-	for _, v := range vw.vars {
-		out = append(out, v.name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -130,8 +130,7 @@ type App struct {
 	Spec Spec
 	SoC  *soc.SoC
 
-	Prog    *isa.Program // TriCore image (flash)
-	PCPProg *isa.Program // PCP channel image (PRAM); nil unless CANOnPCP
+	Prog *isa.Program // TriCore image (flash)
 
 	TableBase  uint32 // lookup table location actually used
 	SaveBase   uint32 // r10 base in DSPR
@@ -270,7 +269,6 @@ func Build(s *soc.SoC, spec Spec) (*App, error) {
 		if err != nil {
 			return nil, err
 		}
-		app.PCPProg = pprog
 		s.LoadProgram(pprog)
 		s.PCP.AddChannel(spec.Name+".can-rx", canSRN, pprog.Base)
 	}
