@@ -11,7 +11,7 @@
 //	tcfleet run [-spec campaign.json] [-socs a,b] [-mixes a,b] [-faults a,b]
 //	            [-res n,m] [-seeds N] [-seed N] [-cycles N] [-framed] [-degrade]
 //	            [-workers N] [-celltimeout D] [-retries N] [-journal dir]
-//	            [-shards N] [-hbtimeout D] [-shardretries N] [-allow-partial]
+//	            [-shards N] [-shardretries N] [-allow-partial]
 //	            [-json] [-out fleet.json] [-outdir reports/]
 //	            [-trace spans.json] [-metrics :addr] [-events events.jsonl]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -430,12 +430,11 @@ func runCampaign(args []string) error {
 				return err
 			}
 			transport = &shard.TCPTransport{
-				Agents:           agentPool,
-				Key:              key,
-				HeartbeatTimeout: shardCfg.HeartbeatTimeout,
-				Obs:              opt.Obs,
-				Status:           opt.Status,
-				Logf:             logf,
+				Agents: agentPool,
+				Key:    key,
+				Obs:    opt.Obs,
+				Status: opt.Status,
+				Logf:   logf,
 			}
 		} else {
 			exe, err := os.Executable()
@@ -446,14 +445,11 @@ func runCampaign(args []string) error {
 		}
 		var err error
 		res2, err = shard.Run(ctx, m, shard.Options{
-			Campaign:         opt,
-			Shards:           shards,
-			Transport:        transport,
-			HeartbeatEvery:   shardCfg.HeartbeatEvery,
-			HeartbeatTimeout: shardCfg.HeartbeatTimeout,
-			Retries:          shardCfg.ShardRetries,
-			DrainTimeout:     shardCfg.DrainTimeout,
-			Logf:             logf,
+			Campaign:  opt,
+			Shards:    shards,
+			Transport: transport,
+			Retries:   shardCfg.ShardRetries,
+			Logf:      logf,
 		})
 		if err != nil {
 			return err

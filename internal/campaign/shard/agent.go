@@ -49,9 +49,6 @@ type Agent struct {
 	// Stderr receives worker diagnostics (the local analogue of the
 	// exec transport forwarding worker stderr); nil discards.
 	Stderr io.Writer
-	// HandshakeTimeout bounds authentication + spec upload per
-	// connection; 0 means DefaultHandshakeTimeout.
-	HandshakeTimeout time.Duration
 
 	active atomic.Int64 // live assignments, mirrored to the obs gauge
 }
@@ -67,13 +64,6 @@ func (a *Agent) stderr() io.Writer {
 		return a.Stderr
 	}
 	return io.Discard
-}
-
-func (a *Agent) handshakeTimeout() time.Duration {
-	if a.HandshakeTimeout > 0 {
-		return a.HandshakeTimeout
-	}
-	return DefaultHandshakeTimeout
 }
 
 // Serve accepts connections on ln until ctx is canceled (or ln is
@@ -132,7 +122,7 @@ func (a *Agent) ListenAndServe(ctx context.Context, addr string, onListen func(n
 func (a *Agent) handle(ctx context.Context, nc net.Conn) {
 	defer nc.Close()
 	remote := nc.RemoteAddr().String()
-	_ = nc.SetDeadline(time.Now().Add(a.handshakeTimeout()))
+	_ = nc.SetDeadline(time.Now().Add(DefaultHandshakeTimeout))
 	if err := handshakeAgent(nc, a.Key); err != nil {
 		// Deliberately terse: an unauthenticated peer learns nothing, and
 		// the log carries no key-derived bytes.

@@ -9,8 +9,8 @@
 //   - mid-record cuts: the connection is reset after a seed-chosen
 //     byte count (the record scanner drops the torn tail, the
 //     supervisor classifies a crash and respawns);
-//   - stalls: one read blocks past the heartbeat deadline (the
-//     monitor must kill the wedged connection, not wait forever);
+//   - stalls: one read blocks past the hang budget (the monitor must
+//     kill the wedged connection, not wait forever);
 //   - duplicate partial replays: recently delivered bytes are
 //     delivered again (dup/torn counters tick, the ledger stays
 //     exactly-once).
@@ -42,8 +42,7 @@ type ChaosPlan struct {
 	// a seed-chosen number of stream bytes.
 	CutProb float64
 	// StallProb is the per-spawn probability of one read stalling for
-	// StallFor — long enough, in tests, to starve the heartbeat
-	// deadline.
+	// StallFor — long enough, in tests, to exhaust the hang budget.
 	StallProb float64
 	StallFor  time.Duration
 	// LatencyProb is the per-read probability of a Latency-long pause.

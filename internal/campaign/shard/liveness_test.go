@@ -1,10 +1,17 @@
 package shard
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/campaign"
+	"repro/internal/obs"
 )
 
 // floodAgent serves a fake agent on loopback for the test's lifetime:
@@ -130,5 +137,177 @@ func TestConnLiveness(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// scriptConn is a Conn whose stream the test writes one line at a time
+// on lines; acked fires once the supervisor has scanned it. Kill ends
+// the stream, and Wait reports whether Kill was called.
+type scriptConn struct {
+	lines  chan string
+	acked  chan struct{}
+	dead   chan struct{}
+	once   sync.Once
+	killed bool // set before dead closes
+	fed    bool // read side only
+}
+
+func newScriptConn() *scriptConn {
+	return &scriptConn{lines: make(chan string), acked: make(chan struct{}), dead: make(chan struct{})}
+}
+
+// Read hands out one fed line per call. The scanner calls it again only
+// after handling every line it already holds, so that call acks the
+// previous line.
+func (c *scriptConn) Read(p []byte) (int, error) {
+	if c.fed {
+		select {
+		case c.acked <- struct{}{}:
+		case <-c.dead:
+			return 0, errConnKilled
+		}
+	}
+	select {
+	case line, ok := <-c.lines:
+		if !ok {
+			return 0, io.EOF
+		}
+		c.fed = true
+		return copy(p, line), nil
+	case <-c.dead:
+		return 0, errConnKilled
+	}
+}
+
+func (c *scriptConn) Output() io.Reader { return c }
+func (c *scriptConn) Terminate()        {}
+func (c *scriptConn) Pid() int          { return 0 }
+
+func (c *scriptConn) Kill() {
+	c.once.Do(func() {
+		c.killed = true
+		close(c.dead)
+	})
+}
+
+func (c *scriptConn) Wait() error {
+	select {
+	case <-c.dead:
+		return errors.New("killed")
+	default:
+		return nil
+	}
+}
+
+// scriptTransport hands out one scripted connection.
+type scriptTransport struct{ conn *scriptConn }
+
+func (t scriptTransport) Start(Spec) (Conn, error) { return t.conn, nil }
+
+// TestHangBudget drives the hang rule by hand: every tick is one
+// heartbeat period, every line resets the silent count, the worker is
+// killed as hung at hangBeats silent periods, and silence after its bye
+// is not a hang. Ticks are synchronous with the monitor: each waits
+// until the monitor has published the count it implies.
+func TestHangBudget(t *testing.T) {
+	const hb = time.Second
+	for _, tc := range []struct {
+		name    string
+		script  string // t = tick, l = heartbeat line, b = bye line
+		killed  bool
+		verdict string
+	}{
+		{"19 silent beats", strings.Repeat("t", 19), false, "clean exit"},
+		{"a line at beat 19 resets", strings.Repeat("t", 19) + "l" + strings.Repeat("t", 19), false, "clean exit"},
+		{"20 silent beats", strings.Repeat("t", 20), true, "hang"},
+		{"silence after bye", "b" + strings.Repeat("t", 20), true, "killed after bye"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.New()
+			status := campaign.NewStatus(nil)
+			conn := newScriptConn()
+			ticks := make(chan time.Time)
+			opt := &Options{
+				Campaign:  campaign.Options{Status: status},
+				Transport: scriptTransport{conn},
+				Logf:      t.Logf,
+				ticks: func(period time.Duration) (<-chan time.Time, func()) {
+					if period != hb {
+						t.Errorf("tick period %v, want the heartbeat period %v", period, hb)
+					}
+					return ticks, func() {}
+				},
+			}
+			r := &shardRunner{
+				sup: &supervisor{opt: opt}, opt: opt,
+				spec:    Spec{HB: hb},
+				hbAge:   reg.Gauge("campaign_shard00_hb_age_sec"),
+				hangCtr: reg.Counter("campaign_shard_hangs"),
+			}
+			done := make(chan error, 1)
+			go func() { done <- r.runOnce(context.Background(), 0, nil) }()
+
+			// Each step blocks until the supervisor has taken it in; a
+			// stream that ends early fails the test instead of hanging it.
+			silent := 0
+			for i, step := range tc.script {
+				switch step {
+				case 'l', 'b':
+					line := "//shard hb done=0\n"
+					if step == 'b' {
+						line = "//shard bye done=0 failed=0\n"
+					}
+					select {
+					case conn.lines <- line:
+						<-conn.acked
+					case err := <-done:
+						t.Fatalf("stream ended at step %d: %v", i, err)
+					}
+					silent = 0
+				case 't':
+					select {
+					case ticks <- time.Time{}:
+					case err := <-done:
+						t.Fatalf("stream ended at step %d: %v", i, err)
+					}
+					silent++
+					for deadline := time.Now().Add(5 * time.Second); r.hbAge.Value() != float64(silent); time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("monitor shows %v s of silence, want %d", r.hbAge.Value(), silent)
+						}
+					}
+				}
+			}
+			if !tc.killed {
+				close(conn.lines)
+			}
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("worker still running after %d silent beats", silent)
+			}
+
+			if conn.killed != tc.killed {
+				t.Errorf("killed = %v, want %v", conn.killed, tc.killed)
+			}
+			if (tc.verdict == "hang") != (err != nil && strings.HasPrefix(err.Error(), "hang")) {
+				t.Errorf("runOnce = %v, want verdict %q", err, tc.verdict)
+			}
+			snap := status.Snapshot()
+			if len(snap.Shards) != 1 || snap.Shards[0].LastNote != tc.verdict {
+				t.Fatalf("status shards = %+v, want verdict %q", snap.Shards, tc.verdict)
+			}
+			if got := snap.Shards[0].HBAgeSec; got != float64(silent) {
+				t.Errorf("/status hb_age_sec = %v, want %d silent beats × 1 s", got, silent)
+			}
+			want := uint64(0)
+			if tc.verdict == "hang" {
+				want = 1
+			}
+			if v := r.hangCtr.Value(); v != want {
+				t.Errorf("campaign_shard_hangs = %d, want %d", v, want)
+			}
+		})
 	}
 }

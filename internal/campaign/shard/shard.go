@@ -27,34 +27,33 @@ import (
 	"sync"
 	"syscall"
 	"time"
-
-	"repro/internal/runcfg"
 )
 
 // ProtocolVersion versions the //shard control-line protocol a worker
 // speaks over stdout (hello/hb/cell/fail/bye).
 const ProtocolVersion = 1
 
-// Supervision defaults; Options fields left zero fall back to these.
-// The timing trio is defined in runcfg (the flag layer validates
-// against the effective fallbacks, and runcfg sits below this package
-// in the import graph) and aliased here as the package's own names.
+// Supervision timing. The heartbeat period is the one timing input
+// (Options.HeartbeatEvery); the hang budget is counted in periods of
+// it, and the rest are fixed.
 const (
 	// DefaultHeartbeatEvery is how often a worker emits an "hb" control
-	// line when it has no report to stream.
-	DefaultHeartbeatEvery = runcfg.DefaultShardHeartbeat
-	// DefaultHeartbeatTimeout is the supervisor's hang deadline: a shard
-	// silent for this long is presumed wedged and killed.
-	DefaultHeartbeatTimeout = runcfg.DefaultShardHeartbeatTimeout
+	// line when it has no report to stream, and how often the
+	// supervisor counts a silent period.
+	DefaultHeartbeatEvery = 500 * time.Millisecond
+	// hangBeats is the hang budget: a worker that sends nothing for this
+	// many heartbeat periods in a row is presumed wedged and killed
+	// (10 s at the default period).
+	hangBeats = 20
 	// DefaultShardRetries is how many times a crashed/hung/torn shard is
 	// re-spawned before its remaining cells are failed.
 	DefaultShardRetries = 2
 	// DefaultRetryBackoff is the base delay before a shard respawn,
 	// doubled per attempt and jittered from the campaign seed.
 	DefaultRetryBackoff = 250 * time.Millisecond
-	// DefaultDrainTimeout bounds graceful drain on cancel: SIGTERM, wait
-	// this long, then SIGKILL.
-	DefaultDrainTimeout = runcfg.DefaultShardDrainTimeout
+	// drainTimeout bounds graceful drain on cancel: SIGTERM, wait this
+	// long, then SIGKILL.
+	drainTimeout = 5 * time.Second
 )
 
 // Split partitions total cell indices into contiguous, balanced,

@@ -6,7 +6,9 @@
 // that survive CRC-32 verification — and treats everything else as
 // evidence to classify:
 //
-//   - silence past the heartbeat deadline → hang: kill, respawn
+//   - silence for hangBeats heartbeat periods → hang: kill, respawn
+//     (silence after the worker's "bye" is not a hang: the protocol is
+//     over, and a worker wedged on its way out is killed uncounted)
 //   - nonzero exit / spawn failure → crash: respawn
 //   - clean exit with cells missing → torn shard: respawn
 //   - a worker-reported "fail" line → terminal per-cell failure,
@@ -54,24 +56,24 @@ type Options struct {
 	Shards int
 	// Transport starts shard workers; required.
 	Transport Transport
-	// HeartbeatEvery is the heartbeat period workers are told to honor;
-	// 0 means DefaultHeartbeatEvery.
+	// HeartbeatEvery is the heartbeat period workers are told to honor
+	// and the supervisor's liveness tick: a worker silent for hangBeats
+	// periods is killed as hung. 0 means DefaultHeartbeatEvery.
 	HeartbeatEvery time.Duration
-	// HeartbeatTimeout is the hang deadline: a shard silent this long is
-	// killed and classified as hung. 0 means DefaultHeartbeatTimeout.
-	HeartbeatTimeout time.Duration
 	// Retries is the respawn budget per shard (a shard spawns at most
 	// Retries+1 times); <0 means DefaultShardRetries.
 	Retries int
 	// RetryBackoff is the base respawn delay, doubled per attempt and
 	// jittered from the campaign seed; 0 means DefaultRetryBackoff.
 	RetryBackoff time.Duration
-	// DrainTimeout bounds graceful drain on cancel (SIGTERM → wait →
-	// SIGKILL); 0 means DefaultDrainTimeout.
-	DrainTimeout time.Duration
 	// Logf receives supervision events (spawn, hang, crash, respawn) for
 	// operator visibility; nil discards them.
 	Logf func(format string, args ...any)
+
+	// ticks starts one spawn's liveness tick source and returns it with
+	// its stop function; nil means a time.Ticker at the heartbeat
+	// period. Tests substitute hand-driven channels.
+	ticks func(period time.Duration) (<-chan time.Time, func())
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -101,17 +103,17 @@ func Run(ctx context.Context, m campaign.Matrix, opt Options) (*campaign.Result,
 	if opt.HeartbeatEvery <= 0 {
 		opt.HeartbeatEvery = DefaultHeartbeatEvery
 	}
-	if opt.HeartbeatTimeout <= 0 {
-		opt.HeartbeatTimeout = DefaultHeartbeatTimeout
-	}
 	if opt.Retries < 0 {
 		opt.Retries = DefaultShardRetries
 	}
 	if opt.RetryBackoff <= 0 {
 		opt.RetryBackoff = DefaultRetryBackoff
 	}
-	if opt.DrainTimeout <= 0 {
-		opt.DrainTimeout = DefaultDrainTimeout
+	if opt.ticks == nil {
+		opt.ticks = func(period time.Duration) (<-chan time.Time, func()) {
+			t := time.NewTicker(period)
+			return t.C, t.Stop
+		}
 	}
 	matrixJSON, err := json.Marshal(m)
 	if err != nil {
@@ -243,20 +245,14 @@ func (r *shardRunner) run(ctx context.Context) {
 			r.sup.restarts.Add(1)
 			r.restCtr.Inc()
 			r.respawns.Set(float64(attempt))
-			// Seed-derived jittered exponential backoff, the shard
-			// analogue of the per-cell retry schedule: reproducible, and
-			// decorrelated across shards.
-			d := r.opt.RetryBackoff << (attempt - 1)
-			d = d/2 + time.Duration(jitter.Float64()*float64(d))
+			// The shard analogue of the per-cell retry schedule, on its
+			// own per-shard jitter fork.
+			d, ok := campaign.Backoff(ctx, r.opt.RetryBackoff, attempt, jitter)
+			if !ok {
+				return
+			}
 			r.opt.logf("shard %d: respawn %d/%d after %v for %d cells (%v)",
 				r.si, attempt, r.opt.Retries, d.Round(time.Millisecond), len(remaining), lastErr)
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return
-			case <-t.C:
-			}
 		}
 		lastErr = r.runOnce(ctx, attempt, remaining)
 		if ctx.Err() != nil {
@@ -289,12 +285,10 @@ func (r *shardRunner) runOnce(ctx context.Context, attempt int, remaining []int)
 	status.ShardSpawned(r.si, conn.Pid(), attempt, len(remaining))
 	status.CellsAssigned(r.si, remaining)
 
-	var lastBeat atomic.Int64
-	lastBeat.Store(time.Now().UnixNano())
-	var hung atomic.Bool
+	lv := &liveness{}
 	connDone := make(chan struct{})
 	monDone := make(chan struct{})
-	go r.monitor(ctx, conn, &lastBeat, &hung, connDone, monDone)
+	go r.monitor(ctx, conn, lv, connDone, monDone)
 
 	// Ingest: the worker's stdout through the checked record scanner.
 	// Control lines carry protocol (heartbeats, cell headers, failure
@@ -308,17 +302,15 @@ func (r *shardRunner) runOnce(ctx context.Context, attempt int, remaining []int)
 	pending := -1
 	sc := profiling.NewRecordScanner(conn.Output())
 	sc.Control = func(line string) {
-		lastBeat.Store(time.Now().UnixNano())
-		status.ShardBeat(r.si)
-		r.handleControl(line, assigned, &pending)
+		lv.silent.Store(0)
+		r.handleControl(line, assigned, &pending, lv)
 	}
 	for {
 		body, _, err := sc.Next()
 		if err != nil {
 			break // EOF or a dead pipe; Wait classifies which
 		}
-		lastBeat.Store(time.Now().UnixNano())
-		status.ShardBeat(r.si)
+		lv.silent.Store(0)
 		r.ingestRecord(body, assigned, &pending)
 	}
 	if n := sc.Skipped(); n > 0 {
@@ -335,9 +327,13 @@ func (r *shardRunner) runOnce(ctx context.Context, attempt int, remaining []int)
 	case ctx.Err() != nil:
 		status.ShardDown(r.si, "drained")
 		return ctx.Err()
-	case hung.Load():
+	case lv.hung.Load():
 		status.ShardDown(r.si, "hang")
-		return fmt.Errorf("hang: no output for %v, killed", r.opt.HeartbeatTimeout)
+		return fmt.Errorf("hang: no output for %d heartbeats (%v), killed", hangBeats, hangBeats*r.spec.HB)
+	case lv.reaped.Load():
+		// Killed after its bye: every record was already delivered.
+		status.ShardDown(r.si, "killed after bye")
+		return nil
 	case waitErr != nil:
 		r.crashCtr.Inc()
 		status.ShardDown(r.si, "crash")
@@ -348,49 +344,62 @@ func (r *shardRunner) runOnce(ctx context.Context, attempt int, remaining []int)
 	}
 }
 
-// monitor watches one spawned worker from the side: heartbeat-age hang
-// detection while the stream is live, and graceful drain (SIGTERM,
-// bounded wait, SIGKILL) when the campaign is canceled.
-func (r *shardRunner) monitor(ctx context.Context, conn Conn, lastBeat *atomic.Int64, hung *atomic.Bool, connDone, monDone chan struct{}) {
+// liveness is one spawn's hang state, shared by the ingest loop and
+// the monitor.
+type liveness struct {
+	silent atomic.Int64 // heartbeat periods since the worker's last line
+	bye    atomic.Bool  // the worker has closed the protocol
+	hung   atomic.Bool  // killed by the monitor as hung
+	reaped atomic.Bool  // killed by the monitor after its bye
+}
+
+// monitor watches one spawned worker from the side: it counts silent
+// heartbeat periods while the stream is live, kills the worker at
+// hangBeats of them, and drains gracefully (SIGTERM, bounded wait,
+// SIGKILL) when the campaign is canceled.
+func (r *shardRunner) monitor(ctx context.Context, conn Conn, lv *liveness, connDone, monDone chan struct{}) {
 	defer close(monDone)
-	period := r.opt.HeartbeatTimeout / 8
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
+	ticks, stop := r.opt.ticks(r.spec.HB)
+	defer stop()
 	for {
 		select {
 		case <-connDone:
 			return
 		case <-ctx.Done():
-			r.opt.logf("shard %d: draining (SIGTERM, %v grace)", r.si, r.opt.DrainTimeout)
+			r.opt.logf("shard %d: draining (SIGTERM, %v grace)", r.si, drainTimeout)
 			conn.Terminate()
 			select {
 			case <-connDone:
-			case <-time.After(r.opt.DrainTimeout):
+			case <-time.After(drainTimeout):
 				r.opt.logf("shard %d: drain deadline passed, SIGKILL", r.si)
 				conn.Kill()
 				<-connDone
 			}
 			return
-		case <-tick.C:
-			age := time.Since(time.Unix(0, lastBeat.Load()))
+		case <-ticks:
+			n := lv.silent.Add(1)
+			age := time.Duration(n) * r.spec.HB
 			r.hbAge.Set(age.Seconds())
-			if age > r.opt.HeartbeatTimeout {
-				hung.Store(true)
-				r.hangCtr.Inc()
-				r.opt.logf("shard %d: heartbeat age %v exceeds %v — killing wedged worker",
-					r.si, age.Round(time.Millisecond), r.opt.HeartbeatTimeout)
-				conn.Kill()
-				return
+			r.opt.Campaign.Status.ShardSilent(r.si, age)
+			if n < hangBeats {
+				continue
 			}
+			if lv.bye.Load() {
+				lv.reaped.Store(true)
+				r.opt.logf("shard %d: worker still running %v after its bye — killing it", r.si, age)
+			} else {
+				lv.hung.Store(true)
+				r.hangCtr.Inc()
+				r.opt.logf("shard %d: silent for %d heartbeats (%v) — killing wedged worker", r.si, n, age)
+			}
+			conn.Kill()
+			return
 		}
 	}
 }
 
 // handleControl interprets one "//shard ..." protocol line.
-func (r *shardRunner) handleControl(line string, assigned map[int]bool, pending *int) {
+func (r *shardRunner) handleControl(line string, assigned map[int]bool, pending *int, lv *liveness) {
 	c, ok := parseControl(line)
 	if !ok {
 		return
@@ -427,8 +436,8 @@ func (r *shardRunner) handleControl(line string, assigned map[int]bool, pending 
 		if json.Unmarshal([]byte(c.msg), &sp) == nil {
 			r.opt.Campaign.Tracer.IngestSpan(shardTracePid(r.si), sp)
 		}
-	case "hb", "bye":
-		// Liveness only; lastBeat was already refreshed by the caller.
+	case "bye":
+		lv.bye.Store(true)
 	}
 }
 

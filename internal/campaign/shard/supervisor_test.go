@@ -301,27 +301,35 @@ func journalDoneCounts(t *testing.T, dir string) map[int]int {
 }
 
 // TestShardHangRecovery: a worker that says hello and then goes silent
-// must be detected by heartbeat age within the deadline, killed, and
-// replaced by a respawn that completes the shard.
+// is killed as hung once its budget of silent heartbeat periods runs
+// out, and a respawn completes the shard. The first spawn's liveness
+// ticks fire every millisecond; the respawn's never fire, so the
+// healthy worker cannot be misjudged however slowly it runs or exits
+// (under -race the runtime sleeps a second at exit, after the bye).
 func TestShardHangRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
 	m := testMatrix()
 	m.Seeds = 1
-	m.Faults = []string{"clean"} // 2 cells: quick, and hang detection dominates the clock
+	m.Faults = []string{"clean"} // 2 cells: quick
 	ref := refProfileJSON(t, m)
 	reg := obs.New()
-	start := time.Now()
+	var spawns atomic.Int32
 	res, err := Run(context.Background(), m, Options{
-		Campaign:         campaign.Options{Workers: 1, Obs: reg},
-		Shards:           1,
-		Transport:        &flakyTransport{bad: modeTransport("hang"), good: modeTransport("worker"), badSpawns: 1},
-		HeartbeatEvery:   50 * time.Millisecond,
-		HeartbeatTimeout: 500 * time.Millisecond,
-		Retries:          2,
-		RetryBackoff:     10 * time.Millisecond,
-		Logf:             t.Logf,
+		Campaign:     campaign.Options{Workers: 1, Obs: reg},
+		Shards:       1,
+		Transport:    &flakyTransport{bad: modeTransport("hang"), good: modeTransport("worker"), badSpawns: 1},
+		Retries:      2,
+		RetryBackoff: 10 * time.Millisecond,
+		Logf:         t.Logf,
+		ticks: func(time.Duration) (<-chan time.Time, func()) {
+			if spawns.Add(1) > 1 {
+				return nil, func() {}
+			}
+			tk := time.NewTicker(time.Millisecond)
+			return tk.C, tk.Stop
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,20 +337,15 @@ func TestShardHangRecovery(t *testing.T) {
 	if res.Failed > 0 || res.Completed != res.Cells {
 		t.Fatalf("completed %d/%d, failed %d: %v", res.Completed, res.Cells, res.Failed, res.Errors)
 	}
-	if res.Restarts < 1 {
-		t.Fatal("hung shard was not respawned")
+	if res.Restarts != 1 {
+		t.Errorf("restarts = %d, want 1 (the hung spawn's respawn only)", res.Restarts)
 	}
 	if got := profileJSON(t, res.Profile); !bytes.Equal(got, ref) {
 		t.Errorf("aggregate after hang+recovery differs from reference")
 	}
 	snap := reg.Snapshot()
-	if v, _ := snap.Counter("campaign_shard_hangs"); v < 1 {
-		t.Errorf("campaign_shard_hangs = %d, want >=1", v)
-	}
-	// Detection must happen within (roughly) the deadline, not at some
-	// unbounded later point. Generous factor for loaded CI machines.
-	if waited := time.Since(start); waited > 20*time.Second {
-		t.Errorf("hang recovery took %v", waited)
+	if v, _ := snap.Counter("campaign_shard_hangs"); v != 1 {
+		t.Errorf("campaign_shard_hangs = %d, want 1", v)
 	}
 }
 
@@ -447,10 +450,9 @@ func TestShardDrainAndResume(t *testing.T) {
 				cancelOnce.Do(cancel)
 			},
 		},
-		Shards:       2,
-		Transport:    modeTransport("worker"),
-		DrainTimeout: 10 * time.Second,
-		Logf:         t.Logf,
+		Shards:    2,
+		Transport: modeTransport("worker"),
+		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

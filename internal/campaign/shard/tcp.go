@@ -9,8 +9,8 @@
 //     errors or non-nil Wait, which the supervisor already classifies
 //     as crashes and respawns with seed-derived jittered backoff;
 //   - a stalled connection starves the heartbeat lines riding the
-//     stream, so the existing hang deadline fires; the socket read
-//     deadline (refreshed per frame off the heartbeat cadence) is the
+//     stream, so the supervisor's hang budget runs out; the socket read
+//     deadline (refreshed per frame, twice the hang budget) is the
 //     belt-and-braces backstop;
 //   - torn or bit-flipped frames fail the frame CRC and kill the
 //     connection, and anything that slips through still faces the
@@ -39,8 +39,7 @@ import (
 
 // TCP transport timeouts.
 const (
-	// DefaultDialTimeout bounds one connection attempt to one agent when
-	// TCPTransport.DialTimeout is zero.
+	// DefaultDialTimeout bounds one connection attempt to one agent.
 	DefaultDialTimeout = 5 * time.Second
 	// DefaultHandshakeTimeout bounds the authentication + spec-upload
 	// exchange after the socket is up.
@@ -61,16 +60,6 @@ type TCPTransport struct {
 	// Key is the shared authentication key (LoadKey). Required; never
 	// logged.
 	Key []byte
-	// HeartbeatTimeout mirrors the supervisor's hang deadline; the
-	// per-frame read deadline is derived from it (2x, floored at the
-	// handshake timeout) so the monitor's kill normally wins and the
-	// socket deadline only catches a transport that is stalled so hard
-	// even Close would have nothing to interrupt. 0 means
-	// DefaultHeartbeatTimeout.
-	HeartbeatTimeout time.Duration
-	// DialTimeout bounds one connection attempt; 0 means
-	// DefaultDialTimeout.
-	DialTimeout time.Duration
 	// Obs receives per-shard connection counters (dials, redials,
 	// handshake failures, stream bytes) alongside the supervisor's
 	// per-shard gauges; nil disables them.
@@ -92,21 +81,6 @@ func (t *TCPTransport) logf(format string, args ...any) {
 	if t.Logf != nil {
 		t.Logf(format, args...)
 	}
-}
-
-func (t *TCPTransport) readTimeout() time.Duration {
-	hb := t.HeartbeatTimeout
-	if hb <= 0 {
-		hb = DefaultHeartbeatTimeout
-	}
-	return max(2*hb, DefaultHandshakeTimeout)
-}
-
-func (t *TCPTransport) dialTimeout() time.Duration {
-	if t.DialTimeout > 0 {
-		return t.DialTimeout
-	}
-	return DefaultDialTimeout
 }
 
 // Start dials an agent for the spec's shard, authenticates, uploads
@@ -176,7 +150,7 @@ func (t *TCPTransport) countDial(si int, redial bool) {
 // dialAgent performs one full connection setup against one agent:
 // dial, mutual handshake, spec upload, ack.
 func (t *TCPTransport) dialAgent(addr string, spec Spec) (*tcpConn, error) {
-	nc, err := net.DialTimeout("tcp", addr, t.dialTimeout())
+	nc, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -222,11 +196,15 @@ func (t *TCPTransport) dialAgent(addr string, spec Spec) (*tcpConn, error) {
 	}
 	pr, pw := io.Pipe()
 	c := &tcpConn{
-		c:           nc,
-		pr:          pr,
-		pw:          pw,
-		pid:         int(binary.BigEndian.Uint32(payload)),
-		readTimeout: t.readTimeout(),
+		c:   nc,
+		pr:  pr,
+		pw:  pw,
+		pid: int(binary.BigEndian.Uint32(payload)),
+		// Twice the supervisor's hang budget (floored at the handshake
+		// bound), so the monitor's kill normally wins and the socket
+		// deadline only catches a transport stalled so hard even Close
+		// would have nothing to interrupt.
+		readTimeout: max(2*hangBeats*spec.HB, DefaultHandshakeTimeout),
 		bytes:       t.Obs.Counter(fmt.Sprintf("campaign_shard%02d_net_bytes", spec.Shard)),
 		bytesAgg:    t.Obs.Counter("campaign_tcp_bytes"),
 		done:        make(chan struct{}),

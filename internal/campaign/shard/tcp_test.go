@@ -288,10 +288,9 @@ func TestTCPChaosDeterminism(t *testing.T) {
 
 	chaos := &ChaosTransport{
 		Inner: &TCPTransport{
-			Agents:           []string{addr},
-			Key:              testKey,
-			HeartbeatTimeout: 800 * time.Millisecond,
-			Logf:             t.Logf,
+			Agents: []string{addr},
+			Key:    testKey,
+			Logf:   t.Logf,
 		},
 		Seed: 7,
 		Plan: ChaosPlan{
@@ -309,14 +308,13 @@ func TestTCPChaosDeterminism(t *testing.T) {
 		Logf: t.Logf,
 	}
 	res, err := Run(context.Background(), m, Options{
-		Campaign:         campaign.Options{Workers: 1, Obs: reg, JournalDir: dir},
-		Shards:           2,
-		Transport:        chaos,
-		HeartbeatEvery:   50 * time.Millisecond,
-		HeartbeatTimeout: 800 * time.Millisecond,
-		Retries:          8,
-		RetryBackoff:     20 * time.Millisecond,
-		Logf:             t.Logf,
+		Campaign:       campaign.Options{Workers: 1, Obs: reg, JournalDir: dir},
+		Shards:         2,
+		Transport:      chaos,
+		HeartbeatEvery: 50 * time.Millisecond, // hang budget 20 × 50 ms, under the 1.5 s stall
+		Retries:        8,
+		RetryBackoff:   20 * time.Millisecond,
+		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -461,11 +459,10 @@ func TestTCPFailover(t *testing.T) {
 		Campaign: campaign.Options{Workers: 2, Obs: reg},
 		Shards:   2,
 		Transport: &TCPTransport{
-			Agents:      []string{deadAddr, live},
-			Key:         testKey,
-			DialTimeout: 2 * time.Second,
-			Obs:         reg,
-			Logf:        t.Logf,
+			Agents: []string{deadAddr, live},
+			Key:    testKey,
+			Obs:    reg,
+			Logf:   t.Logf,
 		},
 		Logf: t.Logf,
 	})
@@ -513,10 +510,9 @@ func TestTCPDrainAndResume(t *testing.T) {
 				cancelOnce.Do(cancel)
 			},
 		},
-		Shards:       2,
-		Transport:    transport(),
-		DrainTimeout: 10 * time.Second,
-		Logf:         t.Logf,
+		Shards:    2,
+		Transport: transport(),
+		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -556,7 +552,7 @@ func TestTCPDrainAndResume(t *testing.T) {
 // starts, and the failure is counted.
 func TestAgentRejectsGarbage(t *testing.T) {
 	reg := obs.New()
-	addr := startTestAgent(t, &Agent{Key: testKey, Logf: t.Logf, Obs: reg, HandshakeTimeout: 2 * time.Second})
+	addr := startTestAgent(t, &Agent{Key: testKey, Logf: t.Logf, Obs: reg})
 
 	// Raw junk bytes.
 	nc, err := net.Dial("tcp", addr)

@@ -69,8 +69,8 @@ type shardStat struct {
 	Alive    bool
 	Restarts int
 	Done     int
-	LastBeat time.Time
-	LastNote string // most recent supervision verdict (crash/hang/...)
+	Silent   time.Duration // heartbeat periods without a line, as time
+	LastNote string        // most recent supervision verdict (crash/hang/...)
 }
 
 // NewStatus returns an enabled tracker; events may be nil (state only,
@@ -226,7 +226,7 @@ func (s *Status) ShardSpawned(si, pid, attempt, cells int) {
 	sh.PID = pid
 	sh.Alive = true
 	sh.Restarts = attempt
-	sh.LastBeat = time.Now()
+	sh.Silent = 0
 	kind := "shard_spawn"
 	if attempt > 0 {
 		kind = "shard_respawn"
@@ -234,15 +234,16 @@ func (s *Status) ShardSpawned(si, pid, attempt, cells int) {
 	s.events.Appendf(kind, si, "", "pid %d, %d cells", pid, cells)
 }
 
-// ShardBeat refreshes a shard's liveness stamp (every control line and
-// record refreshes it, exactly like the supervisor's hang clock).
-func (s *Status) ShardBeat(si int) {
+// ShardSilent records how long a live shard has sent nothing, as the
+// supervisor's hang count reads it: silent heartbeat periods times the
+// period. The supervisor sets it once per heartbeat tick.
+func (s *Status) ShardSilent(si int, age time.Duration) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.shard(si).LastBeat = time.Now()
+	s.shard(si).Silent = age
 }
 
 // ShardDown records a worker exit with the supervisor's verdict
@@ -357,7 +358,7 @@ func (s *Status) Snapshot() StatusSnap {
 			Alive:    sh.Alive,
 			Restarts: sh.Restarts,
 			Done:     sh.Done,
-			HBAgeSec: time.Since(sh.LastBeat).Seconds(),
+			HBAgeSec: sh.Silent.Seconds(),
 			LastNote: sh.LastNote,
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -29,7 +30,7 @@ func TestStatusNilSafe(t *testing.T) {
 	s.CellResumedFromJournal(0, 10)
 	s.CellsAssigned(0, []int{0, 1})
 	s.ShardSpawned(0, 42, 0, 2)
-	s.ShardBeat(0)
+	s.ShardSilent(0, time.Second)
 	s.ShardDown(0, "clean")
 	s.ShardAnomaly(0, "torn_records", "x")
 	snap := s.Snapshot()
@@ -99,8 +100,8 @@ func TestStatusCellLifecycle(t *testing.T) {
 	}
 }
 
-// TestStatusShardLifecycle: spawn/beat/down bookkeeping, including the
-// running→pending demotion of a dead shard's cells.
+// TestStatusShardLifecycle: spawn/silence/down bookkeeping, including
+// the running→pending demotion of a dead shard's cells.
 func TestStatusShardLifecycle(t *testing.T) {
 	s := NewStatus(nil) // no recorder: state tracking must work alone
 	s.Begin("shards", statusCells(4))
@@ -116,8 +117,13 @@ func TestStatusShardLifecycle(t *testing.T) {
 	if snap.Shards[0].Shard != 0 || snap.Shards[1].Shard != 1 {
 		t.Errorf("shards not ordered: %+v", snap.Shards)
 	}
-	if !snap.Shards[0].Alive || snap.Shards[0].PID != 101 {
+	if !snap.Shards[0].Alive || snap.Shards[0].PID != 101 || snap.Shards[0].HBAgeSec != 0 {
 		t.Errorf("shard 0 snap = %+v", snap.Shards[0])
+	}
+	// The heartbeat age is the supervisor's per-tick silence count.
+	s.ShardSilent(0, 1500*time.Millisecond)
+	if got := s.Snapshot().Shards[0].HBAgeSec; got != 1.5 {
+		t.Errorf("shard 0 hb_age_sec = %v, want 1.5", got)
 	}
 
 	s.CellCompleted(0, 10)
@@ -140,7 +146,7 @@ func TestStatusShardLifecycle(t *testing.T) {
 	s.ShardSpawned(0, 103, 1, 1)
 	s.CellsAssigned(0, []int{1})
 	snap = s.Snapshot()
-	if snap.Shards[0].Restarts != 1 || snap.Shards[0].PID != 103 {
+	if snap.Shards[0].Restarts != 1 || snap.Shards[0].PID != 103 || snap.Shards[0].HBAgeSec != 0 {
 		t.Errorf("post-respawn shard 0 = %+v", snap.Shards[0])
 	}
 	if snap.CellStates["b"] != "running" {

@@ -159,18 +159,28 @@ func supervise(ctx context.Context, cell Cell, opt Options, exec execFn, m supMe
 		}
 		m.retries.Inc()
 		opt.Status.CellRetryScheduled(cell.Index, attempt, err)
-		// Exponential backoff jittered to [0.5, 1.5)× from the cell's
-		// forked RNG: reproducible, and concurrent retry storms across
-		// workers decorrelate instead of thundering together.
-		d := backoff << (attempt - 1)
-		d = d/2 + time.Duration(jitter.Float64()*float64(d))
-		t := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			t.Stop()
+		if _, ok := Backoff(ctx, backoff, attempt, jitter); !ok {
 			return nil, attempt, ctx.Err()
-		case <-t.C:
 		}
+	}
+}
+
+// Backoff waits out the delay before retry number attempt (>= 1): base
+// doubled per earlier retry, jittered to [0.5, 1.5)× by one draw from
+// jitter. A jitter RNG forked off the campaign seed keeps the schedule
+// reproducible while concurrent retry storms decorrelate instead of
+// thundering together. It returns the delay, and false when ctx ended
+// the wait first.
+func Backoff(ctx context.Context, base time.Duration, attempt int, jitter *sim.RNG) (time.Duration, bool) {
+	d := base << (attempt - 1)
+	d = d/2 + time.Duration(jitter.Float64()*float64(d))
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return d, false
+	case <-t.C:
+		return d, true
 	}
 }
 

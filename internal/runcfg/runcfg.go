@@ -160,127 +160,51 @@ func BindSupervise(fs *flag.FlagSet) *Supervise {
 	return s
 }
 
-// Shard supervision defaults. They live here — below campaign/shard in
-// the import graph — so flag validation can reason about the effective
-// values a zero knob falls back to; the shard package aliases them as
-// its own Default* constants, keeping one source of truth.
-const (
-	// DefaultShardHeartbeat is how often a shard worker proves liveness
-	// when it has no report to stream.
-	DefaultShardHeartbeat = 500 * time.Millisecond
-	// DefaultShardHeartbeatTimeout is the hang deadline: a shard silent
-	// this long is presumed wedged and killed.
-	DefaultShardHeartbeatTimeout = 10 * time.Second
-	// DefaultShardDrainTimeout bounds graceful drain on cancel before
-	// the hard kill.
-	DefaultShardDrainTimeout = 5 * time.Second
-)
-
 // Shard is the shared knob set of the sharded campaign supervisor: how
 // many worker processes a campaign splits across, where they run
 // (local child processes, or remote tcfleet agents over TCP), and how
-// paranoid the supervision is. Zero duration values defer to the
-// Default* constants above, except Shards, where 0 means "run
-// in-process, unsharded".
+// many times a failed worker is respawned. Supervision timing is not a
+// knob: the shard package counts the hang budget in heartbeat periods.
 type Shard struct {
 	// Shards is the number of worker processes; 0 or 1 runs the campaign
 	// in-process (unless Agents is set, which implies sharding).
 	Shards int
-	// HeartbeatEvery is the worker heartbeat period (0 = default).
-	HeartbeatEvery time.Duration
-	// HeartbeatTimeout is the hang deadline after which a silent worker
-	// is killed and respawned (0 = default).
-	HeartbeatTimeout time.Duration
 	// ShardRetries is the respawn budget per shard (-1 = shard default).
 	ShardRetries int
-	// DrainTimeout bounds graceful drain on cancel before the hard kill
-	// (0 = default).
-	DrainTimeout time.Duration
 	// Agents is the comma-separated host:port pool of remote tcfleet
 	// agents; empty runs workers as local child processes.
 	Agents string
 	// KeyFile is the shared-key file authenticating supervisor and
 	// agents to each other; required with Agents.
 	KeyFile string
-
-	// fs remembers the flag set this Shard was bound on, so Validate can
-	// tell an explicit nonsense value (e.g. -draintimeout 0) from the
-	// zero value that means "use the default".
-	fs *flag.FlagSet
 }
 
-// explicit reports whether the named flag was set on the command line.
-// Always false for a Shard constructed in code rather than by
-// BindShard — programmatic zero values keep meaning "default".
-func (s Shard) explicit(name string) bool {
-	if s.fs == nil {
-		return false
-	}
-	set := false
-	s.fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// Validate checks the shard supervision configuration, including the
-// cross-flag timing rules: a hang deadline at or below the heartbeat
-// period classifies every healthy worker as hung, and an explicit
-// non-positive drain bound turns every graceful cancel into an instant
-// hard kill — both are rejected here, at bind/validate time, instead
-// of producing baffling supervision behavior mid-campaign.
+// Validate checks the shard supervision configuration.
 func (s Shard) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("runcfg: negative shard count %d", s.Shards)
 	}
-	if s.HeartbeatEvery < 0 || s.HeartbeatTimeout < 0 || s.DrainTimeout < 0 {
-		return fmt.Errorf("runcfg: negative shard supervision duration")
-	}
 	if s.ShardRetries < -1 {
 		return fmt.Errorf("runcfg: bad shard respawn budget %d", s.ShardRetries)
-	}
-	hb := s.HeartbeatEvery
-	if hb <= 0 {
-		hb = DefaultShardHeartbeat
-	}
-	if s.HeartbeatTimeout > 0 && s.HeartbeatTimeout <= hb {
-		return fmt.Errorf("runcfg: shard hang deadline %v must exceed the heartbeat period %v (a healthy worker would be classified as hung)",
-			s.HeartbeatTimeout, hb)
-	}
-	if s.explicit("hbtimeout") && s.HeartbeatTimeout <= hb {
-		return fmt.Errorf("runcfg: -hbtimeout %v must exceed the heartbeat period %v (a healthy worker would be classified as hung)",
-			s.HeartbeatTimeout, hb)
-	}
-	if s.explicit("draintimeout") && s.DrainTimeout <= 0 {
-		return fmt.Errorf("runcfg: -draintimeout %v must be positive (a graceful drain needs time to drain; omit the flag for the %v default)",
-			s.DrainTimeout, DefaultShardDrainTimeout)
 	}
 	if s.Agents != "" && s.KeyFile == "" {
 		return fmt.Errorf("runcfg: -agents requires -keyfile (remote workers must authenticate)")
 	}
-	if s.KeyFile != "" && s.Agents == "" && s.fs != nil {
+	if s.KeyFile != "" && s.Agents == "" {
 		return fmt.Errorf("runcfg: -keyfile has no effect without -agents")
 	}
 	return nil
 }
 
-// BindShard registers the shard supervision flag subset (-shards, -hb,
-// -hbtimeout, -shardretries, -draintimeout, -agents, -keyfile) on fs
-// and returns the destination. Call fs.Parse, then Validate.
+// BindShard registers the shard supervision flag subset (-shards,
+// -shardretries, -agents, -keyfile) on fs and returns the destination.
+// Call fs.Parse, then Validate.
 func BindShard(fs *flag.FlagSet) *Shard {
-	s := &Shard{ShardRetries: -1, fs: fs}
+	s := &Shard{ShardRetries: -1}
 	fs.IntVar(&s.Shards, "shards", 0,
 		"split the campaign across N crash-supervised worker processes (0 = in-process; defaults to the agent count with -agents)")
-	fs.DurationVar(&s.HeartbeatEvery, "hb", 0,
-		"shard worker heartbeat period (0 = default)")
-	fs.DurationVar(&s.HeartbeatTimeout, "hbtimeout", 0,
-		"shard hang deadline: a worker silent this long is killed and respawned (0 = default; must exceed the heartbeat period)")
 	fs.IntVar(&s.ShardRetries, "shardretries", -1,
 		"respawn budget per shard before its remaining cells fail (-1 = default)")
-	fs.DurationVar(&s.DrainTimeout, "draintimeout", 0,
-		"graceful drain bound on cancel: SIGTERM, wait this long, then SIGKILL (0 = default)")
 	fs.StringVar(&s.Agents, "agents", "",
 		"comma-separated host:port pool of remote tcfleet agents to run shard workers on (empty = local child processes)")
 	fs.StringVar(&s.KeyFile, "keyfile", "",
