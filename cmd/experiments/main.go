@@ -1,6 +1,6 @@
 // Command experiments regenerates every table of the reproduction's
-// evaluation (experiments E1–E8, F1, and the A1–A4 ablations in
-// DESIGN.md / EXPERIMENTS.md).
+// evaluation (experiments E1–E10, F1, and the A1–A4 ablations in
+// DESIGN.md / EXPERIMENTS.md), in the order of experiments.All.
 //
 // Usage:
 //
@@ -36,28 +36,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	type exp struct {
-		id  string
-		run func() *experiments.Table
-	}
-	all := []exp{
-		{"E1", experiments.E1RateSemantics},
-		{"E2", experiments.E2IPCTimeline},
-		{"E3", experiments.E3Bandwidth},
-		{"E4", experiments.E4Cascade},
-		{"E5", experiments.E5Intrusiveness},
-		{"E6", func() *experiments.Table { return experiments.E6OptionRanking(*quick) }},
-		{"E7", experiments.E7FlashLever},
-		{"E8", experiments.E8CycleTrace},
-		{"E9", experiments.E9Multicore},
-		{"E10", experiments.E10FaultRecovery},
-		{"F1", func() *experiments.Table { return experiments.F1FModel(*quick) }},
-		{"A1", experiments.A1RateBasis},
-		{"A2", experiments.A2Compression},
-		{"A3", experiments.A3FlashArbitration},
-		{"A4", experiments.A4TraceBufferSizing},
-	}
-
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
 		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
@@ -65,11 +43,11 @@ func main() {
 		}
 	}
 	ran := 0
-	for _, e := range all {
-		if len(want) > 0 && !want[e.id] {
+	for _, e := range experiments.All(*quick) {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		tb := e.run()
+		tb := e.Run()
 		if *asJSON {
 			if err := tb.RenderJSON(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)

@@ -12,6 +12,6 @@
 //
 // See README.md for the architecture overview, DESIGN.md for the system
 // inventory and experiment mapping, and EXPERIMENTS.md for the measured
-// results. The root bench_test.go regenerates every experiment as a Go
-// benchmark; cmd/experiments prints the full tables.
+// results. cmd/experiments prints the full tables, and the
+// internal/experiments tests check them against EXPERIMENTS.md.
 package repro

@@ -148,20 +148,6 @@ func (c *Cache) Lookup(addr uint32) bool {
 	return false
 }
 
-// Probe reports whether addr would hit, without touching replacement state
-// or counters (used by tests asserting ground truth).
-func (c *Cache) Probe(addr uint32) bool {
-	set, tag := c.index(addr)
-	ways := c.set(set)
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // Fill installs the line containing addr, evicting a victim per the
 // replacement policy. It returns the byte address of the evicted line and
 // whether an eviction of a valid line occurred.

@@ -7,6 +7,20 @@ import (
 	"repro/internal/sim"
 )
 
+// Probe reports whether addr would hit, without touching replacement state
+// or counters: the ground truth the tests below assert against.
+func (c *Cache) Probe(addr uint32) bool {
+	set, tag := c.index(addr)
+	ways := c.set(set)
+	for i := range ways {
+		l := &ways[i]
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
 func cfg4x2() Config {
 	// 4 sets × 2 ways × 16-byte lines = 128 bytes.
 	return Config{Name: "t", Size: 128, LineBytes: 16, Ways: 2, Policy: LRU}

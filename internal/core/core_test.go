@@ -23,7 +23,6 @@ func quickParams() EvalParams {
 		Iters:          120,
 		Limit:          50_000_000,
 		ProfileHorizon: 200_000,
-		RegressionTol:  0.995,
 	}
 }
 

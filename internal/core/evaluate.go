@@ -96,14 +96,18 @@ type Evaluation struct {
 	Ranking  []Ranked
 }
 
+// Rejection thresholds on an option's worst measured per-app speedup.
+const (
+	regressionTol = 0.995 // below this a performance option is rejected
+	costTol       = 0.97  // below this a cost saver gives up too much
+)
+
 // EvalParams tunes the evaluation driver.
 type EvalParams struct {
-	Iters          uint32  // main-loop iterations per measurement
-	Limit          uint64  // cycle budget per run
-	ProfileHorizon uint64  // cycles per profiling run
-	RegressionTol  float64 // measured speedup below this rejects the option
-	CostTol        float64 // tolerated worst-case slowdown for cost savers
-	SkipMeasured   bool    // analytical only (fast)
+	Iters          uint32 // main-loop iterations per measurement
+	Limit          uint64 // cycle budget per run
+	ProfileHorizon uint64 // cycles per profiling run
+	SkipMeasured   bool   // analytical only (fast)
 }
 
 // DefaultEvalParams returns a laptop-scale configuration.
@@ -112,8 +116,6 @@ func DefaultEvalParams() EvalParams {
 		Iters:          300,
 		Limit:          50_000_000,
 		ProfileHorizon: 400_000,
-		RegressionTol:  0.995,
-		CostTol:        0.97,
 	}
 }
 
@@ -198,14 +200,10 @@ func Evaluate(base soc.Config, fleet []workload.Spec, opts []Option, prm EvalPar
 				loss = 0.001
 			}
 			r.GainPerArea = -opt.AreaCost / (100 * loss)
-			tol := prm.CostTol
-			if tol == 0 {
-				tol = 0.97
-			}
-			r.Rejected = len(meas) > 0 && r.MeaMin < tol
+			r.Rejected = len(meas) > 0 && r.MeaMin < costTol
 		} else {
 			r.GainPerArea = (mean - 1) / opt.AreaCost
-			r.Rejected = len(meas) > 0 && r.MeaMin < prm.RegressionTol
+			r.Rejected = len(meas) > 0 && r.MeaMin < regressionTol
 		}
 		ev.Ranking = append(ev.Ranking, r)
 	}

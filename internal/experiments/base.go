@@ -37,3 +37,31 @@ func baseCfg() soc.Config {
 	}
 	return cfg
 }
+
+// Experiment is one table of the evaluation: its id and its driver.
+type Experiment struct {
+	ID  string
+	Run func() *Table
+}
+
+// All lists every experiment in print order. quick selects the smaller
+// fleets of E6 and F1; the other drivers have one configuration.
+func All(quick bool) []Experiment {
+	return []Experiment{
+		{"E1", E1RateSemantics},
+		{"E2", E2IPCTimeline},
+		{"E3", E3Bandwidth},
+		{"E4", E4Cascade},
+		{"E5", E5Intrusiveness},
+		{"E6", func() *Table { return E6OptionRanking(quick) }},
+		{"E7", E7FlashLever},
+		{"E8", E8CycleTrace},
+		{"E9", E9Multicore},
+		{"E10", E10FaultRecovery},
+		{"F1", func() *Table { return F1FModel(quick) }},
+		{"A1", A1RateBasis},
+		{"A2", A2Compression},
+		{"A3", A3FlashArbitration},
+		{"A4", A4TraceBufferSizing},
+	}
+}

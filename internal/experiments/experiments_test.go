@@ -11,7 +11,7 @@ import (
 // by roughly what factor — per the reproduction contract in DESIGN.md.
 
 func TestE1WorkedExamples(t *testing.T) {
-	tb := E1RateSemantics()
+	tb := table(t, "E1", false)
 	if r := tb.Metrics["dflash_rate"]; r < 0.055 || r > 0.065 {
 		t.Errorf("data flash rate = %v, want ~0.06", r)
 	}
@@ -24,7 +24,7 @@ func TestE1WorkedExamples(t *testing.T) {
 }
 
 func TestE2IPCBounds(t *testing.T) {
-	tb := E2IPCTimeline()
+	tb := table(t, "E2", false)
 	if m := tb.Metrics["ipc_max"]; m > 3 {
 		t.Errorf("ipc max = %v exceeds 3", m)
 	}
@@ -34,7 +34,7 @@ func TestE2IPCBounds(t *testing.T) {
 }
 
 func TestE3BandwidthShape(t *testing.T) {
-	tb := E3Bandwidth()
+	tb := table(t, "E3", false)
 	if r := tb.Metrics["sampling_over_rate"]; r < 2 {
 		t.Errorf("external sampling only %vx the rate-message bytes, want >= 2x", r)
 	}
@@ -44,7 +44,7 @@ func TestE3BandwidthShape(t *testing.T) {
 }
 
 func TestE4CascadeShape(t *testing.T) {
-	tb := E4Cascade()
+	tb := table(t, "E4", false)
 	if f := tb.Metrics["bytes_saved_factor"]; f < 1.5 {
 		t.Errorf("cascade saves only %vx, want >= 1.5x", f)
 	}
@@ -54,7 +54,7 @@ func TestE4CascadeShape(t *testing.T) {
 }
 
 func TestE5IntrusivenessShape(t *testing.T) {
-	tb := E5Intrusiveness()
+	tb := table(t, "E5", false)
 	if o := tb.Metrics["mcds_overhead"]; o != 0 {
 		t.Errorf("MCDS overhead = %v, want exactly 0", o)
 	}
@@ -67,7 +67,7 @@ func TestE6RankingShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet evaluation is slow")
 	}
-	tb := E6OptionRanking(true)
+	tb := table(t, "E6", true)
 	if tb.Metrics["best_is_flash_path"] != 1 {
 		t.Error("top option is not on the CPU→flash path")
 	}
@@ -80,7 +80,7 @@ func TestE6RankingShape(t *testing.T) {
 }
 
 func TestE7FlashLeverShape(t *testing.T) {
-	tb := E7FlashLever()
+	tb := table(t, "E7", false)
 	if s := tb.Metrics["ws_sensitivity"]; s < 1.1 {
 		t.Errorf("wait-state sensitivity = %v, want >= 1.1", s)
 	}
@@ -90,7 +90,7 @@ func TestE7FlashLeverShape(t *testing.T) {
 }
 
 func TestE8OrderExact(t *testing.T) {
-	tb := E8CycleTrace()
+	tb := table(t, "E8", false)
 	if v := tb.Metrics["order_violations"]; v != 0 {
 		t.Errorf("order violations = %v, want 0", v)
 	}
@@ -103,7 +103,7 @@ func TestF1FModelRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generational loop is slow")
 	}
-	tb := F1FModel(true)
+	tb := table(t, "F1", true)
 	if tb.Metrics["generations"] < 2 {
 		t.Error("F-model produced no new generation")
 	}
@@ -117,7 +117,7 @@ func TestF1FModelRuns(t *testing.T) {
 // fraction falls strictly as corruption rises. Decode MB/s is wall
 // clock and asserted on nowhere.
 func TestE10FaultRecoveryShape(t *testing.T) {
-	tb := E10FaultRecovery()
+	tb := table(t, "E10", false)
 	if f := tb.Metrics["delivered_frac_clean"]; f != 1 {
 		t.Errorf("clean delivered fraction = %v, want exactly 1", f)
 	}
@@ -172,7 +172,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestA1RateBasisShape(t *testing.T) {
-	tb := A1RateBasis()
+	tb := table(t, "A1", false)
 	id := tb.Metrics["instr_basis_drift"]
 	cd := tb.Metrics["cycle_basis_drift"]
 	if cd < 2*id {
@@ -184,21 +184,21 @@ func TestA1RateBasisShape(t *testing.T) {
 }
 
 func TestA2CompressionShape(t *testing.T) {
-	tb := A2Compression()
+	tb := table(t, "A2", false)
 	if f := tb.Metrics["compression_factor"]; f < 2 {
 		t.Errorf("compression factor = %v, want >= 2", f)
 	}
 }
 
 func TestA3ArbitrationShape(t *testing.T) {
-	tb := A3FlashArbitration()
+	tb := table(t, "A3", false)
 	if tb.Metrics["conflicts_code-priority"] == 0 && tb.Metrics["conflicts_fcfs"] == 0 {
 		t.Error("no port conflicts observed; the ablation target is idle")
 	}
 }
 
 func TestA4BufferSizingShape(t *testing.T) {
-	tb := A4TraceBufferSizing()
+	tb := table(t, "A4", false)
 	small := tb.Metrics["loss_2kb"]
 	large := tb.Metrics["loss_384kb"]
 	if small <= large {
@@ -210,7 +210,7 @@ func TestA4BufferSizingShape(t *testing.T) {
 }
 
 func TestE9MulticoreShape(t *testing.T) {
-	tb := E9Multicore()
+	tb := table(t, "E9", false)
 	if s := tb.Metrics["rate_scaling"]; s < 1.5 || s > 2.5 {
 		t.Errorf("rate volume scaling = %v, want ~2x for 2 cores", s)
 	}

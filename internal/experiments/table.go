@@ -1,8 +1,9 @@
 // Package experiments implements the reproduction's evaluation harness:
-// one driver per experiment in DESIGN.md (E1–E8, F1), each regenerating
+// one driver per experiment in DESIGN.md (E1–E10, F1, A1–A4), each regenerating
 // the corresponding table/series from the paper's claims and worked
-// examples. The drivers are shared between cmd/experiments (human-readable
-// tables) and the root benchmark suite (machine-readable metrics).
+// examples. cmd/experiments prints every table (text or JSON); the
+// package tests assert each table's shape and byte-compare the full set
+// with EXPERIMENTS.md.
 package experiments
 
 import (
@@ -14,7 +15,7 @@ import (
 )
 
 // Table is one experiment's result: a paper-style table plus the headline
-// metrics benchmarks assert on.
+// metrics the shape tests assert on.
 type Table struct {
 	ID      string
 	Title   string

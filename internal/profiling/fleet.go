@@ -69,26 +69,6 @@ func (fp *FleetProfile) WriteJSON(w io.Writer) error {
 	return enc.Encode(fp)
 }
 
-// Run returns the ingested run with the given ID (nil when absent).
-func (fp *FleetProfile) Run(id string) *FleetRun {
-	for i := range fp.Runs {
-		if fp.Runs[i].ID == id {
-			return &fp.Runs[i]
-		}
-	}
-	return nil
-}
-
-// Param returns the aggregated parameter by name (nil when absent).
-func (fp *FleetProfile) Param(name string) *FleetParam {
-	for i := range fp.Params {
-		if fp.Params[i].Param == name {
-			return &fp.Params[i]
-		}
-	}
-	return nil
-}
-
 // obsRun is one run's contribution to one parameter's fleet distribution.
 type obsRun struct {
 	id     string

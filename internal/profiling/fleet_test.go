@@ -13,6 +13,26 @@ import (
 	"repro/internal/workload"
 )
 
+// Run returns the ingested run with the given ID (nil when absent).
+func (fp *FleetProfile) Run(id string) *FleetRun {
+	for i := range fp.Runs {
+		if fp.Runs[i].ID == id {
+			return &fp.Runs[i]
+		}
+	}
+	return nil
+}
+
+// Param returns the aggregated parameter by name (nil when absent).
+func (fp *FleetProfile) Param(name string) *FleetParam {
+	for i := range fp.Params {
+		if fp.Params[i].Param == name {
+			return &fp.Params[i]
+		}
+	}
+	return nil
+}
+
 func synthReport(app string, seed uint64, conf float64, ipcMean, ipcConf float64) *RunReport {
 	return &RunReport{
 		Schema: ReportSchemaVersion, App: app, Seed: seed, SoC: "TC1797ED",

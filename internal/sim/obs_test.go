@@ -65,7 +65,7 @@ func TestClockInstrumentDisabledIsIdentical(t *testing.T) {
 // BenchmarkClockDisabled and BenchmarkClockInstrumented measure the
 // observability overhead on the simulator's hottest loop (one Step per
 // CPU cycle with a handful of tickers). The acceptance bar for this repo
-// is instrumented ≤ 1.05× disabled; the numbers land in BENCH_pr2.json.
+// is instrumented ≤ 1.05× disabled.
 func benchClock(b *testing.B, reg *obs.Registry) {
 	c := NewClock()
 	for i := 0; i < 6; i++ {

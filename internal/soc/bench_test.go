@@ -43,7 +43,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 // schedules — plus the usual flash-resident CPU loop. This is the mix the
 // wake scheduler targets: most peripherals are idle on most cycles, so
 // the always-on kernel burns its time delivering no-op Ticks.
-func periphHeavySoC(b *testing.B) *SoC {
+func periphHeavySoC(b testing.TB) *SoC {
 	b.Helper()
 	s := New(TC1797(), 1)
 	prio := uint32(20)

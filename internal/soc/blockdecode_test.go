@@ -95,6 +95,25 @@ func TestChainedDispatchFollowsLinks(t *testing.T) {
 	}
 }
 
+// TestHotLoopCounts pins the work counts of the periph-heavy hot loop
+// (the SoCHotLoop benchmark system): a warmed Clock.Run chunk allocates
+// nothing, and one block decode serves every cycle through the
+// executor's block hint. Behaviour stays identical if block decode breaks
+// or something on the hot path starts allocating; only these counts show
+// it.
+func TestHotLoopCounts(t *testing.T) {
+	s := periphHeavySoC(t)
+	s.Clock.Run(200_000)
+	if avg := testing.AllocsPerRun(10, func() { s.Clock.Run(5000) }); avg != 0 {
+		t.Errorf("warmed hot loop allocates %v objects per 5000-cycle chunk, want 0", avg)
+	}
+	// The two invalidations are LoadProgram's cached and uncached ranges.
+	want := isa.DecoderStats{Misses: 1, Invalidations: 2, Fused: 3}
+	if st := s.Decoder.Stats(); st != want {
+		t.Errorf("decoder stats %+v, pinned %+v", st, want)
+	}
+}
+
 // TestBlockDecodeInvalidationHooks exercises every invalidation edge the
 // SoC assembly wires: program loads, overlay remaps, and bus writes into
 // the EMEM overlay partition.
