@@ -94,10 +94,13 @@ func main() {
 		}
 		rep := &core.Report{Title: "Next-generation architecture assessment",
 			Profiles: ev.Profiles, Eval: ev}
-		if err := rep.WriteMarkdown(f); err != nil {
+		err = rep.WriteMarkdown(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fail(err)
 		}
-		f.Close()
 		fmt.Printf("report written to %s\n", *report)
 	}
 

@@ -1,6 +1,6 @@
 // Package cache models the CPU instruction and data caches: set-associative
-// tag arrays with configurable size, line length, associativity and
-// replacement policy.
+// tag arrays with configurable size, line length and associativity, and LRU
+// replacement.
 //
 // The caches are write-through (as in the TriCore 1.3 data cache), so the
 // model keeps tags only and leaves the data in the backing store; a hit is
@@ -16,31 +16,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Replacement selects the victim policy.
-type Replacement uint8
-
-// Replacement policies.
-const (
-	LRU Replacement = iota
-	Random
-)
-
-// String names the policy.
-func (r Replacement) String() string {
-	if r == LRU {
-		return "lru"
-	}
-	return "random"
-}
-
 // Config parameterizes a cache.
 type Config struct {
 	Name      string
 	Size      uint32 // total capacity in bytes
 	LineBytes uint32 // line length, power of two
 	Ways      int    // associativity
-	Policy    Replacement
-	Seed      uint64 // RNG seed for Random replacement
 }
 
 // Sets returns the number of sets implied by the geometry.
@@ -58,7 +39,6 @@ type Cache struct {
 	sets     uint32
 	lines    []line // sets × ways
 	useClock uint64
-	rng      *sim.RNG
 	counters *sim.Counters
 	evI      [3]sim.Event // access/hit/miss events to report under
 
@@ -91,7 +71,6 @@ func New(cfg Config, kind string, ctrs *sim.Counters) *Cache {
 		cfg:      cfg,
 		sets:     cfg.Sets(),
 		lines:    make([]line, cfg.Sets()*uint32(cfg.Ways)),
-		rng:      sim.NewRNG(cfg.Seed ^ 0xCAC4E),
 		counters: ctrs,
 	}
 	c.ways = uint32(cfg.Ways)
@@ -148,32 +127,21 @@ func (c *Cache) Lookup(addr uint32) bool {
 	return false
 }
 
-// Fill installs the line containing addr, evicting a victim per the
-// replacement policy. It returns the byte address of the evicted line and
-// whether an eviction of a valid line occurred.
+// Fill installs the line containing addr in the first invalid way, or else
+// in the least recently used one. It returns the byte address of the
+// evicted line and whether an eviction of a valid line occurred.
 func (c *Cache) Fill(addr uint32) (evicted uint32, didEvict bool) {
 	c.useClock++
 	set, tag := c.index(addr)
 	ways := c.set(set)
 	victim := 0
-	switch c.cfg.Policy {
-	case LRU:
-		for i := range ways {
-			if !ways[i].valid {
-				victim = i
-				break
-			}
-			if ways[i].lastUse < ways[victim].lastUse {
-				victim = i
-			}
+	for i := range ways {
+		if !ways[i].valid {
+			victim = i
+			break
 		}
-	case Random:
-		victim = c.rng.Intn(len(ways))
-		for i := range ways {
-			if !ways[i].valid {
-				victim = i
-				break
-			}
+		if ways[i].lastUse < ways[victim].lastUse {
+			victim = i
 		}
 	}
 	v := &ways[victim]

@@ -23,7 +23,7 @@ func (c *Cache) Probe(addr uint32) bool {
 
 func cfg4x2() Config {
 	// 4 sets × 2 ways × 16-byte lines = 128 bytes.
-	return Config{Name: "t", Size: 128, LineBytes: 16, Ways: 2, Policy: LRU}
+	return Config{Name: "t", Size: 128, LineBytes: 16, Ways: 2}
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -88,21 +88,6 @@ func TestInvalidateAll(t *testing.T) {
 	}
 }
 
-func TestRandomPolicyStaysInSet(t *testing.T) {
-	cfg := cfg4x2()
-	cfg.Policy = Random
-	cfg.Seed = 1
-	c := New(cfg, "i", nil)
-	// Fill set 0 beyond capacity many times; set 1 content must survive.
-	c.Fill(1 * 16) // set 1
-	for i := uint32(0); i < 50; i++ {
-		c.Fill((i * 4) * 16) // all map to set 0
-	}
-	if !c.Probe(1 * 16) {
-		t.Error("random replacement evicted a line from another set")
-	}
-}
-
 func TestGeometryValidation(t *testing.T) {
 	bad := []Config{
 		{Name: "x", Size: 100, LineBytes: 16, Ways: 2}, // size not divisible
@@ -139,7 +124,7 @@ func TestHitRate(t *testing.T) {
 // address in the same line also hits; accesses never disturb other sets.
 func TestFillLookupProperty(t *testing.T) {
 	f := func(addrs []uint32) bool {
-		c := New(Config{Name: "p", Size: 1024, LineBytes: 32, Ways: 4, Policy: LRU}, "d", nil)
+		c := New(Config{Name: "p", Size: 1024, LineBytes: 32, Ways: 4}, "d", nil)
 		for _, a := range addrs {
 			if !c.Lookup(a) {
 				c.Fill(a)
@@ -161,7 +146,7 @@ func TestFillLookupProperty(t *testing.T) {
 // Property: the number of resident lines never exceeds capacity.
 func TestCapacityInvariant(t *testing.T) {
 	f := func(addrs []uint32) bool {
-		cfg := Config{Name: "p", Size: 256, LineBytes: 16, Ways: 2, Policy: LRU}
+		cfg := Config{Name: "p", Size: 256, LineBytes: 16, Ways: 2}
 		c := New(cfg, "i", nil)
 		for _, a := range addrs {
 			c.Fill(a)

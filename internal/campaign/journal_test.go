@@ -219,7 +219,7 @@ func TestCampaignResumeFailedCellsRerun(t *testing.T) {
 	m := resumeMatrix()
 	dir := t.TempDir()
 	res1, err := Run(context.Background(), m, Options{
-		Workers: 2, JournalDir: dir, Retries: 1, RetryBackoff: time.Millisecond,
+		Workers: 2, JournalDir: dir, Retries: 1, retryBackoff: time.Millisecond,
 		exec: func(ctx context.Context, c Cell) (*profiling.RunReport, error) {
 			if c.Index == 2 {
 				return nil, Transient(errors.New("persistently flaky"))

@@ -43,10 +43,6 @@ type Options struct {
 	// failures — watchdog timeouts, errors wrapped by Transient — are
 	// retried; panics and permanent errors fail fast.
 	Retries int
-	// RetryBackoff is the base delay before the first retry, doubled per
-	// attempt and jittered from the cell's forked RNG. 0 means
-	// DefaultRetryBackoff.
-	RetryBackoff time.Duration
 	// Status, when set, receives live campaign state transitions (cell
 	// state machine, shard lifecycle) for the /status endpoint and the
 	// flight-recorder event log. Nil disables the scoreboard; it never
@@ -65,6 +61,9 @@ type Options struct {
 	// exec overrides cell execution; tests inject panics, hangs, and
 	// transient failures through it. Nil means the real runCell.
 	exec execFn
+	// retryBackoff overrides the base retry delay (defaultRetryBackoff
+	// when zero); tests shorten it.
+	retryBackoff time.Duration
 }
 
 // Result is the outcome of a campaign run.

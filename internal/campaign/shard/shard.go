@@ -48,9 +48,9 @@ const (
 	// DefaultShardRetries is how many times a crashed/hung/torn shard is
 	// re-spawned before its remaining cells are failed.
 	DefaultShardRetries = 2
-	// DefaultRetryBackoff is the base delay before a shard respawn,
+	// defaultRetryBackoff is the base delay before a shard respawn,
 	// doubled per attempt and jittered from the campaign seed.
-	DefaultRetryBackoff = 250 * time.Millisecond
+	defaultRetryBackoff = 250 * time.Millisecond
 	// drainTimeout bounds graceful drain on cancel: SIGTERM, wait this
 	// long, then SIGKILL.
 	drainTimeout = 5 * time.Second

@@ -63,9 +63,6 @@ type Options struct {
 	// Retries is the respawn budget per shard (a shard spawns at most
 	// Retries+1 times); <0 means DefaultShardRetries.
 	Retries int
-	// RetryBackoff is the base respawn delay, doubled per attempt and
-	// jittered from the campaign seed; 0 means DefaultRetryBackoff.
-	RetryBackoff time.Duration
 	// Logf receives supervision events (spawn, hang, crash, respawn) for
 	// operator visibility; nil discards them.
 	Logf func(format string, args ...any)
@@ -74,6 +71,9 @@ type Options struct {
 	// its stop function; nil means a time.Ticker at the heartbeat
 	// period. Tests substitute hand-driven channels.
 	ticks func(period time.Duration) (<-chan time.Time, func())
+	// retryBackoff overrides the base respawn delay (defaultRetryBackoff
+	// when zero); tests shorten it.
+	retryBackoff time.Duration
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -106,8 +106,8 @@ func Run(ctx context.Context, m campaign.Matrix, opt Options) (*campaign.Result,
 	if opt.Retries < 0 {
 		opt.Retries = DefaultShardRetries
 	}
-	if opt.RetryBackoff <= 0 {
-		opt.RetryBackoff = DefaultRetryBackoff
+	if opt.retryBackoff <= 0 {
+		opt.retryBackoff = defaultRetryBackoff
 	}
 	if opt.ticks == nil {
 		opt.ticks = func(period time.Duration) (<-chan time.Time, func()) {
@@ -247,7 +247,7 @@ func (r *shardRunner) run(ctx context.Context) {
 			r.respawns.Set(float64(attempt))
 			// The shard analogue of the per-cell retry schedule, on its
 			// own per-shard jitter fork.
-			d, ok := campaign.Backoff(ctx, r.opt.RetryBackoff, attempt, jitter)
+			d, ok := campaign.Backoff(ctx, r.opt.retryBackoff, attempt, jitter)
 			if !ok {
 				return
 			}

@@ -201,7 +201,7 @@ func TestShardSIGKILLRecovery(t *testing.T) {
 		Shards:       2,
 		Transport:    cap,
 		Retries:      2,
-		RetryBackoff: 20 * time.Millisecond,
+		retryBackoff: 20 * time.Millisecond,
 		Logf:         t.Logf,
 	}
 	res, err := Run(context.Background(), m, opt)
@@ -321,7 +321,7 @@ func TestShardHangRecovery(t *testing.T) {
 		Shards:       1,
 		Transport:    &flakyTransport{bad: modeTransport("hang"), good: modeTransport("worker"), badSpawns: 1},
 		Retries:      2,
-		RetryBackoff: 10 * time.Millisecond,
+		retryBackoff: 10 * time.Millisecond,
 		Logf:         t.Logf,
 		ticks: func(time.Duration) (<-chan time.Time, func()) {
 			if spawns.Add(1) > 1 {
@@ -366,7 +366,7 @@ func TestShardTornWorkerRecovery(t *testing.T) {
 		Shards:       1,
 		Transport:    &flakyTransport{bad: modeTransport("torn"), good: modeTransport("worker"), badSpawns: 1},
 		Retries:      2,
-		RetryBackoff: 10 * time.Millisecond,
+		retryBackoff: 10 * time.Millisecond,
 		Logf:         t.Logf,
 	})
 	if err != nil {
@@ -403,7 +403,7 @@ func TestShardBudgetExhausted(t *testing.T) {
 		Shards:       1,
 		Transport:    modeTransport("crash"),
 		Retries:      1,
-		RetryBackoff: 5 * time.Millisecond,
+		retryBackoff: 5 * time.Millisecond,
 		Logf:         t.Logf,
 	})
 	if err != nil {

@@ -313,7 +313,7 @@ func TestTCPChaosDeterminism(t *testing.T) {
 		Transport:      chaos,
 		HeartbeatEvery: 50 * time.Millisecond, // hang budget 20 × 50 ms, under the 1.5 s stall
 		Retries:        8,
-		RetryBackoff:   20 * time.Millisecond,
+		retryBackoff:   20 * time.Millisecond,
 		Logf:           t.Logf,
 	})
 	if err != nil {
@@ -378,7 +378,7 @@ func TestTCPWrongKey(t *testing.T) {
 			Logf:   supLog.logf,
 		},
 		Retries:      1,
-		RetryBackoff: 10 * time.Millisecond,
+		retryBackoff: 10 * time.Millisecond,
 		Logf:         supLog.logf,
 	})
 	if err != nil {

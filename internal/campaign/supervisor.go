@@ -105,9 +105,9 @@ func newCellError(cell Cell, err error, attempts int) CellError {
 	return ce
 }
 
-// DefaultRetryBackoff is the base delay before the first retry when
-// Options.RetryBackoff is zero.
-const DefaultRetryBackoff = 50 * time.Millisecond
+// defaultRetryBackoff is the base delay before the first retry, doubled
+// per attempt and jittered from the cell's forked RNG.
+const defaultRetryBackoff = 50 * time.Millisecond
 
 // superviseLabel seeds the retry-jitter RNG fork off the cell seed, so
 // the backoff schedule never perturbs the cell's own derived streams
@@ -133,9 +133,9 @@ type supMetrics struct {
 // campaign context itself fires, supervise returns ctx.Err() verbatim;
 // callers treat that as cancellation, not as a cell failure.
 func supervise(ctx context.Context, cell Cell, opt Options, exec execFn, m supMetrics, tr *obs.Tracer) (*profiling.RunReport, int, error) {
-	backoff := opt.RetryBackoff
+	backoff := opt.retryBackoff
 	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
+		backoff = defaultRetryBackoff
 	}
 	jitter := sim.NewRNG(cell.Run.Seed).Fork(superviseLabel)
 	for attempt := 1; ; attempt++ {

@@ -63,7 +63,7 @@ func TestCampaignSupervisorPanicAndHang(t *testing.T) {
 		Obs:          reg,
 		CellTimeout:  time.Second,
 		Retries:      1,
-		RetryBackoff: time.Millisecond,
+		retryBackoff: time.Millisecond,
 		exec: func(ctx context.Context, c Cell) (*profiling.RunReport, error) {
 			switch c.Index {
 			case 3:
@@ -131,7 +131,7 @@ func TestCampaignSupervisorTransientRetry(t *testing.T) {
 		Workers:      2,
 		Obs:          reg,
 		Retries:      2,
-		RetryBackoff: time.Millisecond,
+		retryBackoff: time.Millisecond,
 		exec: func(ctx context.Context, c Cell) (*profiling.RunReport, error) {
 			mu.Lock()
 			attempts[c.Index]++
@@ -168,7 +168,7 @@ func TestCampaignSupervisorRetryBudgetExhausted(t *testing.T) {
 	res, err := Run(context.Background(), m, Options{
 		Workers:      2,
 		Retries:      2,
-		RetryBackoff: time.Millisecond,
+		retryBackoff: time.Millisecond,
 		exec: func(ctx context.Context, c Cell) (*profiling.RunReport, error) {
 			if c.Index == 1 {
 				return nil, Transient(errors.New("always flaky"))
@@ -198,7 +198,7 @@ func TestCampaignSupervisorCancelDuringBackoff(t *testing.T) {
 	res, err := Run(ctx, m, Options{
 		Workers:      1,
 		Retries:      5,
-		RetryBackoff: time.Hour, // without prompt cancellation the test times out
+		retryBackoff: time.Hour, // without prompt cancellation the test times out
 		exec: func(ctx context.Context, c Cell) (*profiling.RunReport, error) {
 			time.AfterFunc(10*time.Millisecond, cancel)
 			return nil, Transient(errors.New("flaky"))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestMeasureCyclesEqualWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if app.SoC.CPU.Reg(workReg) < 100 {
+	if app.SoC.CPU.Reg(WorkReg) < 100 {
 		t.Error("iteration target not reached")
 	}
 	cy2, _, err := MeasureCycles(cfg, spec, 100, 50_000_000)
@@ -192,6 +193,33 @@ func TestGeomean(t *testing.T) {
 	}
 	if g := geomean([]float64{2, 8}); g < 3.99 || g > 4.01 {
 		t.Errorf("geomean(2,8) = %v", g)
+	}
+}
+
+// failingWriter accepts room bytes, then fails every write.
+type failingWriter struct{ room int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.room {
+		n := w.room
+		w.room = 0
+		return n, errDiskFull
+	}
+	w.room -= len(p)
+	return len(p), nil
+}
+
+// TestReportMarkdownWriteError checks that a failed write surfaces, both
+// on the first line and after some lines went through.
+func TestReportMarkdownWriteError(t *testing.T) {
+	rep := &Report{Title: "t", Profiles: []AppProfile{{App: "a", CPI: 1}},
+		Eval: &Evaluation{Base: soc.TC1797()}}
+	for _, room := range []int{0, 64} {
+		if err := rep.WriteMarkdown(&failingWriter{room: room}); !errors.Is(err, errDiskFull) {
+			t.Errorf("room %d: WriteMarkdown = %v, want %v", room, err, errDiskFull)
+		}
 	}
 }
 

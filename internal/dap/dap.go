@@ -17,36 +17,34 @@ import (
 	"repro/internal/tmsg"
 )
 
-// Config describes the tool link.
+// The pin interface: a 40 MHz two-pin DAP moving 2 payload bits per clock,
+// with 20 % protocol overhead (packetizing, turnaround).
+const (
+	clockMHz     = 40
+	bitsPerClock = 2
+	overheadPct  = 20
+)
+
+// bytesPerSecond is the effective payload bandwidth of the link: 10 MB/s
+// raw, 8 MB/s after overhead, whatever the CPU clock.
+const bytesPerSecond uint64 = clockMHz * 1_000_000 * bitsPerClock / 8 * (100 - overheadPct) / 100
+
+// Config describes the tool link against the CPU it drains.
 type Config struct {
-	// ClockMHz is the DAP interface clock (e.g. 40 MHz).
-	ClockMHz uint64
-	// BitsPerClock is the payload width per DAP clock (2 for the two-pin
-	// DAP, 1 for JTAG-class links).
-	BitsPerClock uint64
-	// Overhead is the protocol overhead fraction in percent (packetizing,
-	// turnaround); effective payload = raw * (100-Overhead)/100.
-	Overhead uint64
 	// CPUFreqMHz is the core clock the drain rate is expressed against.
 	CPUFreqMHz uint64
 }
 
-// DefaultConfig is a 40 MHz two-pin DAP with 20 % protocol overhead.
+// DefaultConfig is the link drained against a cpuMHz core clock.
 func DefaultConfig(cpuMHz uint64) Config {
-	return Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 20, CPUFreqMHz: cpuMHz}
-}
-
-// BytesPerSecond returns the effective payload bandwidth of the link.
-func (c Config) BytesPerSecond() uint64 {
-	raw := c.ClockMHz * 1_000_000 * c.BitsPerClock / 8
-	return raw * (100 - c.Overhead) / 100
+	return Config{CPUFreqMHz: cpuMHz}
 }
 
 // BytesPerMCycle returns the effective payload bytes the link moves per
 // one million CPU cycles.
 func (c Config) BytesPerMCycle() uint64 {
-	return c.BytesPerSecond() * 1_000_000 / (c.CPUFreqMHz * 1_000_000)
-	// == BytesPerSecond / CPUFreqMHz, kept explicit for readability.
+	return bytesPerSecond * 1_000_000 / (c.CPUFreqMHz * 1_000_000)
+	// == bytesPerSecond / CPUFreqMHz, kept explicit for readability.
 }
 
 // LinkFault injects transport faults into the DAP connection. The fault
@@ -229,11 +227,8 @@ func (d *DAP) rise() {
 // whole byte of credit comes due.
 func (d *DAP) due(from uint64) uint64 {
 	from = max(from, d.next)
-	bps, denom := d.Cfg.BytesPerSecond(), d.Cfg.CPUFreqMHz*1_000_000
-	if bps == 0 {
-		return sim.NoWake
-	}
-	return from + (denom-d.creditAt(from)-1)/bps
+	denom := d.Cfg.CPUFreqMHz * 1_000_000
+	return from + (denom-d.creditAt(from)-1)/bytesPerSecond
 }
 
 // creditAt returns the credit after cycle from-1, from >= next: the
@@ -245,7 +240,7 @@ func (d *DAP) creditAt(from uint64) uint64 {
 		return d.credit
 	}
 	denom := d.Cfg.CPUFreqMHz * 1_000_000
-	hi, lo := bits.Mul64(from-d.next, d.Cfg.BytesPerSecond())
+	hi, lo := bits.Mul64(from-d.next, bytesPerSecond)
 	lo, carry := bits.Add64(lo, d.credit, 0)
 	_, rem := bits.Div64((hi+carry)%denom, lo, denom)
 	return rem
@@ -261,7 +256,7 @@ func (d *DAP) Tick(cycle uint64) {
 		d.obs.downCyc.Inc()
 		return // link down: no drain, no credit — the bandwidth is lost
 	}
-	d.credit += d.Cfg.BytesPerSecond()
+	d.credit += bytesPerSecond
 	denom := d.Cfg.CPUFreqMHz * 1_000_000
 	n := d.credit / denom
 	if n > 0 {

@@ -10,10 +10,10 @@ import (
 )
 
 func TestBandwidthArithmetic(t *testing.T) {
-	cfg := Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 20, CPUFreqMHz: 180}
+	cfg := DefaultConfig(180)
 	// 40e6 * 2 / 8 = 10 MB/s raw; 8 MB/s after 20% overhead.
-	if got := cfg.BytesPerSecond(); got != 8_000_000 {
-		t.Errorf("BytesPerSecond = %d", got)
+	if bytesPerSecond != 8_000_000 {
+		t.Errorf("bytesPerSecond = %d", uint64(bytesPerSecond))
 	}
 	// 8e6 / 180e6 cycles ≈ 0.044 B/cycle → 44444 bytes per MCycle.
 	if got := cfg.BytesPerMCycle(); got != 44444 {
@@ -26,9 +26,6 @@ func TestBandwidthDoesNotScaleWithCPU(t *testing.T) {
 	// clock shrinks the per-cycle drain budget.
 	slow := DefaultConfig(90)
 	fast := DefaultConfig(360)
-	if slow.BytesPerSecond() != fast.BytesPerSecond() {
-		t.Error("absolute link bandwidth must be CPU-independent")
-	}
 	if fast.BytesPerMCycle() >= slow.BytesPerMCycle() {
 		t.Error("per-cycle budget must shrink with CPU frequency")
 	}
@@ -37,14 +34,13 @@ func TestBandwidthDoesNotScaleWithCPU(t *testing.T) {
 func TestDrainRate(t *testing.T) {
 	e := emem.New(4096, 0, 0)
 	e.AppendTrace(make([]byte, 4000))
-	cfg := Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 0, CPUFreqMHz: 100}
-	// 10 MB/s at 100 MHz = 0.1 B/cycle.
-	d := New(cfg, e)
+	// 8 MB/s at 100 MHz = 0.08 B/cycle.
+	d := New(DefaultConfig(100), e)
 	for cy := uint64(0); cy < 10_000; cy++ {
 		d.Tick(cy)
 	}
-	if d.TotalDrained < 990 || d.TotalDrained > 1010 {
-		t.Errorf("drained %d bytes in 10k cycles, want about 1000", d.TotalDrained)
+	if d.TotalDrained < 790 || d.TotalDrained > 810 {
+		t.Errorf("drained %d bytes in 10k cycles, want about 800", d.TotalDrained)
 	}
 }
 
@@ -84,9 +80,8 @@ func TestTickerInterface(t *testing.T) {
 func TestCreditClosedForm(t *testing.T) {
 	rng := sim.NewRNG(3)
 	for trial := 0; trial < 200; trial++ {
-		d := New(Config{ClockMHz: uint64(rng.Range(1, 200)), BitsPerClock: uint64(rng.Range(1, 4)),
-			Overhead: uint64(rng.Range(0, 50)), CPUFreqMHz: uint64(rng.Range(1, 400))}, nil)
-		bps, denom := d.Cfg.BytesPerSecond(), d.Cfg.CPUFreqMHz*1_000_000
+		d := New(Config{CPUFreqMHz: uint64(rng.Range(1, 400))}, nil)
+		bps, denom := bytesPerSecond, d.Cfg.CPUFreqMHz*1_000_000
 		d.credit = rng.Uint64() % denom
 		d.next = uint64(rng.Intn(1000))
 		credit := d.credit
@@ -118,7 +113,7 @@ func TestDAPTickZeroAlloc(t *testing.T) {
 	for _, reliable := range []bool{false, true} {
 		e := emem.New(1<<20, 0, 0)
 		fillFrames(e, 40_000)
-		d := New(Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 0, CPUFreqMHz: 10}, e)
+		d := New(Config{CPUFreqMHz: 10}, e)
 		d.Reliable = reliable
 		d.Received = make([]byte, 0, 2*e.Level())
 		cy := uint64(0)

@@ -58,7 +58,7 @@ func TestReliableRetryRecoversEverything(t *testing.T) {
 	e := emem.New(1<<16, 0, 0)
 	f := fillFrames(e, 400)
 
-	d := New(Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 0, CPUFreqMHz: 100}, e)
+	d := New(Config{CPUFreqMHz: 100}, e)
 	d.Reliable = true
 	d.Fault = &flakyLink{failFirst: 2}
 	for cy := uint64(0); cy < 400_000 && (e.Level() > 0 || d.FramesDelivered == 0); cy++ {
@@ -94,7 +94,7 @@ func TestReliableAbandonsSourceCorruption(t *testing.T) {
 	// corruption that retransmission cannot heal.
 	e.CorruptBit(e.Level()/2, 3)
 
-	d := New(Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 0, CPUFreqMHz: 100}, e)
+	d := New(Config{CPUFreqMHz: 100}, e)
 	d.Reliable = true
 	d.DrainAll()
 
@@ -120,7 +120,7 @@ func TestStallWindowStopsDrain(t *testing.T) {
 	fillFrames(e, 100)
 	before := e.Level()
 
-	d := New(Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 0, CPUFreqMHz: 100}, e)
+	d := New(Config{CPUFreqMHz: 100}, e)
 	d.Reliable = true
 	d.Fault = &flakyLink{failFirst: 0, downUntil: 5_000}
 	for cy := uint64(0); cy < 5_000; cy++ {
@@ -132,8 +132,8 @@ func TestStallWindowStopsDrain(t *testing.T) {
 	for cy := uint64(5_000); cy < 6_000; cy++ {
 		d.Tick(cy)
 	}
-	// 0.1 B/cycle × 1000 cycles ≈ 100 bytes: no catch-up burst.
-	if d.TotalDrained > 110 {
+	// 0.08 B/cycle × 1000 cycles ≈ 80 bytes: no catch-up burst.
+	if d.TotalDrained > 88 {
 		t.Fatalf("drained %d bytes in 1000 cycles after stall — credit accrued while down", d.TotalDrained)
 	}
 }
@@ -159,7 +159,7 @@ func TestDecodeIncremental(t *testing.T) {
 		want = append(want, m)
 	}
 
-	d := New(Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 0, CPUFreqMHz: 100}, e)
+	d := New(Config{CPUFreqMHz: 100}, e)
 	var got []tmsg.Msg
 	for cy := uint64(0); e.Level() > 0; cy++ {
 		d.Tick(cy)

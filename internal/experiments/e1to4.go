@@ -15,11 +15,11 @@ import (
 
 // referenceSpec is the engine-control application most experiments profile.
 func referenceSpec() workload.Spec {
-	return workload.Spec{
-		Name: "engine", Seed: base.Seed, CodeKB: 24, TableKB: 32, FilterTaps: 16,
-		DiagBranches: 12, ADCPeriod: 2500, TimerPeriod: 9000, CANMeanGap: 5000,
-		EEPROMEmul: true,
+	spec, ok := workload.Mix("engine", base.Seed)
+	if !ok {
+		panic("experiments: the engine mix is missing")
 	}
+	return spec
 }
 
 func buildRef(cfg soc.Config, spec workload.Spec) (*soc.SoC, *workload.App) {

@@ -42,7 +42,7 @@ func E5Intrusiveness() *Table {
 	sess := profiling.NewSession(s, profiling.Spec{Resolution: 500,
 		Params: profiling.StandardParams()})
 	sess.CPUObs().FlowTrace = true
-	s.CPU.StopAtReg(9, iters)
+	s.CPU.StopAtReg(core.WorkReg, iters)
 	cyMCDS, ok := s.Clock.RunToStop(limit)
 	if !ok {
 		panic("E5 MCDS run did not finish")

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/bus"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -55,14 +56,18 @@ func (p ArbPolicy) String() string {
 	return "arb-unknown"
 }
 
-// Config parameterizes a flash instance.
+// Fixed PMU parameters, the same on every SoC preset.
+const (
+	base        = mem.FlashBase // physical base address of the array
+	lineBytes   = 32            // width of one array read (256 bits)
+	writeCycles = 200           // cycles per (abstracted) program operation
+)
+
+// Config parameterizes a flash instance: the levers an architecture option
+// may change.
 type Config struct {
-	Name        string
-	Base        uint32 // physical base address of the array
 	Size        uint32 // array size in bytes
-	LineBytes   uint32 // width of one array read (buffer line), power of two
 	WaitStates  uint64 // cycles per array read
-	WriteCycles uint64 // cycles per (abstracted) program operation
 	CodeBuffers int    // line buffers on the code port
 	DataBuffers int    // line buffers on the data port
 	Prefetch    bool   // sequential next-line prefetch on the code port
@@ -73,12 +78,8 @@ type Config struct {
 // reads, and a small buffer set per port.
 func DefaultConfig() Config {
 	return Config{
-		Name:        "pmu",
-		Base:        0x8000_0000,
 		Size:        4 << 20,
-		LineBytes:   32,
 		WaitStates:  5,
-		WriteCycles: 200,
 		CodeBuffers: 2,
 		DataBuffers: 2,
 		Prefetch:    true,
@@ -161,9 +162,6 @@ type Flash struct {
 // New creates a flash module. The array content is zero; use Load to place
 // a program image.
 func New(cfg Config) *Flash {
-	if cfg.LineBytes == 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		panic("flash: LineBytes must be a power of two")
-	}
 	f := &Flash{cfg: cfg, pages: make([]*[pageSize]byte, (uint64(cfg.Size)+pageSize-1)>>pageShift)}
 	f.ports[PortCode].bufs = make([]lineBuf, max(1, cfg.CodeBuffers))
 	f.ports[PortData].bufs = make([]lineBuf, max(1, cfg.DataBuffers))
@@ -183,9 +181,9 @@ func (f *Flash) Counters() *sim.Counters { return &f.counters }
 // Load copies image into the array at physical address addr (no timing;
 // used at system initialization).
 func (f *Flash) Load(addr uint32, image []byte) {
-	off := addr - f.cfg.Base
+	off := addr - base
 	if !f.inArray(off, len(image)) {
-		panic(fmt.Sprintf("flash %s: load beyond array (%#x+%d)", f.cfg.Name, addr, len(image)))
+		panic(fmt.Sprintf("flash: load beyond array (%#x+%d)", addr, len(image)))
 	}
 	f.write(off, image)
 	if f.OnWrite != nil {
@@ -197,9 +195,9 @@ func (f *Flash) Load(addr uint32, image []byte) {
 // decoders that need the program image). A window running past the end of
 // the array fills only its in-array prefix.
 func (f *Flash) ReadDirect(addr uint32, p []byte) {
-	off := addr - f.cfg.Base
+	off := addr - base
 	if off > f.cfg.Size {
-		panic(fmt.Sprintf("flash %s: direct read beyond array (%#x)", f.cfg.Name, addr))
+		panic(fmt.Sprintf("flash: direct read beyond array (%#x)", addr))
 	}
 	f.read(off, p[:min(len(p), int(f.cfg.Size-off))])
 }
@@ -255,9 +253,9 @@ type flashPort struct {
 
 func (fp flashPort) Name() string {
 	if fp.port == PortCode {
-		return fp.f.cfg.Name + ".code"
+		return "pmu.code"
 	}
-	return fp.f.cfg.Name + ".data"
+	return "pmu.data"
 }
 
 func (fp flashPort) Access(grant uint64, req *bus.Request) uint64 {
@@ -267,23 +265,23 @@ func (fp flashPort) Access(grant uint64, req *bus.Request) uint64 {
 // access implements the shared-array timing. It returns device latency in
 // cycles beyond the bus transfer.
 func (f *Flash) access(grant uint64, portID int, req *bus.Request) uint64 {
-	off := req.Addr - f.cfg.Base
+	off := req.Addr - base
 	if !f.inArray(off, len(req.Data)) {
-		panic(fmt.Sprintf("flash %s: access beyond array (%#x)", f.cfg.Name, req.Addr))
+		panic(fmt.Sprintf("flash: access beyond array (%#x)", req.Addr))
 	}
 	if req.Write {
-		// Abstracted program operation: occupies the array for WriteCycles.
+		// Abstracted program operation: occupies the array for writeCycles.
 		start := f.acquireArray(grant, portID)
 		f.write(off, req.Data)
 		if f.OnWrite != nil {
 			f.OnWrite(req.Addr, len(req.Data))
 		}
-		done := start + f.cfg.WriteCycles
+		done := start + writeCycles
 		f.holdArray(done, portID)
 		return done - grant
 	}
 
-	line := off / f.cfg.LineBytes
+	line := off / lineBytes
 	p := &f.ports[portID]
 	readyAt := grant
 	if b := p.lookup(line); b != nil {
@@ -368,7 +366,7 @@ func (f *Flash) holdArray(until uint64, portID int) {
 }
 
 func (f *Flash) maybePrefetch(line uint32, from uint64) {
-	if int64(line)*int64(f.cfg.LineBytes) >= int64(f.cfg.Size) {
+	if int64(line)*int64(lineBytes) >= int64(f.cfg.Size) {
 		return
 	}
 	p := &f.ports[PortCode]

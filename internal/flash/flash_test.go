@@ -159,11 +159,11 @@ func TestWriteOccupiesArray(t *testing.T) {
 	cfg.Prefetch = false
 	f := New(cfg)
 	req := &bus.Request{Addr: 0x8000_0000, Data: []byte{9, 9, 9, 9}, Write: true}
-	if lat := f.DataPort().Access(0, req); lat != cfg.WriteCycles {
-		t.Errorf("write latency = %d, want %d", lat, cfg.WriteCycles)
+	if lat := f.DataPort().Access(0, req); lat != writeCycles {
+		t.Errorf("write latency = %d, want %d", lat, writeCycles)
 	}
 	// A read right after must wait for the program operation.
-	if lat := read(t, f.CodePort(), 1, 0x8000_1000); lat != cfg.WriteCycles-1+5 {
+	if lat := read(t, f.CodePort(), 1, 0x8000_1000); lat != writeCycles-1+5 {
 		t.Errorf("read-after-write latency = %d", lat)
 	}
 	rb := make([]byte, 4)
@@ -199,17 +199,6 @@ func TestPolicyStringsAndConfig(t *testing.T) {
 	if f.CodePort().Name() == f.DataPort().Name() {
 		t.Error("port names must differ")
 	}
-}
-
-func TestBadGeometryPanics(t *testing.T) {
-	cfg := testCfg()
-	cfg.LineBytes = 24
-	defer func() {
-		if recover() == nil {
-			t.Error("non-pow2 line must panic")
-		}
-	}()
-	New(cfg)
 }
 
 func TestOutOfArrayAccessPanics(t *testing.T) {

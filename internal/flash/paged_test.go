@@ -55,20 +55,20 @@ func TestPagedArrayMatchesFlatOracle(t *testing.T) {
 				continue
 			}
 			img := random(n)
-			f.Load(cfg.Base+off, img)
+			f.Load(base+off, img)
 			copy(flat[off:], img)
 		case 1: // bus write
 			if !fits(off, n) {
 				continue
 			}
-			req := &bus.Request{Addr: cfg.Base + off, Data: random(n), Write: true}
+			req := &bus.Request{Addr: base + off, Data: random(n), Write: true}
 			copy(flat[off:], req.Data)
 			f.DataPort().Access(now, req)
 		case 2: // bus read on either port
 			if !fits(off, n) {
 				continue
 			}
-			req := &bus.Request{Addr: cfg.Base + off, Data: random(n)}
+			req := &bus.Request{Addr: base + off, Data: random(n)}
 			port := f.CodePort()
 			if rng.Bool(0.5) {
 				port = f.DataPort()
@@ -81,14 +81,14 @@ func TestPagedArrayMatchesFlatOracle(t *testing.T) {
 			got, want := random(n), make([]byte, n)
 			copy(want, got)
 			copy(want, flat[off:])
-			f.ReadDirect(cfg.Base+off, got)
+			f.ReadDirect(base+off, got)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("op %d: direct read %#x+%d = %x, oracle %x", i, off, n, got, want)
 			}
 		}
 	}
 	full := make([]byte, cfg.Size)
-	f.ReadDirect(cfg.Base, full)
+	f.ReadDirect(base, full)
 	if !bytes.Equal(full, flat) {
 		t.Fatal("final array content differs from the oracle")
 	}
@@ -97,7 +97,7 @@ func TestPagedArrayMatchesFlatOracle(t *testing.T) {
 func TestUnwrittenPagesReadZeroWithoutAllocating(t *testing.T) {
 	cfg := testCfg()
 	f := New(cfg)
-	f.Load(cfg.Base+pageSize+10, []byte{1, 2, 3})
+	f.Load(base+pageSize+10, []byte{1, 2, 3})
 	for i, pg := range f.pages {
 		if (pg != nil) != (i == 1) {
 			t.Fatalf("page %d allocated=%v after a load into page 1 only", i, pg != nil)
@@ -105,13 +105,13 @@ func TestUnwrittenPagesReadZeroWithoutAllocating(t *testing.T) {
 	}
 	p := []byte{9, 9, 9, 9, 9, 9, 9, 9}
 	// A window straddling an unwritten page and the written one.
-	f.ReadDirect(cfg.Base+pageSize-4, p)
+	f.ReadDirect(base+pageSize-4, p)
 	if want := []byte{0, 0, 0, 0, 0, 0, 0, 0}; !bytes.Equal(p, want) {
 		t.Fatalf("read across unwritten page 0 = %v, want %v", p, want)
 	}
-	req := &bus.Request{Addr: cfg.Base + 3*pageSize, Data: make([]byte, 8)}
+	req := &bus.Request{Addr: base + 3*pageSize, Data: make([]byte, 8)}
 	allocs := testing.AllocsPerRun(100, func() {
-		f.ReadDirect(cfg.Base+2*pageSize+100, p)
+		f.ReadDirect(base+2*pageSize+100, p)
 		f.DataPort().Access(0, req)
 	})
 	if allocs != 0 {
@@ -127,13 +127,13 @@ func TestUnwrittenPagesReadZeroWithoutAllocating(t *testing.T) {
 func TestOutOfArrayLoadAndDirectReadPanic(t *testing.T) {
 	cfg := testCfg()
 	for name, op := range map[string]func(f *Flash){
-		"load past the end":   func(f *Flash) { f.Load(cfg.Base+cfg.Size-2, []byte{1, 2, 3}) },
-		"load below the base": func(f *Flash) { f.Load(cfg.Base-4, []byte{1}) },
+		"load past the end":   func(f *Flash) { f.Load(base+cfg.Size-2, []byte{1, 2, 3}) },
+		"load below the base": func(f *Flash) { f.Load(base-4, []byte{1}) },
 		"direct read past the end": func(f *Flash) {
-			f.ReadDirect(cfg.Base+cfg.Size+1, make([]byte, 4))
+			f.ReadDirect(base+cfg.Size+1, make([]byte, 4))
 		},
 		"bus write past the end": func(f *Flash) {
-			f.DataPort().Access(0, &bus.Request{Addr: cfg.Base + cfg.Size - 2, Data: make([]byte, 4), Write: true})
+			f.DataPort().Access(0, &bus.Request{Addr: base + cfg.Size - 2, Data: make([]byte, 4), Write: true})
 		},
 	} {
 		func() {

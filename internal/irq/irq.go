@@ -7,11 +7,7 @@
 // are triggered directly by interrupts".
 package irq
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // Provider identifies a service provider an SRN can be routed to.
 type Provider uint8
@@ -57,8 +53,7 @@ type SRN struct {
 
 // Router arbitrates SRNs per provider.
 type Router struct {
-	srns     []*SRN
-	counters sim.Counters
+	srns []*SRN
 
 	// onRequest[prov] is called on every pending-flag rise for prov.
 	// Wake-scheduled providers (PCP, DMA) register here so a request
@@ -111,10 +106,6 @@ func (r *Router) OnRequest(prov Provider, fn func()) { r.onRequest[prov] = fn }
 func (r *Router) HasPending(prov Provider) bool {
 	return r.highestPending(prov, 0) != nil
 }
-
-// Counters exposes router-level events (none currently beyond per-SRN
-// statistics, kept for observation symmetry).
-func (r *Router) Counters() *sim.Counters { return &r.counters }
 
 // highestPending returns the pending enabled SRN with the highest priority
 // strictly above floor for the provider, or nil.

@@ -95,9 +95,6 @@ func TestDisabledSRNInvisible(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	r := New()
 	r.AddSRN("a", 1, ToCPU, 0x10)
-	if r.Counters() == nil {
-		t.Error("nil counters")
-	}
 	for p, want := range map[Provider]string{ToCPU: "cpu", ToPCP: "pcp",
 		ToDMA: "dma", ToCPU1: "cpu1", Provider(9): "provider-unknown"} {
 		if got := p.String(); got != want {

@@ -85,15 +85,11 @@ type MCDS struct {
 	// cycles (0 = only when needed).
 	SyncEvery uint64
 
-	// AnchorEvery, when non-zero, re-anchors EVERY active trace source at
-	// least every N cycles (not just flow-traced cores). It bounds the
-	// tool-side recovery window after link loss: a resynchronizing decoder
-	// discards a source's messages until its next Sync, so without
-	// periodic anchors a single lost frame would poison counter and bus
-	// sources to the end of the run. Enabled by hardened (framed)
-	// profiling sessions; off by default so the clean-path byte stream is
-	// unchanged.
-	AnchorEvery uint64
+	// anchorEvery, when non-zero, re-anchors EVERY active trace source at
+	// least every N cycles (not just flow-traced cores). EnableFraming
+	// sets it to framedAnchorEvery; it is zero otherwise, so the clean-path
+	// byte stream is unchanged.
+	anchorEvery uint64
 	lastAnchor  uint64
 
 	// OnEmit, when non-nil, observes every message accepted into the
@@ -175,14 +171,24 @@ func (m *MCDS) set(s Signal) {
 	}
 }
 
+// framedAnchorEvery is the periodic all-source re-anchor interval of the
+// framed path, in cycles. It bounds the tool-side recovery window after
+// link loss: a resynchronizing decoder discards a source's delta-coded
+// messages until its next Sync, so without periodic anchors a single lost
+// frame would poison counter and bus sources to the end of the run. The
+// cost is one small Sync per active source per period.
+const framedAnchorEvery = 4096
+
 // EnableFraming routes every emitted message through the CRC/seq frame
-// layer (tmsg.Framer) on its way into the EMEM. Pair it with a reliable
+// layer (tmsg.Framer) on its way into the EMEM, and re-anchors every
+// active source each framedAnchorEvery cycles. Pair it with a reliable
 // DAP (dap.DAP.Reliable) and a framed tool-side decoder. Call before the
 // first emitted message.
 func (m *MCDS) EnableFraming() {
 	if m.framer != nil {
 		return
 	}
+	m.anchorEvery = framedAnchorEvery
 	m.framer = &tmsg.Framer{Sink: func(frame []byte) bool {
 		if m.Sink == nil {
 			return true
@@ -211,7 +217,7 @@ func (m *MCDS) FlushTrace() {
 // cycle where a basis word reaches its due value; watchdogs step every
 // cycle.
 func (m *MCDS) Tick(cycle uint64) {
-	if m.AnchorEvery > 0 && cycle-m.lastAnchor >= m.AnchorEvery {
+	if m.anchorEvery > 0 && cycle-m.lastAnchor >= m.anchorEvery {
 		for i := range m.needSync {
 			m.needSync[i] = true
 		}
@@ -275,8 +281,8 @@ func (m *MCDS) NextWake(from uint64) uint64 {
 		}
 	}
 	next := sim.NoWake
-	if m.AnchorEvery > 0 {
-		next = m.lastAnchor + m.AnchorEvery
+	if m.anchorEvery > 0 {
+		next = m.lastAnchor + m.anchorEvery
 	}
 	for _, i := range m.bases {
 		w := &m.words[i]

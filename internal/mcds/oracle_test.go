@@ -143,7 +143,7 @@ type refMCDS struct {
 	signals  []bool
 	msgs     []tmsg.Msg
 
-	// Periodic re-anchoring (MCDS.AnchorEvery): a source's first message
+	// Periodic re-anchoring (MCDS.anchorEvery): a source's first message
 	// after an anchor cycle is preceded by a Sync.
 	anchorEvery, lastAnchor uint64
 	needSync                [tmsg.MaxSources]bool
@@ -569,8 +569,8 @@ func newRateRig(t *testing.T, seed int64) (*oracleRig, *tickCount) {
 			r.got = append(r.got, *msg)
 		}
 	}
-	r.m.AnchorEvery = uint64(200 + r.rng.Intn(800))
-	r.ref.anchorEvery = r.m.AnchorEvery
+	r.m.anchorEvery = uint64(200 + r.rng.Intn(800))
+	r.ref.anchorEvery = r.m.anchorEvery
 	core := r.m.AddCore(s.CPU, 0)
 	dlmb := r.m.AddBus(s.DLMB.Counters(), 2)
 	rcore := newRefObs(s.CPU.Counters(), 0)

@@ -25,7 +25,7 @@ func tinyEMEM() soc.Config {
 // under pressure, nothing is lost, and the aggregate rates still agree
 // with the lossy run's because every sample carries its actual basis.
 func TestDegradationPreventsLoss(t *testing.T) {
-	link := dap.Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 20, CPUFreqMHz: 100}
+	link := dap.Config{CPUFreqMHz: 100}
 	run := func(degrade *DegradePolicy) (*Profile, *Session) {
 		s, app := buildApp(t, tinyEMEM(), stdSpec())
 		sess := NewSession(s, Spec{
@@ -80,7 +80,7 @@ func TestDegradationPreventsLoss(t *testing.T) {
 // the plain session's samples exactly — the robustness machinery is free
 // when nothing goes wrong, apart from the documented link-byte overhead.
 func TestFramedSessionMatchesUnframed(t *testing.T) {
-	link := dap.Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 20, CPUFreqMHz: 100}
+	link := dap.Config{CPUFreqMHz: 100}
 	run := func(framed bool) (*Profile, *Session) {
 		s, app := buildApp(t, soc.TC1797().WithED(), stdSpec())
 		sess := NewSession(s, Spec{
@@ -133,7 +133,7 @@ func TestFramedSessionMatchesUnframed(t *testing.T) {
 // can heal) the session must survive, bound the damage, and tell the
 // truth about it: exact conservation, located gaps, suspect samples.
 func TestFaultySessionQuantifiesLoss(t *testing.T) {
-	link := dap.Config{ClockMHz: 40, BitsPerClock: 2, Overhead: 20, CPUFreqMHz: 100}
+	link := dap.Config{CPUFreqMHz: 100}
 	plan := fault.Plan{Name: "soft", Seed: 11, Mem: fault.MemPlan{FlipProb: 0.002}}
 	s, app := buildApp(t, soc.TC1797().WithED(), stdSpec())
 	sess := NewSession(s, Spec{

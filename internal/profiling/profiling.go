@@ -140,12 +140,6 @@ type Spec struct {
 // framed reports whether the hardened trace path is active.
 func (sp *Spec) framed() bool { return sp.Framed || sp.Fault.Active() }
 
-// DefaultAnchorEvery is the periodic all-source re-anchor interval of
-// framed sessions, in cycles. After a loss the tool discards a source's
-// delta-coded messages until its next Sync, so this bounds the worst-case
-// recovery latency per series.
-const DefaultAnchorEvery = 4096
-
 // Session is a configured profiling run: an MCDS programmed from a Spec,
 // attached to a SoC.
 type Session struct {
@@ -273,11 +267,6 @@ func newSession(s *soc.SoC, spec Spec, attach func(string, sim.Ticker)) *Session
 
 	if spec.framed() {
 		m.EnableFraming()
-		// Re-anchor every source periodically so the tool recovers every
-		// series within one anchor period after a loss, not just the
-		// flow-traced cores. The period bounds the recovery latency; the
-		// cost is one small Sync per active source per period.
-		m.AnchorEvery = DefaultAnchorEvery
 	}
 
 	attach("mcds", m)

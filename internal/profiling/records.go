@@ -26,8 +26,8 @@ import (
 //     retried against every line-boundary suffix of the body (garbage
 //     lines prepended to an otherwise intact record are shed, the
 //     record survives, and the shed prefix counts as one skip).
-//   - A body that never meets its trailer — EOF, or MaxRecord exceeded
-//     — is dropped and counted.
+//   - A body that never meets its trailer — EOF, or defaultMaxRecord
+//     exceeded — is dropped and counted.
 //   - Lines beginning with "//" other than the trailer are control
 //     lines: they are handed to the Control hook (when set) and never
 //     enter a record body, so a side-channel protocol can ride the same
@@ -37,10 +37,8 @@ type RecordScanner struct {
 	// trailer, in stream order, synchronously from Next. Nil discards
 	// them.
 	Control func(line string)
-	// MaxRecord bounds the accumulated body size; a body that grows past
-	// it without reaching a trailer is dropped as garbage. 0 means
-	// DefaultMaxRecord.
-	MaxRecord int
+	// maxRecord overrides defaultMaxRecord when non-zero; tests shrink it.
+	maxRecord int
 
 	sc      *bufio.Scanner
 	body    bytes.Buffer
@@ -48,10 +46,11 @@ type RecordScanner struct {
 	skipped int
 }
 
-// DefaultMaxRecord is the record-size bound when MaxRecord is zero:
-// far above any real run report, low enough that an unframed garbage
-// flood cannot exhaust memory.
-const DefaultMaxRecord = 16 << 20
+// defaultMaxRecord bounds the accumulated body size; a body that grows
+// past it without reaching a trailer is dropped as garbage. It is far
+// above any real run report, low enough that an unframed garbage flood
+// cannot exhaust memory.
+const defaultMaxRecord = 16 << 20
 
 // NewRecordScanner returns a scanner over r. Individual lines longer
 // than 1 MiB are treated as garbage by the underlying line splitter.
@@ -70,9 +69,9 @@ func (s *RecordScanner) Skipped() int { return s.skipped }
 // error otherwise; in both cases any unterminated partial body has been
 // counted as skipped.
 func (s *RecordScanner) Next() ([]byte, uint32, error) {
-	max := s.MaxRecord
+	max := s.maxRecord
 	if max <= 0 {
-		max = DefaultMaxRecord
+		max = defaultMaxRecord
 	}
 	for s.sc.Scan() {
 		line := s.sc.Bytes()

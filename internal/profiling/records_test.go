@@ -188,7 +188,7 @@ func TestRecordScannerMaxRecord(t *testing.T) {
 	good, bodies := encodeStream(t, 1)
 	buf.Write(good)
 	sc := NewRecordScanner(&buf)
-	sc.MaxRecord = 1024
+	sc.maxRecord = 1024
 	got := drain(t, sc)
 	// The flood is dropped in 1 KiB chunks; the real record follows a
 	// partial flood chunk, which suffix recovery sheds.
@@ -292,7 +292,7 @@ func FuzzRecordScanner(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("x"), 4096))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := NewRecordScanner(bytes.NewReader(data))
-		sc.MaxRecord = 1 << 16
+		sc.maxRecord = 1 << 16
 		sc.Control = func(string) {}
 		for i := 0; i < 1<<12; i++ {
 			body, crc, err := sc.Next()

@@ -83,9 +83,8 @@ func periphHeavySoC(b testing.TB) *SoC {
 	return s
 }
 
-func benchHotLoop(b *testing.B, sched, block bool) {
+func benchHotLoop(b *testing.B, block bool) {
 	s := periphHeavySoC(b)
-	s.Clock.SetWakeScheduling(sched)
 	s.SetBlockDecode(block)
 	b.ResetTimer()
 	s.Clock.Run(uint64(b.N))
@@ -93,15 +92,15 @@ func benchHotLoop(b *testing.B, sched, block bool) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "simcycles/s")
 }
 
-// BenchmarkSoCHotLoop is the PR5 acceptance benchmark: simulated cycles
-// per host second on the periph-heavy mix with the wake scheduler and
-// chained block dispatch on (the defaults). Its NoSched twin runs the
-// identical system with the scheduler forced off and the NoBlock twin
-// with per-word decode forced, so one `go test -bench SoCHotLoop` run
-// carries its own before/after comparison for each optimization.
-func BenchmarkSoCHotLoop(b *testing.B)        { benchHotLoop(b, true, true) }
-func BenchmarkSoCHotLoopNoSched(b *testing.B) { benchHotLoop(b, false, true) }
-func BenchmarkSoCHotLoopNoBlock(b *testing.B) { benchHotLoop(b, true, false) }
+// BenchmarkSoCHotLoop reports simulated cycles per host second on the
+// periph-heavy mix with the wake scheduler and chained block dispatch on
+// (the defaults). Its NoBlock twin runs the identical system with
+// per-word decode forced, so one `go test -bench SoCHotLoop` run carries
+// its own before/after comparison for block dispatch. Count tests guard
+// the wake scheduler instead: TestSetWakeSchedulingRoundTrip,
+// TestSleeperSkipsIdleCycles and TestSleepingCountersMatchPerCycleReference.
+func BenchmarkSoCHotLoop(b *testing.B)        { benchHotLoop(b, true) }
+func BenchmarkSoCHotLoopNoBlock(b *testing.B) { benchHotLoop(b, false) }
 
 // branchySoC builds the branch-proof acceptance system: a ring of
 // single-instruction blocks closed by zero-overhead LOOP back edges, so

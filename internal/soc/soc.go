@@ -42,8 +42,6 @@ type Config struct {
 	ICache *cache.Config // nil = no instruction cache
 	DCache *cache.Config // nil = no data cache
 
-	CPUTiming tricore.Timing
-
 	HasPCP   bool
 	PRAMSize uint32
 	HasDMA   bool
@@ -58,8 +56,10 @@ type Config struct {
 	ED          bool
 	EMEMSize    uint32
 	EMEMOverlay uint32 // bytes of EMEM reserved for calibration overlay
-	EMEMLatency uint64
 }
+
+// ememLatency is the EMEM access latency in cycles on every ED variant.
+const ememLatency = 2
 
 // TC1797 returns the high-end AUDO FUTURE preset: 180 MHz, 4 MB flash,
 // 16 KB I-cache, 4 KB D-cache, PCP and DMA.
@@ -73,9 +73,8 @@ func TC1797() Config {
 		SRAMLatency: 2,
 		PSPRSize:    40 << 10,
 		DSPRSize:    128 << 10,
-		ICache:      &cache.Config{Name: "icache", Size: 16 << 10, LineBytes: 32, Ways: 2, Policy: cache.LRU},
-		DCache:      &cache.Config{Name: "dcache", Size: 4 << 10, LineBytes: 32, Ways: 2, Policy: cache.LRU},
-		CPUTiming:   tricore.DefaultTiming(),
+		ICache:      &cache.Config{Name: "icache", Size: 16 << 10, LineBytes: 32, Ways: 2},
+		DCache:      &cache.Config{Name: "dcache", Size: 4 << 10, LineBytes: 32, Ways: 2},
 		HasPCP:      true,
 		PRAMSize:    32 << 10,
 		HasDMA:      true,
@@ -93,7 +92,7 @@ func TC1767() Config {
 	cfg.SRAMSize = 64 << 10
 	cfg.PSPRSize = 24 << 10
 	cfg.DSPRSize = 68 << 10
-	cfg.ICache = &cache.Config{Name: "icache", Size: 8 << 10, LineBytes: 32, Ways: 2, Policy: cache.LRU}
+	cfg.ICache = &cache.Config{Name: "icache", Size: 8 << 10, LineBytes: 32, Ways: 2}
 	cfg.DCache = nil
 	return cfg
 }
@@ -150,7 +149,6 @@ func (c Config) WithED() Config {
 		c.EMEMSize = 256 << 10
 	}
 	c.EMEMOverlay = c.EMEMSize / 4
-	c.EMEMLatency = 2
 	return c
 }
 
@@ -231,7 +229,7 @@ func New(cfg Config, seed uint64) *SoC {
 	// EDs), SRAM (both views), EMEM segment, bridge to SPB.
 	var dataPort bus.Target = s.Flash.DataPort()
 	if cfg.ED {
-		s.EMEM = emem.New(cfg.EMEMSize, cfg.EMEMOverlay, cfg.EMEMLatency)
+		s.EMEM = emem.New(cfg.EMEMSize, cfg.EMEMOverlay, ememLatency)
 		s.Overlay = emem.NewOverlay(dataPort, s.EMEM)
 		s.Overlay.OnRemap = s.Decoder.InvalidateAll
 		s.Overlay.OnWrite = s.Flash.OnWrite
@@ -268,7 +266,7 @@ func New(cfg Config, seed uint64) *SoC {
 	s.CPU = tricore.New("tricore", 0,
 		tricore.PMI{ICache: ic, PSPR: s.PSPR, Bus: s.PLMB, Peek: s.Peek},
 		tricore.DMI{DCache: dc, DSPR: s.DSPR, Bus: s.DLMB, Peek: s.Peek},
-		cfg.CPUTiming, ctrs)
+		tricore.DefaultTiming(), ctrs)
 	s.CPU.IRQ = s.Router.View(irq.ToCPU)
 	s.CPU.SetDecoder(s.Decoder)
 
@@ -290,7 +288,7 @@ func New(cfg Config, seed uint64) *SoC {
 		s.CPU1 = tricore.New("tricore1", 1,
 			tricore.PMI{ICache: ic1, PSPR: s.PSPR1, Bus: s.PLMB, Peek: s.Peek},
 			tricore.DMI{DCache: dc1, DSPR: s.DSPR1, Bus: s.DLMB, Peek: s.Peek},
-			cfg.CPUTiming, ctrs1)
+			tricore.DefaultTiming(), ctrs1)
 		s.CPU1.IRQ = s.Router.View(irq.ToCPU1)
 		s.CPU1.SetDecoder(s.Decoder)
 	}
