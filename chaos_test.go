@@ -10,7 +10,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/dap"
 	"repro/internal/fault"
 	"repro/internal/profiling"
 	"repro/internal/soc"
@@ -44,11 +43,10 @@ func TestChaosSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			link := dap.DefaultConfig(s.Cfg.CPUFreqMHz)
 			sess := profiling.NewSession(s, profiling.Spec{
 				Resolution: 500,
 				Params:     profiling.StandardParams(),
-				DAP:        &link,
+				DAP:        true,
 				Framed:     true,
 				Fault:      &plan,
 			})
@@ -66,21 +64,23 @@ func TestChaosSoak(t *testing.T) {
 			// Conservation: every message the MCDS handed to the frame
 			// layer is either delivered or accounted lost — none vanish
 			// silently, none are invented.
-			st := sess.DAP.Stream()
 			framed := sess.MCDS.Framer().MsgsFramed
 			if uint64(len(mirror)) != framed {
 				t.Fatalf("mirror saw %d messages, framer took %d", len(mirror), framed)
 			}
-			if st.Delivered+st.AccountedLost() != framed {
+			if p.MsgsDelivered+p.LinkLost != framed {
 				t.Fatalf("conservation violated: %d delivered + %d lost != %d written",
-					st.Delivered, st.AccountedLost(), framed)
+					p.MsgsDelivered, p.LinkLost, framed)
 			}
 
 			// Integrity: the delivered stream is an exact subsequence of
 			// the emitted stream. Corruption may delete messages, but a
 			// message that survives must survive unmodified — a CRC escape
 			// or decoder desync would show up here as a mutated sample.
-			msgs, _ := sess.DAP.Decode()
+			msgs := tmsg.NewStreamDecoder().Feed(sess.DAP.Received)
+			if uint64(len(msgs)) != p.MsgsDelivered {
+				t.Fatalf("received bytes decode to %d messages, session delivered %d", len(msgs), p.MsgsDelivered)
+			}
 			j := 0
 			for i, got := range msgs {
 				for j < len(mirror) && !chaosMsgEqual(mirror[j], got) {
@@ -93,9 +93,9 @@ func TestChaosSoak(t *testing.T) {
 			}
 
 			if plan.Name == "clean" {
-				if st.AccountedLost() != 0 || len(p.Gaps) != 0 || sess.DAP.Retries != 0 {
+				if p.LinkLost != 0 || len(p.Gaps) != 0 || sess.DAP.Retries != 0 {
 					t.Fatalf("clean scenario saw loss: lost %d, gaps %d, retries %d",
-						st.AccountedLost(), len(p.Gaps), sess.DAP.Retries)
+						p.LinkLost, len(p.Gaps), sess.DAP.Retries)
 				}
 				if uint64(len(msgs)) != framed {
 					t.Fatalf("clean scenario delivered %d of %d messages", len(msgs), framed)
@@ -108,7 +108,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 
 			t.Logf("%-12s framed %6d delivered %6d lost %5d gaps %3d retries %4d",
-				plan.Name, framed, st.Delivered, st.AccountedLost(), len(p.Gaps), sess.DAP.Retries)
+				plan.Name, framed, p.MsgsDelivered, p.LinkLost, len(p.Gaps), sess.DAP.Retries)
 		})
 	}
 }

@@ -75,7 +75,7 @@ func main() {
 	s := soc.New(cfg, 1)
 	var m *mcds.MCDS
 	if *tracePath != "" {
-		m = mcds.New("mcds", s.EMEM)
+		m = mcds.New(s.EMEM)
 		obs := m.AddCore(s.CPU, 0)
 		obs.FlowTrace = true
 		obs.DataTrace = true

@@ -147,9 +147,9 @@ func run() error {
 			inj.Plan.Name, inj.FramesCorrupted, inj.FramesTruncated, inj.FramesDropped,
 			inj.Stalls, inj.StallCycles, inj.BitFlips, inj.Jams, inj.JamCycles)
 	}
-	if st := sess.DAP.Stream(); st != nil {
+	if sess.DAP.Reliable {
 		fmt.Printf("link: %d delivered, %d lost, %d gaps, %d retries, %d frames abandoned\n",
-			st.Delivered, st.AccountedLost(), len(prof.Gaps), sess.DAP.Retries, sess.DAP.FramesAbandoned)
+			prof.MsgsDelivered, prof.LinkLost, len(prof.Gaps), sess.DAP.Retries, sess.DAP.FramesAbandoned)
 		for i, g := range prof.Gaps {
 			if i >= 5 {
 				fmt.Printf("  ... %d more gaps\n", len(prof.Gaps)-i)

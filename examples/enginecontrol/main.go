@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/dap"
 	"repro/internal/profiling"
 	"repro/internal/soc"
 	"repro/internal/tmsg"
@@ -31,11 +30,10 @@ func main() {
 
 	// Parallel measurement of every standard parameter, drained live over
 	// the two-pin DAP while the application runs.
-	link := dap.DefaultConfig(cfg.CPUFreqMHz)
 	sess := profiling.NewSession(s, profiling.Spec{
 		Resolution: 500,
 		Params:     profiling.StandardParams(),
-		DAP:        &link,
+		DAP:        true,
 	})
 	sess.CPUObs().FlowTrace = true
 

@@ -49,7 +49,7 @@ func main() {
 	s.LoadProgram(prog)
 	s.ResetCPU(prog.Base)
 
-	m := mcds.New("mcds", s.EMEM)
+	m := mcds.New(s.EMEM)
 	core := m.AddCore(s.CPU, 0)
 
 	// Cascade: coarse IPC watch arms the fine counter below 1.2 IPC.

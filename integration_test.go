@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/dap"
 	"repro/internal/profiling"
 	"repro/internal/soc"
 	"repro/internal/workload"
@@ -23,11 +22,10 @@ func TestQuickstartWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	link := dap.DefaultConfig(s.Cfg.CPUFreqMHz)
 	sess := profiling.NewSession(s, profiling.Spec{
 		Resolution: 1000,
 		Params:     profiling.StandardParams(),
-		DAP:        &link,
+		DAP:        true,
 	})
 	if err := sess.Run(context.Background(), app, 500_000); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkLookupHit(b *testing.B) {
-	c := New(Config{Name: "b", Size: 16 << 10, LineBytes: 32, Ways: 2}, "i", new(sim.Counters))
+	c := New(Config{Size: 16 << 10, LineBytes: 32, Ways: 2}, "i", new(sim.Counters))
 	c.Fill(0x8000_0000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -16,7 +16,7 @@ func BenchmarkLookupHit(b *testing.B) {
 }
 
 func BenchmarkLookupMissFill(b *testing.B) {
-	c := New(Config{Name: "b", Size: 16 << 10, LineBytes: 32, Ways: 2}, "i", new(sim.Counters))
+	c := New(Config{Size: 16 << 10, LineBytes: 32, Ways: 2}, "i", new(sim.Counters))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		addr := uint32(i) * 32

@@ -18,7 +18,6 @@ import (
 
 // Config parameterizes a cache.
 type Config struct {
-	Name      string
 	Size      uint32 // total capacity in bytes
 	LineBytes uint32 // line length, power of two
 	Ways      int    // associativity
@@ -62,7 +61,7 @@ func New(cfg Config, kind string, ctrs *sim.Counters) *Cache {
 		panic("cache: LineBytes must be a power of two")
 	}
 	if cfg.Ways <= 0 || cfg.Size == 0 || cfg.Size%(cfg.LineBytes*uint32(cfg.Ways)) != 0 {
-		panic(fmt.Sprintf("cache %s: inconsistent geometry %+v", cfg.Name, cfg))
+		panic(fmt.Sprintf("cache: inconsistent geometry %+v", cfg))
 	}
 	if ctrs == nil {
 		ctrs = new(sim.Counters)

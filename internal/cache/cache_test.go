@@ -23,7 +23,7 @@ func (c *Cache) Probe(addr uint32) bool {
 
 func cfg4x2() Config {
 	// 4 sets × 2 ways × 16-byte lines = 128 bytes.
-	return Config{Name: "t", Size: 128, LineBytes: 16, Ways: 2}
+	return Config{Size: 128, LineBytes: 16, Ways: 2}
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -90,9 +90,9 @@ func TestInvalidateAll(t *testing.T) {
 
 func TestGeometryValidation(t *testing.T) {
 	bad := []Config{
-		{Name: "x", Size: 100, LineBytes: 16, Ways: 2}, // size not divisible
-		{Name: "x", Size: 128, LineBytes: 12, Ways: 2}, // line not pow2
-		{Name: "x", Size: 128, LineBytes: 16, Ways: 0}, // no ways
+		{Size: 100, LineBytes: 16, Ways: 2}, // size not divisible
+		{Size: 128, LineBytes: 12, Ways: 2}, // line not pow2
+		{Size: 128, LineBytes: 16, Ways: 0}, // no ways
 	}
 	for _, cfg := range bad {
 		func() {
@@ -124,7 +124,7 @@ func TestHitRate(t *testing.T) {
 // address in the same line also hits; accesses never disturb other sets.
 func TestFillLookupProperty(t *testing.T) {
 	f := func(addrs []uint32) bool {
-		c := New(Config{Name: "p", Size: 1024, LineBytes: 32, Ways: 4}, "d", nil)
+		c := New(Config{Size: 1024, LineBytes: 32, Ways: 4}, "d", nil)
 		for _, a := range addrs {
 			if !c.Lookup(a) {
 				c.Fill(a)
@@ -146,7 +146,7 @@ func TestFillLookupProperty(t *testing.T) {
 // Property: the number of resident lines never exceeds capacity.
 func TestCapacityInvariant(t *testing.T) {
 	f := func(addrs []uint32) bool {
-		cfg := Config{Name: "p", Size: 256, LineBytes: 16, Ways: 2}
+		cfg := Config{Size: 256, LineBytes: 16, Ways: 2}
 		c := New(cfg, "i", nil)
 		for _, a := range addrs {
 			c.Fill(a)

@@ -53,7 +53,7 @@ func TestMeasureCyclesEqualWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if app.SoC.CPU.Reg(WorkReg) < 100 {
+	if app.SoC.CPU.Reg(workload.IterReg) < 100 {
 		t.Error("iteration target not reached")
 	}
 	cy2, _, err := MeasureCycles(cfg, spec, 100, 50_000_000)

@@ -11,12 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// WorkReg is the register the generated applications count main-loop
-// iterations in (r9, the workload generator's iteration counter); equal
-// work across configurations means equal iteration counts, which makes
-// cycle counts comparable.
-const WorkReg = 9
-
 // MeasureCycles builds spec on a SoC with cfg and returns the cycles
 // needed to complete iters main-loop iterations (ground-truth speedup
 // measurement). It also returns the application for further inspection.
@@ -30,7 +24,7 @@ func MeasureCycles(cfg soc.Config, spec workload.Spec, iters uint32, limit uint6
 	if err != nil {
 		return 0, nil, err
 	}
-	s.CPU.StopAtReg(WorkReg, iters)
+	s.CPU.StopAtReg(workload.IterReg, iters)
 	cy, ok := s.Clock.RunToStop(limit)
 	if !ok {
 		return 0, nil, fmt.Errorf("core: %s did not reach %d iterations in %d cycles",

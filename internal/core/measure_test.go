@@ -13,12 +13,12 @@ import (
 // otherwise.
 func stepUntilIters(s *soc.SoC, iters uint32, limit uint64) (uint64, bool) {
 	for n := uint64(0); n < limit; n++ {
-		if s.CPU.Reg(WorkReg) >= iters {
+		if s.CPU.Reg(workload.IterReg) >= iters {
 			return n, true
 		}
 		s.Clock.Step()
 	}
-	return limit, s.CPU.Reg(WorkReg) >= iters
+	return limit, s.CPU.Reg(workload.IterReg) >= iters
 }
 
 // TestMeasureCyclesMatchesPerCycleReference re-simulates a six-app fleet

@@ -49,7 +49,7 @@ func Catalog() []Option {
 			AreaCost: 1.2,
 			Mutate: func(c soc.Config) soc.Config {
 				if c.ICache == nil {
-					c.ICache = &cache.Config{Name: "icache", Size: 8 << 10, LineBytes: 32, Ways: 2}
+					c.ICache = &cache.Config{Size: 8 << 10, LineBytes: 32, Ways: 2}
 				} else {
 					ic := *c.ICache
 					ic.Size *= 2
@@ -70,7 +70,7 @@ func Catalog() []Option {
 			AreaCost: 0.9,
 			Mutate: func(c soc.Config) soc.Config {
 				if c.DCache == nil {
-					c.DCache = &cache.Config{Name: "dcache", Size: 4 << 10, LineBytes: 32, Ways: 2}
+					c.DCache = &cache.Config{Size: 4 << 10, LineBytes: 32, Ways: 2}
 				} else {
 					dc := *c.DCache
 					dc.Size *= 2

@@ -29,22 +29,10 @@ const (
 // raw, 8 MB/s after overhead, whatever the CPU clock.
 const bytesPerSecond uint64 = clockMHz * 1_000_000 * bitsPerClock / 8 * (100 - overheadPct) / 100
 
-// Config describes the tool link against the CPU it drains.
-type Config struct {
-	// CPUFreqMHz is the core clock the drain rate is expressed against.
-	CPUFreqMHz uint64
-}
-
-// DefaultConfig is the link drained against a cpuMHz core clock.
-func DefaultConfig(cpuMHz uint64) Config {
-	return Config{CPUFreqMHz: cpuMHz}
-}
-
 // BytesPerMCycle returns the effective payload bytes the link moves per
-// one million CPU cycles.
-func (c Config) BytesPerMCycle() uint64 {
-	return bytesPerSecond * 1_000_000 / (c.CPUFreqMHz * 1_000_000)
-	// == bytesPerSecond / CPUFreqMHz, kept explicit for readability.
+// one million cycles of a cpuMHz core clock.
+func BytesPerMCycle(cpuMHz uint64) uint64 {
+	return bytesPerSecond / cpuMHz
 }
 
 // LinkFault injects transport faults into the DAP connection. The fault
@@ -72,8 +60,8 @@ const (
 	DefaultBackoffBase = 64
 )
 
-// DAP drains the EMEM trace ring at the configured rate and accumulates
-// the bytes on the tool side.
+// DAP drains the EMEM trace ring at the fixed link rate and accumulates
+// the bytes on the tool side, which decodes them.
 //
 // Two drain protocols are modelled. The raw protocol (Reliable == false)
 // moves bytes verbatim — the original happy-path model. The reliable
@@ -86,7 +74,6 @@ const (
 // retransmission costs link bandwidth; only the first copy of each frame
 // rides the regular drain credit.
 type DAP struct {
-	Cfg  Config
 	Emem *emem.EMEM
 
 	// Received is the tool-side byte stream (decode with tmsg.Decoder, or
@@ -100,7 +87,8 @@ type DAP struct {
 	// the DAP may be asleep, and every down cycle must be seen.
 	Fault LinkFault
 
-	credit       uint64 // fixed-point byte credit, scaled by CPUFreq in Hz
+	hz           uint64 // CPU clock in Hz: a cycle earns bytesPerSecond credit, a byte costs hz
+	credit       uint64 // fixed-point byte credit, scaled by hz
 	TotalDrained uint64
 	drainBuf     []byte // per-tick drain scratch, reused every cycle
 
@@ -118,12 +106,6 @@ type DAP struct {
 	wake   *sim.Waker
 	next   uint64
 	parked bool // asleep until the ring rises or the link goes down
-
-	// Incremental decode state.
-	dec     tmsg.Decoder
-	stream  *tmsg.StreamDecoder
-	decoded int
-	msgs    []tmsg.Msg
 
 	// Statistics.
 	FramesDelivered uint64
@@ -165,12 +147,11 @@ func (d *DAP) Instrument(reg *obs.Registry) {
 	}
 }
 
-// New creates a DAP draining e. An append into the empty ring wakes it.
-func New(cfg Config, e *emem.EMEM) *DAP {
-	d := &DAP{Cfg: cfg, Emem: e}
-	if e != nil {
-		e.OnRise = d.rise
-	}
+// New creates a DAP draining e against a cpuMHz core clock. An append
+// into the empty ring wakes it.
+func New(cpuMHz uint64, e *emem.EMEM) *DAP {
+	d := &DAP{Emem: e, hz: cpuMHz * 1_000_000}
+	e.OnRise = d.rise
 	return d
 }
 
@@ -197,7 +178,7 @@ func (d *DAP) NextWake(from uint64) uint64 {
 		return from
 	}
 	next := sim.NoWake
-	if d.Emem != nil && (d.Emem.Level() > 0 || d.stagePos < len(d.staging) || d.inflight != nil) {
+	if d.Emem.Level() > 0 || d.stagePos < len(d.staging) || d.inflight != nil {
 		next = d.due(from)
 		if d.inflight != nil && d.retryAt >= from {
 			next = min(next, d.retryAt)
@@ -227,22 +208,20 @@ func (d *DAP) rise() {
 // whole byte of credit comes due.
 func (d *DAP) due(from uint64) uint64 {
 	from = max(from, d.next)
-	denom := d.Cfg.CPUFreqMHz * 1_000_000
-	return from + (denom-d.creditAt(from)-1)/bytesPerSecond
+	return from + (d.hz-d.creditAt(from)-1)/bytesPerSecond
 }
 
 // creditAt returns the credit after cycle from-1, from >= next: the
 // cycles since the last tick each added the per-cycle credit and gave up
-// whole bytes, so (credit + k·bps) mod denom remains. The product is
+// whole bytes, so (credit + k·bps) mod hz remains. The product is
 // 128-bit, so no horizon overflows it.
 func (d *DAP) creditAt(from uint64) uint64 {
 	if from <= d.next {
 		return d.credit
 	}
-	denom := d.Cfg.CPUFreqMHz * 1_000_000
 	hi, lo := bits.Mul64(from-d.next, bytesPerSecond)
 	lo, carry := bits.Add64(lo, d.credit, 0)
-	_, rem := bits.Div64((hi+carry)%denom, lo, denom)
+	_, rem := bits.Div64((hi+carry)%d.hz, lo, d.hz)
 	return rem
 }
 
@@ -257,13 +236,9 @@ func (d *DAP) Tick(cycle uint64) {
 		return // link down: no drain, no credit — the bandwidth is lost
 	}
 	d.credit += bytesPerSecond
-	denom := d.Cfg.CPUFreqMHz * 1_000_000
-	n := d.credit / denom
+	n := d.credit / d.hz
 	if n > 0 {
-		d.credit -= n * denom
-	}
-	if d.Emem == nil {
-		return
+		d.credit -= n * d.hz
 	}
 	if !d.Reliable {
 		if n == 0 {
@@ -290,7 +265,6 @@ func (d *DAP) Tick(cycle uint64) {
 // link. In flush mode (end of run) credit and backoff timing are ignored;
 // the retry bound still applies.
 func (d *DAP) pump(cycle uint64, flush bool) {
-	denom := d.Cfg.CPUFreqMHz * 1_000_000
 	// Drop the bytes the previous pump framed: one move per pump instead
 	// of one per frame.
 	if d.stagePos > 0 {
@@ -312,7 +286,7 @@ func (d *DAP) pump(cycle uint64, flush bool) {
 			if d.attempts > 0 {
 				// A retransmission costs link bandwidth; the first copy
 				// was already paid for by the drain credit.
-				cost := uint64(len(d.inflight)) * denom
+				cost := uint64(len(d.inflight)) * d.hz
 				if d.credit < cost {
 					return
 				}
@@ -405,9 +379,6 @@ func (d *DAP) nextFrame() []byte {
 // frames are pushed through the link with unlimited time — but still a
 // bounded number of retries each.
 func (d *DAP) DrainAll() {
-	if d.Emem == nil {
-		return
-	}
 	for d.Emem.Level() > 0 {
 		b := d.Emem.Drain(d.Emem.Level())
 		if d.Reliable {
@@ -421,32 +392,4 @@ func (d *DAP) DrainAll() {
 	if d.Reliable {
 		d.pump(d.lastTick, true)
 	}
-}
-
-// Stream returns the resynchronizing frame decoder used in reliable mode
-// (nil until Decode has run, or when the DAP is not Reliable: an unframed
-// stream is decoded by tmsg.Decoder.DecodeAll).
-func (d *DAP) Stream() *tmsg.StreamDecoder { return d.stream }
-
-// Decode parses every complete message received so far. Decoding is
-// incremental: each call decodes only the bytes that arrived since the
-// previous call and appends to a cached message list, so calling it after
-// every drain step costs O(total bytes) overall instead of O(n²).
-//
-// In reliable mode the frame stream is decoded by a resynchronizing
-// tmsg.StreamDecoder and never returns a terminal error; losses appear as
-// Gaps on Stream().
-func (d *DAP) Decode() ([]tmsg.Msg, error) {
-	if d.Reliable {
-		if d.stream == nil {
-			d.stream = tmsg.NewStreamDecoder()
-		}
-		d.msgs = append(d.msgs, d.stream.Feed(d.Received[d.decoded:])...)
-		d.decoded = len(d.Received)
-		return d.msgs, nil
-	}
-	msgs, n, err := d.dec.DecodeAll(d.Received[d.decoded:])
-	d.decoded += n
-	d.msgs = append(d.msgs, msgs...)
-	return d.msgs, err
 }

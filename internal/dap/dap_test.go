@@ -10,13 +10,12 @@ import (
 )
 
 func TestBandwidthArithmetic(t *testing.T) {
-	cfg := DefaultConfig(180)
 	// 40e6 * 2 / 8 = 10 MB/s raw; 8 MB/s after 20% overhead.
 	if bytesPerSecond != 8_000_000 {
 		t.Errorf("bytesPerSecond = %d", uint64(bytesPerSecond))
 	}
 	// 8e6 / 180e6 cycles ≈ 0.044 B/cycle → 44444 bytes per MCycle.
-	if got := cfg.BytesPerMCycle(); got != 44444 {
+	if got := BytesPerMCycle(180); got != 44444 {
 		t.Errorf("BytesPerMCycle = %d", got)
 	}
 }
@@ -24,9 +23,7 @@ func TestBandwidthArithmetic(t *testing.T) {
 func TestBandwidthDoesNotScaleWithCPU(t *testing.T) {
 	// The paper's core constraint: the link is fixed; raising the CPU
 	// clock shrinks the per-cycle drain budget.
-	slow := DefaultConfig(90)
-	fast := DefaultConfig(360)
-	if fast.BytesPerMCycle() >= slow.BytesPerMCycle() {
+	if BytesPerMCycle(360) >= BytesPerMCycle(90) {
 		t.Error("per-cycle budget must shrink with CPU frequency")
 	}
 }
@@ -35,7 +32,7 @@ func TestDrainRate(t *testing.T) {
 	e := emem.New(4096, 0, 0)
 	e.AppendTrace(make([]byte, 4000))
 	// 8 MB/s at 100 MHz = 0.08 B/cycle.
-	d := New(DefaultConfig(100), e)
+	d := New(100, e)
 	for cy := uint64(0); cy < 10_000; cy++ {
 		d.Tick(cy)
 	}
@@ -56,9 +53,10 @@ func TestDrainAllAndDecode(t *testing.T) {
 		buf = enc.Encode(buf[:0], &msgs[i])
 		e.AppendTrace(buf)
 	}
-	d := New(DefaultConfig(180), e)
+	d := New(180, e)
 	d.DrainAll()
-	out, err := d.Decode()
+	var dec tmsg.Decoder
+	out, _, err := dec.DecodeAll(d.Received)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +69,7 @@ func TestDrainAllAndDecode(t *testing.T) {
 }
 
 func TestTickerInterface(t *testing.T) {
-	var _ sim.Ticker = New(DefaultConfig(180), nil)
+	var _ sim.Ticker = New(180, emem.New(64, 0, 0))
 }
 
 // TestCreditClosedForm checks the credit a sleeping DAP folds in on wake
@@ -80,8 +78,8 @@ func TestTickerInterface(t *testing.T) {
 func TestCreditClosedForm(t *testing.T) {
 	rng := sim.NewRNG(3)
 	for trial := 0; trial < 200; trial++ {
-		d := New(Config{CPUFreqMHz: uint64(rng.Range(1, 400))}, nil)
-		bps, denom := bytesPerSecond, d.Cfg.CPUFreqMHz*1_000_000
+		d := New(uint64(rng.Range(1, 400)), emem.New(64, 0, 0))
+		bps, denom := bytesPerSecond, d.hz
 		d.credit = rng.Uint64() % denom
 		d.next = uint64(rng.Intn(1000))
 		credit := d.credit
@@ -113,7 +111,7 @@ func TestDAPTickZeroAlloc(t *testing.T) {
 	for _, reliable := range []bool{false, true} {
 		e := emem.New(1<<20, 0, 0)
 		fillFrames(e, 40_000)
-		d := New(Config{CPUFreqMHz: 10}, e)
+		d := New(10, e)
 		d.Reliable = reliable
 		d.Received = make([]byte, 0, 2*e.Level())
 		cy := uint64(0)

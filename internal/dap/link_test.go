@@ -58,7 +58,7 @@ func TestReliableRetryRecoversEverything(t *testing.T) {
 	e := emem.New(1<<16, 0, 0)
 	f := fillFrames(e, 400)
 
-	d := New(Config{CPUFreqMHz: 100}, e)
+	d := New(100, e)
 	d.Reliable = true
 	d.Fault = &flakyLink{failFirst: 2}
 	for cy := uint64(0); cy < 400_000 && (e.Level() > 0 || d.FramesDelivered == 0); cy++ {
@@ -66,11 +66,8 @@ func TestReliableRetryRecoversEverything(t *testing.T) {
 	}
 	d.DrainAll()
 
-	msgs, err := d.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := d.Stream()
+	st := tmsg.NewStreamDecoder()
+	msgs := st.Feed(d.Received)
 	st.Finalize(f.MsgsFramed)
 	if d.Retries == 0 {
 		t.Fatal("flaky link produced no retries")
@@ -94,12 +91,12 @@ func TestReliableAbandonsSourceCorruption(t *testing.T) {
 	// corruption that retransmission cannot heal.
 	e.CorruptBit(e.Level()/2, 3)
 
-	d := New(Config{CPUFreqMHz: 100}, e)
+	d := New(100, e)
 	d.Reliable = true
 	d.DrainAll()
 
-	msgs, _ := d.Decode()
-	st := d.Stream()
+	st := tmsg.NewStreamDecoder()
+	msgs := st.Feed(d.Received)
 	st.Finalize(f.MsgsFramed)
 	if d.FramesAbandoned == 0 {
 		t.Fatal("source corruption was never abandoned")
@@ -120,7 +117,7 @@ func TestStallWindowStopsDrain(t *testing.T) {
 	fillFrames(e, 100)
 	before := e.Level()
 
-	d := New(Config{CPUFreqMHz: 100}, e)
+	d := New(100, e)
 	d.Reliable = true
 	d.Fault = &flakyLink{failFirst: 0, downUntil: 5_000}
 	for cy := uint64(0); cy < 5_000; cy++ {
@@ -138,9 +135,10 @@ func TestStallWindowStopsDrain(t *testing.T) {
 	}
 }
 
-// TestDecodeIncremental: repeated Decode calls while draining must agree
-// with a single DecodeAll over the full stream (the O(n²) fix).
-func TestDecodeIncremental(t *testing.T) {
+// TestDrainPreservesStream: draining tick by tick, then flushing, must
+// hand the tool exactly the bytes written — decoding what it received
+// gives back every message in order.
+func TestDrainPreservesStream(t *testing.T) {
 	e := emem.New(1<<16, 0, 0)
 	var enc tmsg.Encoder
 	var scratch []byte
@@ -159,18 +157,16 @@ func TestDecodeIncremental(t *testing.T) {
 		want = append(want, m)
 	}
 
-	d := New(Config{CPUFreqMHz: 100}, e)
-	var got []tmsg.Msg
-	for cy := uint64(0); e.Level() > 0; cy++ {
+	d := New(100, e)
+	for cy := uint64(0); cy < 20_000; cy++ {
 		d.Tick(cy)
-		ms, err := d.Decode() // decode-as-you-drain: incremental, cheap
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = ms
+	}
+	if e.Level() == 0 || d.TotalDrained == 0 {
+		t.Fatalf("drain did not span the run: level %d, drained %d", e.Level(), d.TotalDrained)
 	}
 	d.DrainAll()
-	got, err := d.Decode()
+	var dec tmsg.Decoder
+	got, _, err := dec.DecodeAll(d.Received)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,11 +170,11 @@ func A4TraceBufferSizing() *Table {
 	for _, kb := range []uint32{2, 8, 32, 128, 384} {
 		s, app := buildRef(baseCfg().WithED(), referenceSpec())
 		ring := newRing(kb << 10)
-		m := mcds.New("mcds", ring)
+		m := mcds.New(ring)
 		obs := m.AddCore(s.CPU, 0)
 		obs.FlowTrace = true
 		s.Clock.Attach("mcds", m)
-		dp := dap.New(dap.DefaultConfig(s.Cfg.CPUFreqMHz), ring)
+		dp := dap.New(s.Cfg.CPUFreqMHz, ring)
 		s.Clock.Attach("dap", dp)
 
 		app.RunFor(400_000)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/dap"
 	"repro/internal/fault"
 	"repro/internal/profiling"
 	"repro/internal/tmsg"
@@ -30,7 +29,6 @@ func E10FaultRecovery() *Table {
 		{"1%", 0.01},
 	} {
 		s, app := buildRef(baseCfg().WithED(), referenceSpec())
-		link := dap.DefaultConfig(s.Cfg.CPUFreqMHz)
 		var plan *fault.Plan
 		if level.prob > 0 {
 			plan = &fault.Plan{
@@ -41,7 +39,7 @@ func E10FaultRecovery() *Table {
 		}
 		sess := profiling.NewSession(s, profiling.Spec{
 			Resolution: 500, Params: profiling.StandardParams(),
-			DAP: &link, Framed: true, Fault: plan,
+			DAP: true, Framed: true, Fault: plan,
 		})
 		measure(sess, app, 400_000)
 		prof, err := sess.Result("engine")

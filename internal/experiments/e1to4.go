@@ -139,7 +139,7 @@ func E3Bandwidth() *Table {
 
 	const horizon = 400_000
 	params := profiling.StandardParams()
-	budget := dap.DefaultConfig(180).BytesPerMCycle()
+	budget := dap.BytesPerMCycle(180)
 
 	run := func(res uint64, flow bool) (bytes uint64, windows uint64) {
 		s, app := buildRef(baseCfg().WithED(), referenceSpec())
@@ -208,7 +208,7 @@ func E3Bandwidth() *Table {
 	// bandwidth does not scale with the CPU clock. The coarse resolution
 	// is the sustainable live-streaming configuration.
 	for _, mhz := range []uint64{90, 180, 360} {
-		b := dap.DefaultConfig(mhz).BytesPerMCycle()
+		b := dap.BytesPerMCycle(mhz)
 		perM := rate10kBytes * 1_000_000 / horizon
 		t.addRow("MCDS rate (res 10000)", "CPU "+d(mhz)+"MHz", d(rate10kBytes), d(perM), d(b), fits(perM, b))
 	}
@@ -301,7 +301,7 @@ func E4Cascade() *Table {
 	}
 	run := func(cascade bool) result {
 		s := build()
-		m := mcds.New("mcds", s.EMEM)
+		m := mcds.New(s.EMEM)
 		core := m.AddCore(s.CPU, 0)
 
 		hi := mcds.NewRateCounter("ipc-hi", 2,

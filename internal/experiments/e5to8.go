@@ -42,7 +42,7 @@ func E5Intrusiveness() *Table {
 	sess := profiling.NewSession(s, profiling.Spec{Resolution: 500,
 		Params: profiling.StandardParams()})
 	sess.CPUObs().FlowTrace = true
-	s.CPU.StopAtReg(core.WorkReg, iters)
+	s.CPU.StopAtReg(workload.IterReg, iters)
 	cyMCDS, ok := s.Clock.RunToStop(limit)
 	if !ok {
 		panic("E5 MCDS run did not finish")
@@ -271,7 +271,7 @@ func E8CycleTrace() *Table {
 
 	// Traced run: MCDS data trace qualified to the shared address.
 	sTR, _ := build()
-	m := mcds.New("mcds", sTR.EMEM)
+	m := mcds.New(sTR.EMEM)
 	c0 := m.AddCore(sTR.CPU, 0)
 	c0.FlowTrace = true
 	c0.DataTrace = true

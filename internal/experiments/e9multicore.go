@@ -57,7 +57,7 @@ func E9Multicore() *Table {
 		if flow {
 			sink = nil
 		}
-		m := mcds.New("mcds", sink)
+		m := mcds.New(sink)
 		obs0 := m.AddCore(s.CPU, 0)
 		m.AddCounter(mcds.NewRateCounter("ipc0", 0,
 			mcds.Tap{Obs: obs0, Event: sim.EvInstrExecuted},

@@ -21,7 +21,7 @@ func TestEmitZeroAlloc(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			ring := emem.New(1<<20, 0, 0)
-			m := New("mcds", ring)
+			m := New(ring)
 			if framed {
 				m.EnableFraming()
 			}

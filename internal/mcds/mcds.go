@@ -57,8 +57,6 @@ type Tap struct {
 
 // MCDS is the assembled trigger/trace block.
 type MCDS struct {
-	Name string
-
 	// Sink is the trace destination (the EMEM trace partition). A nil
 	// sink discards bytes but still accounts them, which lets benchmarks
 	// measure pure bandwidth without a buffer model.
@@ -81,9 +79,9 @@ type MCDS struct {
 	scratch []byte
 	framer  *tmsg.Framer
 
-	// SyncEvery emits a periodic re-anchor per flow-traced core every N
-	// cycles (0 = only when needed).
-	SyncEvery uint64
+	// syncEvery emits a periodic re-anchor per flow-traced core every N
+	// cycles: New sets 1 << 16; tests shorten it (0 = only when needed).
+	syncEvery uint64
 
 	// anchorEvery, when non-zero, re-anchors EVERY active trace source at
 	// least every N cycles (not just flow-traced cores). EnableFraming
@@ -145,8 +143,8 @@ func (m *MCDS) Instrument(reg *obs.Registry) {
 }
 
 // New creates an empty MCDS writing to sink (which may be nil).
-func New(name string, sink *emem.EMEM) *MCDS {
-	return &MCDS{Name: name, Sink: sink, SyncEvery: 1 << 16}
+func New(sink *emem.EMEM) *MCDS {
+	return &MCDS{Sink: sink, syncEvery: 1 << 16}
 }
 
 // Signal is an index into the MCX signal cross-connect.
@@ -473,7 +471,7 @@ func (c *CoreObs) SrcID() uint8 { return c.id }
 func (c *CoreObs) tick(m *MCDS, cycle uint64) {
 	retired := c.cpu.DrainRetired()
 
-	if m.SyncEvery > 0 && cycle-c.lastSync >= m.SyncEvery {
+	if m.syncEvery > 0 && cycle-c.lastSync >= m.syncEvery {
 		c.needSync = true
 	}
 

@@ -21,7 +21,7 @@ type edRig struct {
 func newEDRig(t *testing.T) *edRig {
 	t.Helper()
 	s := soc.New(soc.TC1797().WithED(), 1)
-	m := New("mcds", s.EMEM)
+	m := New(s.EMEM)
 	core := m.AddCore(s.CPU, 0)
 	s.Clock.Attach("mcds", m)
 	return &edRig{soc: s, m: m, core: core}
@@ -367,7 +367,7 @@ func TestNonIntrusiveness(t *testing.T) {
 	run := func(withMCDS bool) (uint64, uint64) {
 		s := soc.New(soc.TC1797().WithED(), 9)
 		if withMCDS {
-			m := New("mcds", s.EMEM)
+			m := New(s.EMEM)
 			core := m.AddCore(s.CPU, 0)
 			core.FlowTrace = true
 			core.DataTrace = true
@@ -401,10 +401,10 @@ func TestOverflowProtocol(t *testing.T) {
 	// resume after the next sync.
 	s := soc.New(soc.TC1797().WithED(), 1)
 	tiny := emem.New(512, 0, 0) // 512-byte trace ring
-	m := New("mcds", tiny)
+	m := New(tiny)
 	core := m.AddCore(s.CPU, 0)
 	core.FlowTrace = true
-	m.SyncEvery = 512
+	m.syncEvery = 512
 	s.Clock.Attach("mcds", m)
 
 	// Tool side: drain 1 byte every 4 cycles (much slower than the trace
@@ -501,7 +501,7 @@ func TestMCDSTopology(t *testing.T) {
 	// F5: per-core observation blocks plus bus observation under one MCDS,
 	// all feeding the shared signal cross-connect.
 	s := soc.New(soc.TC1797().WithED(), 1)
-	m := New("mcds", s.EMEM)
+	m := New(s.EMEM)
 	tc := m.AddCore(s.CPU, 0)
 	pcp := m.AddCore(s.PCP.Core, 1)
 	busObs := m.AddBus(s.DLMB.Counters(), 2)
@@ -622,7 +622,7 @@ func TestCounterExtremeCapture(t *testing.T) {
 // due, at the earliest window end of their armed counters, re-armed by
 // window closes, arming and resolution changes.
 func TestDueValues(t *testing.T) {
-	m := New("t", nil)
+	m := New(nil)
 	ctrs := new(sim.Counters)
 	b := m.AddBus(ctrs, 1)
 	tap := func(e sim.Event) Tap { return Tap{Obs: b, Event: e} }

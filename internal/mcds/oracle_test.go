@@ -302,7 +302,7 @@ func newOracleRig(t *testing.T, seed int64) *oracleRig {
 	s.LoadProgram(p)
 	s.ResetCPU(p.Base)
 
-	r := &oracleRig{t: t, soc: s, m: New("mcds", nil), ref: &refMCDS{}, rng: rand.New(rand.NewSource(seed))}
+	r := &oracleRig{t: t, soc: s, m: New(nil), ref: &refMCDS{}, rng: rand.New(rand.NewSource(seed))}
 	r.m.OnEmit = func(msg *tmsg.Msg) {
 		if msg.Kind == tmsg.KindRate || msg.Kind == tmsg.KindTrigger {
 			r.got = append(r.got, *msg)
@@ -563,7 +563,7 @@ func newRateRig(t *testing.T, seed int64) (*oracleRig, *tickCount) {
 	s.LoadProgram(p)
 	s.ResetCPU(p.Base)
 
-	r := &oracleRig{t: t, soc: s, m: New("mcds", nil), ref: &refMCDS{}, rng: rand.New(rand.NewSource(seed))}
+	r := &oracleRig{t: t, soc: s, m: New(nil), ref: &refMCDS{}, rng: rand.New(rand.NewSource(seed))}
 	r.m.OnEmit = func(msg *tmsg.Msg) {
 		if msg.Kind == tmsg.KindRate || msg.Kind == tmsg.KindSync {
 			r.got = append(r.got, *msg)

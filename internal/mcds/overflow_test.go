@@ -17,7 +17,7 @@ import (
 func TestOverflowReanchorInvariant(t *testing.T) {
 	const capacity = 96
 	tiny := emem.New(capacity, 0, 0)
-	m := New("mcds", tiny)
+	m := New(tiny)
 
 	var mirror []tmsg.Msg
 	m.OnEmit = func(msg *tmsg.Msg) { mirror = append(mirror, *msg) }
@@ -124,7 +124,7 @@ func TestOverflowReanchorInvariant(t *testing.T) {
 // framed == delivered + accounted-lost holds.
 func TestFramedOverflowIsQuantified(t *testing.T) {
 	tiny := emem.New(256, 0, 0)
-	m := New("mcds", tiny)
+	m := New(tiny)
 	m.EnableFraming()
 
 	var received []byte

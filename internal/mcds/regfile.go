@@ -53,7 +53,7 @@ func (rf *RegFile) Size() uint32 {
 }
 
 // Name implements bus.Target.
-func (rf *RegFile) Name() string { return rf.m.Name + ".regs" }
+func (rf *RegFile) Name() string { return "mcds.regs" }
 
 // Access implements bus.Target.
 func (rf *RegFile) Access(_ uint64, req *bus.Request) uint64 {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestExprCombinators(t *testing.T) {
-	m := New("t", nil)
+	m := New(nil)
 	a := m.AllocSignal("a")
 	b := m.AllocSignal("b")
 	c := m.AllocSignal("c")
@@ -50,7 +50,7 @@ func TestExprCombinators(t *testing.T) {
 }
 
 func TestTriggerRuleOnce(t *testing.T) {
-	m := New("t", nil)
+	m := New(nil)
 	s := m.AllocSignal("s")
 	out := m.AllocSignal("out")
 	rule := m.AddRule(&TriggerRule{Name: "once", When: On(s), Once: true,
@@ -72,7 +72,7 @@ func TestTriggerRuleOnce(t *testing.T) {
 
 func TestActionsTraceSwitches(t *testing.T) {
 	sink := emem.New(4096, 0, 0)
-	m := New("t", sink)
+	m := New(sink)
 	// A fake core obs is needed for the trace actions; use a BusObs-free
 	// core stub via the real structure.
 	core := &CoreObs{id: 0}
@@ -101,7 +101,7 @@ func TestActionsTraceSwitches(t *testing.T) {
 }
 
 func TestStateMachineAccessorsAndPanics(t *testing.T) {
-	m := New("t", nil)
+	m := New(nil)
 	sm := m.AddStateMachine("sm", []string{"idle", "run"})
 	if sm.StateSignal(0) == sm.StateSignal(1) {
 		t.Error("state signals must differ")
@@ -128,7 +128,7 @@ func TestStateMachineAccessorsAndPanics(t *testing.T) {
 }
 
 func TestAddCounterValidation(t *testing.T) {
-	m := New("t", nil)
+	m := New(nil)
 	obs := m.AddBus(new(sim.Counters), 1)
 	cases := []*Counter{
 		{Name: "no-res", Src: Tap{Obs: obs, Event: sim.EvCycle}},
@@ -148,7 +148,7 @@ func TestAddCounterValidation(t *testing.T) {
 }
 
 func TestComparatorValidation(t *testing.T) {
-	m := New("t", nil)
+	m := New(nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("comparator without core must panic")
@@ -181,7 +181,7 @@ func TestFlowEvents(t *testing.T) {
 
 func TestRegFileDirect(t *testing.T) {
 	sink := emem.New(1024, 0, 0)
-	m := New("t", sink)
+	m := New(sink)
 	obs := m.AddBus(new(sim.Counters), 1)
 	ctr := NewRateCounter("x", 0, Tap{Obs: obs, Event: sim.EvCycle},
 		Tap{Obs: obs, Event: sim.EvCycle}, 100)
@@ -228,7 +228,7 @@ func TestRegFileDirect(t *testing.T) {
 
 func TestCoreObsCPUAccessor(t *testing.T) {
 	sink := emem.New(1024, 0, 0)
-	m := New("t", sink)
+	m := New(sink)
 	_ = m
 	_ = sink
 	// CPU() accessor is exercised through the soc-based rig in mcds_test;

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/dap"
 	"repro/internal/fault"
 	"repro/internal/soc"
 	"repro/internal/workload"
@@ -25,11 +24,10 @@ func TestBlockDecodeReportDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := dap.DefaultConfig(s.Cfg.CPUFreqMHz)
 		sess := NewSession(s, Spec{
 			Resolution: 500,
 			Params:     StandardParams(),
-			DAP:        &cfg,
+			DAP:        true,
 			Framed:     true,
 			Fault:      &plan,
 		})

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dap"
 	"repro/internal/fault"
 	"repro/internal/soc"
 )
@@ -25,12 +24,11 @@ func tinyEMEM() soc.Config {
 // under pressure, nothing is lost, and the aggregate rates still agree
 // with the lossy run's because every sample carries its actual basis.
 func TestDegradationPreventsLoss(t *testing.T) {
-	link := dap.Config{CPUFreqMHz: 100}
 	run := func(degrade *DegradePolicy) (*Profile, *Session) {
 		s, app := buildApp(t, tinyEMEM(), stdSpec())
 		sess := NewSession(s, Spec{
 			Resolution: 200, Params: StandardParams(),
-			DAP: &link, Degrade: degrade,
+			DAP: true, Degrade: degrade,
 		})
 		mustRun(t, sess, app, 400_000)
 		p, err := sess.Result("app")
@@ -79,13 +77,24 @@ func TestDegradationPreventsLoss(t *testing.T) {
 // path (framing + reliable DAP + resynchronizing decoder) must reproduce
 // the plain session's samples exactly — the robustness machinery is free
 // when nothing goes wrong, apart from the documented link-byte overhead.
+// It holds for both drain modes: live over the DAP, and read out of the
+// EMEM after the run.
 func TestFramedSessionMatchesUnframed(t *testing.T) {
-	link := dap.Config{CPUFreqMHz: 100}
+	for _, live := range []bool{true, false} {
+		name := "readout"
+		if live {
+			name = "dap"
+		}
+		t.Run(name, func(t *testing.T) { testFramedMatchesUnframed(t, live) })
+	}
+}
+
+func testFramedMatchesUnframed(t *testing.T, live bool) {
 	run := func(framed bool) (*Profile, *Session) {
 		s, app := buildApp(t, soc.TC1797().WithED(), stdSpec())
 		sess := NewSession(s, Spec{
 			Resolution: 500, Params: StandardParams(),
-			DAP: &link, Framed: framed,
+			DAP: live, Framed: framed,
 		})
 		mustRun(t, sess, app, 300_000)
 		p, err := sess.Result("app")
@@ -96,6 +105,10 @@ func TestFramedSessionMatchesUnframed(t *testing.T) {
 	}
 	plain, _ := run(false)
 	hard, sess := run(true)
+	if plain.MsgsLost != 0 || hard.MsgsLost != 0 {
+		t.Fatalf("emitter dropped messages (plain %d, framed %d): the comparison needs a loss-free run",
+			plain.MsgsLost, hard.MsgsLost)
+	}
 
 	if hard.LinkLost != 0 || len(hard.Gaps) != 0 {
 		t.Fatalf("clean framed run reports loss: %d messages, %d gaps",
@@ -133,12 +146,11 @@ func TestFramedSessionMatchesUnframed(t *testing.T) {
 // can heal) the session must survive, bound the damage, and tell the
 // truth about it: exact conservation, located gaps, suspect samples.
 func TestFaultySessionQuantifiesLoss(t *testing.T) {
-	link := dap.Config{CPUFreqMHz: 100}
 	plan := fault.Plan{Name: "soft", Seed: 11, Mem: fault.MemPlan{FlipProb: 0.002}}
 	s, app := buildApp(t, soc.TC1797().WithED(), stdSpec())
 	sess := NewSession(s, Spec{
 		Resolution: 500, Params: StandardParams(),
-		DAP: &link, Fault: &plan,
+		DAP: true, Fault: &plan,
 	})
 	mustRun(t, sess, app, 400_000)
 	p, err := sess.Result("app")
@@ -151,11 +163,10 @@ func TestFaultySessionQuantifiesLoss(t *testing.T) {
 	if p.LinkLost == 0 || len(p.Gaps) == 0 {
 		t.Fatalf("corruption caused no accounted loss (flips %d)", sess.Injector.BitFlips)
 	}
-	st := sess.DAP.Stream()
 	framed := sess.MCDS.Framer().MsgsFramed
-	if st.Delivered+st.AccountedLost() != framed {
+	if p.MsgsDelivered+p.LinkLost != framed {
 		t.Fatalf("conservation violated: %d delivered + %d lost != %d framed",
-			st.Delivered, st.AccountedLost(), framed)
+			p.MsgsDelivered, p.LinkLost, framed)
 	}
 	// The profile survives: every parameter still has samples, and the
 	// contaminated windows are flagged.

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dap"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/soc"
@@ -136,8 +135,7 @@ func runForReport(t *testing.T, faults string) *RunReport {
 	t.Helper()
 	cfg := soc.TC1797().WithED()
 	s, app := buildApp(t, cfg, stdSpec())
-	dapCfg := dap.DefaultConfig(cfg.CPUFreqMHz)
-	spec := Spec{Resolution: 500, Params: StandardParams(), DAP: &dapCfg, Obs: obs.New()}
+	spec := Spec{Resolution: 500, Params: StandardParams(), DAP: true, Obs: obs.New()}
 	if faults != "" {
 		plan, err := fault.Parse(faults, stdSpec().Seed)
 		if err != nil {
@@ -282,8 +280,7 @@ func benchSessionObs(b *testing.B, reg *obs.Registry) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dapCfg := dap.DefaultConfig(cfg.CPUFreqMHz)
-	sess := NewSession(s, Spec{Resolution: 500, Params: StandardParams(), DAP: &dapCfg, Obs: reg})
+	sess := NewSession(s, Spec{Resolution: 500, Params: StandardParams(), DAP: true, Obs: reg})
 	b.ResetTimer()
 	mustRun(b, sess, app, uint64(b.N))
 }

@@ -102,10 +102,10 @@ type Spec struct {
 	Resolution uint64
 	Params     []Param
 
-	// DAP, when non-nil, models the tool link draining the EMEM during
-	// the run; nil reads the buffer out at the end (short runs that fit
-	// on-chip).
-	DAP *dap.Config
+	// DAP models the tool link draining the EMEM during the run, at the
+	// SoC's clock; without it the buffer is read out at the end (short
+	// runs that fit on-chip).
+	DAP bool
 
 	// Framed hardens the trace path: messages travel in CRC/seq frames
 	// (tmsg.Framer), the DAP uses the reliable NAK/retry drain protocol,
@@ -177,7 +177,7 @@ func newSession(s *soc.SoC, spec Spec, attach func(string, sim.Ticker)) *Session
 	if spec.Resolution == 0 {
 		spec.Resolution = 1000
 	}
-	m := mcds.New("mcds", s.EMEM)
+	m := mcds.New(s.EMEM)
 	sess := &Session{SoC: s, MCDS: m, spec: spec}
 	sess.cpuObs = m.AddCore(s.CPU, 0)
 	if s.PCP != nil {
@@ -280,8 +280,8 @@ func newSession(s *soc.SoC, spec Spec, attach func(string, sim.Ticker)) *Session
 		sess.Degrader = newDegrader(*spec.Degrade, s.EMEM, sess.counters)
 		attach("degrade", sess.Degrader)
 	}
-	if spec.DAP != nil {
-		sess.DAP = dap.New(*spec.DAP, s.EMEM)
+	if spec.DAP {
+		sess.DAP = dap.New(s.Cfg.CPUFreqMHz, s.EMEM)
 		sess.DAP.Reliable = spec.framed()
 		if sess.Injector != nil {
 			sess.DAP.Fault = sess.Injector
@@ -478,7 +478,9 @@ func (p *Profile) Names() []string {
 }
 
 // Result drains remaining trace data, decodes every rate message and
-// assembles the profile. Call after the measurement run.
+// assembles the profile. Call after the measurement run. Result is the
+// tool side: the DAP (or the end-of-run buffer read-out) only moves bytes,
+// and every decode happens here.
 //
 // On framed sessions the stream is decoded by a resynchronizing decoder:
 // decode never fails, losses are quantified in LinkLost and located in
@@ -493,6 +495,7 @@ func (sess *Session) Result(appName string) (*Profile, error) {
 	var raw []byte
 	if sess.DAP != nil {
 		sess.DAP.DrainAll()
+		raw = sess.DAP.Received
 	} else {
 		raw = sess.SoC.EMEM.Drain(sess.SoC.EMEM.Level())
 	}
@@ -503,18 +506,10 @@ func (sess *Session) Result(appName string) (*Profile, error) {
 	var msgs []tmsg.Msg
 	var stream *tmsg.StreamDecoder
 	if sess.spec.framed() {
-		if sess.DAP != nil {
-			msgs, _ = sess.DAP.Decode()
-			stream = sess.DAP.Stream()
-		} else {
-			stream = tmsg.NewStreamDecoder()
-			msgs = stream.Feed(raw)
-		}
+		stream = tmsg.NewStreamDecoder()
+		msgs = stream.Feed(raw)
 		stream.Finalize(sess.MCDS.Framer().MsgsFramed)
 	} else {
-		if sess.DAP != nil {
-			raw = sess.DAP.Received
-		}
 		var dec tmsg.Decoder
 		var err error
 		msgs, _, err = dec.DecodeAll(raw)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dap"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -159,8 +158,7 @@ func TestHitRatePctConvention(t *testing.T) {
 
 func TestDAPDrainDuringRun(t *testing.T) {
 	s, app := buildApp(t, soc.TC1797().WithED(), stdSpec())
-	cfg := dap.DefaultConfig(s.Cfg.CPUFreqMHz)
-	sess := NewSession(s, Spec{Resolution: 1000, Params: StandardParams(), DAP: &cfg})
+	sess := NewSession(s, Spec{Resolution: 1000, Params: StandardParams(), DAP: true})
 	mustRun(t, sess, app, 400_000)
 	if sess.DAP.TotalDrained == 0 {
 		t.Fatal("DAP drained nothing during the run")

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dap"
 	"repro/internal/obs"
 	"repro/internal/soc"
 )
@@ -232,9 +231,8 @@ func TestSessionRunReport(t *testing.T) {
 	reg := obs.New()
 	tr := obs.NewTracer()
 	s, app := buildApp(t, soc.TC1797().WithED(), stdSpec())
-	dapCfg := dap.DefaultConfig(s.Cfg.CPUFreqMHz)
 	sess := NewSession(s, Spec{
-		Resolution: 500, Params: StandardParams(), DAP: &dapCfg,
+		Resolution: 500, Params: StandardParams(), DAP: true,
 		Obs: reg, Tracer: tr,
 	})
 	mustRun(t, sess, app, 300_000)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/dap"
 	"repro/internal/sim"
 	"repro/internal/soc"
 	"repro/internal/tricore"
@@ -41,9 +40,8 @@ func cleanEngineTicks(t *testing.T, scheduled bool) (mcdsTicks, dapTicks uint64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := dap.DefaultConfig(s.Cfg.CPUFreqMHz)
 	counted := map[string]*tickCounter{}
-	sess := newSession(s, Spec{Resolution: 1000, Params: append(StandardParams(), PCPParams()...), DAP: &cfg},
+	sess := newSession(s, Spec{Resolution: 1000, Params: append(StandardParams(), PCPParams()...), DAP: true},
 		func(name string, tk sim.Ticker) {
 			if w, ok := tk.(wakeable); ok {
 				c := &tickCounter{wakeable: w}

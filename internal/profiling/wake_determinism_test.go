@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/dap"
 	"repro/internal/fault"
 	"repro/internal/soc"
 	"repro/internal/workload"
@@ -28,11 +27,10 @@ func TestWakeSchedulerReportDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := dap.DefaultConfig(s.Cfg.CPUFreqMHz)
 		sp := Spec{
 			Resolution: 500,
 			Params:     StandardParams(),
-			DAP:        &cfg,
+			DAP:        true,
 			Framed:     true,
 			Fault:      &plan,
 		}

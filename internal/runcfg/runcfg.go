@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dap"
 	"repro/internal/fault"
 	"repro/internal/profiling"
 	"repro/internal/soc"
@@ -86,19 +85,14 @@ func (r Run) FaultPlan() (*fault.Plan, error) {
 }
 
 // SessionSpec assembles the profiling.Spec for this run: the given
-// parameter set at the run's resolution, drained over a DAP sized for the
-// SoC's clock, with framing/faults/degradation as configured. Obs and
-// Tracer wiring is left to the caller.
+// parameter set at the run's resolution, drained live over the DAP, with
+// framing/faults/degradation as configured. Obs and Tracer wiring is left
+// to the caller.
 func (r Run) SessionSpec(params []profiling.Param) (profiling.Spec, error) {
-	cfg, err := r.SoCConfig()
-	if err != nil {
-		return profiling.Spec{}, err
-	}
-	dapCfg := dap.DefaultConfig(cfg.CPUFreqMHz)
 	spec := profiling.Spec{
 		Resolution: r.Resolution,
 		Params:     params,
-		DAP:        &dapCfg,
+		DAP:        true,
 		Framed:     r.Framed,
 	}
 	plan, err := r.FaultPlan()

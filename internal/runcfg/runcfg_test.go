@@ -74,8 +74,8 @@ func TestSessionSpec(t *testing.T) {
 	if spec.Resolution != r.Resolution {
 		t.Fatalf("resolution %d, want %d", spec.Resolution, r.Resolution)
 	}
-	if spec.DAP == nil {
-		t.Fatal("no DAP config")
+	if !spec.DAP {
+		t.Fatal("no DAP")
 	}
 	if spec.Fault == nil || !spec.Fault.Active() {
 		t.Fatal("fault plan not attached")

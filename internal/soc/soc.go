@@ -73,8 +73,8 @@ func TC1797() Config {
 		SRAMLatency: 2,
 		PSPRSize:    40 << 10,
 		DSPRSize:    128 << 10,
-		ICache:      &cache.Config{Name: "icache", Size: 16 << 10, LineBytes: 32, Ways: 2},
-		DCache:      &cache.Config{Name: "dcache", Size: 4 << 10, LineBytes: 32, Ways: 2},
+		ICache:      &cache.Config{Size: 16 << 10, LineBytes: 32, Ways: 2},
+		DCache:      &cache.Config{Size: 4 << 10, LineBytes: 32, Ways: 2},
 		HasPCP:      true,
 		PRAMSize:    32 << 10,
 		HasDMA:      true,
@@ -92,7 +92,7 @@ func TC1767() Config {
 	cfg.SRAMSize = 64 << 10
 	cfg.PSPRSize = 24 << 10
 	cfg.DSPRSize = 68 << 10
-	cfg.ICache = &cache.Config{Name: "icache", Size: 8 << 10, LineBytes: 32, Ways: 2}
+	cfg.ICache = &cache.Config{Size: 8 << 10, LineBytes: 32, Ways: 2}
 	cfg.DCache = nil
 	return cfg
 }
@@ -276,14 +276,10 @@ func New(cfg Config, seed uint64) *SoC {
 		ctrs1 := new(sim.Counters)
 		var ic1, dc1 *cache.Cache
 		if cfg.ICache != nil {
-			c := *cfg.ICache
-			c.Name = "icache1"
-			ic1 = cache.New(c, "i", ctrs1)
+			ic1 = cache.New(*cfg.ICache, "i", ctrs1)
 		}
 		if cfg.DCache != nil {
-			c := *cfg.DCache
-			c.Name = "dcache1"
-			dc1 = cache.New(c, "d", ctrs1)
+			dc1 = cache.New(*cfg.DCache, "d", ctrs1)
 		}
 		s.CPU1 = tricore.New("tricore1", 1,
 			tricore.PMI{ICache: ic1, PSPR: s.PSPR1, Bus: s.PLMB, Peek: s.Peek},

@@ -73,10 +73,10 @@ func newRig(t *testing.T, opt rigOpt) *rig {
 	ctrs := new(sim.Counters)
 	var ic, dc *cache.Cache
 	if opt.icache {
-		ic = cache.New(cache.Config{Name: "ic", Size: 4096, LineBytes: 32, Ways: 2}, "i", ctrs)
+		ic = cache.New(cache.Config{Size: 4096, LineBytes: 32, Ways: 2}, "i", ctrs)
 	}
 	if opt.dcache {
-		dc = cache.New(cache.Config{Name: "dc", Size: 2048, LineBytes: 32, Ways: 2}, "d", ctrs)
+		dc = cache.New(cache.Config{Size: 2048, LineBytes: 32, Ways: 2}, "d", ctrs)
 	}
 
 	cpu := New("tc0", 0,

@@ -21,9 +21,13 @@ import (
 //	r15       stack pointer (unused by generated code)
 const (
 	regZero = 0
-	regIter = 9
 	regBase = 10
 )
+
+// IterReg is the register generated code counts main-loop iterations in.
+// Equal work across configurations means equal iteration counts, so a
+// run stopped on it (tricore.CPU.StopAtReg) gives comparable cycle counts.
+const IterReg = 9
 
 // gen holds the state of one application generation.
 type gen struct {
@@ -119,7 +123,7 @@ func (g *gen) buildMain() (*isa.Program, error) {
 	a.Stw(2, regBase, offCANIdx)
 	a.Movi(1, 1)
 	a.Mtcr(isa.CsrICR, 1) // enable interrupts
-	a.Movi(regIter, 0)
+	a.Movi(IterReg, 0)
 	a.J("main_loop")
 
 	// --- main loop ---
@@ -140,12 +144,12 @@ func (g *gen) buildMain() (*isa.Program, error) {
 		a.Call("task_dispatch")
 	}
 	if g.spec.EEPROMEmul {
-		a.Andi(1, regIter, 255)
+		a.Andi(1, IterReg, 255)
 		a.Bne(1, regZero, "skip_eeprom")
 		a.Call("task_eeprom")
 		a.Label("skip_eeprom")
 	}
-	a.Addi(regIter, regIter, 1)
+	a.Addi(IterReg, IterReg, 1)
 	a.J("main_loop")
 
 	g.emitFilter(a)
@@ -370,7 +374,7 @@ func (g *gen) emitDispatchAndFillers(a *isa.Asm) {
 	k := g.fillerCount()
 	g.enter(a, "task_dispatch", 1, 2)
 	a.Ldw(1, regBase, offJumpTable)
-	a.Andi(2, regIter, int32(k-1))
+	a.Andi(2, IterReg, int32(k-1))
 	a.Shli(2, 2, 2)
 	a.Add(1, 1, 2)
 	a.Ldw(3, 1, 0)

@@ -148,7 +148,7 @@ func runGoldenCascade(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mcds.New("mcds", s.EMEM)
+	m := mcds.New(s.EMEM)
 	h := sha256.New()
 	m.OnEmit = msgHasher(h)
 	core := m.AddCore(s.CPU, 0)
