@@ -81,13 +81,8 @@ func main() {
 		c.Get(sim.EvInterruptEntry), 1e4*frac(sim.EvInterruptEntry))
 	fmt.Printf("  flash port conflicts %d\n", s.Flash.Counters().Get(sim.EvFlashPortConflict))
 	fmt.Printf("  DLMB contention     %d waits\n", s.DLMB.Counters().Get(sim.EvBusContention))
-	if s.PCP != nil {
-		pc := s.PCP.Counters()
-		fmt.Printf("  PCP instructions    %d\n", pc.Get(sim.EvInstrExecuted))
-	}
-	if s.DMA != nil {
-		fmt.Printf("  DMA transfers       %d\n", s.DMA.Counters().Get(sim.EvDMATransfer))
-	}
+	fmt.Printf("  PCP instructions    %d\n", s.PCP.Counters().Get(sim.EvInstrExecuted))
+	fmt.Printf("  DMA transfers       %d\n", s.DMA.Counters().Get(sim.EvDMATransfer))
 	fmt.Printf("  CAN rx/drop         %d/%d\n", app.CAN.Received, app.CAN.Dropped)
 }
 

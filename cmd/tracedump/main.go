@@ -61,7 +61,7 @@ func main() {
 	}
 
 	kinds := map[tmsg.Kind]int{}
-	srcs := map[uint8]int{}
+	var srcs [256]int // messages per source id, printed in id order
 	var lost uint64
 	for i := range msgs {
 		m := &msgs[i]
@@ -81,7 +81,10 @@ func main() {
 		}
 	}
 	for src, n := range srcs {
-		pcs := mcds.Reconstruct(msgs, src)
+		if n == 0 {
+			continue
+		}
+		pcs := mcds.Reconstruct(msgs, uint8(src))
 		fmt.Printf("  source %d: %d messages", src, n)
 		if len(pcs) > 0 {
 			fmt.Printf(", %d instructions reconstructed", len(pcs))

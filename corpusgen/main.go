@@ -55,8 +55,8 @@ func main() {
 		{Op: isa.OpLEA, Rd: 11, Ra: 1, Imm: 64},
 		{Op: isa.OpBEQ, Ra: 1, Rb: 2, Imm: -3},
 		{Op: isa.OpBLTU, Ra: 3, Rb: 4, Imm: 100},
-		{Op: isa.OpJ, Imm: -(1 << 20)},
-		{Op: isa.OpCALL, Imm: 1 << 20},
+		{Op: isa.OpJ, Off24: -(1 << 20)},
+		{Op: isa.OpCALL, Off24: 1 << 20},
 		{Op: isa.OpJR, Ra: 14},
 		{Op: isa.OpLOOP, Ra: 9, Imm: -5},
 		{Op: isa.OpMFCR, Rd: 1, Imm: 3},
@@ -90,7 +90,7 @@ func main() {
 	)))
 	write(blockDir, "call-terminated", fmt.Sprintf("[]byte(%q)", words(
 		isa.Instr{Op: isa.OpMOVI, Rd: 1, Imm: 7},
-		isa.Instr{Op: isa.OpCALL, Imm: 12},
+		isa.Instr{Op: isa.OpCALL, Off24: 12},
 		isa.Instr{Op: isa.OpJR, Ra: 14},
 	)))
 	write(blockDir, "branch-terminated", fmt.Sprintf("[]byte(%q)", words(

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/profiling"
 	"repro/internal/soc"
-	"repro/internal/tmsg"
 	"repro/internal/workload"
 )
 
@@ -75,12 +74,7 @@ func main() {
 
 	// Function-level attribution from the flow trace ("System Profiling
 	// is the analysis of the application software on function level").
-	var dec tmsg.Decoder
-	msgs, _, err := dec.DecodeAll(sess.DAP.Received)
-	if err != nil {
-		log.Fatal(err)
-	}
-	costs := profiling.FunctionProfile(msgs, 0, app.Prog)
+	costs := profiling.FunctionProfile(prof.Msgs, 0, app.Prog)
 	fmt.Printf("\n=== hottest functions (from reconstructed flow trace) ===\n")
 	var total uint64
 	for _, fc := range costs {

@@ -89,9 +89,7 @@ func A2Compression() *Table {
 		Params: profiling.StandardParams()})
 	sess.CPUObs().FlowTrace = true
 	measure(sess, app, 300_000)
-	raw := s.EMEM.Drain(s.EMEM.Level())
-	var dec tmsg.Decoder
-	msgs, _, err := dec.DecodeAll(raw)
+	prof, err := sess.Result("a2")
 	if err != nil {
 		panic(err)
 	}
@@ -99,7 +97,7 @@ func A2Compression() *Table {
 	// Fixed-width equivalent: kind+src byte, 8-byte absolute timestamp,
 	// and full-width operands per kind (what a naive trace port emits).
 	var fixed uint64
-	for _, m := range msgs {
+	for _, m := range prof.Msgs {
 		switch m.Kind {
 		case tmsg.KindSync:
 			fixed += 1 + 8 + 4
@@ -115,10 +113,10 @@ func A2Compression() *Table {
 			fixed += 1 + 8
 		}
 	}
-	n := uint64(len(msgs))
-	t.addRow("varint/delta (tmsg)", d(n), d(uint64(len(raw))), f2(float64(len(raw))/float64(n)))
+	n, size := uint64(len(prof.Msgs)), prof.TraceBytes
+	t.addRow("varint/delta (tmsg)", d(n), d(size), f2(float64(size)/float64(n)))
 	t.addRow("fixed-width raw", d(n), d(fixed), f2(float64(fixed)/float64(n)))
-	t.Metrics["compression_factor"] = float64(fixed) / float64(len(raw))
+	t.Metrics["compression_factor"] = float64(fixed) / float64(size)
 	t.note("delta timestamps and varints shrink the stream several-fold at identical information content")
 	return t
 }

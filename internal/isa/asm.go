@@ -21,7 +21,6 @@ type Asm struct {
 type fixup struct {
 	index int    // instruction index needing patching
 	label string // target label
-	kind  byte   // 'b' = imm12 branch, 'j' = off24 jump
 }
 
 // Symbol is a named address in the assembled program, used by profiling to
@@ -51,15 +50,23 @@ func (a *Asm) Label(name string) *Asm {
 	return a
 }
 
+// emit appends one instruction. A field its encoding cannot hold becomes
+// an assembler error and a zero placeholder word.
 func (a *Asm) emit(in Instr) *Asm {
+	if err := in.check(); err != nil {
+		a.errs = append(a.errs, err)
+		a.words = append(a.words, 0)
+		return a
+	}
 	a.words = append(a.words, in.Encode())
 	return a
 }
 
-func (a *Asm) emitFixup(in Instr, label string, kind byte) *Asm {
-	a.fixups = append(a.fixups, fixup{index: len(a.words), label: label, kind: kind})
-	a.words = append(a.words, in.Encode()) // placeholder offset 0
-	return a
+// emitFixup emits in with a zero branch offset that Assemble patches to
+// reach label.
+func (a *Asm) emitFixup(in Instr, label string) *Asm {
+	a.fixups = append(a.fixups, fixup{index: len(a.words), label: label})
+	return a.emit(in)
 }
 
 // --- mnemonics ---
@@ -69,18 +76,14 @@ func (a *Asm) Nop() *Asm { return a.emit(Instr{Op: OpNOP}) }
 
 // Movi emits rd = signext(imm16).
 func (a *Asm) Movi(rd int, imm int32) *Asm {
-	if imm < -(1<<15) || imm >= 1<<15 {
-		a.errs = append(a.errs, fmt.Errorf("movi imm out of range: %d", imm))
-		imm = 0
-	}
 	return a.emit(Instr{Op: OpMOVI, Rd: uint8(rd), Imm: imm})
 }
 
 // Movw emits one or two instructions loading the full 32-bit constant v
 // into rd (MOVH + ORIL, or a single MOVI when v fits).
 func (a *Asm) Movw(rd int, v uint32) *Asm {
-	if int32(v) >= -(1<<15) && int32(v) < 1<<15 {
-		return a.Movi(rd, int32(v))
+	if movi := (Instr{Op: OpMOVI, Rd: uint8(rd), Imm: int32(v)}); movi.check() == nil {
+		return a.emit(movi)
 	}
 	a.emit(Instr{Op: OpMOVH, Rd: uint8(rd), Imm: int32(v >> 16)})
 	if low := v & 0xFFFF; low != 0 {
@@ -89,135 +92,117 @@ func (a *Asm) Movw(rd int, v uint32) *Asm {
 	return a
 }
 
-// Op3 emits a three-register ALU instruction.
-func (a *Asm) Op3(op Op, rd, ra, rb int) *Asm {
+// op3 emits a three-register ALU instruction.
+func (a *Asm) op3(op Op, rd, ra, rb int) *Asm {
 	return a.emit(Instr{Op: op, Rd: uint8(rd), Ra: uint8(ra), Rb: uint8(rb)})
 }
 
 // Add emits rd = ra + rb.
-func (a *Asm) Add(rd, ra, rb int) *Asm { return a.Op3(OpADD, rd, ra, rb) }
+func (a *Asm) Add(rd, ra, rb int) *Asm { return a.op3(OpADD, rd, ra, rb) }
 
 // Sub emits rd = ra - rb.
-func (a *Asm) Sub(rd, ra, rb int) *Asm { return a.Op3(OpSUB, rd, ra, rb) }
+func (a *Asm) Sub(rd, ra, rb int) *Asm { return a.op3(OpSUB, rd, ra, rb) }
 
 // Mul emits rd = ra * rb.
-func (a *Asm) Mul(rd, ra, rb int) *Asm { return a.Op3(OpMUL, rd, ra, rb) }
+func (a *Asm) Mul(rd, ra, rb int) *Asm { return a.op3(OpMUL, rd, ra, rb) }
 
 // Mac emits rd += ra * rb.
-func (a *Asm) Mac(rd, ra, rb int) *Asm { return a.Op3(OpMAC, rd, ra, rb) }
+func (a *Asm) Mac(rd, ra, rb int) *Asm { return a.op3(OpMAC, rd, ra, rb) }
 
 // And emits rd = ra & rb.
-func (a *Asm) And(rd, ra, rb int) *Asm { return a.Op3(OpAND, rd, ra, rb) }
+func (a *Asm) And(rd, ra, rb int) *Asm { return a.op3(OpAND, rd, ra, rb) }
 
 // Or emits rd = ra | rb.
-func (a *Asm) Or(rd, ra, rb int) *Asm { return a.Op3(OpOR, rd, ra, rb) }
+func (a *Asm) Or(rd, ra, rb int) *Asm { return a.op3(OpOR, rd, ra, rb) }
 
 // Xor emits rd = ra ^ rb.
-func (a *Asm) Xor(rd, ra, rb int) *Asm { return a.Op3(OpXOR, rd, ra, rb) }
+func (a *Asm) Xor(rd, ra, rb int) *Asm { return a.op3(OpXOR, rd, ra, rb) }
 
 // Shl emits rd = ra << rb.
-func (a *Asm) Shl(rd, ra, rb int) *Asm { return a.Op3(OpSHL, rd, ra, rb) }
+func (a *Asm) Shl(rd, ra, rb int) *Asm { return a.op3(OpSHL, rd, ra, rb) }
 
 // Shr emits rd = ra >> rb (logical).
-func (a *Asm) Shr(rd, ra, rb int) *Asm { return a.Op3(OpSHR, rd, ra, rb) }
+func (a *Asm) Shr(rd, ra, rb int) *Asm { return a.op3(OpSHR, rd, ra, rb) }
 
 // Sra emits rd = ra >> rb (arithmetic).
-func (a *Asm) Sra(rd, ra, rb int) *Asm { return a.Op3(OpSRA, rd, ra, rb) }
+func (a *Asm) Sra(rd, ra, rb int) *Asm { return a.op3(OpSRA, rd, ra, rb) }
 
 // Slt emits rd = int32(ra) < int32(rb).
-func (a *Asm) Slt(rd, ra, rb int) *Asm { return a.Op3(OpSLT, rd, ra, rb) }
+func (a *Asm) Slt(rd, ra, rb int) *Asm { return a.op3(OpSLT, rd, ra, rb) }
 
-// OpI emits an immediate ALU instruction.
-func (a *Asm) OpI(op Op, rd, ra int, imm int32) *Asm {
-	lo, hi := int32(-(1 << 11)), int32(1<<12-1)
-	switch op {
-	case OpADDI, OpSLTI:
-		hi = 1<<11 - 1
-	}
-	if imm < lo || imm > hi {
-		a.errs = append(a.errs, fmt.Errorf("%s imm out of range: %d", op, imm))
-		imm = 0
-	}
+// opI emits an instruction of the rd, ra, imm12 layout: immediate ALU,
+// load, store and lea.
+func (a *Asm) opI(op Op, rd, ra int, imm int32) *Asm {
 	return a.emit(Instr{Op: op, Rd: uint8(rd), Ra: uint8(ra), Imm: imm})
 }
 
 // Addi emits rd = ra + imm.
-func (a *Asm) Addi(rd, ra int, imm int32) *Asm { return a.OpI(OpADDI, rd, ra, imm) }
+func (a *Asm) Addi(rd, ra int, imm int32) *Asm { return a.opI(OpADDI, rd, ra, imm) }
 
 // Andi emits rd = ra & imm (imm zero-extended).
-func (a *Asm) Andi(rd, ra int, imm int32) *Asm { return a.OpI(OpANDI, rd, ra, imm) }
+func (a *Asm) Andi(rd, ra int, imm int32) *Asm { return a.opI(OpANDI, rd, ra, imm) }
 
 // Ori emits rd = ra | imm (imm zero-extended).
-func (a *Asm) Ori(rd, ra int, imm int32) *Asm { return a.OpI(OpORI, rd, ra, imm) }
+func (a *Asm) Ori(rd, ra int, imm int32) *Asm { return a.opI(OpORI, rd, ra, imm) }
 
 // Xori emits rd = ra ^ imm (imm zero-extended).
-func (a *Asm) Xori(rd, ra int, imm int32) *Asm { return a.OpI(OpXORI, rd, ra, imm) }
+func (a *Asm) Xori(rd, ra int, imm int32) *Asm { return a.opI(OpXORI, rd, ra, imm) }
 
 // Shli emits rd = ra << imm.
-func (a *Asm) Shli(rd, ra int, imm int32) *Asm { return a.OpI(OpSHLI, rd, ra, imm) }
+func (a *Asm) Shli(rd, ra int, imm int32) *Asm { return a.opI(OpSHLI, rd, ra, imm) }
 
 // Shri emits rd = ra >> imm (logical).
-func (a *Asm) Shri(rd, ra int, imm int32) *Asm { return a.OpI(OpSHRI, rd, ra, imm) }
+func (a *Asm) Shri(rd, ra int, imm int32) *Asm { return a.opI(OpSHRI, rd, ra, imm) }
 
 // Slti emits rd = int32(ra) < imm.
-func (a *Asm) Slti(rd, ra int, imm int32) *Asm { return a.OpI(OpSLTI, rd, ra, imm) }
+func (a *Asm) Slti(rd, ra int, imm int32) *Asm { return a.opI(OpSLTI, rd, ra, imm) }
 
 // Ldw emits rd = mem32[ra+off].
-func (a *Asm) Ldw(rd, ra int, off int32) *Asm {
-	return a.emit(Instr{Op: OpLDW, Rd: uint8(rd), Ra: uint8(ra), Imm: off})
-}
+func (a *Asm) Ldw(rd, ra int, off int32) *Asm { return a.opI(OpLDW, rd, ra, off) }
 
 // Ldb emits rd = zeroext(mem8[ra+off]).
-func (a *Asm) Ldb(rd, ra int, off int32) *Asm {
-	return a.emit(Instr{Op: OpLDB, Rd: uint8(rd), Ra: uint8(ra), Imm: off})
-}
+func (a *Asm) Ldb(rd, ra int, off int32) *Asm { return a.opI(OpLDB, rd, ra, off) }
 
 // Stw emits mem32[ra+off] = rd.
-func (a *Asm) Stw(rd, ra int, off int32) *Asm {
-	return a.emit(Instr{Op: OpSTW, Rd: uint8(rd), Ra: uint8(ra), Imm: off})
-}
+func (a *Asm) Stw(rd, ra int, off int32) *Asm { return a.opI(OpSTW, rd, ra, off) }
 
 // Stb emits mem8[ra+off] = rd.
-func (a *Asm) Stb(rd, ra int, off int32) *Asm {
-	return a.emit(Instr{Op: OpSTB, Rd: uint8(rd), Ra: uint8(ra), Imm: off})
-}
+func (a *Asm) Stb(rd, ra int, off int32) *Asm { return a.opI(OpSTB, rd, ra, off) }
 
 // Lea emits rd = ra + off.
-func (a *Asm) Lea(rd, ra int, off int32) *Asm {
-	return a.emit(Instr{Op: OpLEA, Rd: uint8(rd), Ra: uint8(ra), Imm: off})
-}
+func (a *Asm) Lea(rd, ra int, off int32) *Asm { return a.opI(OpLEA, rd, ra, off) }
 
-// Br emits a conditional branch to a label.
-func (a *Asm) Br(op Op, ra, rb int, label string) *Asm {
-	return a.emitFixup(Instr{Op: op, Ra: uint8(ra), Rb: uint8(rb)}, label, 'b')
+// br emits a conditional branch to a label.
+func (a *Asm) br(op Op, ra, rb int, label string) *Asm {
+	return a.emitFixup(Instr{Op: op, Ra: uint8(ra), Rb: uint8(rb)}, label)
 }
 
 // Beq branches to label when ra == rb.
-func (a *Asm) Beq(ra, rb int, label string) *Asm { return a.Br(OpBEQ, ra, rb, label) }
+func (a *Asm) Beq(ra, rb int, label string) *Asm { return a.br(OpBEQ, ra, rb, label) }
 
 // Bne branches to label when ra != rb.
-func (a *Asm) Bne(ra, rb int, label string) *Asm { return a.Br(OpBNE, ra, rb, label) }
+func (a *Asm) Bne(ra, rb int, label string) *Asm { return a.br(OpBNE, ra, rb, label) }
 
 // Blt branches to label when int32(ra) < int32(rb).
-func (a *Asm) Blt(ra, rb int, label string) *Asm { return a.Br(OpBLT, ra, rb, label) }
+func (a *Asm) Blt(ra, rb int, label string) *Asm { return a.br(OpBLT, ra, rb, label) }
 
 // Bge branches to label when int32(ra) >= int32(rb).
-func (a *Asm) Bge(ra, rb int, label string) *Asm { return a.Br(OpBGE, ra, rb, label) }
+func (a *Asm) Bge(ra, rb int, label string) *Asm { return a.br(OpBGE, ra, rb, label) }
 
 // Bltu branches to label when ra < rb (unsigned).
-func (a *Asm) Bltu(ra, rb int, label string) *Asm { return a.Br(OpBLTU, ra, rb, label) }
+func (a *Asm) Bltu(ra, rb int, label string) *Asm { return a.br(OpBLTU, ra, rb, label) }
 
 // Bgeu branches to label when ra >= rb (unsigned).
-func (a *Asm) Bgeu(ra, rb int, label string) *Asm { return a.Br(OpBGEU, ra, rb, label) }
+func (a *Asm) Bgeu(ra, rb int, label string) *Asm { return a.br(OpBGEU, ra, rb, label) }
 
 // J emits an unconditional jump to a label.
 func (a *Asm) J(label string) *Asm {
-	return a.emitFixup(Instr{Op: OpJ}, label, 'j')
+	return a.emitFixup(Instr{Op: OpJ}, label)
 }
 
 // Call emits a call (link in R14) to a label.
 func (a *Asm) Call(label string) *Asm {
-	return a.emitFixup(Instr{Op: OpCALL}, label, 'j')
+	return a.emitFixup(Instr{Op: OpCALL}, label)
 }
 
 // Jr emits pc = ra.
@@ -228,7 +213,7 @@ func (a *Asm) Ret() *Asm { return a.Jr(RegLink) }
 
 // Loop emits a hardware-loop branch: if --ra != 0 jump to label.
 func (a *Asm) Loop(ra int, label string) *Asm {
-	return a.emitFixup(Instr{Op: OpLOOP, Ra: uint8(ra)}, label, 'b')
+	return a.emitFixup(Instr{Op: OpLOOP, Ra: uint8(ra)}, label)
 }
 
 // Mfcr emits rd = csr[n].
@@ -294,19 +279,10 @@ func (a *Asm) Assemble() (*Program, error) {
 		pc := a.base + uint32(f.index)*4
 		off := (int64(target) - int64(pc)) / 4
 		in := Decode(a.words[f.index])
-		switch f.kind {
-		case 'b':
-			if off < -(1<<11) || off >= 1<<11 {
-				a.errs = append(a.errs, fmt.Errorf("branch to %q out of imm12 range (%d words)", f.label, off))
-				continue
-			}
-			in.Imm = int32(off)
-		case 'j':
-			if off < -(1<<23) || off >= 1<<23 {
-				a.errs = append(a.errs, fmt.Errorf("jump to %q out of off24 range (%d words)", f.label, off))
-				continue
-			}
-			in.Off24 = int32(off)
+		*in.target() = int32(off)
+		if err := in.check(); err != nil {
+			a.errs = append(a.errs, fmt.Errorf("branch to %q: %w", f.label, err))
+			continue
 		}
 		a.words[f.index] = in.Encode()
 	}

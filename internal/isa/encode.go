@@ -3,7 +3,7 @@ package isa
 import "fmt"
 
 // Instr is a decoded instruction. Decode and Encode round-trip exactly for
-// every value an assembler can legally produce.
+// every value check accepts.
 type Instr struct {
 	Op    Op
 	Rd    uint8 // destination register (also source for STW/STB/MAC/ORIL)
@@ -13,97 +13,130 @@ type Instr struct {
 	Off24 int32 // signed word offset for J/CALL
 }
 
-// Encode packs the instruction into its 32-bit representation. It panics on
-// out-of-range fields; the assembler validates ranges with errors before
-// calling Encode.
+// check reports the first field of in that its opcode's encoding cannot
+// hold: an undefined opcode, a register past r15, an immediate outside the
+// field's range, or a value in a field the form does not encode.
+func (in Instr) check() error {
+	if !in.Op.Valid() {
+		return fmt.Errorf("undefined opcode %#02x", uint8(in.Op))
+	}
+	if in.Rd|in.Ra|in.Rb >= NumRegs {
+		return fmt.Errorf("%s: register out of range", in.Op)
+	}
+	info := &opTable[in.Op]
+	bits := info.form.immBits()
+	v, unused, what := in.Imm, in.Off24, "immediate"
+	switch info.form {
+	case formJump:
+		v, unused, what = in.Off24, in.Imm|int32(in.Rd|in.Ra|in.Rb), "offset"
+	case formImm16:
+		unused |= int32(in.Ra | in.Rb)
+	case formBranch, formLoop:
+		what = "offset"
+	}
+	if unused != 0 {
+		return fmt.Errorf("%s: field set that the encoding has no room for", in.Op)
+	}
+	lo, hi := int32(-1)<<(bits-1), int32(1)<<(bits-1)-1
+	if info.flags&flagZext != 0 {
+		lo, hi = 0, 1<<bits-1
+	}
+	if v < lo || v > hi {
+		return fmt.Errorf("%s %s %d out of range [%d, %d]", in.Op, what, v, lo, hi)
+	}
+	return nil
+}
+
+// Encode packs the instruction into its 32-bit representation. It panics
+// on what check rejects; the assemblers report those as errors instead.
 func (in Instr) Encode() uint32 {
+	if err := in.check(); err != nil {
+		panic("isa: " + err.Error())
+	}
 	w := uint32(in.Op) << 24
-	switch {
-	case in.Op.IsJump24():
-		if in.Off24 < -(1<<23) || in.Off24 >= 1<<23 {
-			panic(fmt.Sprintf("isa: off24 out of range: %d", in.Off24))
-		}
+	switch opTable[in.Op].form {
+	case formJump:
 		return w | uint32(in.Off24)&0xFFFFFF
-	case in.Op.IsWide():
-		if in.Imm < -(1<<15) || in.Imm >= 1<<16 {
-			panic(fmt.Sprintf("isa: imm16 out of range: %d", in.Imm))
-		}
-		return w | uint32(in.Rd&0xF)<<20 | uint32(in.Imm)&0xFFFF
+	case formImm16:
+		return w | uint32(in.Rd)<<20 | uint32(in.Imm)&0xFFFF
 	default:
-		if in.Imm < -(1<<11) || in.Imm >= 1<<12 {
-			panic(fmt.Sprintf("isa: imm12 out of range for %s: %d", in.Op, in.Imm))
-		}
-		return w | uint32(in.Rd&0xF)<<20 | uint32(in.Ra&0xF)<<16 |
-			uint32(in.Rb&0xF)<<12 | uint32(in.Imm)&0xFFF
+		return w | uint32(in.Rd)<<20 | uint32(in.Ra)<<16 |
+			uint32(in.Rb)<<12 | uint32(in.Imm)&0xFFF
 	}
 }
 
-// signed-extension helpers for decode
-func sext(v uint32, bits uint) int32 {
+// ext widens a bits-wide immediate field, zero- or sign-extending it.
+func ext(v uint32, bits uint, zext bool) int32 {
+	if zext {
+		return int32(v)
+	}
 	shift := 32 - bits
 	return int32(v<<shift) >> shift
 }
 
 // Decode unpacks a 32-bit instruction word. Unknown opcodes decode to an
-// Instr whose Op is out of range; callers detect this with Op.Valid().
+// Instr whose Op is out of range, with the rd/ra/rb+imm12 fields filled;
+// callers detect them with Op.Valid().
 func Decode(w uint32) Instr {
 	op := Op(w >> 24)
 	in := Instr{Op: op}
-	switch {
-	case op.IsJump24():
-		in.Off24 = sext(w&0xFFFFFF, 24)
-	case op.IsWide():
+	f, zext := formRRR, false
+	if op < opMax {
+		info := &opTable[op]
+		f, zext = info.form, info.flags&flagZext != 0
+	}
+	switch f {
+	case formJump:
+		in.Off24 = ext(w&0xFFFFFF, 24, false)
+	case formImm16:
 		in.Rd = uint8(w >> 20 & 0xF)
-		// MOVI sign-extends; MOVH and ORIL treat the field as raw 16 bits.
-		if op == OpMOVI {
-			in.Imm = sext(w&0xFFFF, 16)
-		} else {
-			in.Imm = int32(w & 0xFFFF)
-		}
+		in.Imm = ext(w&0xFFFF, 16, zext)
 	default:
 		in.Rd = uint8(w >> 20 & 0xF)
 		in.Ra = uint8(w >> 16 & 0xF)
 		in.Rb = uint8(w >> 12 & 0xF)
-		switch op {
-		case OpANDI, OpORI, OpXORI, OpSHLI, OpSHRI, OpMFCR, OpMTCR:
-			in.Imm = int32(w & 0xFFF) // zero-extended forms
-		default:
-			in.Imm = sext(w&0xFFF, 12)
-		}
+		in.Imm = ext(w&0xFFF, 12, zext)
 	}
 	return in
 }
 
-// String renders the instruction in assembler syntax.
-func (in Instr) String() string {
-	op := in.Op
-	switch {
-	case !op.Valid():
-		return fmt.Sprintf(".word 0x%02x??", uint8(op))
-	case op == OpNOP || op == OpRFE || op == OpHALT || op == OpDBG:
-		return op.String()
-	case op.IsJump24():
-		return fmt.Sprintf("%s %+d", op, in.Off24)
-	case op.IsWide():
-		return fmt.Sprintf("%s r%d, %d", op, in.Rd, in.Imm)
-	case op == OpJR:
-		return fmt.Sprintf("jr r%d", in.Ra)
-	case op == OpLOOP:
-		return fmt.Sprintf("loop r%d, %+d", in.Ra, in.Imm)
-	case op.IsLoad() || op == OpLEA:
-		return fmt.Sprintf("%s r%d, [r%d%+d]", op, in.Rd, in.Ra, in.Imm)
-	case op.IsStore():
-		return fmt.Sprintf("%s [r%d%+d], r%d", op, in.Ra, in.Imm, in.Rd)
-	case op == OpMFCR:
-		return fmt.Sprintf("mfcr r%d, csr%d", in.Rd, in.Imm)
-	case op == OpMTCR:
-		return fmt.Sprintf("mtcr csr%d, r%d", in.Imm, in.Ra)
-	case op.IsBranch():
-		return fmt.Sprintf("%s r%d, r%d, %+d", op, in.Ra, in.Rb, in.Imm)
-	case op == OpADDI || op == OpANDI || op == OpORI || op == OpXORI ||
-		op == OpSHLI || op == OpSHRI || op == OpSLTI:
-		return fmt.Sprintf("%s r%d, r%d, %d", op, in.Rd, in.Ra, in.Imm)
-	default:
-		return fmt.Sprintf("%s r%d, r%d, r%d", op, in.Rd, in.Ra, in.Rb)
+// target is the field a branch operand lives in: Off24 for jumps, Imm for
+// the other branch forms.
+func (in *Instr) target() *int32 {
+	if opTable[in.Op].form == formJump {
+		return &in.Off24
 	}
+	return &in.Imm
+}
+
+// String renders the instruction in assembler syntax, operand by operand
+// as its form lists them.
+func (in Instr) String() string {
+	if !in.Op.Valid() {
+		return fmt.Sprintf(".word 0x%02x??", uint8(in.Op))
+	}
+	b := []byte(in.Op.String())
+	for i, arg := range formOperands[opTable[in.Op].form] {
+		sep := ", "
+		if i == 0 {
+			sep = " "
+		}
+		switch arg {
+		case argRd:
+			b = fmt.Appendf(b, "%sr%d", sep, in.Rd)
+		case argRa:
+			b = fmt.Appendf(b, "%sr%d", sep, in.Ra)
+		case argRb:
+			b = fmt.Appendf(b, "%sr%d", sep, in.Rb)
+		case argImm:
+			b = fmt.Appendf(b, "%s%d", sep, in.Imm)
+		case argMem:
+			b = fmt.Appendf(b, "%s[r%d%+d]", sep, in.Ra, in.Imm)
+		case argTarget:
+			b = fmt.Appendf(b, "%s%+d", sep, *in.target())
+		case argCSR:
+			b = fmt.Appendf(b, "%scsr%d", sep, in.Imm)
+		}
+	}
+	return string(b)
 }

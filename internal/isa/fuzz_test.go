@@ -10,6 +10,10 @@ func FuzzParseAsm(f *testing.F) {
 	f.Add(".org 0x100\n.word 0xFF")
 	f.Add("ldw r1, [r2+4]")
 	f.Add("; comment only")
+	f.Add("ldw r1, [r2+5000]")
+	f.Add("stw [r1-3000], r2")
+	f.Add("beq r1, r2, 5000")
+	f.Add("j 99999999")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := ParseAsm(src, 0x1000)
 		if err == nil && p == nil {

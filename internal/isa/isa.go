@@ -17,7 +17,9 @@
 //	[11:0]  imm12  (signed or unsigned per opcode)
 //
 // Wide-immediate forms (MOVI, MOVH, ORIL) use [15:0] as imm16; long-jump
-// forms (J, CALL) use [23:0] as a signed word offset.
+// forms (J, CALL) use [23:0] as a signed word offset. One table, opTable,
+// gives each opcode its operand form and immediate signedness; the
+// encoder, decoder, range check, disassembler and both assemblers read it.
 package isa
 
 import "fmt"
@@ -142,60 +144,123 @@ type opInfo struct {
 	name  string
 	pipe  Pipe
 	flags uint8
+	form  form
 }
 
 const (
 	flagBranch = 1 << iota // conditional or unconditional change of flow
 	flagLoad
 	flagStore
-	flagWide // imm16 form
-	flagJump // off24 form
+	flagZext // the immediate is zero-extended (signed otherwise)
 )
 
+// form is an opcode's operand form. It fixes the encoding (an off24 word
+// offset for jumps, rd+imm16 for the wide forms, rd/ra/rb+imm12 for the
+// rest) and the assembler syntax, which formOperands lists slot by slot.
+type form uint8
+
+const (
+	formNone   form = iota // mnemonic only
+	formImm16              // rd, imm16
+	formRRR                // rd, ra, rb
+	formRRI                // rd, ra, imm12
+	formLoad               // rd, [ra+imm12]
+	formStore              // [ra+imm12], rd
+	formBranch             // ra, rb, off12
+	formLoop               // ra, off12
+	formJump               // off24
+	formJR                 // ra
+	formMFCR               // rd, csrN
+	formMTCR               // csrN, ra
+)
+
+// operand is one slot of an instruction's assembler syntax and the Instr
+// field it reads and writes.
+type operand uint8
+
+const (
+	argRd     operand = iota // rN in Rd
+	argRa                    // rN in Ra
+	argRb                    // rN in Rb
+	argImm                   // number in Imm
+	argMem                   // [rN+off] in Ra and Imm
+	argTarget                // label or signed word offset in Instr.target
+	argCSR                   // csrN in Imm
+)
+
+// formOperands lists each form's operands in the order the disassembler
+// prints them and the text assembler reads them.
+var formOperands = [...][]operand{
+	formNone:   nil,
+	formImm16:  {argRd, argImm},
+	formRRR:    {argRd, argRa, argRb},
+	formRRI:    {argRd, argRa, argImm},
+	formLoad:   {argRd, argMem},
+	formStore:  {argMem, argRd},
+	formBranch: {argRa, argRb, argTarget},
+	formLoop:   {argRa, argTarget},
+	formJump:   {argTarget},
+	formJR:     {argRa},
+	formMFCR:   {argRd, argCSR},
+	formMTCR:   {argCSR, argRa},
+}
+
+// immBits is the width of the form's immediate field: Off24 for jumps,
+// Imm otherwise.
+func (f form) immBits() uint {
+	switch f {
+	case formJump:
+		return 24
+	case formImm16:
+		return 16
+	}
+	return 12
+}
+
 var opTable = [NumOps]opInfo{
-	OpNOP:  {"nop", PipeInt, 0},
-	OpMOVI: {"movi", PipeInt, flagWide},
-	OpMOVH: {"movh", PipeInt, flagWide},
-	OpORIL: {"oril", PipeInt, flagWide},
-	OpADD:  {"add", PipeInt, 0},
-	OpSUB:  {"sub", PipeInt, 0},
-	OpAND:  {"and", PipeInt, 0},
-	OpOR:   {"or", PipeInt, 0},
-	OpXOR:  {"xor", PipeInt, 0},
-	OpSHL:  {"shl", PipeInt, 0},
-	OpSHR:  {"shr", PipeInt, 0},
-	OpSRA:  {"sra", PipeInt, 0},
-	OpMUL:  {"mul", PipeInt, 0},
-	OpMAC:  {"mac", PipeInt, 0},
-	OpSLT:  {"slt", PipeInt, 0},
-	OpSLTU: {"sltu", PipeInt, 0},
-	OpADDI: {"addi", PipeInt, 0},
-	OpANDI: {"andi", PipeInt, 0},
-	OpORI:  {"ori", PipeInt, 0},
-	OpXORI: {"xori", PipeInt, 0},
-	OpSHLI: {"shli", PipeInt, 0},
-	OpSHRI: {"shri", PipeInt, 0},
-	OpSLTI: {"slti", PipeInt, 0},
-	OpLDW:  {"ldw", PipeLS, flagLoad},
-	OpLDB:  {"ldb", PipeLS, flagLoad},
-	OpSTW:  {"stw", PipeLS, flagStore},
-	OpSTB:  {"stb", PipeLS, flagStore},
-	OpLEA:  {"lea", PipeLS, 0},
-	OpBEQ:  {"beq", PipeInt, flagBranch},
-	OpBNE:  {"bne", PipeInt, flagBranch},
-	OpBLT:  {"blt", PipeInt, flagBranch},
-	OpBGE:  {"bge", PipeInt, flagBranch},
-	OpBLTU: {"bltu", PipeInt, flagBranch},
-	OpBGEU: {"bgeu", PipeInt, flagBranch},
-	OpJ:    {"j", PipeInt, flagBranch | flagJump},
-	OpCALL: {"call", PipeInt, flagBranch | flagJump},
-	OpJR:   {"jr", PipeInt, flagBranch},
-	OpLOOP: {"loop", PipeLoop, flagBranch},
-	OpMFCR: {"mfcr", PipeInt, 0},
-	OpMTCR: {"mtcr", PipeInt, 0},
-	OpRFE:  {"rfe", PipeInt, flagBranch},
-	OpHALT: {"halt", PipeInt, 0},
-	OpDBG:  {"dbg", PipeInt, 0},
+	OpNOP:  {"nop", PipeInt, 0, formNone},
+	OpMOVI: {"movi", PipeInt, 0, formImm16},
+	OpMOVH: {"movh", PipeInt, flagZext, formImm16},
+	OpORIL: {"oril", PipeInt, flagZext, formImm16},
+	OpADD:  {"add", PipeInt, 0, formRRR},
+	OpSUB:  {"sub", PipeInt, 0, formRRR},
+	OpAND:  {"and", PipeInt, 0, formRRR},
+	OpOR:   {"or", PipeInt, 0, formRRR},
+	OpXOR:  {"xor", PipeInt, 0, formRRR},
+	OpSHL:  {"shl", PipeInt, 0, formRRR},
+	OpSHR:  {"shr", PipeInt, 0, formRRR},
+	OpSRA:  {"sra", PipeInt, 0, formRRR},
+	OpMUL:  {"mul", PipeInt, 0, formRRR},
+	OpMAC:  {"mac", PipeInt, 0, formRRR},
+	OpSLT:  {"slt", PipeInt, 0, formRRR},
+	OpSLTU: {"sltu", PipeInt, 0, formRRR},
+	OpADDI: {"addi", PipeInt, 0, formRRI},
+	OpANDI: {"andi", PipeInt, flagZext, formRRI},
+	OpORI:  {"ori", PipeInt, flagZext, formRRI},
+	OpXORI: {"xori", PipeInt, flagZext, formRRI},
+	OpSHLI: {"shli", PipeInt, flagZext, formRRI},
+	OpSHRI: {"shri", PipeInt, flagZext, formRRI},
+	OpSLTI: {"slti", PipeInt, 0, formRRI},
+	OpLDW:  {"ldw", PipeLS, flagLoad, formLoad},
+	OpLDB:  {"ldb", PipeLS, flagLoad, formLoad},
+	OpSTW:  {"stw", PipeLS, flagStore, formStore},
+	OpSTB:  {"stb", PipeLS, flagStore, formStore},
+	OpLEA:  {"lea", PipeLS, 0, formLoad},
+	OpBEQ:  {"beq", PipeInt, flagBranch, formBranch},
+	OpBNE:  {"bne", PipeInt, flagBranch, formBranch},
+	OpBLT:  {"blt", PipeInt, flagBranch, formBranch},
+	OpBGE:  {"bge", PipeInt, flagBranch, formBranch},
+	OpBLTU: {"bltu", PipeInt, flagBranch, formBranch},
+	OpBGEU: {"bgeu", PipeInt, flagBranch, formBranch},
+	OpJ:    {"j", PipeInt, flagBranch, formJump},
+	OpCALL: {"call", PipeInt, flagBranch, formJump},
+	OpJR:   {"jr", PipeInt, flagBranch, formJR},
+	OpLOOP: {"loop", PipeLoop, flagBranch, formLoop},
+	OpMFCR: {"mfcr", PipeInt, flagZext, formMFCR},
+	OpMTCR: {"mtcr", PipeInt, flagZext, formMTCR},
+	OpRFE:  {"rfe", PipeInt, flagBranch, formNone},
+	OpHALT: {"halt", PipeInt, 0, formNone},
+	OpDBG:  {"dbg", PipeInt, 0, formNone},
 }
 
 // String names the opcode in assembler mnemonics.
@@ -225,9 +290,3 @@ func (o Op) IsLoad() bool { return o.Valid() && opTable[o].flags&flagLoad != 0 }
 
 // IsStore reports whether the opcode writes data memory.
 func (o Op) IsStore() bool { return o.Valid() && opTable[o].flags&flagStore != 0 }
-
-// IsWide reports whether the opcode uses the imm16 encoding.
-func (o Op) IsWide() bool { return o.Valid() && opTable[o].flags&flagWide != 0 }
-
-// IsJump24 reports whether the opcode uses the off24 encoding.
-func (o Op) IsJump24() bool { return o.Valid() && opTable[o].flags&flagJump != 0 }

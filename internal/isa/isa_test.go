@@ -35,34 +35,72 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// immRange is the range of op's immediate field (Off24 for jumps), written
+// out here independently of opTable.
+func immRange(op Op) (lo, hi int32) {
+	switch op {
+	case OpJ, OpCALL:
+		return -(1 << 23), 1<<23 - 1
+	case OpMOVI:
+		return -(1 << 15), 1<<15 - 1
+	case OpMOVH, OpORIL:
+		return 0, 1<<16 - 1
+	case OpANDI, OpORI, OpXORI, OpSHLI, OpSHRI, OpMFCR, OpMTCR:
+		return 0, 1<<12 - 1
+	}
+	return -(1 << 11), 1<<11 - 1
+}
+
+// encodable builds an Instr of op from raw field values: registers only in
+// the fields op's layout encodes, the immediate folded into its range.
+func encodable(op Op, rd, ra, rb uint8, raw int32) Instr {
+	lo, hi := immRange(op)
+	v := lo + int32(uint32(raw)%uint32(hi-lo+1))
+	switch op {
+	case OpJ, OpCALL:
+		return Instr{Op: op, Off24: v}
+	case OpMOVI, OpMOVH, OpORIL:
+		return Instr{Op: op, Rd: rd % NumRegs, Imm: v}
+	}
+	return Instr{Op: op, Rd: rd % NumRegs, Ra: ra % NumRegs, Rb: rb % NumRegs, Imm: v}
+}
+
 func TestEncodeDecodeProperty(t *testing.T) {
 	// Every instruction the assembler can legally construct must round-trip.
 	f := func(opRaw, rd, ra, rb uint8, immRaw int32) bool {
-		op := Op(opRaw % uint8(NumOps))
-		in := Instr{Op: op}
-		switch {
-		case op.IsJump24():
-			in.Off24 = immRaw % (1 << 23)
-		case op.IsWide():
-			if op == OpMOVI {
-				in.Imm = immRaw % (1 << 15)
-			} else {
-				in.Imm = immRaw & 0xFFFF
-			}
-			in.Rd = rd % 16
-		default:
-			in.Rd, in.Ra, in.Rb = rd%16, ra%16, rb%16
-			switch op {
-			case OpANDI, OpORI, OpXORI, OpSHLI, OpSHRI, OpMFCR, OpMTCR:
-				in.Imm = immRaw & 0xFFF
-			default:
-				in.Imm = immRaw % (1 << 11)
-			}
-		}
+		in := encodable(Op(opRaw%uint8(NumOps)), rd, ra, rb, immRaw)
 		return Decode(in.Encode()) == in
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// TestCheckMatchesEncoding: an Instr the range check accepts round-trips
+// exactly, and Encode panics on one it rejects, so no field is ever
+// truncated or dropped in silence.
+func TestCheckMatchesEncoding(t *testing.T) {
+	accepted := 0
+	f := func(opRaw, rd, ra, rb uint8, imm, off int16) bool {
+		in := Instr{Op: Op(opRaw % uint8(NumOps+1)), Rd: rd % 20, Ra: ra % 20, Rb: rb % 20,
+			Imm: int32(imm) % 5000, Off24: int32(off) % 3}
+		if in.check() == nil {
+			accepted++
+			return Decode(in.Encode()) == in
+		}
+		return panics(func() { in.Encode() })
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	if accepted < 100 {
+		t.Errorf("only %d of 20000 random instructions passed the check", accepted)
 	}
 }
 
@@ -149,6 +187,17 @@ func TestAsmErrors(t *testing.T) {
 	a.Movi(1, 1<<20)
 	if _, err := a.Assemble(); err == nil {
 		t.Error("oversized movi must fail")
+	}
+
+	// A label 2049 words ahead is one word past a branch's reach.
+	a = NewAsm(0)
+	a.Beq(1, 2, "far")
+	for i := 0; i < 2048; i++ {
+		a.Nop()
+	}
+	a.Label("far")
+	if _, err := a.Assemble(); err == nil {
+		t.Error("branch past the imm12 range must fail")
 	}
 }
 

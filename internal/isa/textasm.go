@@ -7,8 +7,8 @@ import (
 )
 
 // ParseAsm assembles text assembly into a program. The syntax is exactly
-// what Instr.String and the disassembler produce, plus labels and
-// directives:
+// what Instr.String and the disassembler produce, plus labels, the
+// pseudo-ops movw and ret, and directives:
 //
 //	; comment        # comment
 //	start:                     ; label definition
@@ -22,43 +22,33 @@ import (
 //	    j    start
 //	    mfcr r1, csr0
 //	    mtcr csr0, r1
-//	    .org  0x80000000       ; load address (before any instruction)
+//	    movw r6, 0xDEADBEEF    ; movi, or movh + oril
+//	    ret                    ; jr lr
+//	    .org  0x80000000       ; load address (before any label or instruction)
 //	    .word 0xDEADBEEF       ; raw data word
 //
-// base is used when no .org directive appears.
+// base is used when no .org directive appears. Every instruction takes
+// the operands its form in opTable lists, and every immediate must fit its
+// opcode's field; anything else is a "line N: ..." error.
 func ParseAsm(src string, base uint32) (*Program, error) {
-	var a *Asm
-	ensure := func() *Asm {
-		if a == nil {
-			a = NewAsm(base)
-		}
-		return a
-	}
-
+	a := NewAsm(base)
 	for lineNo, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		// Labels (possibly followed by an instruction on the same line).
+		line := strings.TrimSpace(stripComment(raw))
+		// Labels, possibly followed by an instruction on the same line.
 		for {
-			if i := strings.Index(line, ":"); i >= 0 && isIdent(line[:i]) {
-				ensure().Label(line[:i])
-				line = strings.TrimSpace(line[i+1:])
-				continue
+			i := strings.Index(line, ":")
+			if i < 0 || !isIdent(line[:i]) {
+				break
 			}
-			break
+			a.Label(line[:i])
+			line = strings.TrimSpace(line[i+1:])
 		}
 		if line == "" {
 			continue
 		}
-		if err := parseLine(ensure, line, &base); err != nil {
+		if err := parseLine(a, line); err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 		}
-	}
-	if a == nil {
-		a = NewAsm(base)
 	}
 	return a.Assemble()
 }
@@ -90,221 +80,106 @@ func isIdent(s string) bool {
 	return true
 }
 
-// parseLine assembles one mnemonic line.
-func parseLine(ensure func() *Asm, line string, base *uint32) error {
-	mn, rest, _ := strings.Cut(line, " ")
-	mn = strings.ToLower(strings.TrimSpace(mn))
+// mnemonics maps each opcode's name in opTable to the opcode.
+var mnemonics = func() map[string]Op {
+	m := make(map[string]Op, NumOps)
+	for op := Op(0); op.Valid(); op++ {
+		m[opTable[op].name] = op
+	}
+	return m
+}()
+
+// parseLine assembles one directive, pseudo-op or instruction.
+func parseLine(a *Asm, line string) error {
+	mn, rest := line, ""
+	if i := strings.IndexAny(line, " \t"); i >= 0 {
+		mn, rest = line[:i], line[i:]
+	}
+	mn = strings.ToLower(mn)
 	args := splitArgs(rest)
 
 	switch mn {
-	case ".org":
+	case ".org", ".word":
 		if len(args) != 1 {
-			return fmt.Errorf(".org needs one operand")
+			return fmt.Errorf("%s takes 1 operand, got %d", mn, len(args))
 		}
 		v, err := num(args[0])
 		if err != nil {
 			return err
 		}
-		*base = uint32(v)
-		a := ensure()
-		if a.PC() != a.base {
-			return fmt.Errorf(".org after instructions")
+		switch {
+		case mn == ".word":
+			a.words = append(a.words, uint32(v))
+		case len(a.words) > 0 || len(a.syms) > 0:
+			return fmt.Errorf(".org after labels or instructions")
+		default:
+			a.base = uint32(v)
 		}
-		a.base = uint32(v)
 		return nil
-	case ".word":
-		if len(args) != 1 {
-			return fmt.Errorf(".word needs one operand")
+	case "movw": // pseudo: load a full 32-bit constant
+		if len(args) != 2 {
+			return fmt.Errorf("movw takes 2 operands, got %d", len(args))
 		}
-		v, err := num(args[0])
+		rd, err := reg(args[0])
 		if err != nil {
 			return err
 		}
-		a := ensure()
-		a.words = append(a.words, uint32(v))
+		v, err := num(args[1])
+		if err != nil {
+			return err
+		}
+		a.Movw(int(rd), uint32(v))
+		return nil
+	case "ret": // pseudo: jr lr
+		if len(args) != 0 {
+			return fmt.Errorf("ret takes no operands")
+		}
+		a.Ret()
 		return nil
 	}
 
-	a := ensure()
-	switch mn {
-	case "nop":
-		a.Nop()
-	case "rfe":
-		a.Rfe()
-	case "halt":
-		a.Halt()
-	case "dbg":
-		a.Dbg()
-
-	case "movi", "movh", "oril":
-		rd, err := regArg(args, 0)
-		if err != nil {
-			return err
-		}
-		v, err := numArg(args, 1)
-		if err != nil {
-			return err
-		}
-		switch mn {
-		case "movi":
-			a.Movi(rd, int32(v))
-		case "movh":
-			a.emit(Instr{Op: OpMOVH, Rd: uint8(rd), Imm: int32(v & 0xFFFF)})
-		case "oril":
-			a.emit(Instr{Op: OpORIL, Rd: uint8(rd), Imm: int32(v & 0xFFFF)})
-		}
-	case "movw": // pseudo: load full 32-bit constant
-		rd, err := regArg(args, 0)
-		if err != nil {
-			return err
-		}
-		v, err := numArg(args, 1)
-		if err != nil {
-			return err
-		}
-		a.Movw(rd, uint32(v))
-
-	case "add", "sub", "and", "or", "xor", "shl", "shr", "sra", "mul", "mac", "slt", "sltu":
-		rd, err := regArg(args, 0)
-		if err != nil {
-			return err
-		}
-		ra, err := regArg(args, 1)
-		if err != nil {
-			return err
-		}
-		rb, err := regArg(args, 2)
-		if err != nil {
-			return err
-		}
-		ops := map[string]Op{"add": OpADD, "sub": OpSUB, "and": OpAND, "or": OpOR,
-			"xor": OpXOR, "shl": OpSHL, "shr": OpSHR, "sra": OpSRA,
-			"mul": OpMUL, "mac": OpMAC, "slt": OpSLT, "sltu": OpSLTU}
-		a.Op3(ops[mn], rd, ra, rb)
-
-	case "addi", "andi", "ori", "xori", "shli", "shri", "slti":
-		rd, err := regArg(args, 0)
-		if err != nil {
-			return err
-		}
-		ra, err := regArg(args, 1)
-		if err != nil {
-			return err
-		}
-		v, err := numArg(args, 2)
-		if err != nil {
-			return err
-		}
-		ops := map[string]Op{"addi": OpADDI, "andi": OpANDI, "ori": OpORI,
-			"xori": OpXORI, "shli": OpSHLI, "shri": OpSHRI, "slti": OpSLTI}
-		a.OpI(ops[mn], rd, ra, int32(v))
-
-	case "ldw", "ldb", "lea":
-		rd, err := regArg(args, 0)
-		if err != nil {
-			return err
-		}
-		ra, off, err := memArg(args, 1)
-		if err != nil {
-			return err
-		}
-		switch mn {
-		case "ldw":
-			a.Ldw(rd, ra, off)
-		case "ldb":
-			a.Ldb(rd, ra, off)
-		case "lea":
-			a.Lea(rd, ra, off)
-		}
-
-	case "stw", "stb":
-		ra, off, err := memArg(args, 0)
-		if err != nil {
-			return err
-		}
-		rd, err := regArg(args, 1)
-		if err != nil {
-			return err
-		}
-		if mn == "stw" {
-			a.Stw(rd, ra, off)
-		} else {
-			a.Stb(rd, ra, off)
-		}
-
-	case "beq", "bne", "blt", "bge", "bltu", "bgeu":
-		ra, err := regArg(args, 0)
-		if err != nil {
-			return err
-		}
-		rb, err := regArg(args, 1)
-		if err != nil {
-			return err
-		}
-		ops := map[string]Op{"beq": OpBEQ, "bne": OpBNE, "blt": OpBLT,
-			"bge": OpBGE, "bltu": OpBLTU, "bgeu": OpBGEU}
-		return branchTarget(a, args, 2, func(label string) {
-			a.Br(ops[mn], ra, rb, label)
-		}, func(off int32) {
-			a.emit(Instr{Op: ops[mn], Ra: uint8(ra), Rb: uint8(rb), Imm: off})
-		})
-
-	case "loop":
-		ra, err := regArg(args, 0)
-		if err != nil {
-			return err
-		}
-		return branchTarget(a, args, 1, func(label string) {
-			a.Loop(ra, label)
-		}, func(off int32) {
-			a.emit(Instr{Op: OpLOOP, Ra: uint8(ra), Imm: off})
-		})
-
-	case "j", "call":
-		op := OpJ
-		emitL := a.J
-		if mn == "call" {
-			op = OpCALL
-			emitL = a.Call
-		}
-		return branchTarget(a, args, 0, func(label string) {
-			emitL(label)
-		}, func(off int32) {
-			a.emit(Instr{Op: op, Off24: off})
-		})
-
-	case "jr":
-		ra, err := regArg(args, 0)
-		if err != nil {
-			return err
-		}
-		a.Jr(ra)
-	case "ret":
-		a.Ret()
-
-	case "mfcr":
-		rd, err := regArg(args, 0)
-		if err != nil {
-			return err
-		}
-		n, err := csrArg(args, 1)
-		if err != nil {
-			return err
-		}
-		a.Mfcr(rd, n)
-	case "mtcr":
-		n, err := csrArg(args, 0)
-		if err != nil {
-			return err
-		}
-		ra, err := regArg(args, 1)
-		if err != nil {
-			return err
-		}
-		a.Mtcr(n, ra)
-
-	default:
+	op, ok := mnemonics[mn]
+	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", mn)
+	}
+	slots := formOperands[opTable[op].form]
+	if len(args) != len(slots) {
+		return fmt.Errorf("%s takes %d operands, got %d", op, len(slots), len(args))
+	}
+	in, label := Instr{Op: op}, ""
+	for i, s := range args {
+		var err error
+		switch slots[i] {
+		case argRd:
+			in.Rd, err = reg(s)
+		case argRa:
+			in.Ra, err = reg(s)
+		case argRb:
+			in.Rb, err = reg(s)
+		case argImm:
+			in.Imm, err = imm(s)
+		case argMem:
+			in.Ra, in.Imm, err = mem(s)
+		case argTarget:
+			if isIdent(s) {
+				label = s
+			} else {
+				*in.target(), err = imm(s)
+			}
+		case argCSR:
+			in.Imm, err = csr(s)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := in.check(); err != nil {
+		return err
+	}
+	if label != "" {
+		a.emitFixup(in, label)
+	} else {
+		a.emit(in)
 	}
 	return nil
 }
@@ -321,112 +196,73 @@ func splitArgs(s string) []string {
 	return parts
 }
 
+// num parses an optionally signed integer in Go literal syntax (0x, 0b,
+// 0o prefixes). It must fit 32 bits, signed or unsigned.
 func num(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	neg := false
-	if strings.HasPrefix(s, "+") {
-		s = s[1:]
-	} else if strings.HasPrefix(s, "-") {
-		neg = true
-		s = s[1:]
+	digits, neg := s, false
+	switch {
+	case strings.HasPrefix(s, "+"):
+		digits = s[1:]
+	case strings.HasPrefix(s, "-"):
+		digits, neg = s[1:], true
 	}
-	v, err := strconv.ParseUint(s, 0, 33)
-	if err != nil {
-		return 0, fmt.Errorf("bad number %q", s)
+	v, err := strconv.ParseUint(digits, 0, 32)
+	if err != nil || neg && v > 1<<31 {
+		return 0, fmt.Errorf("bad 32-bit number %q", s)
 	}
-	n := int64(v)
 	if neg {
-		n = -n
+		return -int64(v), nil
 	}
-	return n, nil
+	return int64(v), nil
 }
 
-func regArg(args []string, i int) (int, error) {
-	if i >= len(args) {
-		return 0, fmt.Errorf("missing operand %d", i+1)
+// imm parses an immediate operand; its opcode's range is Instr.check's.
+func imm(s string) (int32, error) {
+	v, err := num(s)
+	if err == nil && int64(int32(v)) != v {
+		err = fmt.Errorf("immediate %s does not fit an int32", s)
 	}
-	s := strings.ToLower(args[i])
-	if s == "sp" {
+	return int32(v), err
+}
+
+// reg parses rN, sp or lr.
+func reg(s string) (uint8, error) {
+	switch l := strings.ToLower(s); {
+	case l == "sp":
 		return RegSP, nil
-	}
-	if s == "lr" {
+	case l == "lr":
 		return RegLink, nil
+	case strings.HasPrefix(l, "r"):
+		if n, err := strconv.ParseUint(l[1:], 10, 8); err == nil && n < NumRegs {
+			return uint8(n), nil
+		}
 	}
-	if !strings.HasPrefix(s, "r") {
-		return 0, fmt.Errorf("bad register %q", args[i])
-	}
-	n, err := strconv.Atoi(s[1:])
-	if err != nil || n < 0 || n >= NumRegs {
-		return 0, fmt.Errorf("bad register %q", args[i])
-	}
-	return n, nil
+	return 0, fmt.Errorf("bad register %q", s)
 }
 
-func numArg(args []string, i int) (int64, error) {
-	if i >= len(args) {
-		return 0, fmt.Errorf("missing operand %d", i+1)
+// csr parses csrN for a defined CSR number N.
+func csr(s string) (int32, error) {
+	if l := strings.ToLower(s); strings.HasPrefix(l, "csr") {
+		if n, err := strconv.ParseUint(l[3:], 10, 8); err == nil && n < NumCSRs {
+			return int32(n), nil
+		}
 	}
-	return num(args[i])
+	return 0, fmt.Errorf("bad csr %q", s)
 }
 
-func csrArg(args []string, i int) (int, error) {
-	if i >= len(args) {
-		return 0, fmt.Errorf("missing operand %d", i+1)
-	}
-	s := strings.ToLower(args[i])
-	if !strings.HasPrefix(s, "csr") {
-		return 0, fmt.Errorf("bad csr %q", args[i])
-	}
-	n, err := strconv.Atoi(s[3:])
-	if err != nil || n < 0 || n >= NumCSRs {
-		return 0, fmt.Errorf("bad csr %q", args[i])
-	}
-	return n, nil
-}
-
-// memArg parses "[rA+off]", "[rA-off]" or "[rA]".
-func memArg(args []string, i int) (reg int, off int32, err error) {
-	if i >= len(args) {
-		return 0, 0, fmt.Errorf("missing operand %d", i+1)
-	}
-	s := strings.TrimSpace(args[i])
+// mem parses "[rA+off]", "[rA-off]" or "[rA]".
+func mem(s string) (ra uint8, off int32, err error) {
 	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
 		return 0, 0, fmt.Errorf("bad memory operand %q", s)
 	}
 	s = s[1 : len(s)-1]
-	sep := strings.IndexAny(s, "+-")
 	regStr, offStr := s, ""
-	if sep > 0 {
+	if sep := strings.IndexAny(s, "+-"); sep > 0 {
 		regStr, offStr = s[:sep], s[sep:]
 	}
-	reg, err = regArg([]string{strings.TrimSpace(regStr)}, 0)
-	if err != nil {
-		return 0, 0, err
+	if ra, err = reg(strings.TrimSpace(regStr)); err != nil || offStr == "" {
+		return ra, 0, err
 	}
-	if offStr != "" {
-		v, err := num(offStr)
-		if err != nil {
-			return 0, 0, err
-		}
-		off = int32(v)
-	}
-	return reg, off, nil
-}
-
-// branchTarget accepts either a label name or a signed numeric word offset.
-func branchTarget(a *Asm, args []string, i int, byLabel func(string), byOffset func(int32)) error {
-	if i >= len(args) {
-		return fmt.Errorf("missing branch target")
-	}
-	s := strings.TrimSpace(args[i])
-	if isIdent(s) {
-		byLabel(s)
-		return nil
-	}
-	v, err := num(s)
-	if err != nil {
-		return fmt.Errorf("bad branch target %q", s)
-	}
-	byOffset(int32(v))
-	return nil
+	off, err = imm(strings.TrimSpace(offStr))
+	return ra, off, err
 }

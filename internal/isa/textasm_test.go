@@ -91,49 +91,57 @@ func TestParseAsmDirectivesAndCSR(t *testing.T) {
 func TestParseAsmErrors(t *testing.T) {
 	cases := []string{
 		"bogus r1, r2",
-		"add r1, r2",       // missing operand
-		"movi r99, 1",      // bad register
-		"ldw r1, r2",       // not a memory operand
-		"beq r1, r2, 9z",   // bad target
-		"mfcr r1, csr9",    // bad csr
-		"movi r1, zzz",     // bad number
-		"nop\n.org 0x100",  // .org after code
-		"j nowhere",        // undefined label
-		"x:\nx:\nnop\nj x", // duplicate label
+		"add r1, r2",         // missing operand
+		"movi r99, 1",        // bad register
+		"ldw r1, r2",         // not a memory operand
+		"beq r1, r2, 9z",     // bad target
+		"mfcr r1, csr9",      // bad csr
+		"movi r1, zzz",       // bad number
+		"nop\n.org 0x100",    // .org after code
+		"j nowhere",          // undefined label
+		"x:\nx:\nnop\nj x",   // duplicate label
+		"x:\n.org 0x100",     // .org after a label
+		"halt r1",            // operand on a bare mnemonic
+		"add r1, r2, r3, r4", // extra operand
+		"movi r1, 0x80000000",
+		".word 0x100000000",
+		// Immediates past their opcode's field.
+		"ldw r1, [r2+5000]",
+		"stw [r1-3000], r2",
+		"beq r1, r2, 5000",
+		"j 99999999",
+		"movh r1, 0x12345",
+		"andi r1, r2, -1",
 	}
 	for _, src := range cases {
-		if _, err := ParseAsm(src, 0); err == nil {
+		_, err := ParseAsm(src, 0)
+		if err == nil {
 			t.Errorf("source %q must fail", src)
+		} else if !strings.HasPrefix(err.Error(), "line ") && !strings.HasPrefix(err.Error(), "assemble: ") {
+			t.Errorf("source %q: error %q names neither a line nor the assembler", src, err)
 		}
 	}
 }
 
-// canonInstr keeps only the fields the disassembly of op renders; other
-// fields are don't-cares that a textual round trip cannot preserve.
-func canonInstr(in Instr) Instr {
+// rendered keeps only the fields in's disassembly prints; a textual round
+// trip cannot carry the others.
+func rendered(in Instr) Instr {
 	out := Instr{Op: in.Op}
-	switch op := in.Op; {
-	case op == OpNOP || op == OpRFE || op == OpHALT || op == OpDBG:
-	case op.IsJump24():
-		out.Off24 = in.Off24
-	case op.IsWide():
-		out.Rd, out.Imm = in.Rd, in.Imm
-	case op == OpJR:
-		out.Ra = in.Ra
-	case op == OpLOOP:
-		out.Ra, out.Imm = in.Ra, in.Imm
-	case op == OpMFCR:
-		out.Rd, out.Imm = in.Rd, in.Imm
-	case op == OpMTCR:
-		out.Ra, out.Imm = in.Ra, in.Imm
-	case op.IsBranch():
-		out.Ra, out.Rb, out.Imm = in.Ra, in.Rb, in.Imm
-	case op.IsLoad() || op.IsStore() || op == OpLEA,
-		op == OpADDI || op == OpANDI || op == OpORI || op == OpXORI ||
-			op == OpSHLI || op == OpSHRI || op == OpSLTI:
-		out.Rd, out.Ra, out.Imm = in.Rd, in.Ra, in.Imm
-	default: // three-register ALU
-		out.Rd, out.Ra, out.Rb = in.Rd, in.Ra, in.Rb
+	for _, arg := range formOperands[opTable[in.Op].form] {
+		switch arg {
+		case argRd:
+			out.Rd = in.Rd
+		case argRa:
+			out.Ra = in.Ra
+		case argRb:
+			out.Rb = in.Rb
+		case argMem:
+			out.Ra, out.Imm = in.Ra, in.Imm
+		case argImm, argCSR:
+			out.Imm = in.Imm
+		case argTarget:
+			*out.target() = *in.target()
+		}
 	}
 	return out
 }
@@ -142,30 +150,10 @@ func canonInstr(in Instr) Instr {
 // rendered by the disassembler, parses back to the identical encoding.
 func TestDisasmParseRoundTrip(t *testing.T) {
 	f := func(opRaw, rd, ra, rb uint8, immRaw int32) bool {
-		op := Op(opRaw % uint8(NumOps))
-		in := Instr{Op: op}
-		switch {
-		case op.IsJump24():
-			in.Off24 = immRaw % (1 << 20)
-		case op.IsWide():
-			if op == OpMOVI {
-				in.Imm = immRaw % (1 << 15)
-			} else {
-				in.Imm = immRaw & 0xFFFF
-			}
-			in.Rd = rd % 16
-		default:
-			in.Rd, in.Ra, in.Rb = rd%16, ra%16, rb%16
-			switch op {
-			case OpANDI, OpORI, OpXORI, OpSHLI, OpSHRI:
-				in.Imm = immRaw & 0xFFF
-			case OpMFCR, OpMTCR:
-				in.Imm = immRaw & 3
-			default:
-				in.Imm = immRaw % (1 << 11)
-			}
+		in := rendered(encodable(Op(opRaw%uint8(NumOps)), rd, ra, rb, immRaw))
+		if in.Op == OpMFCR || in.Op == OpMTCR {
+			in.Imm %= NumCSRs // the text names defined CSRs only
 		}
-		in = canonInstr(in)
 		text := in.String()
 		p, err := ParseAsm(text, 0)
 		if err != nil {
@@ -179,6 +167,50 @@ func TestDisasmParseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestImmediateRangeEnds: for every opcode with an immediate operand, both
+// ends of its range assemble, through the builder and the text assembler,
+// and round-trip through Encode and Decode; one past either end is an
+// assembler error, never a panic.
+func TestImmediateRangeEnds(t *testing.T) {
+	for op := Op(0); op.Valid(); op++ {
+		f := opTable[op].form
+		if f == formNone || f == formRRR || f == formJR {
+			continue // no immediate operand
+		}
+		lo, hi := immRange(op)
+		for _, c := range []struct {
+			v  int32
+			ok bool
+		}{{lo, true}, {hi, true}, {lo - 1, false}, {hi + 1, false}} {
+			in := rendered(Instr{Op: op, Rd: 1, Ra: 2, Rb: 3, Imm: c.v, Off24: c.v})
+			a := NewAsm(0)
+			a.emit(in)
+			p, err := a.Assemble()
+			switch {
+			case c.ok && err != nil:
+				t.Errorf("%v: builder rejects %d: %v", op, c.v, err)
+			case c.ok && Decode(p.Words[0]) != in:
+				t.Errorf("%v: %d decodes to %+v", op, c.v, Decode(p.Words[0]))
+			case !c.ok && err == nil:
+				t.Errorf("%v: builder accepts %d", op, c.v)
+			}
+			if f == formMFCR || f == formMTCR {
+				continue // the text names defined CSRs only
+			}
+			text := in.String()
+			p, err = ParseAsm(text, 0)
+			switch {
+			case c.ok && err != nil:
+				t.Errorf("%q: %v", text, err)
+			case c.ok && Decode(p.Words[0]) != in:
+				t.Errorf("%q decodes to %+v", text, Decode(p.Words[0]))
+			case !c.ok && (err == nil || !strings.HasPrefix(err.Error(), "line 1: ")):
+				t.Errorf("%q: want a line 1 error, got %v", text, err)
+			}
+		}
 	}
 }
 

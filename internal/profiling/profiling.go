@@ -180,9 +180,7 @@ func newSession(s *soc.SoC, spec Spec, attach func(string, sim.Ticker)) *Session
 	m := mcds.New(s.EMEM)
 	sess := &Session{SoC: s, MCDS: m, spec: spec}
 	sess.cpuObs = m.AddCore(s.CPU, 0)
-	if s.PCP != nil {
-		sess.pcpObs = m.AddCore(s.PCP.Core, 1)
-	}
+	sess.pcpObs = m.AddCore(s.PCP.Core, 1)
 	if s.CPU1 != nil {
 		sess.cpu1Obs = m.AddCore(s.CPU1, 7)
 	}
@@ -203,9 +201,6 @@ func newSession(s *soc.SoC, spec Spec, attach func(string, sim.Ticker)) *Session
 		case ObsFlash:
 			ctrs, src = s.Flash.Counters(), 5
 		case ObsDMA:
-			if s.DMA == nil {
-				panic("profiling: no DMA on this SoC")
-			}
 			ctrs, src = s.DMA.Counters(), 6
 		default:
 			panic("profiling: bad bus selector")
@@ -221,9 +216,6 @@ func newSession(s *soc.SoC, spec Spec, attach func(string, sim.Ticker)) *Session
 		case ObsCPU:
 			obs = sess.cpuObs
 		case ObsPCP:
-			if sess.pcpObs == nil {
-				panic("profiling: no PCP on this SoC")
-			}
 			obs = sess.pcpObs
 		case ObsCPU1:
 			if sess.cpu1Obs == nil {
@@ -450,8 +442,9 @@ type Profile struct {
 	Cycles     uint64
 	Instr      uint64
 	Series     map[string]*Series
-	MsgsLost   uint64 // messages dropped at the emitter (buffer overflow)
-	TraceBytes uint64 // bytes the MCDS emitted
+	MsgsLost   uint64     // messages dropped at the emitter (buffer overflow)
+	TraceBytes uint64     // bytes the MCDS emitted
+	Msgs       []tmsg.Msg // the decoded trace stream, in arrival order
 
 	// Framed-session loss accounting (zero on clean runs).
 	MsgsDelivered uint64     // messages that reached the tool intact
@@ -531,6 +524,7 @@ func (sess *Session) Result(appName string) (*Profile, error) {
 		Series:     make(map[string]*Series),
 		MsgsLost:   sess.MCDS.MsgsLost,
 		TraceBytes: sess.MCDS.BytesEmitted,
+		Msgs:       msgs,
 	}
 	for _, prm := range sess.params {
 		p.Series[prm.Name] = &Series{Param: prm.Name}

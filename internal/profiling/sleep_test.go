@@ -103,10 +103,7 @@ func TestBasisRiseBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cores := []*sim.Counters{s.CPU.Counters()}
-		if s.PCP != nil {
-			cores = append(cores, s.PCP.Counters())
-		}
+		cores := []*sim.Counters{s.CPU.Counters(), s.PCP.Counters()}
 		prev := make([]sim.Counters, len(cores))
 		var instr, cycle uint64 // largest one-cycle rises seen
 		s.Clock.Attach("bounds", sim.TickerFunc(func(uint64) {

@@ -42,10 +42,6 @@ type Config struct {
 	ICache *cache.Config // nil = no instruction cache
 	DCache *cache.Config // nil = no data cache
 
-	HasPCP   bool
-	PRAMSize uint32
-	HasDMA   bool
-
 	// SecondCore adds a second TriCore core with its own scratchpads and
 	// caches, sharing the buses and flash — the "increasing ... number of
 	// cores" direction the paper's conclusion claims the methodology is
@@ -61,6 +57,10 @@ type Config struct {
 // ememLatency is the EMEM access latency in cycles on every ED variant.
 const ememLatency = 2
 
+// pramSize is the PCP's code/data RAM on every preset; every SoC has a
+// PCP and a DMA controller.
+const pramSize = 32 << 10
+
 // TC1797 returns the high-end AUDO FUTURE preset: 180 MHz, 4 MB flash,
 // 16 KB I-cache, 4 KB D-cache, PCP and DMA.
 func TC1797() Config {
@@ -75,9 +75,6 @@ func TC1797() Config {
 		DSPRSize:    128 << 10,
 		ICache:      &cache.Config{Size: 16 << 10, LineBytes: 32, Ways: 2},
 		DCache:      &cache.Config{Size: 4 << 10, LineBytes: 32, Ways: 2},
-		HasPCP:      true,
-		PRAMSize:    32 << 10,
-		HasDMA:      true,
 	}
 }
 
@@ -159,7 +156,7 @@ type SoC struct {
 
 	CPU    *tricore.CPU
 	CPU1   *tricore.CPU // nil unless Cfg.SecondCore
-	PCP    *pcp.PCP     // nil unless Cfg.HasPCP
+	PCP    *pcp.PCP
 	DMA    *dma.Controller
 	Router *irq.Router
 
@@ -289,18 +286,14 @@ func New(cfg Config, seed uint64) *SoC {
 		s.CPU1.SetDecoder(s.Decoder)
 	}
 
-	if cfg.HasPCP {
-		s.PRAM = mem.NewRAM("pram", mem.PRAMBase, cfg.PRAMSize, 1)
-		s.SPB.Map(mem.PRAMBase, cfg.PRAMSize, s.PRAM)
-		core := tricore.New("pcp", 1,
-			tricore.PMI{PSPR: s.PRAM, Bus: s.SPB, Peek: s.Peek},
-			tricore.DMI{DSPR: s.PRAM, Bus: s.SPB, Peek: s.Peek},
-			pcp.Timing(), nil)
-		s.PCP = pcp.New(core, s.PRAM, s.Router)
-	}
-	if cfg.HasDMA {
-		s.DMA = dma.New("dma", s.SPB, s.Router)
-	}
+	s.PRAM = mem.NewRAM("pram", mem.PRAMBase, pramSize, 1)
+	s.SPB.Map(mem.PRAMBase, pramSize, s.PRAM)
+	pcpCore := tricore.New("pcp", 1,
+		tricore.PMI{PSPR: s.PRAM, Bus: s.SPB, Peek: s.Peek},
+		tricore.DMI{DSPR: s.PRAM, Bus: s.SPB, Peek: s.Peek},
+		pcp.Timing(), nil)
+	s.PCP = pcp.New(pcpCore, s.PRAM, s.Router)
+	s.DMA = dma.New("dma", s.SPB, s.Router)
 
 	// Step order fixes same-cycle priorities: CPU first, then PCP, DMA,
 	// and peripherals last (their requests become visible next cycle).
@@ -308,12 +301,8 @@ func New(cfg Config, seed uint64) *SoC {
 	if s.CPU1 != nil {
 		s.Clock.Attach("cpu1", s.CPU1)
 	}
-	if s.PCP != nil {
-		s.Clock.Attach("pcp", s.PCP)
-	}
-	if s.DMA != nil {
-		s.Clock.Attach("dma", s.DMA)
-	}
+	s.Clock.Attach("pcp", s.PCP)
+	s.Clock.Attach("dma", s.DMA)
 	return s
 }
 
@@ -376,7 +365,7 @@ func (s *SoC) Peek(addr uint32, p []byte) {
 		s.PSPR1.Read(a, p)
 	case s.DSPR1 != nil && s.DSPR1.Contains(a, len(p)):
 		s.DSPR1.Read(a, p)
-	case s.PRAM != nil && s.PRAM.Contains(a, len(p)):
+	case s.PRAM.Contains(a, len(p)):
 		s.PRAM.Read(a, p)
 	case s.EMEM != nil && s.EMEM.RAM.Contains(a, len(p)):
 		s.EMEM.RAM.Read(a, p)
@@ -397,7 +386,7 @@ func (s *SoC) LoadProgram(p *isa.Program) {
 	case s.PSPR1 != nil && s.PSPR1.Contains(p.Base, int(p.Size())):
 		s.PSPR1.Write(p.Base, p.Bytes())
 		s.Decoder.InvalidateRange(p.Base, p.Size())
-	case s.PRAM != nil && s.PRAM.Contains(p.Base, int(p.Size())):
+	case s.PRAM.Contains(p.Base, int(p.Size())):
 		s.PRAM.Write(p.Base, p.Bytes())
 	default:
 		panic(fmt.Sprintf("soc: cannot load program at %#08x", p.Base))

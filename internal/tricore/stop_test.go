@@ -9,7 +9,8 @@ import (
 )
 
 // countingLoop counts iterations in r9 around a flash-data load, a
-// dependent add (load-use stall) and a store, then halts.
+// dependent add (load-use stall) and a store 0x7FC bytes past the load,
+// clear of the code and of the words still to be loaded, then halts.
 func countingLoop(t *testing.T) *isa.Program {
 	t.Helper()
 	a := isa.NewAsm(mem.FlashBase)
@@ -18,7 +19,7 @@ func countingLoop(t *testing.T) *isa.Program {
 	a.Label("b")
 	a.Ldw(2, 1, 0)
 	a.Addi(2, 2, 3)
-	a.Stw(2, 1, 0x1000-0x800)
+	a.Stw(2, 1, 0x7FC)
 	a.Addi(9, 9, 1)
 	a.Addi(1, 1, 4)
 	a.Loop(3, "b")

@@ -153,12 +153,6 @@ func Build(s *soc.SoC, spec Spec) (*App, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.CANOnPCP && s.PCP == nil {
-		return nil, fmt.Errorf("workload %s: CANOnPCP on a SoC without PCP", spec.Name)
-	}
-	if spec.CANViaDMA && s.DMA == nil {
-		return nil, fmt.Errorf("workload %s: CANViaDMA on a SoC without DMA", spec.Name)
-	}
 	if spec.CoreIndex == 1 && s.CPU1 == nil {
 		return nil, fmt.Errorf("workload %s: CoreIndex 1 on a SoC without a second core", spec.Name)
 	}

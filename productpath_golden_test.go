@@ -95,10 +95,7 @@ func runGoldenCell(t *testing.T, c goldenCell) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := profiling.StandardParams()
-	if s.PCP != nil {
-		params = append(params, profiling.PCPParams()...)
-	}
+	params := append(profiling.StandardParams(), profiling.PCPParams()...)
 	pspec, err := c.run.SessionSpec(params)
 	if err != nil {
 		t.Fatal(err)
