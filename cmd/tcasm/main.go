@@ -9,10 +9,12 @@
 //
 // With -run the program is loaded into the address its base selects
 // (flash, program scratchpad, or PCP RAM) on a TC1797 and executed until
-// HALT or the cycle limit.
+// HALT or the cycle limit. A fault of the program, such as an illegal
+// instruction, is reported as "tcasm: ..." with exit status 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -83,7 +85,11 @@ func main() {
 	}
 	s.LoadProgram(p)
 	s.ResetCPU(p.Base)
-	cy, halted := s.RunUntilHalt(*cycles)
+	cy, halted, err := runUntilHalt(s, *cycles)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tcasm:", err)
+		os.Exit(1)
+	}
 	if m != nil {
 		s.Clock.Step()
 	}
@@ -108,6 +114,24 @@ func main() {
 		fmt.Printf("trace written to %s (%d bytes, %d messages lost)\n",
 			*tracePath, len(raw), m.MsgsLost)
 	}
+}
+
+// runUntilHalt is s.RunUntilHalt with the program's faults — an illegal
+// instruction, a shadow stack overflow — returned as an error. The cores
+// raise those as string panics; any other panic is a simulator bug and
+// propagates.
+func runUntilHalt(s *soc.SoC, limit uint64) (cy uint64, halted bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg, ok := r.(string)
+			if !ok {
+				panic(r)
+			}
+			err = errors.New(msg)
+		}
+	}()
+	cy, halted = s.RunUntilHalt(limit)
+	return cy, halted, nil
 }
 
 func symAt(p *isa.Program, addr uint32) string {

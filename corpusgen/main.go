@@ -75,10 +75,16 @@ func main() {
 	write(instrDir, "junk-payload", fmt.Sprintf("uint32(%d)", halt|0x00FFFFFF))
 	write(instrDir, "bad-opcode", fmt.Sprintf("uint32(%d)",
 		uint32(isa.NumOps)<<24|0x123456))
+	// Illegal instructions with a defined opcode: mfcr and mtcr of an
+	// undefined CSR (Instr.Valid), which the core must fault on, not run.
+	badMfcr := uint32(isa.OpMFCR)<<24 | 1<<20 | 9 // mfcr r1, csr9
+	badMtcr := uint32(isa.OpMTCR)<<24 | 1<<16 | isa.NumCSRs
+	write(instrDir, "bad-csr-mfcr", fmt.Sprintf("uint32(%d)", badMfcr))
+	write(instrDir, "bad-csr-mtcr", fmt.Sprintf("uint32(%d)", badMtcr))
 
 	// --- internal/isa FuzzDecoderBlock: decoded-block shapes that hit the
-	// builder's edges — fused pairs, every terminator class, the length
-	// cap, and invalid words in the stream.
+	// builder's edges — same-pipe and load-use pairs, every terminator
+	// class, the length cap, and illegal words in the stream.
 	blockDir := "internal/isa/testdata/fuzz/FuzzDecoderBlock"
 	write(blockDir, "fuse-shapes", fmt.Sprintf("[]byte(%q)", words(
 		isa.Instr{Op: isa.OpLDW, Rd: 4, Ra: 1, Imm: 8},
@@ -101,6 +107,10 @@ func main() {
 	write(blockDir, "invalid-midstream", fmt.Sprintf("[]byte(%q)", append(words(
 		isa.Instr{Op: isa.OpADDI, Rd: 1, Ra: 1, Imm: 1}),
 		0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00)))
+	for name, w := range map[string]uint32{"bad-csr-mfcr": badMfcr, "bad-csr-mtcr": badMtcr} {
+		write(blockDir, name, fmt.Sprintf("[]byte(%q)", binary.LittleEndian.AppendUint32(words(
+			isa.Instr{Op: isa.OpMFCR, Rd: 2, Imm: isa.NumCSRs - 1}), w)))
+	}
 	longRun := make([]isa.Instr, isa.MaxBlockInstrs+8)
 	for i := range longRun {
 		longRun[i] = isa.Instr{Op: isa.OpXORI, Rd: uint8(i % 15), Ra: uint8(i % 7), Imm: int32(i)}

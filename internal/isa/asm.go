@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -16,11 +17,13 @@ type Asm struct {
 	fixups []fixup
 	syms   []Symbol
 	errs   []error
+	line   int // source line ParseAsm is assembling; 0 for method calls
 }
 
 type fixup struct {
 	index int    // instruction index needing patching
 	label string // target label
+	line  int    // source line of the reference (Asm.line)
 }
 
 // Symbol is a named address in the assembled program, used by profiling to
@@ -38,11 +41,19 @@ func NewAsm(base uint32) *Asm {
 // PC returns the byte address of the next instruction to be emitted.
 func (a *Asm) PC() uint32 { return a.base + uint32(len(a.words))*4 }
 
+// fail records an assembler error, naming its source line when it has one.
+func (a *Asm) fail(line int, err error) {
+	if line > 0 {
+		err = fmt.Errorf("line %d: %w", line, err)
+	}
+	a.errs = append(a.errs, err)
+}
+
 // Label places (or re-places) a named label at the current PC. Labels
 // starting with a letter are also recorded as symbols.
 func (a *Asm) Label(name string) *Asm {
 	if _, dup := a.labels[name]; dup {
-		a.errs = append(a.errs, fmt.Errorf("duplicate label %q", name))
+		a.fail(a.line, fmt.Errorf("duplicate label %q", name))
 		return a
 	}
 	a.labels[name] = a.PC()
@@ -54,7 +65,7 @@ func (a *Asm) Label(name string) *Asm {
 // an assembler error and a zero placeholder word.
 func (a *Asm) emit(in Instr) *Asm {
 	if err := in.check(); err != nil {
-		a.errs = append(a.errs, err)
+		a.fail(a.line, err)
 		a.words = append(a.words, 0)
 		return a
 	}
@@ -65,7 +76,7 @@ func (a *Asm) emit(in Instr) *Asm {
 // emitFixup emits in with a zero branch offset that Assemble patches to
 // reach label.
 func (a *Asm) emitFixup(in Instr, label string) *Asm {
-	a.fixups = append(a.fixups, fixup{index: len(a.words), label: label})
+	a.fixups = append(a.fixups, fixup{index: len(a.words), label: label, line: a.line})
 	return a.emit(in)
 }
 
@@ -268,12 +279,14 @@ func (p *Program) SymbolAt(addr uint32) string {
 }
 
 // Assemble resolves all label references and returns the finished program.
-// Symbols are returned sorted by address.
+// Symbols are returned sorted by address. The error, if any, joins every
+// error recorded while building, each naming its source line when the
+// program came from ParseAsm.
 func (a *Asm) Assemble() (*Program, error) {
 	for _, f := range a.fixups {
 		target, ok := a.labels[f.label]
 		if !ok {
-			a.errs = append(a.errs, fmt.Errorf("undefined label %q", f.label))
+			a.fail(f.line, fmt.Errorf("undefined label %q", f.label))
 			continue
 		}
 		pc := a.base + uint32(f.index)*4
@@ -281,13 +294,13 @@ func (a *Asm) Assemble() (*Program, error) {
 		in := Decode(a.words[f.index])
 		*in.target() = int32(off)
 		if err := in.check(); err != nil {
-			a.errs = append(a.errs, fmt.Errorf("branch to %q: %w", f.label, err))
+			a.fail(f.line, fmt.Errorf("branch to %q: %w", f.label, err))
 			continue
 		}
 		a.words[f.index] = in.Encode()
 	}
 	if len(a.errs) > 0 {
-		return nil, fmt.Errorf("assemble: %d errors, first: %w", len(a.errs), a.errs[0])
+		return nil, errors.Join(a.errs...)
 	}
 	syms := make([]Symbol, len(a.syms))
 	copy(syms, a.syms)

@@ -8,68 +8,20 @@ import "repro/internal/obs"
 // decode cost across runs of straight-line code by caching decoded basic
 // blocks keyed by their entry PC.
 
-// Fuse classifies an instruction pair (this instruction and its block
-// successor) that the block executor can treat as one superinstruction.
-// Fusion never changes architectural or timing behaviour — each kind
-// encodes a statically provable fact about how the pair issues, letting
-// the executor skip re-deriving it every cycle (and, for FuseStLoop,
-// dispatch the whole pair without returning to the generic issue loop).
-type Fuse uint8
-
-const (
-	// FuseNone: no special relationship with the successor.
-	FuseNone Fuse = iota
-
-	// FuseSamePipe: the successor needs the same execution pipe, so the
-	// pair can never dual-issue (compare+branch is the canonical case —
-	// both are PipeInt). After the head issues, the bundle is over for
-	// the tail; only the tail's fetch timing remains to be charged.
-	FuseSamePipe
-
-	// FuseLoadUse: the head is a load and the successor reads its
-	// destination register. With a non-zero load-use latency the tail
-	// can never issue in the head's cycle.
-	FuseLoadUse
-
-	// FuseStLoop: store followed by LOOP — the hot kernel back edge
-	// (store result, decrement, branch back). Stores write no register,
-	// so the pair has no intra-pair dependency; it is dispatched as one
-	// superinstruction when all issue conditions hold.
-	FuseStLoop
-)
-
-// String names the fusion kind.
-func (f Fuse) String() string {
-	switch f {
-	case FuseNone:
-		return "none"
-	case FuseSamePipe:
-		return "samepipe"
-	case FuseLoadUse:
-		return "loaduse"
-	case FuseStLoop:
-		return "stloop"
-	}
-	return "??"
-}
-
 // DInstr is one decoded instruction inside a cached block, carrying
-// everything the per-cycle issue loop would otherwise re-derive from the
-// word: the handler-table index, the pipe class, the read-register set,
-// and the fusion relationship with the next instruction in the block.
+// what the per-cycle issue loop would otherwise re-derive from the word:
+// the pipe class and the read-register set.
 type DInstr struct {
 	In      Instr
 	Raw     uint32 // original fetched word (diagnostics use the raw word)
-	HIdx    uint8  // threaded-dispatch handler index, resolved at decode time
 	Pipe    Pipe
-	Fuse    Fuse
 	NRead   uint8
 	Reads   [3]uint8
-	Invalid bool // word does not decode; terminates the block
+	Invalid bool // illegal instruction (see Instr.Valid); terminates the block
 }
 
 // MaxBlockInstrs bounds the length of a cached block. Blocks normally end
-// at the first branch, HALT, or undecodable word; straight-line runs
+// at the first branch, HALT, or illegal word; straight-line runs
 // longer than this are split, which only costs an extra lookup.
 const MaxBlockInstrs = 64
 
@@ -92,7 +44,7 @@ type chainLink struct {
 
 // Block is a decoded basic block: a run of instructions starting at PC
 // with no control-flow entry except the first and ending at the first
-// branch, HALT, undecodable word, or the length cap. A branch *into* the
+// branch, HALT, illegal word, or the length cap. A branch *into* the
 // middle of a block simply creates a second, overlapping block at that
 // entry point.
 type Block struct {
@@ -112,7 +64,6 @@ type DecoderStats struct {
 	Misses        uint64
 	Evictions     uint64
 	Invalidations uint64
-	Fused         uint64 // instruction pairs marked with a Fuse kind
 	ChainLinks    uint64 // block-to-block links installed
 	ChainFollows  uint64 // lookups served by following a chain link
 	ChainSevers   uint64 // links severed by invalidation or eviction
@@ -245,12 +196,11 @@ func (d *Decoder) build(pc uint32, word func(addr uint32) uint32) *Block {
 		w := word(p)
 		in := Decode(w)
 		di := DInstr{In: in, Raw: w}
-		if !in.Op.Valid() {
+		if !in.Valid() {
 			di.Invalid = true
 			b.Ins = append(b.Ins, di)
 			break
 		}
-		di.HIdx = uint8(in.Op) // threaded dispatch: handler table is Op-indexed
 		di.Pipe = in.Op.Pipe()
 		di.NRead = uint8(in.ReadRegs(&di.Reads))
 		b.Ins = append(b.Ins, di)
@@ -259,42 +209,7 @@ func (d *Decoder) build(pc uint32, word func(addr uint32) uint32) *Block {
 		}
 		p += 4
 	}
-	d.fusePairs(b)
 	return b
-}
-
-// fusePairs marks each instruction whose relationship with its successor
-// the executor can exploit. The tag lives on the *head* of the pair.
-func (d *Decoder) fusePairs(b *Block) {
-	for i := 0; i+1 < len(b.Ins); i++ {
-		head, tail := &b.Ins[i], &b.Ins[i+1]
-		if head.Invalid || tail.Invalid {
-			continue
-		}
-		switch {
-		case head.In.Op.IsStore() && tail.In.Op == OpLOOP:
-			// Store + LOOP: the one genuinely dual-issuable hot pair
-			// (LS pipe + loop pipe). Stores write no register, so the
-			// pair has no intra-pair register dependency by construction.
-			head.Fuse = FuseStLoop
-		case head.In.Op.IsLoad() && readsReg(tail, head.In.Rd):
-			head.Fuse = FuseLoadUse
-		case head.Pipe == tail.Pipe:
-			head.Fuse = FuseSamePipe
-		default:
-			continue
-		}
-		d.stats.Fused++
-	}
-}
-
-func readsReg(di *DInstr, r uint8) bool {
-	for i := 0; i < int(di.NRead); i++ {
-		if di.Reads[i] == r {
-			return true
-		}
-	}
-	return false
 }
 
 func (d *Decoder) insert(b *Block) {

@@ -13,9 +13,21 @@ type Instr struct {
 	Off24 int32 // signed word offset for J/CALL
 }
 
+// Valid reports whether in is an instruction a core executes: a defined
+// opcode and, for mfcr and mtcr, a defined CSR. Every other word is an
+// illegal instruction. This is the one legality rule: the block builder,
+// the per-word issue path and check all apply it.
+func (in Instr) Valid() bool {
+	if in.Op == OpMFCR || in.Op == OpMTCR {
+		return uint32(in.Imm) < NumCSRs
+	}
+	return in.Op.Valid()
+}
+
 // check reports the first field of in that its opcode's encoding cannot
 // hold: an undefined opcode, a register past r15, an immediate outside the
-// field's range, or a value in a field the form does not encode.
+// field's range, or a value in a field the form does not encode; or, for
+// an encodable word, an undefined CSR (Valid).
 func (in Instr) check() error {
 	if !in.Op.Valid() {
 		return fmt.Errorf("undefined opcode %#02x", uint8(in.Op))
@@ -43,6 +55,9 @@ func (in Instr) check() error {
 	}
 	if v < lo || v > hi {
 		return fmt.Errorf("%s %s %d out of range [%d, %d]", in.Op, what, v, lo, hi)
+	}
+	if !in.Valid() {
+		return fmt.Errorf("%s: undefined csr%d", in.Op, in.Imm)
 	}
 	return nil
 }
@@ -76,7 +91,7 @@ func ext(v uint32, bits uint, zext bool) int32 {
 
 // Decode unpacks a 32-bit instruction word. Unknown opcodes decode to an
 // Instr whose Op is out of range, with the rd/ra/rb+imm12 fields filled;
-// callers detect them with Op.Valid().
+// callers detect those and undefined CSRs with Instr.Valid.
 func Decode(w uint32) Instr {
 	op := Op(w >> 24)
 	in := Instr{Op: op}

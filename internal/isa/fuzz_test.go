@@ -23,14 +23,14 @@ func FuzzParseAsm(f *testing.F) {
 }
 
 // FuzzDecodeInstr: Decode accepts any 32-bit word without panicking, and
-// valid decodes re-encode to a word that decodes identically.
+// valid instructions re-encode to a word that decodes identically.
 func FuzzDecodeInstr(f *testing.F) {
 	f.Add(uint32(0))
 	f.Add(uint32(0xFFFFFFFF))
 	f.Fuzz(func(t *testing.T, w uint32) {
 		in := Decode(w)
 		_ = in.String()
-		if in.Op.Valid() {
+		if in.Valid() {
 			again := Decode(in.Encode())
 			if again != in {
 				t.Fatalf("decode not stable: %+v vs %+v", in, again)

@@ -45,8 +45,10 @@ func immRange(op Op) (lo, hi int32) {
 		return -(1 << 15), 1<<15 - 1
 	case OpMOVH, OpORIL:
 		return 0, 1<<16 - 1
-	case OpANDI, OpORI, OpXORI, OpSHLI, OpSHRI, OpMFCR, OpMTCR:
+	case OpANDI, OpORI, OpXORI, OpSHLI, OpSHRI:
 		return 0, 1<<12 - 1
+	case OpMFCR, OpMTCR:
+		return 0, NumCSRs - 1 // defined CSRs only
 	}
 	return -(1 << 11), 1<<11 - 1
 }
@@ -82,25 +84,41 @@ func panics(f func()) (did bool) {
 	return false
 }
 
-// TestCheckMatchesEncoding: an Instr the range check accepts round-trips
-// exactly, and Encode panics on one it rejects, so no field is ever
-// truncated or dropped in silence.
+// TestCheckMatchesEncoding: an Instr the range check accepts is valid and
+// round-trips exactly, and Encode panics on one it rejects, so no field is
+// ever truncated or dropped in silence and no illegal instruction is
+// assembled.
 func TestCheckMatchesEncoding(t *testing.T) {
 	accepted := 0
-	f := func(opRaw, rd, ra, rb uint8, imm, off int16) bool {
-		in := Instr{Op: Op(opRaw % uint8(NumOps+1)), Rd: rd % 20, Ra: ra % 20, Rb: rb % 20,
-			Imm: int32(imm) % 5000, Off24: int32(off) % 3}
+	agrees := func(in Instr) bool {
 		if in.check() == nil {
 			accepted++
-			return Decode(in.Encode()) == in
+			return in.Valid() && Decode(in.Encode()) == in
 		}
 		return panics(func() { in.Encode() })
+	}
+	f := func(opRaw, rd, ra, rb uint8, imm, off int16) bool {
+		return agrees(Instr{Op: Op(opRaw % uint8(NumOps+1)), Rd: rd % 20, Ra: ra % 20, Rb: rb % 20,
+			Imm: int32(imm) % 5000, Off24: int32(off) % 3})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)
 	}
 	if accepted < 100 {
 		t.Errorf("only %d of 20000 random instructions passed the check", accepted)
+	}
+	// The CSR forms: the last defined CSR assembles, the next is illegal.
+	for _, in := range []Instr{
+		{Op: OpMFCR, Rd: 1, Imm: NumCSRs - 1},
+		{Op: OpMTCR, Ra: 1, Imm: NumCSRs - 1},
+	} {
+		if in.check() != nil || !agrees(in) {
+			t.Errorf("%+v: check %v, want accepted and round-tripped", in, in.check())
+		}
+		in.Imm = NumCSRs
+		if in.check() == nil || in.Valid() || !agrees(in) {
+			t.Errorf("%+v: check %v, Valid %v; want rejected and invalid", in, in.check(), in.Valid())
+		}
 	}
 }
 
@@ -187,6 +205,12 @@ func TestAsmErrors(t *testing.T) {
 	a.Movi(1, 1<<20)
 	if _, err := a.Assemble(); err == nil {
 		t.Error("oversized movi must fail")
+	}
+
+	a = NewAsm(0)
+	a.Mfcr(1, 9)
+	if _, err := a.Assemble(); err == nil {
+		t.Error("mfcr of an undefined csr must fail")
 	}
 
 	// A label 2049 words ahead is one word past a branch's reach.

@@ -29,10 +29,12 @@ import (
 //
 // base is used when no .org directive appears. Every instruction takes
 // the operands its form in opTable lists, and every immediate must fit its
-// opcode's field; anything else is a "line N: ..." error.
+// opcode's field; anything else is a "line N: ..." error. The returned
+// error joins one such error per faulty line or label reference.
 func ParseAsm(src string, base uint32) (*Program, error) {
 	a := NewAsm(base)
 	for lineNo, raw := range strings.Split(src, "\n") {
+		a.line = lineNo + 1
 		line := strings.TrimSpace(stripComment(raw))
 		// Labels, possibly followed by an instruction on the same line.
 		for {
@@ -47,7 +49,7 @@ func ParseAsm(src string, base uint32) (*Program, error) {
 			continue
 		}
 		if err := parseLine(a, line); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+			a.fail(a.line, err)
 		}
 	}
 	return a.Assemble()
@@ -173,9 +175,6 @@ func parseLine(a *Asm, line string) error {
 			return err
 		}
 	}
-	if err := in.check(); err != nil {
-		return err
-	}
 	if label != "" {
 		a.emitFixup(in, label)
 	} else {
@@ -240,10 +239,10 @@ func reg(s string) (uint8, error) {
 	return 0, fmt.Errorf("bad register %q", s)
 }
 
-// csr parses csrN for a defined CSR number N.
+// csr parses csrN; whether CSR N is defined is Instr.Valid's rule.
 func csr(s string) (int32, error) {
 	if l := strings.ToLower(s); strings.HasPrefix(l, "csr") {
-		if n, err := strconv.ParseUint(l[3:], 10, 8); err == nil && n < NumCSRs {
+		if n, err := strconv.ParseUint(l[3:], 10, 8); err == nil {
 			return int32(n), nil
 		}
 	}

@@ -41,32 +41,28 @@ type PCP struct {
 	current  *Channel
 	switchAt uint64 // context-switch latency window
 
-	// ContextSwitchCycles is the dispatch overhead per channel start.
-	ContextSwitchCycles uint64
-
 	counters *sim.Counters
 	waker    *sim.Waker
 }
 
+// contextSwitchCycles is the dispatch overhead per channel start.
+const contextSwitchCycles = 3
+
 // Timing returns the PCP core timing: single-issue, one fetch block per
-// cycle, shallow penalties.
+// cycle.
 func Timing() tricore.Timing {
-	t := tricore.DefaultTiming()
-	t.IssueWidth = 1
-	t.FetchBlocksCycle = 1
-	return t
+	return tricore.Timing{FetchBlocksCycle: 1, IssueWidth: 1}
 }
 
 // New creates a PCP around core (which must have been built with Timing()
 // and a PRAM-backed PMI/DMI). router supplies irq.ToPCP requests.
 func New(core *tricore.CPU, pram *mem.RAM, router *irq.Router) *PCP {
 	p := &PCP{
-		Core:                core,
-		PRAM:                pram,
-		router:              router,
-		channels:            make(map[uint32]*Channel),
-		ContextSwitchCycles: 3,
-		counters:            core.Counters(),
+		Core:     core,
+		PRAM:     pram,
+		router:   router,
+		channels: make(map[uint32]*Channel),
+		counters: core.Counters(),
 	}
 	// Leave the wake schedule when a channel trigger lands mid-sleep.
 	// Waker methods are nil-receiver safe, so this works unattached too.
@@ -138,5 +134,5 @@ func (p *PCP) Tick(now uint64) {
 	for i, v := range ch.regs {
 		p.Core.SetReg(i, v)
 	}
-	p.switchAt = now + p.ContextSwitchCycles
+	p.switchAt = now + contextSwitchCycles
 }

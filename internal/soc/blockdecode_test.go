@@ -108,7 +108,7 @@ func TestHotLoopCounts(t *testing.T) {
 		t.Errorf("warmed hot loop allocates %v objects per 5000-cycle chunk, want 0", avg)
 	}
 	// The two invalidations are LoadProgram's cached and uncached ranges.
-	want := isa.DecoderStats{Misses: 1, Invalidations: 2, Fused: 3}
+	want := isa.DecoderStats{Misses: 1, Invalidations: 2}
 	if st := s.Decoder.Stats(); st != want {
 		t.Errorf("decoder stats %+v, pinned %+v", st, want)
 	}

@@ -181,11 +181,6 @@ type SoC struct {
 	// dispatch by default; SetBlockDecode(false) selects per-word decode.
 	Decoder *isa.Decoder
 
-	Timers  []*periph.Timer
-	ADCs    []*periph.ADC
-	CANs    []*periph.CANNode
-	FlexRay []*periph.FlexRayNode
-
 	periphNext uint32
 	rng        *sim.RNG
 }
@@ -327,11 +322,11 @@ func (w codeWriteWatch) Access(grant uint64, req *bus.Request) uint64 {
 
 // SetBlockDecode selects how the TriCore cores dispatch instructions: on
 // (the default) is chained block dispatch — decode-once basic blocks with
-// superinstruction fusion, threaded handlers and direct block-to-block
-// links across taken branches; off is per-word decode, the determinism
-// reference. Both are bit-for-bit identical in simulated behaviour — only
-// wall-clock cost per simulated cycle differs; the switch exists so tests
-// can prove it (it mirrors sim.Clock.SetWakeScheduling).
+// direct block-to-block links across taken branches; off is per-word
+// decode, the determinism reference. Both are bit-for-bit identical in
+// simulated behaviour — only wall-clock cost per simulated cycle differs;
+// the switch exists so tests can prove it (it mirrors
+// sim.Clock.SetWakeScheduling).
 func (s *SoC) SetBlockDecode(on bool) {
 	d := s.Decoder
 	if !on {
@@ -442,7 +437,6 @@ func (s *SoC) AddTimer(name string, period, offset uint64, prio uint32, prov irq
 	t := periph.NewTimer(name, s.allocPeriph(), period, offset, s.Router, srn)
 	s.SPB.Map(t.Base, periph.RegSize, t)
 	s.Clock.Attach(name, t)
-	s.Timers = append(s.Timers, t)
 	return t, srn
 }
 
@@ -452,7 +446,6 @@ func (s *SoC) AddADC(name string, period, offset uint64, sig *periph.Signal, pri
 	a := periph.NewADC(name, s.allocPeriph(), period, offset, sig, s.Router, srn)
 	s.SPB.Map(a.Base, periph.RegSize, a)
 	s.Clock.Attach(name, a)
-	s.ADCs = append(s.ADCs, a)
 	return a, srn
 }
 
@@ -462,7 +455,6 @@ func (s *SoC) AddCAN(name string, meanGap uint64, depth int, prio uint32, prov i
 	c := periph.NewCANNode(name, s.allocPeriph(), meanGap, depth, s.rng.Fork(uint64(prio)), s.Router, srn)
 	s.SPB.Map(c.Base, periph.RegSize, c)
 	s.Clock.Attach(name, c)
-	s.CANs = append(s.CANs, c)
 	return c, srn
 }
 
@@ -475,6 +467,5 @@ func (s *SoC) AddFlexRay(name string, cycleLen uint64, numSlots int, rxSlots []i
 		txSlot, depth, s.rng.Fork(uint64(prio)^0xF1), s.Router, srn)
 	s.SPB.Map(f.Base, periph.RegSize, f)
 	s.Clock.Attach(name, f)
-	s.FlexRay = append(s.FlexRay, f)
 	return f, srn
 }

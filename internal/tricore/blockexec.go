@@ -35,13 +35,7 @@ func (c *CPU) issueBundleCached(now uint64) {
 	var pipeBusy [4]bool
 	issued := 0
 	blocks := 0
-	width := c.Timing.IssueWidth
-	if width <= 0 || width > MaxIssueWidth {
-		width = MaxIssueWidth
-	}
-
-bundle:
-	for issued < width {
+	for issued < c.Timing.IssueWidth {
 		if blk == nil {
 			// Chained lookup: if the previous bundle ended by exiting a
 			// block via taken control flow, follow (or install) a direct
@@ -64,18 +58,10 @@ bundle:
 		if pipeBusy[di.Pipe&3] {
 			break // structural hazard: pipe already claimed this cycle
 		}
-		if !c.readyD(now, di) {
-			if issued == 0 {
-				c.counters.Inc(sim.EvStallCycle)
-				if c.loadHazardD(now, di) {
-					c.counters.Inc(sim.EvStallData)
-				}
-			}
+		if !c.sourcesReady(now, issued, di.Reads[:di.NRead]) {
 			break
 		}
-		// Threaded dispatch: the handler index was resolved at decode time,
-		// so intra-block execution never re-examines the opcode tag.
-		flow := handlers[di.HIdx](c, now, di.In)
+		flow := handlers[di.In.Op](c, now, di.In)
 		pipeBusy[di.Pipe&3] = true
 		issued++
 		c.counters.Inc(sim.EvInstrExecuted)
@@ -106,62 +92,6 @@ bundle:
 		idx++
 		if idx >= len(blk.Ins) {
 			blk = nil
-			continue
-		}
-
-		// Superinstruction shortcuts: di.Fuse encodes a statically known
-		// relationship with the successor at idx, letting the bundle skip
-		// or collapse the generic per-instruction checks. Every shortcut
-		// reproduces exactly what the generic loop would have done.
-		switch di.Fuse {
-		case isa.FuseSamePipe:
-			// The successor needs the pipe the head just claimed and can
-			// never issue this cycle; only its fetch timing remains.
-			if issued < width {
-				c.fetchAvail(now, c.pc, &blocks, issued)
-			}
-			break bundle
-		case isa.FuseLoadUse:
-			// The successor reads the head's load destination. Unless the
-			// value is somehow already usable (LoadUseLatency 0 on a
-			// scratchpad hit), the bundle is over after the tail's fetch.
-			if issued < width && c.fetchAvail(now, c.pc, &blocks, issued) &&
-				c.regReadyAt[di.In.Rd] <= now {
-				continue // genuinely issuable: take the generic path
-			}
-			break bundle
-		case isa.FuseStLoop:
-			// Store + LOOP dispatched as one superinstruction: the LOOP
-			// executes inline (semantics identical to execute's OpLOOP
-			// case) without another trip through the generic loop.
-			if issued >= width {
-				break bundle
-			}
-			if !c.fetchAvail(now, c.pc, &blocks, issued) {
-				break bundle
-			}
-			tail := &blk.Ins[idx]
-			if pipeBusy[isa.PipeLoop] || c.regReadyAt[tail.In.Ra] > now {
-				break bundle
-			}
-			pc := c.pc
-			v := c.regs[tail.In.Ra] - 1
-			c.writeReg(tail.In.Ra, v, now+1, false)
-			if v != 0 {
-				target := pc + uint32(tail.In.Imm)*4
-				c.counters.Inc(sim.EvBranchTaken)
-				c.pc = target
-				c.fetchValid = false
-				c.retire(now, pc, tail.In, Retired{Taken: true, Target: target})
-			} else {
-				c.stall(now, now+c.Timing.TakenPenalty, sim.EvStallFetch)
-				c.retire(now, pc, tail.In, Retired{})
-				c.pc = pc + 4
-			}
-			issued++
-			c.counters.Inc(sim.EvInstrExecuted)
-			blk, idx = c.rehintChain(blk, gen)
-			break bundle
 		}
 	}
 
@@ -192,26 +122,4 @@ func (c *CPU) rehintChain(blk *isa.Block, gen uint64) (*isa.Block, int) {
 		c.chainFrom, c.chainGen = blk, gen
 	}
 	return nb, ni
-}
-
-// readyD is sourcesReady over a pre-decoded instruction: the read-register
-// set was computed once at block build time.
-func (c *CPU) readyD(now uint64, di *isa.DInstr) bool {
-	for i := 0; i < int(di.NRead); i++ {
-		if c.regReadyAt[di.Reads[i]] > now {
-			return false
-		}
-	}
-	return true
-}
-
-// loadHazardD is pendingLoadHazard over a pre-decoded instruction.
-func (c *CPU) loadHazardD(now uint64, di *isa.DInstr) bool {
-	for i := 0; i < int(di.NRead); i++ {
-		r := di.Reads[i]
-		if c.regReadyAt[r] > now && c.regFromLoad[r] {
-			return true
-		}
-	}
-	return false
 }

@@ -23,18 +23,12 @@ type InterruptSource interface {
 	AckIRQ(prio uint32)
 }
 
-// Timing parameters of the core. Defaults follow a short automotive
-// pipeline; they are knobs so architecture options can vary them.
+// Timing is what differs between the cores built from this model: the
+// TriCore issues three instructions and fetches two aligned 8-byte blocks
+// per cycle, the PCP one of each (pcp.Timing).
 type Timing struct {
-	TakenPenalty     uint64 // correctly predicted taken branch bubble
-	MispredictFlush  uint64 // mispredicted branch flush
-	IndirectPenalty  uint64 // JR / RFE target bubble
-	IRQEntryCycles   uint64 // interrupt entry latency
-	MulLatency       uint64 // MUL/MAC result latency
-	LoadUseLatency   uint64 // extra cycles before a loaded value is usable
-	ShadowDepth      int    // nesting depth of the shadow register stack
-	FetchBlocksCycle int    // aligned 8-byte blocks fetchable per cycle
-	IssueWidth       int    // instructions per cycle (3 = TriCore, 1 = PCP)
+	FetchBlocksCycle int // aligned 8-byte blocks fetchable per cycle
+	IssueWidth       int // instructions per cycle, 1..MaxIssueWidth
 }
 
 // MaxIssueWidth is the most instructions a core retires in one cycle: one
@@ -42,20 +36,22 @@ type Timing struct {
 // this much per cycle, a bound the MCDS schedules its wakes on.
 const MaxIssueWidth = 3
 
-// DefaultTiming returns the standard core timing.
+// DefaultTiming returns the TriCore timing.
 func DefaultTiming() Timing {
-	return Timing{
-		TakenPenalty:     1,
-		MispredictFlush:  3,
-		IndirectPenalty:  2,
-		IRQEntryCycles:   4,
-		MulLatency:       2,
-		LoadUseLatency:   1,
-		ShadowDepth:      16,
-		FetchBlocksCycle: 2,
-		IssueWidth:       MaxIssueWidth,
-	}
+	return Timing{FetchBlocksCycle: 2, IssueWidth: MaxIssueWidth}
 }
+
+// Pipeline latencies in cycles, the same on every core: a short
+// automotive pipeline.
+const (
+	takenPenalty    = 1  // correctly predicted taken branch bubble
+	mispredictFlush = 3  // mispredicted branch flush
+	indirectPenalty = 2  // JR / RFE target bubble
+	irqEntryCycles  = 4  // interrupt entry latency
+	mulLatency      = 2  // MUL/MAC result latency
+	loadUseLatency  = 1  // extra cycles before a loaded value is usable
+	shadowDepth     = 16 // nesting depth of the shadow register stack
+)
 
 // Retired describes one retired instruction, exposed to the MCDS core
 // observation block for program/data trace and comparators.
@@ -157,11 +153,15 @@ type CPU struct {
 	OnDbg func(cycle uint64, pc uint32)
 }
 
-// New creates a core named name with the given memory interfaces. ctrs is
+// New creates a core named name with the given memory interfaces and
+// timing; an issue width outside [1, MaxIssueWidth] panics. ctrs is
 // the core's event counter set; pass the same pointer to cache.New for the
 // core's caches so that one observation block sees all core events. nil
 // allocates a fresh set.
 func New(name string, id uint32, pmi PMI, dmi DMI, timing Timing, ctrs *sim.Counters) *CPU {
+	if timing.IssueWidth < 1 || timing.IssueWidth > MaxIssueWidth {
+		panic(fmt.Sprintf("tricore: %s issue width %d outside [1, %d]", name, timing.IssueWidth, MaxIssueWidth))
+	}
 	if ctrs == nil {
 		ctrs = new(sim.Counters)
 	}
@@ -331,8 +331,8 @@ func (c *CPU) Tick(now uint64) {
 }
 
 func (c *CPU) enterIRQ(now uint64, prio, vector uint32) {
-	if len(c.shadow) >= c.Timing.ShadowDepth {
-		panic(fmt.Sprintf("%s: shadow register stack overflow (depth %d)", c.Name, c.Timing.ShadowDepth))
+	if len(c.shadow) >= shadowDepth {
+		panic(fmt.Sprintf("%s: shadow register stack overflow (depth %d)", c.Name, shadowDepth))
 	}
 	c.shadow = append(c.shadow, shadowFrame{pc: c.pc, icr: c.csr[isa.CsrICR]})
 	c.csr[isa.CsrICR] = prio << 8 // CCPN = prio, IE = 0 until handler re-enables
@@ -340,7 +340,7 @@ func (c *CPU) enterIRQ(now uint64, prio, vector uint32) {
 	c.fetchValid = false
 	c.IRQ.AckIRQ(prio)
 	c.counters.Inc(sim.EvInterruptEntry)
-	c.stall(now, now+c.Timing.IRQEntryCycles, sim.EvNone)
+	c.stall(now, now+irqEntryCycles, sim.EvNone)
 }
 
 // stall suspends issue until cycle until (exclusive), attributing waiting
@@ -404,31 +404,21 @@ func (c *CPU) issueBundle(now uint64) {
 	var pipeBusy [3]bool
 	issued := 0
 	blocks := 0
-	width := c.Timing.IssueWidth
-	if width <= 0 || width > MaxIssueWidth {
-		width = MaxIssueWidth
-	}
-
-	for issued < width {
+	for issued < c.Timing.IssueWidth {
 		word, ok := c.fetchWord(now, c.pc, &blocks, issued)
 		if !ok {
 			break
 		}
 		in := isa.Decode(word)
-		if !in.Op.Valid() {
+		if !in.Valid() {
 			panic(fmt.Sprintf("%s: illegal instruction %#08x at pc %#08x", c.Name, word, c.pc))
 		}
 		pipe := in.Op.Pipe()
 		if pipeBusy[pipe] {
 			break // structural hazard: pipe already claimed this cycle
 		}
-		if !c.sourcesReady(now, in) {
-			if issued == 0 {
-				c.counters.Inc(sim.EvStallCycle)
-				if c.pendingLoadHazard(now, in) {
-					c.counters.Inc(sim.EvStallData)
-				}
-			}
+		var reads [3]uint8
+		if !c.sourcesReady(now, issued, reads[:in.ReadRegs(&reads)]) {
 			break
 		}
 		flowChange := c.execute(now, in)
@@ -441,29 +431,32 @@ func (c *CPU) issueBundle(now uint64) {
 	}
 }
 
-// sourcesReady reports whether all registers read by in are available at
-// cycle now (in-order scoreboard check).
-func (c *CPU) sourcesReady(now uint64, in isa.Instr) bool {
-	var regs [3]uint8
-	n := in.ReadRegs(&regs)
-	for i := 0; i < n; i++ {
-		if c.regReadyAt[regs[i]] > now {
+// sourcesReady is the in-order scoreboard check both dispatch paths share:
+// it reports whether every register in reads is available at cycle now,
+// and counts the stall when one is not.
+func (c *CPU) sourcesReady(now uint64, issued int, reads []uint8) bool {
+	for _, r := range reads {
+		if c.regReadyAt[r] > now {
+			c.sourceStall(now, issued, reads)
 			return false
 		}
 	}
 	return true
 }
 
-func (c *CPU) pendingLoadHazard(now uint64, in isa.Instr) bool {
-	var regs [3]uint8
-	n := in.ReadRegs(&regs)
-	for i := 0; i < n; i++ {
-		r := regs[i]
+// sourceStall counts a cycle whose first instruction waits on a source
+// register: a stall, and a data stall when a pending load holds one.
+func (c *CPU) sourceStall(now uint64, issued int, reads []uint8) {
+	if issued > 0 {
+		return
+	}
+	c.counters.Inc(sim.EvStallCycle)
+	for _, r := range reads {
 		if c.regReadyAt[r] > now && c.regFromLoad[r] {
-			return true
+			c.counters.Inc(sim.EvStallData)
+			return
 		}
 	}
-	return false
 }
 
 func (c *CPU) writeReg(r uint8, v uint32, readyAt uint64, fromLoad bool) {

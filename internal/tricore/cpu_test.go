@@ -1,6 +1,7 @@
 package tricore
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -518,6 +519,28 @@ func TestAccessorsAndIllegalInstr(t *testing.T) {
 		}
 	}()
 	r2.clock.Run(10)
+}
+
+// TestIllegalInstructionBothPaths: an undefined opcode and an mfcr/mtcr of
+// an undefined CSR are one illegal-instruction fault on the per-word and
+// the block-cached path alike.
+func TestIllegalInstructionBothPaths(t *testing.T) {
+	for _, w := range []uint32{0x26100009, 0x27010009, 0xFC000000} {
+		for _, dec := range []*isa.Decoder{nil, isa.NewDecoder(8)} {
+			r := newRig(t, rigOpt{icache: true})
+			r.cpu.SetDecoder(dec)
+			r.fl.Load(mem.FlashBase, []byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)})
+			r.cpu.Reset(mem.FlashBase, mem.DSPRBase+0x1000)
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "illegal instruction") {
+						t.Errorf("word %#08x, block decode %v: panic %q, want an illegal instruction", w, dec != nil, msg)
+					}
+				}()
+				r.clock.Run(100)
+			}()
+		}
+	}
 }
 
 func TestShadowStackOverflowPanics(t *testing.T) {

@@ -7,20 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// opFn is one threaded-dispatch handler: the full architectural and timing
-// effect of a single instruction. A handler returns true when control flow
-// changed (ending the issue bundle). The block executor calls handlers
-// through the table using the index resolved at decode time (DInstr.HIdx);
-// the per-word reference path goes through execute, which indexes the same
-// table — one implementation of the semantics, two dispatch styles, so the
-// paths cannot drift apart.
+// opFn is one dispatch handler: the full architectural and timing effect
+// of a single instruction. A handler returns true when control flow
+// changed (ending the issue bundle). Both the block executor and the
+// per-word reference path (execute) index the one handler table by opcode
+// — one implementation of the semantics, so the paths cannot drift apart.
 type opFn func(c *CPU, now uint64, in isa.Instr) bool
 
-// handlers is the dispatch table. Indices [0, isa.NumOps) are the opcode
-// values themselves (DInstr.HIdx keeps the full uint8 space so fused
-// superinstructions can claim indices above isa.NumOps later). Sparse
-// array-literal form keeps each op next to its handler; init verifies the
-// table is total so a decode-valid op can never hit a nil entry.
+// handlers is the dispatch table, indexed by opcode. Sparse array-literal
+// form keeps each op next to its handler; init verifies the table is total
+// so a valid instruction can never hit a nil entry.
 var handlers = [isa.NumOps]opFn{
 	isa.OpNOP:  execNOP,
 	isa.OpMOVI: execMOVI,
@@ -76,8 +72,7 @@ func init() {
 }
 
 // execute dispatches one instruction through the handler table. The
-// per-word reference path calls it after validating the op; the block
-// executor bypasses it and indexes handlers directly via DInstr.HIdx.
+// per-word reference path calls it after validating the instruction.
 func (c *CPU) execute(now uint64, in isa.Instr) bool {
 	return handlers[in.Op](c, now, in)
 }
@@ -157,12 +152,12 @@ func execSRA(c *CPU, now uint64, in isa.Instr) bool {
 }
 
 func execMUL(c *CPU, now uint64, in isa.Instr) bool {
-	c.writeReg(in.Rd, c.regs[in.Ra]*c.regs[in.Rb], now+c.Timing.MulLatency, false)
+	c.writeReg(in.Rd, c.regs[in.Ra]*c.regs[in.Rb], now+mulLatency, false)
 	return c.fin(now, in)
 }
 
 func execMAC(c *CPU, now uint64, in isa.Instr) bool {
-	c.writeReg(in.Rd, c.regs[in.Rd]+c.regs[in.Ra]*c.regs[in.Rb], now+c.Timing.MulLatency, false)
+	c.writeReg(in.Rd, c.regs[in.Rd]+c.regs[in.Ra]*c.regs[in.Rb], now+mulLatency, false)
 	return c.fin(now, in)
 }
 
@@ -233,7 +228,7 @@ func execLoad(c *CPU, now uint64, in isa.Instr) bool {
 		// Miss or bus access: the LS pipe blocks.
 		c.stall(now, ready, sim.EvStallData)
 	}
-	c.writeReg(in.Rd, v, maxU64(ready, now)+c.Timing.LoadUseLatency, true)
+	c.writeReg(in.Rd, v, maxU64(ready, now)+loadUseLatency, true)
 	c.retire(now, pc, in, Retired{HasMem: true, EA: ea, Data: v})
 	c.pc = pc + 4
 	return ready > now // a stalled load ends the bundle
@@ -272,17 +267,17 @@ func condBranch(c *CPU, now uint64, in isa.Instr, taken bool) bool {
 		c.pc = target
 		c.fetchValid = false
 		if backward {
-			c.stall(now, now+c.Timing.TakenPenalty, sim.EvStallFetch)
+			c.stall(now, now+takenPenalty, sim.EvStallFetch)
 		} else {
 			c.counters.Inc(sim.EvBranchMiss)
-			c.stall(now, now+c.Timing.MispredictFlush, sim.EvStallFetch)
+			c.stall(now, now+mispredictFlush, sim.EvStallFetch)
 		}
 		c.retire(now, pc, in, Retired{Taken: true, Target: target})
 		return true
 	}
 	if backward {
 		c.counters.Inc(sim.EvBranchMiss)
-		c.stall(now, now+c.Timing.MispredictFlush, sim.EvStallFetch)
+		c.stall(now, now+mispredictFlush, sim.EvStallFetch)
 		c.retire(now, pc, in, Retired{})
 		c.pc = pc + 4
 		return true
@@ -330,7 +325,7 @@ func execLOOP(c *CPU, now uint64, in isa.Instr) bool {
 		return true
 	}
 	// Loop exit: one bubble (the loop pipe predicted taken).
-	c.stall(now, now+c.Timing.TakenPenalty, sim.EvStallFetch)
+	c.stall(now, now+takenPenalty, sim.EvStallFetch)
 	c.retire(now, pc, in, Retired{})
 	c.pc = pc + 4
 	return true
@@ -342,7 +337,7 @@ func execJ(c *CPU, now uint64, in isa.Instr) bool {
 	c.counters.Inc(sim.EvBranchTaken)
 	c.pc = target
 	c.fetchValid = false
-	c.stall(now, now+c.Timing.TakenPenalty, sim.EvStallFetch)
+	c.stall(now, now+takenPenalty, sim.EvStallFetch)
 	c.retire(now, pc, in, Retired{Taken: true, Target: target})
 	return true
 }
@@ -354,7 +349,7 @@ func execCALL(c *CPU, now uint64, in isa.Instr) bool {
 	c.counters.Inc(sim.EvBranchTaken)
 	c.pc = target
 	c.fetchValid = false
-	c.stall(now, now+c.Timing.TakenPenalty, sim.EvStallFetch)
+	c.stall(now, now+takenPenalty, sim.EvStallFetch)
 	c.retire(now, pc, in, Retired{Taken: true, Target: target})
 	return true
 }
@@ -365,16 +360,13 @@ func execJR(c *CPU, now uint64, in isa.Instr) bool {
 	c.counters.Inc(sim.EvBranchTaken)
 	c.pc = target
 	c.fetchValid = false
-	c.stall(now, now+c.Timing.IndirectPenalty, sim.EvStallFetch)
+	c.stall(now, now+indirectPenalty, sim.EvStallFetch)
 	c.retire(now, pc, in, Retired{Taken: true, Target: target})
 	return true
 }
 
 func execMFCR(c *CPU, now uint64, in isa.Instr) bool {
-	n := int(in.Imm)
-	if n < 0 || n >= isa.NumCSRs {
-		panic(fmt.Sprintf("%s: mfcr of unknown csr %d", c.Name, n))
-	}
+	n := in.Imm // < isa.NumCSRs: Instr.Valid holds for every issued instruction
 	v := c.csr[n]
 	if n == isa.CsrCCNT {
 		v = uint32(now)
@@ -384,10 +376,7 @@ func execMFCR(c *CPU, now uint64, in isa.Instr) bool {
 }
 
 func execMTCR(c *CPU, now uint64, in isa.Instr) bool {
-	n := int(in.Imm)
-	if n < 0 || n >= isa.NumCSRs {
-		panic(fmt.Sprintf("%s: mtcr of unknown csr %d", c.Name, n))
-	}
+	n := in.Imm // < isa.NumCSRs: Instr.Valid holds for every issued instruction
 	if n != isa.CsrCCNT && n != isa.CsrCoreID {
 		c.csr[n] = c.regs[in.Ra]
 	}
@@ -409,7 +398,7 @@ func execRFE(c *CPU, now uint64, in isa.Instr) bool {
 	c.pc = fr.pc
 	c.fetchValid = false
 	c.counters.Inc(sim.EvInterruptExit)
-	c.stall(now, now+c.Timing.IndirectPenalty, sim.EvStallFetch)
+	c.stall(now, now+indirectPenalty, sim.EvStallFetch)
 	c.retire(now, pc, in, Retired{Taken: true, Target: fr.pc})
 	return true
 }
