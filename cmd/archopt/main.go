@@ -7,10 +7,11 @@
 //
 // Usage:
 //
-//	archopt [-fleet N] [-seed N] [-iters N] [-analytical] [-fmodel N]
+//	archopt [-fleet N] [-seed N] [-iters N] [-analytical] [-fmodel N] [-report FILE]
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -71,16 +72,9 @@ func main() {
 	}
 	fmt.Println()
 
-	fmt.Printf("%-18s %6s %9s %9s %9s %10s  %s\n",
-		"option", "area", "est gain", "meas gain", "min gain", "gain/area", "verdict")
+	printRow(core.RankingHeader)
 	for _, r := range ev.Ranking {
-		verdict := "accepted"
-		if r.Rejected {
-			verdict = "REJECTED (regression)"
-		}
-		fmt.Printf("%-18s %6.2f %9.3f %9.3f %9.3f %10.4f  %s\n",
-			r.Option.Name, r.Option.AreaCost, r.EstMean, r.MeaMean, r.MeaMin,
-			r.GainPerArea, verdict)
+		printRow(r.Row())
 	}
 	if best, ok := ev.Best(); ok {
 		fmt.Printf("\nrecommended for the next generation: %s — %s\n",
@@ -88,17 +82,11 @@ func main() {
 	}
 
 	if *report != "" {
-		f, err := os.Create(*report)
-		if err != nil {
-			fail(err)
-		}
+		var b bytes.Buffer
 		rep := &core.Report{Title: "Next-generation architecture assessment",
 			Profiles: ev.Profiles, Eval: ev}
-		err = rep.WriteMarkdown(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		_ = rep.WriteMarkdown(&b) // writing to a bytes.Buffer cannot fail
+		if err := os.WriteFile(*report, b.Bytes(), 0o644); err != nil {
 			fail(err)
 		}
 		fmt.Printf("report written to %s\n", *report)
@@ -109,12 +97,17 @@ func main() {
 		for i, g := range chain {
 			fmt.Printf("  gen %d: %s", i, g.Config.Name)
 			if g.Chosen != nil {
-				fmt.Printf("  -> adopt %s (measured gain %.3f)",
-					g.Chosen.Option.Name, g.Chosen.MeaMean)
+				gain, kind := g.Chosen.Gain()
+				fmt.Printf("  -> adopt %s (%s gain %.3f)", g.Chosen.Option.Name, kind, gain)
 			}
 			fmt.Println()
 		}
 	}
+}
+
+// printRow prints one ranking row (or the header) in aligned columns.
+func printRow(c []string) {
+	fmt.Printf("%-18s %6s %9s %9s %9s %10s  %s\n", c[0], c[1], c[2], c[3], c[4], c[5], c[6])
 }
 
 // structure summarizes how a customer application is built: code and

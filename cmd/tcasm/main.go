@@ -56,7 +56,7 @@ func main() {
 			if sym := symAt(p, addr); sym != "" {
 				fmt.Printf("%s:\n", sym)
 			}
-			fmt.Printf("  %08x:  %08x  %s\n", addr, w, isa.Decode(w))
+			fmt.Printf("  %08x:  %08x  %s\n", addr, w, isa.Disasm(w))
 		}
 	}
 	if *out != "" {

@@ -130,7 +130,7 @@ func main() {
 			}
 			w := uint32(image[off]) | uint32(image[off+1])<<8 |
 				uint32(image[off+2])<<16 | uint32(image[off+3])<<24
-			fmt.Printf("  %08x:  %08x  %s\n", pc, w, isa.Decode(w))
+			fmt.Printf("  %08x:  %08x  %s\n", pc, w, isa.Disasm(w))
 		}
 	}
 }

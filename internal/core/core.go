@@ -69,35 +69,26 @@ func FromProfile(p *profiling.Profile, cfg soc.Config) AppProfile {
 // rate returns a named rate (0 when the parameter was not measured).
 func (ap AppProfile) rate(name string) float64 { return ap.Rates[name] }
 
-// stallFetchPI and stallDataPI convert the per-cycle stall fractions into
-// stall cycles per instruction, the unit the CPI stack uses.
-func (ap AppProfile) stallFetchPI() float64 { return ap.rate("stall_fetch") * ap.CPI }
-func (ap AppProfile) stallDataPI() float64  { return ap.rate("stall_data") * ap.CPI }
-
-// flashMissPenalty is the analytical model's estimate of the cycles one
-// flash-reaching access costs beyond a hit (array wait states plus bus and
-// transfer overhead).
+// The analytical model's features (Option.terms), each in cycles or
+// events per instruction. stallFetchPI and stallDataPI turn the per-cycle
+// stall fractions into stall cycles per instruction, the CPI stack's
+// unit. icacheMissPI and dflashReadPI charge each I-cache miss and data
+// flash read the flash penalty: the array wait states plus 2 cycles of
+// bus and transfer overhead. stallPerWS is the flash-bound stall per wait
+// state, 0 at one wait state or less, where there is none to remove.
+func (ap AppProfile) stallFetchPI() float64     { return ap.rate("stall_fetch") * ap.CPI }
+func (ap AppProfile) stallDataPI() float64      { return ap.rate("stall_data") * ap.CPI }
 func (ap AppProfile) flashMissPenalty() float64 { return float64(ap.FlashWS) + 2 }
-
-// speedupFromSavedCPI converts saved CPI cycles into a speedup factor,
-// clamped to not promise more than the stall budget allows.
-func (ap AppProfile) speedupFromSavedCPI(saved float64) float64 {
-	if saved < 0 {
-		saved = 0
+func (ap AppProfile) icacheMissPI() float64     { return ap.rate("icache_miss") * ap.flashMissPenalty() }
+func (ap AppProfile) dflashReadPI() float64     { return ap.rate("dflash_read") * ap.flashMissPenalty() }
+func (ap AppProfile) dsramPI() float64          { return ap.rate("dsram_access") }
+func (ap AppProfile) iflashWSPI() float64       { return ap.rate("iflash_access") * float64(ap.FlashWS) }
+func (ap AppProfile) portConflictPI() float64   { return ap.rate("flash_port_conflict") }
+func (ap AppProfile) stallPerWS() float64 {
+	if ap.FlashWS <= 1 {
+		return 0
 	}
-	// Never claim to remove more than the measured total stall share.
-	maxSaved := ap.rate("stall_any") * ap.CPI
-	if saved > maxSaved {
-		saved = maxSaved
-	}
-	newCPI := ap.CPI - saved
-	if newCPI < 1.0/3 { // the core cannot beat 3 IPC
-		newCPI = 1.0 / 3
-	}
-	if newCPI <= 0 {
-		return 1
-	}
-	return ap.CPI / newCPI
+	return (ap.stallFetchPI() + ap.stallDataPI()) * (1 / float64(ap.FlashWS))
 }
 
 // String summarizes the profile.

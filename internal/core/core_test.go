@@ -99,7 +99,7 @@ func TestAnalyticalEstimatesDirectionallyCorrect(t *testing.T) {
 			if est > 1 {
 				t.Errorf("%s: ablation estimated as a gain (%.3f)", opt.Name, est)
 			}
-		case opt.CostSaver:
+		case opt.CostSaver():
 			if est > 1 {
 				t.Errorf("%s: cost saver estimated as a gain (%.3f)", opt.Name, est)
 			}

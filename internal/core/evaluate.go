@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/profiling"
@@ -74,14 +75,25 @@ type Ranked struct {
 	MeaMean float64 // geometric mean of measured speedups
 	MeaMin  float64 // worst-case measured speedup (regression detector)
 
-	// GainPerArea is the ranking criterion: (mean measured speedup − 1)
-	// per area unit — the paper's "performance gain ... / area increase"
-	// ratio.
+	// GainPerArea is the ranking criterion: (mean speedup − 1) per area
+	// unit — the paper's "performance gain ... / area increase" ratio —
+	// over the measured mean when re-simulated (Gain). A cost saver's is
+	// area saved per percent of performance lost.
 	GainPerArea float64
 
 	// Rejected marks options that regress at least one use case beyond
 	// tolerance — the paper's "without negative side effects" filter.
 	Rejected bool
+}
+
+// Gain returns the option's mean speedup across the fleet and what it
+// rests on: "measured" when the option was re-simulated, "estimated"
+// when only the analytical model ran.
+func (r Ranked) Gain() (float64, string) {
+	if r.MeaMean > 0 {
+		return r.MeaMean, "measured"
+	}
+	return r.EstMean, "estimated"
 }
 
 // Evaluation is the full ranking produced by Evaluate.
@@ -158,7 +170,6 @@ func Evaluate(base soc.Config, fleet []workload.Spec, opts []Option, prm EvalPar
 	for _, opt := range opts {
 		r := Ranked{Option: opt}
 		var ests, meas []float64
-		r.MeaMin = math.Inf(1)
 		for i, spec := range fleet {
 			ar := AppResult{App: spec.Name, Estimated: opt.Estimate(profiles[i])}
 			ests = append(ests, ar.Estimated)
@@ -173,27 +184,18 @@ func Evaluate(base soc.Config, fleet []workload.Spec, opts []Option, prm EvalPar
 				}
 				ar.Measured = float64(baseCycles[i]) / float64(cy)
 				meas = append(meas, ar.Measured)
-				if ar.Measured < r.MeaMin {
-					r.MeaMin = ar.Measured
-				}
 			}
 			r.PerApp = append(r.PerApp, ar)
 		}
 		r.EstMean = geomean(ests)
-		mean := r.EstMean
 		if len(meas) > 0 {
-			r.MeaMean = geomean(meas)
-			mean = r.MeaMean
-		} else {
-			r.MeaMin = 0
+			r.MeaMean, r.MeaMin = geomean(meas), slices.Min(meas)
 		}
-		if opt.CostSaver {
+		mean, _ := r.Gain()
+		if opt.CostSaver() {
 			// Area saved per percent of mean performance given up; a
 			// cost saver that loses nothing is maximally attractive.
-			loss := 1 - mean
-			if loss < 0.001 {
-				loss = 0.001
-			}
+			loss := max(1-mean, 0.001)
 			r.GainPerArea = -opt.AreaCost / (100 * loss)
 			r.Rejected = len(meas) > 0 && r.MeaMin < costTol
 		} else {
@@ -208,8 +210,8 @@ func Evaluate(base soc.Config, fleet []workload.Spec, opts []Option, prm EvalPar
 		if a.Rejected != b.Rejected {
 			return !a.Rejected // accepted options first
 		}
-		if a.Option.CostSaver != b.Option.CostSaver {
-			return !a.Option.CostSaver // performance options first
+		if a.Option.CostSaver() != b.Option.CostSaver() {
+			return !a.Option.CostSaver() // performance options first
 		}
 		return a.GainPerArea > b.GainPerArea
 	})
@@ -221,7 +223,7 @@ func Evaluate(base soc.Config, fleet []workload.Spec, opts []Option, prm EvalPar
 // the F-model (they are a separate business decision).
 func (ev *Evaluation) Best() (Ranked, bool) {
 	for _, r := range ev.Ranking {
-		if !r.Rejected && !r.Option.CostSaver && r.GainPerArea > 0 {
+		if !r.Rejected && !r.Option.CostSaver() && r.GainPerArea > 0 {
 			return r, true
 		}
 	}
@@ -262,8 +264,7 @@ func FModel(base soc.Config, fleet []workload.Spec, opts []Option, prm EvalParam
 				cur[i] = best.Option.MutateSpec(cur[i])
 			}
 		}
-		chosen := best
-		chain[len(chain)-1].Chosen = &chosen
+		chain[len(chain)-1].Chosen = &best
 		chain = append(chain, Generation{Config: cfg})
 	}
 	return chain, nil

@@ -2,26 +2,21 @@ package core
 
 import (
 	"repro/internal/cache"
+	"repro/internal/flash"
 	"repro/internal/soc"
 	"repro/internal/workload"
 )
 
 // Option is one candidate SoC architecture improvement: a configuration
-// mutation with an area cost and an analytical gain estimator operating on
+// mutation with an area cost and an analytical gain estimate over
 // measured application profiles.
 type Option struct {
 	Name string
 	Desc string
 
 	// AreaCost is the silicon cost in relative area units (mm²-like).
-	// Cost-reduction options carry a negative AreaCost (area saved) and
-	// set CostSaver.
+	// Cost-reduction options carry a negative AreaCost (area saved).
 	AreaCost float64
-
-	// CostSaver marks options whose purpose is silicon cost reduction;
-	// they are ranked by area saved per percent of performance given up,
-	// and rejected when any use case loses more than the cost tolerance.
-	CostSaver bool
 
 	// Mutate applies the option to a SoC configuration (for the
 	// re-simulation path and for building the next generation).
@@ -32,9 +27,39 @@ type Option struct {
 	// features"); nil leaves the software unchanged.
 	MutateSpec func(workload.Spec) workload.Spec
 
-	// Estimate returns the analytically predicted speedup factor (≥ 1)
-	// for one application profile.
-	Estimate func(AppProfile) float64
+	// terms is the analytical model: CPI cycles saved per instruction
+	// are Σ feature × coef, and a negative sum is a loss.
+	terms []term
+}
+
+// term is one summand of an option's analytical model: a profile feature
+// (an AppProfile method) scaled by a coefficient.
+type term struct {
+	feature func(AppProfile) float64
+	coef    float64
+}
+
+// CostSaver reports whether the option's purpose is silicon cost
+// reduction (it saves area). Cost savers are ranked by area saved per
+// percent of performance given up, and rejected when any use case loses
+// more than the cost tolerance.
+func (o Option) CostSaver() bool { return o.AreaCost < 0 }
+
+// Estimate returns the analytically predicted speedup factor for one
+// application profile, CPI / (CPI − saved) with saved = Σ feature ×
+// coef. A gain never removes more than the measured stall share, nor
+// brings CPI below 1/3 (the core issues at most three instructions a
+// cycle); a loss (saved < 0) is not clamped.
+func (o Option) Estimate(ap AppProfile) float64 {
+	var saved float64
+	for _, t := range o.terms {
+		saved += t.feature(ap) * t.coef
+	}
+	if saved < 0 {
+		return ap.CPI / (ap.CPI - saved)
+	}
+	saved = min(saved, ap.rate("stall_any")*ap.CPI)
+	return ap.CPI / max(ap.CPI-saved, 1.0/3)
 }
 
 // Catalog returns the option catalog evaluated in the paper-style ranking
@@ -48,41 +73,23 @@ func Catalog() []Option {
 			Desc:     "double the instruction cache",
 			AreaCost: 1.2,
 			Mutate: func(c soc.Config) soc.Config {
-				if c.ICache == nil {
-					c.ICache = &cache.Config{Size: 8 << 10, LineBytes: 32, Ways: 2}
-				} else {
-					ic := *c.ICache
-					ic.Size *= 2
-					c.ICache = &ic
-				}
+				c.ICache = doubled(c.ICache, 8<<10)
 				return c
 			},
 			// Rule-of-thumb √2 miss reduction for a size doubling; each
 			// avoided miss saves the flash penalty.
-			Estimate: func(ap AppProfile) float64 {
-				saved := ap.rate("icache_miss") * ap.flashMissPenalty() * 0.3
-				return ap.speedupFromSavedCPI(saved)
-			},
+			terms: []term{{AppProfile.icacheMissPI, 0.3}},
 		},
 		{
 			Name:     "dcache-2x",
 			Desc:     "double (or add) the data cache",
 			AreaCost: 0.9,
 			Mutate: func(c soc.Config) soc.Config {
-				if c.DCache == nil {
-					c.DCache = &cache.Config{Size: 4 << 10, LineBytes: 32, Ways: 2}
-				} else {
-					dc := *c.DCache
-					dc.Size *= 2
-					c.DCache = &dc
-				}
+				c.DCache = doubled(c.DCache, 4<<10)
 				return c
 			},
-			Estimate: func(ap AppProfile) float64 {
-				// Half of the data flash reads become hits.
-				saved := ap.rate("dflash_read") * ap.flashMissPenalty() * 0.5
-				return ap.speedupFromSavedCPI(saved)
-			},
+			// Half of the data flash reads become hits.
+			terms: []term{{AppProfile.dflashReadPI, 0.5}},
 		},
 		{
 			Name:     "flash-ws-1",
@@ -95,14 +102,7 @@ func Catalog() []Option {
 				return c
 			},
 			// Flash-bound stalls shrink proportionally to the array time.
-			Estimate: func(ap AppProfile) float64 {
-				if ap.FlashWS <= 1 {
-					return 1
-				}
-				frac := 1 / float64(ap.FlashWS)
-				saved := (ap.stallFetchPI() + ap.stallDataPI()) * frac * 0.8
-				return ap.speedupFromSavedCPI(saved)
-			},
+			terms: []term{{AppProfile.stallPerWS, 0.8}},
 		},
 		{
 			Name:     "flash-buffers-2x",
@@ -113,10 +113,7 @@ func Catalog() []Option {
 				c.Flash.DataBuffers *= 2
 				return c
 			},
-			Estimate: func(ap AppProfile) float64 {
-				saved := ap.stallFetchPI()*0.12 + ap.rate("dflash_read")*ap.flashMissPenalty()*0.15
-				return ap.speedupFromSavedCPI(saved)
-			},
+			terms: []term{{AppProfile.stallFetchPI, 0.12}, {AppProfile.dflashReadPI, 0.15}},
 		},
 		{
 			Name:     "dspr-2x",
@@ -130,11 +127,8 @@ func Catalog() []Option {
 				sp.TablesInScratch = true
 				return sp
 			},
-			Estimate: func(ap AppProfile) float64 {
-				// Table reads move from flash to single-cycle scratchpad.
-				saved := ap.rate("dflash_read") * ap.flashMissPenalty() * 0.9
-				return ap.speedupFromSavedCPI(saved)
-			},
+			// Table reads move from flash to single-cycle scratchpad.
+			terms: []term{{AppProfile.dflashReadPI, 0.9}},
 		},
 		{
 			Name:     "sram-1cycle",
@@ -146,9 +140,7 @@ func Catalog() []Option {
 				}
 				return c
 			},
-			Estimate: func(ap AppProfile) float64 {
-				return ap.speedupFromSavedCPI(ap.rate("dsram_access") * 1)
-			},
+			terms: []term{{AppProfile.dsramPI, 1}},
 		},
 		{
 			Name:     "prefetch-off",
@@ -159,17 +151,12 @@ func Catalog() []Option {
 				return c
 			},
 			// The analytical model predicts a loss: negative saved cycles.
-			Estimate: func(ap AppProfile) float64 {
-				lost := ap.rate("iflash_access") * float64(ap.FlashWS) * 0.3
-				newCPI := ap.CPI + lost
-				return ap.CPI / newCPI
-			},
+			terms: []term{{AppProfile.iflashWSPI, -0.3}},
 		},
 		{
-			Name:      "icache-half",
-			Desc:      "halve the instruction cache (cost reduction)",
-			AreaCost:  -0.6,
-			CostSaver: true,
+			Name:     "icache-half",
+			Desc:     "halve the instruction cache (cost reduction)",
+			AreaCost: -0.6,
 			Mutate: func(c soc.Config) soc.Config {
 				if c.ICache != nil && c.ICache.Size > 4<<10 {
 					ic := *c.ICache
@@ -178,38 +165,39 @@ func Catalog() []Option {
 				}
 				return c
 			},
-			Estimate: func(ap AppProfile) float64 {
-				lost := ap.rate("icache_miss") * ap.flashMissPenalty() * 0.4
-				return ap.CPI / (ap.CPI + lost)
-			},
+			terms: []term{{AppProfile.icacheMissPI, -0.4}},
 		},
 		{
-			Name:      "flash-buffers-min",
-			Desc:      "single line buffer per flash port (cost reduction)",
-			AreaCost:  -0.15,
-			CostSaver: true,
+			Name:     "flash-buffers-min",
+			Desc:     "single line buffer per flash port (cost reduction)",
+			AreaCost: -0.15,
 			Mutate: func(c soc.Config) soc.Config {
 				c.Flash.CodeBuffers = 1
 				c.Flash.DataBuffers = 1
 				return c
 			},
-			Estimate: func(ap AppProfile) float64 {
-				lost := ap.stallFetchPI() * 0.1
-				return ap.CPI / (ap.CPI + lost)
-			},
+			terms: []term{{AppProfile.stallFetchPI, -0.1}},
 		},
 		{
 			Name:     "flash-arb-fcfs",
 			Desc:     "replace code-priority flash arbitration with FCFS (ablation)",
 			AreaCost: 0.05,
 			Mutate: func(c soc.Config) soc.Config {
-				c.Flash.Policy = 0 // flash.ArbFCFS
+				c.Flash.Policy = flash.ArbFCFS
 				return c
 			},
-			Estimate: func(ap AppProfile) float64 {
-				lost := ap.rate("flash_port_conflict") * 1.5
-				return ap.CPI / (ap.CPI + lost)
-			},
+			terms: []term{{AppProfile.portConflictPI, -1.5}},
 		},
 	}
+}
+
+// doubled returns a copy of cc at twice its size, or a 2-way cache of
+// size bytes with 32-byte lines when there is none.
+func doubled(cc *cache.Config, size uint32) *cache.Config {
+	c := cache.Config{Size: size, LineBytes: 32, Ways: 2}
+	if cc != nil {
+		c = *cc
+		c.Size *= 2
+	}
+	return &c
 }

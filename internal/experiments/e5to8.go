@@ -71,7 +71,7 @@ func E5Intrusiveness() *Table {
 // for ground truth, rank by gain/cost.
 func E6OptionRanking(quick bool) *Table {
 	t := newTable("E6", "Architecture option ranking: analytical estimate vs re-simulated gain",
-		"option", "area", "est gain", "meas gain", "min gain", "gain/area", "verdict")
+		core.RankingHeader...)
 
 	n := 6
 	prm := core.DefaultEvalParams()
@@ -87,12 +87,7 @@ func E6OptionRanking(quick bool) *Table {
 	}
 	signAgree, withMeas := 0, 0
 	for _, r := range ev.Ranking {
-		verdict := "accepted"
-		if r.Rejected {
-			verdict = "REJECTED (regression)"
-		}
-		t.addRow(r.Option.Name, f2(r.Option.AreaCost), f3(r.EstMean), f3(r.MeaMean),
-			f3(r.MeaMin), f4(r.GainPerArea), verdict)
+		t.addRow(r.Row()...)
 		if r.MeaMean > 0 {
 			withMeas++
 			// Direction agreement; measured effects under 0.5 % are

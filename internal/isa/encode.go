@@ -124,6 +124,16 @@ func (in *Instr) target() *int32 {
 	return &in.Imm
 }
 
+// Disasm renders the word w as assembler text that ParseAsm reads back:
+// an illegal word (Decode(w) not Valid: an undefined opcode or CSR) as a
+// .word directive holding w, any other as its instruction.
+func Disasm(w uint32) string {
+	if in := Decode(w); in.Valid() {
+		return in.String()
+	}
+	return fmt.Sprintf(".word 0x%08x", w)
+}
+
 // String renders the instruction in assembler syntax, operand by operand
 // as its form lists them.
 func (in Instr) String() string {

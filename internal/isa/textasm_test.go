@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -173,6 +174,44 @@ func TestDisasmParseRoundTrip(t *testing.T) {
 		return Decode(p.Words[0]) == in
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDisasmWordsRoundTrip: the disassembly of any 32-bit word parses
+// back. An illegal word (undefined opcode, or mfcr/mtcr of an undefined
+// CSR) comes back as the identical word; a legal one as the identical
+// instruction.
+func TestDisasmWordsRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		w    uint32
+		text string
+	}{
+		{0x26100009, ".word 0x26100009"},             // mfcr r1, csr9
+		{uint32(OpMTCR)<<24 | 7, ".word 0x27000007"}, // mtcr csr7, r0
+		{0xFC000000, ".word 0xfc000000"},             // undefined opcode
+		{uint32(NumOps) << 24, fmt.Sprintf(".word 0x%08x", uint32(NumOps)<<24)},
+	} {
+		if got := Disasm(c.w); got != c.text {
+			t.Errorf("Disasm(%#08x) = %q, want %q", c.w, got, c.text)
+		}
+	}
+	f := func(w uint32) bool {
+		text := Disasm(w)
+		p, err := ParseAsm(text, 0)
+		if err != nil {
+			t.Logf("%#08x %q: %v", w, text, err)
+			return false
+		}
+		if len(p.Words) != 1 {
+			return false
+		}
+		if in := Decode(w); in.Valid() {
+			return Decode(p.Words[0]) == rendered(in)
+		}
+		return p.Words[0] == w
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
 	}
 }
