@@ -74,7 +74,7 @@ type Result struct {
 	Resumed   int           // journaled-complete cells skipped by Resume
 	Retried   int           // total extra attempts across all cells
 	Restarts  int           // shard worker respawns (sharded campaigns only)
-	Torn      int           // torn/corrupt records dropped at ingest (sharded campaigns only)
+	Torn      int           // torn stream lines dropped at ingest (sharded campaigns only)
 	Dup       int           // duplicate records dropped idempotently (sharded campaigns only)
 	Canceled  bool          // the context fired before all cells ran
 	SimCycles uint64        // total simulated cycles across completed sessions

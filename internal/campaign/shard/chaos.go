@@ -6,8 +6,8 @@
 //
 //   - latency spikes: reads pause briefly (exercises nothing but
 //     patience — aggregates must not care);
-//   - mid-record cuts: the connection is reset after a seed-chosen
-//     byte count (the record scanner drops the torn tail, the
+//   - mid-line cuts: the connection is reset after a seed-chosen
+//     byte count (the line reader drops the torn tail, the
 //     supervisor classifies a crash and respawns);
 //   - stalls: one read blocks past the hang budget (the monitor must
 //     kill the wedged connection, not wait forever);
@@ -109,7 +109,7 @@ func (t *ChaosTransport) Start(spec Spec) (Conn, error) {
 	rng := sim.NewRNG(t.Seed ^ chaosLabel).Fork(uint64(n))
 	cc := &chaosConn{Conn: conn, t: t, si: spec.Shard, rng: rng}
 	// Fault offsets are chosen to land inside a test-horizon stream
-	// (one record is ~3 KiB): a cut beyond the stream's end would be a
+	// (one cell line is ~2 KiB): a cut beyond the stream's end would be a
 	// scheduled fault that never fires.
 	if rng.Bool(t.Plan.CutProb) {
 		cc.cutAt = 512 + rng.Intn(8<<10)
@@ -141,7 +141,7 @@ type chaosConn struct {
 }
 
 // chaosRecentCap bounds the replay buffer: enough to span a full
-// record (cell header + report + CRC trailer) at test horizons.
+// cell line (report + CRC) at test horizons.
 const chaosRecentCap = 32 << 10
 
 func (c *chaosConn) Output() io.Reader { return c }

@@ -1,6 +1,6 @@
 // Frame codec: the unit of integrity on the TCP transport. A pipe
-// tears at byte granularity and the record scanner already survives
-// that; a network adds corruption modes a pipe cannot have — bit flips
+// tears at byte granularity and the stream's line reader already
+// survives that; a network adds corruption modes a pipe cannot have — bit flips
 // past a bad NIC, a proxy truncating mid-write, an impostor feeding
 // garbage — so every byte on the wire travels inside a length-prefixed
 // CRC-32-trailed frame:
@@ -9,10 +9,10 @@
 //
 // The length covers type+payload; the CRC covers the same bytes. A
 // frame that fails the length bound or the checksum is not resynchron-
-// izable the way the record stream is (TCP gives no record boundaries
-// to hunt for), so framing errors are connection-fatal: the connection
-// dies, the supervisor classifies and redials. Record-level integrity
-// is still re-verified end-to-end by the ingest scanner — the frame CRC
+// izable the way the worker stream is (a frame stream has no newline to
+// hunt for), so framing errors are connection-fatal: the connection
+// dies, the supervisor classifies and redials. Every stream line is
+// still re-verified end-to-end by its own CRC on ingest — the frame CRC
 // protects the transport, not the ledger.
 package shard
 
@@ -42,8 +42,8 @@ const (
 	// ftSpecOK (agent->supervisor): assignment accepted; payload is the
 	// agent's 4-byte pid for supervisor logs.
 	ftSpecOK frameType = 5
-	// ftStream (agent->supervisor): a chunk of the worker's stdout — the
-	// unchanged "//shard" record/control protocol rides these verbatim.
+	// ftStream (agent->supervisor): a chunk of the worker's stdout — its
+	// checksummed message lines ride these verbatim.
 	ftStream frameType = 6
 	// ftExit (agent->supervisor): the worker finished; payload is its
 	// 4-byte exit code. Distinguishes a clean close from a torn one.

@@ -41,7 +41,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // surface, not silently deliver a partial payload.
 func TestFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, ftStream, []byte("//shard hb done=3\n")); err != nil {
+	if err := writeFrame(&buf, ftStream, testLine(message{Kind: "hb", Done: 3})); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
@@ -130,7 +130,7 @@ func TestFrameGarbage(t *testing.T) {
 // parsed frame IS the canonical encoding of its content.
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
-	_ = writeFrame(&seed, ftStream, []byte("//shard cell 4\n"))
+	_ = writeFrame(&seed, ftStream, testLine(message{Kind: "hb", Done: 4}))
 	f.Add(seed.Bytes())
 	_ = writeFrame(&seed, ftSpec, []byte(`{"Shard":1}`))
 	f.Add(seed.Bytes())

@@ -46,7 +46,7 @@ func floodAgent(t *testing.T, crash bool) string {
 				if crash {
 					time.AfterFunc(100*time.Millisecond, func() { nc.Close() })
 				}
-				line := []byte("//shard hb done=0\n")
+				line := testLine(message{Kind: "hb"})
 				for writeFrame(nc, ftStream, line) == nil {
 				}
 			}()
@@ -144,7 +144,7 @@ func TestConnLiveness(t *testing.T) {
 // on lines; acked fires once the supervisor has scanned it. Kill ends
 // the stream, and Wait reports whether Kill was called.
 type scriptConn struct {
-	lines  chan string
+	lines  chan []byte
 	acked  chan struct{}
 	dead   chan struct{}
 	once   sync.Once
@@ -153,12 +153,12 @@ type scriptConn struct {
 }
 
 func newScriptConn() *scriptConn {
-	return &scriptConn{lines: make(chan string), acked: make(chan struct{}), dead: make(chan struct{})}
+	return &scriptConn{lines: make(chan []byte), acked: make(chan struct{}), dead: make(chan struct{})}
 }
 
-// Read hands out one fed line per call. The scanner calls it again only
-// after handling every line it already holds, so that call acks the
-// previous line.
+// Read hands out one fed line per call. The line reader calls it again
+// only after handing out every line it already holds, so that call acks
+// the previous line.
 func (c *scriptConn) Read(p []byte) (int, error) {
 	if c.fed {
 		select {
@@ -253,9 +253,9 @@ func TestHangBudget(t *testing.T) {
 			for i, step := range tc.script {
 				switch step {
 				case 'l', 'b':
-					line := "//shard hb done=0\n"
+					line := testLine(message{Kind: "hb"})
 					if step == 'b' {
-						line = "//shard bye done=0 failed=0\n"
+						line = testLine(message{Kind: "bye"})
 					}
 					select {
 					case conn.lines <- line:

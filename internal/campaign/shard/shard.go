@@ -1,10 +1,9 @@
 // Package shard scales a campaign past one process: the canonical
 // expanded matrix is split into deterministic index ranges, each range
 // runs in a child worker process (tcfleet shard-worker), and completed
-// cells stream back over the worker's stdout as the same CRC-32-trailed
-// report records the journal persists — re-verified on ingest, because
-// a pipe from a process that can crash mid-write is exactly the hostile
-// stream profiling.RecordScanner exists for.
+// cells stream back over the worker's stdout one checksummed message
+// per line (see stream.go) — verified on ingest, because a pipe from a
+// process that can crash mid-write may tear at any byte.
 //
 // The split is part of the campaign's determinism contract: Split is a
 // pure function of (cell count, shard count), cell seeds were already
@@ -29,18 +28,12 @@ import (
 	"time"
 )
 
-// ProtocolVersion versions the //shard control-line protocol a worker
-// speaks over stdout (hello/hb/cell/fail/bye).
-const ProtocolVersion = 1
-
-// Supervision timing. The heartbeat period is the one timing input
-// (Options.HeartbeatEvery); the hang budget is counted in periods of
-// it, and the rest are fixed.
+// Supervision timing. The heartbeat period is the one timing input;
+// the hang budget is counted in periods of it, and the rest are fixed.
 const (
-	// DefaultHeartbeatEvery is how often a worker emits an "hb" control
-	// line when it has no report to stream, and how often the
-	// supervisor counts a silent period.
-	DefaultHeartbeatEvery = 500 * time.Millisecond
+	// defaultHeartbeatEvery is how often a worker emits an "hb" message,
+	// and how often the supervisor counts a silent period.
+	defaultHeartbeatEvery = 500 * time.Millisecond
 	// hangBeats is the hang budget: a worker that sends nothing for this
 	// many heartbeat periods in a row is presumed wedged and killed
 	// (10 s at the default period).
@@ -188,7 +181,7 @@ type Spec struct {
 	Hash    string        // MatrixHash of the full expansion; worker re-verifies
 	HB      time.Duration // heartbeat period the worker must honor
 	// Spans asks the worker to trace its campaign spans and stream them
-	// back as "//shard span" lines at drain, for cross-process trace
+	// back as "span" messages at drain, for cross-process trace
 	// stitching.
 	Spans bool
 
@@ -228,7 +221,7 @@ func (s Spec) Args() []string {
 // even when the caller has stopped reading Output mid-stream, Wait
 // returns promptly after Kill, and after the worker crashes on its own.
 type Conn interface {
-	// Output is the worker's record/control stream (its stdout).
+	// Output is the worker's message stream (its stdout).
 	Output() io.Reader
 	// Terminate asks the worker to drain gracefully (SIGTERM).
 	Terminate()
@@ -254,7 +247,7 @@ type Transport interface {
 // {"tcfleet", "shard-worker"}), and the spec's flags are appended. The
 // matrix JSON is piped to the child's stdin; stderr is forwarded to
 // Stderr (campaign diagnostics stay human-readable and out of the
-// record stream).
+// message stream).
 type ExecTransport struct {
 	Argv   []string
 	Env    []string // extra environment entries, appended to os.Environ()

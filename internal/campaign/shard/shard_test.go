@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"bytes"
-	"fmt"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -11,8 +9,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"repro/internal/profiling"
 )
 
 // TestMain doubles as the shard-worker helper binary: when
@@ -27,15 +23,15 @@ func TestMain(m *testing.M) {
 	case "hang":
 		// Says hello, then goes silent forever: the heartbeat-deadline
 		// hang case.
-		fmt.Println("//shard hello v=1 shard=0 cells=0 hash=")
+		os.Stdout.Write(testLine(message{Kind: "hello", Version: ProtocolVersion}))
 		time.Sleep(time.Hour)
 		os.Exit(0)
 	case "torn":
-		// Emits a torn record (no trailer) and exits 0: the
-		// clean-exit-with-missing-cells case.
-		fmt.Println("//shard hello v=1 shard=0 cells=0 hash=")
-		fmt.Println(`{"schema_version": 1,`)
-		fmt.Println(`  "app": "torn-worker"`)
+		// Emits a torn cell line (cut before its checksum) and exits 0:
+		// the clean-exit-with-missing-cells case.
+		os.Stdout.Write(testLine(message{Kind: "hello", Version: ProtocolVersion}))
+		cell := testLine(message{Kind: "cell", Report: []byte(`{"schema_version":1,"app":"torn-worker"}`)})
+		os.Stdout.Write(cell[:len(cell)-6])
 		os.Exit(0)
 	case "crash":
 		os.Exit(3)
@@ -47,8 +43,9 @@ func TestMain(m *testing.M) {
 		if os.Getenv("SHARD_TEST_MODE") == "floodcrash" {
 			time.AfterFunc(100*time.Millisecond, func() { os.Exit(3) })
 		}
+		hb := testLine(message{Kind: "hb"})
 		for {
-			fmt.Println("//shard hb done=0")
+			os.Stdout.Write(hb)
 		}
 	}
 	os.Exit(m.Run())
@@ -204,107 +201,6 @@ func sortInts(s []int) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-func TestParseControl(t *testing.T) {
-	for _, tc := range []struct {
-		line string
-		ok   bool
-		want ctlMsg
-	}{
-		{"//shard hello v=1 shard=2 cells=4 hash=abc123", true, ctlMsg{kind: "hello", hash: "abc123"}},
-		{"//shard hb done=3", true, ctlMsg{kind: "hb"}},
-		{"//shard cell 17", true, ctlMsg{kind: "cell", idx: 17}},
-		{`//shard fail 4 permanent 2 "bad preset \"X\""`, true,
-			ctlMsg{kind: "fail", idx: 4, class: "permanent", attempts: 2, msg: `bad preset "X"`}},
-		{"//shard bye done=4 failed=1", true, ctlMsg{kind: "bye"}},
-		{`//shard span {"n":"cell:x","c":"session","s":12345,"d":678}`, true,
-			ctlMsg{kind: "span", msg: `{"n":"cell:x","c":"session","s":12345,"d":678}`}},
-		{"//shard span", false, ctlMsg{}},
-		{"//shard cell", false, ctlMsg{}},
-		{"//shard cell -3", false, ctlMsg{}},
-		{"//shard fail 4 permanent", false, ctlMsg{}},
-		{"//shard warp 9", false, ctlMsg{}},
-		{"//crc32:deadbeef", false, ctlMsg{}},
-		{"plain line", false, ctlMsg{}},
-	} {
-		got, ok := parseControl(tc.line)
-		if ok != tc.ok {
-			t.Errorf("parseControl(%q) ok = %v, want %v", tc.line, ok, tc.ok)
-			continue
-		}
-		if ok && got != tc.want {
-			t.Errorf("parseControl(%q) = %+v, want %+v", tc.line, got, tc.want)
-		}
-	}
-}
-
-// TestEmitterScannerRoundTrip: what the worker's emitter writes, the
-// supervisor's scanner reads back — records verified, control lines on
-// the side channel, nothing lost.
-func TestEmitterScannerRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	em := &emitter{w: &buf}
-	em.control("hello v=%d shard=%d cells=%d hash=%s", ProtocolVersion, 0, 2, "h")
-	reports := map[int]*profiling.RunReport{
-		3: {Schema: profiling.ReportSchemaVersion, App: "a", SoC: "TC1797", Seed: 31, Cycles: 100, Resolution: 10, Confidence: 1},
-		5: {Schema: profiling.ReportSchemaVersion, App: "b", SoC: "TC1767", Seed: 51, Cycles: 200, Resolution: 10, Confidence: 1},
-	}
-	for _, idx := range []int{3, 5} {
-		em.control("hb done=%d", idx)
-		if err := em.record(idx, reports[idx]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	em.control("bye done=2 failed=0")
-
-	sc := profiling.NewRecordScanner(&buf)
-	pending := -1
-	var ctl []string
-	sc.Control = func(line string) {
-		ctl = append(ctl, line)
-		if c, ok := parseControl(line); ok && c.kind == "cell" {
-			pending = c.idx
-		}
-	}
-	got := map[int]*profiling.RunReport{}
-	for {
-		body, _, err := sc.Next()
-		if err != nil {
-			break
-		}
-		r, err := profiling.ReadRunReport(bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[pending] = r
-		pending = -1
-	}
-	if sc.Skipped() != 0 {
-		t.Errorf("clean emitter stream counted %d skips", sc.Skipped())
-	}
-	if len(got) != 2 || got[3] == nil || got[5] == nil {
-		t.Fatalf("recovered records for cells %v, want 3 and 5", keys(got))
-	}
-	for idx, r := range got {
-		if r.Seed != reports[idx].Seed || r.App != reports[idx].App {
-			t.Errorf("cell %d record mangled in transit: %+v", idx, r)
-		}
-	}
-	joined := strings.Join(ctl, "\n")
-	for _, want := range []string{"hello", "hb", "cell 3", "cell 5", "bye"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("control channel missing %q:\n%s", want, joined)
-		}
-	}
-}
-
-func keys(m map[int]*profiling.RunReport) []int {
-	var out []int
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 func TestSpecArgs(t *testing.T) {

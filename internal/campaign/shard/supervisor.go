@@ -1,17 +1,17 @@
 // Supervisor: the campaign-tier fault boundary, one level above the
 // per-cell supervisor. Workers are processes, and processes fail in
 // ways goroutines cannot: SIGKILL, OOM, a wedged runtime, a pipe torn
-// mid-record. The supervisor therefore trusts only two things — the
-// campaign ledger, which journals before it aggregates, and records
-// that survive CRC-32 verification — and treats everything else as
-// evidence to classify:
+// mid-line. The supervisor therefore trusts only two things — the
+// campaign ledger, which journals before it aggregates, and stream
+// lines that survive CRC-32 verification — and treats everything else
+// as evidence to classify:
 //
 //   - silence for hangBeats heartbeat periods → hang: kill, respawn
 //     (silence after the worker's "bye" is not a hang: the protocol is
 //     over, and a worker wedged on its way out is killed uncounted)
 //   - nonzero exit / spawn failure → crash: respawn
 //   - clean exit with cells missing → torn shard: respawn
-//   - a worker-reported "fail" line → terminal per-cell failure,
+//   - a worker-reported "fail" message → terminal per-cell failure,
 //     recorded with the worker's own class/attempts (the worker already
 //     ran the per-cell retry policy; re-running the shard would not
 //     change the verdict)
@@ -28,8 +28,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,10 +54,6 @@ type Options struct {
 	Shards int
 	// Transport starts shard workers; required.
 	Transport Transport
-	// HeartbeatEvery is the heartbeat period workers are told to honor
-	// and the supervisor's liveness tick: a worker silent for hangBeats
-	// periods is killed as hung. 0 means DefaultHeartbeatEvery.
-	HeartbeatEvery time.Duration
 	// Retries is the respawn budget per shard (a shard spawns at most
 	// Retries+1 times); <0 means DefaultShardRetries.
 	Retries int
@@ -67,6 +61,11 @@ type Options struct {
 	// operator visibility; nil discards them.
 	Logf func(format string, args ...any)
 
+	// heartbeatEvery is the heartbeat period workers are told to honor
+	// and the supervisor's liveness tick: a worker silent for hangBeats
+	// periods is killed as hung. defaultHeartbeatEvery when zero; tests
+	// shorten it.
+	heartbeatEvery time.Duration
 	// ticks starts one spawn's liveness tick source and returns it with
 	// its stop function; nil means a time.Ticker at the heartbeat
 	// period. Tests substitute hand-driven channels.
@@ -100,8 +99,8 @@ func Run(ctx context.Context, m campaign.Matrix, opt Options) (*campaign.Result,
 	if opt.Shards <= 0 {
 		opt.Shards = 1
 	}
-	if opt.HeartbeatEvery <= 0 {
-		opt.HeartbeatEvery = DefaultHeartbeatEvery
+	if opt.heartbeatEvery <= 0 {
+		opt.heartbeatEvery = defaultHeartbeatEvery
 	}
 	if opt.Retries < 0 {
 		opt.Retries = DefaultShardRetries
@@ -136,7 +135,7 @@ type supervisor struct {
 	cells  []campaign.Cell
 
 	// restarts/torn/dup accumulate across all runners for Result — the
-	// record anomalies an operator wants in the post-mortem summary
+	// stream anomalies an operator wants in the post-mortem summary
 	// without scraping the obs endpoint.
 	restarts, torn, dup atomic.Int64
 }
@@ -174,7 +173,7 @@ func (s *supervisor) Execute(ctx context.Context, l *campaign.Ledger, res *campa
 				sup: s, opt: s.opt, si: si,
 				spec: Spec{
 					Shard: si, Shards: len(assign), Matrix: s.matrix,
-					Workers: workers, Hash: hash, HB: s.opt.HeartbeatEvery,
+					Workers: workers, Hash: hash, HB: s.opt.heartbeatEvery,
 					Spans:       tr != nil,
 					CellTimeout: s.opt.Campaign.CellTimeout, Retries: s.opt.Campaign.Retries,
 				},
@@ -290,34 +289,28 @@ func (r *shardRunner) runOnce(ctx context.Context, attempt int, remaining []int)
 	monDone := make(chan struct{})
 	go r.monitor(ctx, conn, lv, connDone, monDone)
 
-	// Ingest: the worker's stdout through the checked record scanner.
-	// Control lines carry protocol (heartbeats, cell headers, failure
-	// verdicts); records carry reports. Anything that fails CRC is
-	// already counted by the scanner — the shard just loses that cell
-	// until the next spawn.
+	// Ingest: the worker's stdout, one verified message per line. A torn
+	// line is counted and skipped; the shard just loses that cell until
+	// the next spawn.
 	assigned := map[int]bool{}
 	for _, idx := range remaining {
 		assigned[idx] = true
 	}
-	pending := -1
-	sc := profiling.NewRecordScanner(conn.Output())
-	sc.Control = func(line string) {
-		lv.silent.Store(0)
-		r.handleControl(line, assigned, &pending, lv)
-	}
+	poisoned := false
+	lines := newLineReader(conn.Output())
 	for {
-		body, _, err := sc.Next()
+		m, err := lines.next()
 		if err != nil {
 			break // EOF or a dead pipe; Wait classifies which
 		}
 		lv.silent.Store(0)
-		r.ingestRecord(body, assigned, &pending)
+		r.handle(&m, assigned, &poisoned, lv)
 	}
-	if n := sc.Skipped(); n > 0 {
+	if n := lines.torn; n > 0 {
 		r.tornCtr.Add(uint64(n))
 		r.sup.torn.Add(int64(n))
-		status.ShardAnomaly(r.si, "torn_records", fmt.Sprintf("%d torn/corrupt records dropped", n))
-		r.opt.logf("shard %d: %d torn/corrupt records dropped", r.si, n)
+		status.ShardAnomaly(r.si, "torn_records", fmt.Sprintf("%d torn/corrupt lines dropped", n))
+		r.opt.logf("shard %d: %d torn/corrupt lines dropped", r.si, n)
 	}
 	waitErr := conn.Wait()
 	close(connDone)
@@ -347,7 +340,7 @@ func (r *shardRunner) runOnce(ctx context.Context, attempt int, remaining []int)
 // liveness is one spawn's hang state, shared by the ingest loop and
 // the monitor.
 type liveness struct {
-	silent atomic.Int64 // heartbeat periods since the worker's last line
+	silent atomic.Int64 // heartbeat periods since the worker's last verified line
 	bye    atomic.Bool  // the worker has closed the protocol
 	hung   atomic.Bool  // killed by the monitor as hung
 	reaped atomic.Bool  // killed by the monitor after its bye
@@ -398,68 +391,55 @@ func (r *shardRunner) monitor(ctx context.Context, conn Conn, lv *liveness, conn
 	}
 }
 
-// handleControl interprets one "//shard ..." protocol line.
-func (r *shardRunner) handleControl(line string, assigned map[int]bool, pending *int, lv *liveness) {
-	c, ok := parseControl(line)
-	if !ok {
-		return
-	}
-	switch c.kind {
+// handle acts on one verified message. A worker whose hello names
+// another protocol version or matrix is poisoned: it expanded a
+// different campaign (WorkerMain refuses a hash mismatch on its side
+// too — this is defense in depth against a stale binary), so its cells,
+// verdicts and spans are all dropped.
+func (r *shardRunner) handle(m *message, assigned map[int]bool, poisoned *bool, lv *liveness) {
+	switch m.Kind {
 	case "hello":
-		if c.hash != "" && c.hash != r.spec.Hash {
-			// The worker expanded a different matrix; its records would be
-			// mis-seeded. WorkerMain refuses this on its side too — this
-			// is defense in depth against a stale binary.
-			r.opt.logf("shard %d: worker hash %.12s != campaign %.12s; ignoring its records", r.si, c.hash, r.spec.Hash)
-			*pending = -2 // poison: every record orphans
+		if m.Version != ProtocolVersion || m.Hash != r.spec.Hash {
+			r.opt.logf("shard %d: worker speaks v%d for matrix %.12s, campaign is v%d %.12s; ignoring its stream",
+				r.si, m.Version, m.Hash, ProtocolVersion, r.spec.Hash)
+			*poisoned = true
 		}
 	case "cell":
-		if *pending != -2 {
-			*pending = c.idx
-		}
+		r.ingest(m, assigned, *poisoned)
 	case "fail":
-		if !assigned[c.idx] {
+		if *poisoned || !assigned[m.Index] {
 			r.orphanCtr.Inc()
 			return
 		}
 		r.sup.l.Fail(campaign.CellError{
-			Cell:     r.sup.cells[c.idx],
-			Err:      fmt.Errorf("shard %d worker: %s", r.si, c.msg),
-			Class:    campaign.Class(c.class),
-			Attempts: c.attempts,
+			Cell:     r.sup.cells[m.Index],
+			Err:      fmt.Errorf("shard %d worker: %s", r.si, m.Error),
+			Class:    m.Class,
+			Attempts: m.Attempts,
 		})
 	case "span":
-		if *pending == -2 {
-			return // hash-poisoned worker: its spans describe a different campaign
-		}
-		var sp obs.SpanExport
-		if json.Unmarshal([]byte(c.msg), &sp) == nil {
-			r.opt.Campaign.Tracer.IngestSpan(shardTracePid(r.si), sp)
+		if !*poisoned && m.Span != nil {
+			r.opt.Campaign.Tracer.IngestSpan(shardTracePid(r.si), *m.Span)
 		}
 	case "bye":
 		lv.bye.Store(true)
 	}
 }
 
-// ingestRecord attributes one CRC-verified record to its announced cell
-// and folds it into the campaign ledger. Misattribution cannot slip
-// through: the cell's expansion-time seed must match the report's.
-func (r *shardRunner) ingestRecord(body []byte, assigned map[int]bool, pending *int) {
-	idx := *pending
-	*pending = -1
-	if idx < 0 {
-		r.orphanCtr.Inc()
-		return
-	}
-	rep, err := profiling.ReadRunReport(bytes.NewReader(body))
+// ingest folds one cell's report into the campaign ledger.
+// Misattribution cannot slip through: the cell must be assigned to this
+// spawn and its expansion-time seed must match the report's.
+func (r *shardRunner) ingest(m *message, assigned map[int]bool, poisoned bool) {
+	idx := m.Index
+	rep, err := profiling.ReadRunReport(bytes.NewReader(m.Report))
 	if err != nil {
 		r.tornCtr.Inc()
 		r.sup.torn.Add(1)
 		return
 	}
-	if !assigned[idx] || rep.Seed != r.sup.cells[idx].Run.Seed {
+	if poisoned || !assigned[idx] || rep.Seed != r.sup.cells[idx].Run.Seed {
 		r.orphanCtr.Inc()
-		r.opt.logf("shard %d: dropping record for cell %d (unassigned or seed mismatch)", r.si, idx)
+		r.opt.logf("shard %d: dropping report for cell %d (poisoned stream, unassigned or seed mismatch)", r.si, idx)
 		return
 	}
 	dup, err := r.sup.l.Complete(r.sup.cells[idx], 1, rep)
@@ -477,77 +457,4 @@ func (r *shardRunner) ingestRecord(body []byte, assigned map[int]bool, pending *
 	}
 	r.ingested++
 	r.cellsDone.Set(float64(r.ingested))
-}
-
-// ctlMsg is one parsed "//shard ..." control line.
-type ctlMsg struct {
-	kind     string
-	idx      int
-	class    string
-	attempts int
-	msg      string
-	hash     string
-}
-
-// parseControl parses the worker protocol lines. Unknown or malformed
-// lines are not errors — the stream crossed a process boundary and may
-// contain anything; they are simply ignored (and, being control lines,
-// never reach a record body).
-func parseControl(line string) (ctlMsg, bool) {
-	const pfx = "//shard "
-	if !strings.HasPrefix(line, pfx) {
-		return ctlMsg{}, false
-	}
-	f := strings.Fields(line[len(pfx):])
-	if len(f) == 0 {
-		return ctlMsg{}, false
-	}
-	c := ctlMsg{kind: f[0]}
-	switch c.kind {
-	case "hello", "hb", "bye":
-		for _, kv := range f[1:] {
-			if v, ok := strings.CutPrefix(kv, "hash="); ok {
-				c.hash = v
-			}
-		}
-		return c, true
-	case "cell":
-		if len(f) < 2 {
-			return ctlMsg{}, false
-		}
-		idx, err := strconv.Atoi(f[1])
-		if err != nil || idx < 0 {
-			return ctlMsg{}, false
-		}
-		c.idx = idx
-		return c, true
-	case "span":
-		// span <compact JSON object> — the payload is the rest of the
-		// line verbatim (json.Marshal never emits spaces that matter, but
-		// splitting on fields would still mangle string values).
-		payload := strings.TrimSpace(strings.TrimPrefix(line[len(pfx):], "span"))
-		if payload == "" {
-			return ctlMsg{}, false
-		}
-		c.msg = payload
-		return c, true
-	case "fail":
-		// fail <idx> <class> <attempts> <quoted message>
-		if len(f) < 5 {
-			return ctlMsg{}, false
-		}
-		idx, err1 := strconv.Atoi(f[1])
-		att, err2 := strconv.Atoi(f[3])
-		q := strings.Index(line, `"`)
-		if err1 != nil || err2 != nil || idx < 0 || q < 0 {
-			return ctlMsg{}, false
-		}
-		msg, err := strconv.Unquote(line[q:])
-		if err != nil {
-			return ctlMsg{}, false
-		}
-		c.idx, c.class, c.attempts, c.msg = idx, f[2], att, msg
-		return c, true
-	}
-	return ctlMsg{}, false
 }

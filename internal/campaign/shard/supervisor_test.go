@@ -687,7 +687,7 @@ func TestWorkerHashMismatch(t *testing.T) {
 }
 
 // TestWorkerMainInProcess drives WorkerMain directly over in-memory
-// pipes: records come back verified, attributed, and seeded exactly as
+// pipes: reports come back verified, attributed, and seeded exactly as
 // the expansion dictates.
 func TestWorkerMainInProcess(t *testing.T) {
 	m := testMatrix()
@@ -705,38 +705,29 @@ func TestWorkerMainInProcess(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("worker exited %d: %s", code, errb.String())
 	}
-	sc := profiling.NewRecordScanner(&out)
-	pending := -1
+	l := newLineReader(&out)
 	var hello, bye bool
 	got := map[int]*profiling.RunReport{}
-	sc.Control = func(line string) {
-		c, ok := parseControl(line)
-		if !ok {
-			return
-		}
-		switch c.kind {
-		case "hello":
-			hello = true
-		case "bye":
-			bye = true
-		case "cell":
-			pending = c.idx
-		}
-	}
 	for {
-		body, _, err := sc.Next()
+		m, err := l.next()
 		if err != nil {
 			break
 		}
-		r, err := profiling.ReadRunReport(bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		switch m.Kind {
+		case "hello":
+			hello = m.Version == ProtocolVersion && m.Hash == campaign.MatrixHash(cells)
+		case "bye":
+			bye = true
+		case "cell":
+			r, err := profiling.ReadRunReport(bytes.NewReader(m.Report))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[m.Index] = r
 		}
-		got[pending] = r
-		pending = -1
 	}
-	if sc.Skipped() != 0 {
-		t.Errorf("worker stream counted %d skips", sc.Skipped())
+	if l.torn != 0 {
+		t.Errorf("worker stream counted %d torn lines", l.torn)
 	}
 	if !hello || !bye {
 		t.Errorf("protocol frame incomplete: hello=%v bye=%v", hello, bye)

@@ -13,8 +13,8 @@
 //     deadline (refreshed per frame, twice the hang budget) is the
 //     belt-and-braces backstop;
 //   - torn or bit-flipped frames fail the frame CRC and kill the
-//     connection, and anything that slips through still faces the
-//     record scanner's CRC and the seed cross-check on ingest.
+//     connection, and anything that slips through still faces each
+//     stream line's CRC and the seed cross-check on ingest.
 //
 // Each Start dials one agent from the pool; when an agent is down the
 // transport fails over to the next one immediately, and the
@@ -216,7 +216,7 @@ func (t *TCPTransport) dialAgent(addr string, spec Spec) (*tcpConn, error) {
 // tcpConn adapts one authenticated agent connection to the Conn seam.
 // The frame stream is decoded on a background goroutine into a pipe,
 // so Output() hands the supervisor exactly the worker's stdout bytes —
-// the unchanged //shard protocol — while ftExit and read errors are
+// the same message lines an exec'd worker writes — while ftExit and read errors are
 // folded into Wait's verdict.
 type tcpConn struct {
 	c           net.Conn

@@ -149,6 +149,28 @@ func TestHandshake(t *testing.T) {
 	if bytes.Contains(wire, wrong) || bytes.Contains(wire, testKey) {
 		t.Fatal("key bytes crossed the wire during a failed handshake")
 	}
+
+	// An agent speaking the previous protocol is refused before the
+	// supervisor answers its challenge.
+	sc, ac := net.Pipe()
+	defer sc.Close()
+	defer ac.Close()
+	var mu sync.Mutex
+	var transcript bytes.Buffer
+	go func() {
+		_ = writeFrame(ac, ftChallenge, append([]byte{ProtocolVersion - 1}, make([]byte, nonceLen)...))
+		ac.Close()
+	}()
+	err := handshakeSupervisor(&tapConn{Conn: sc, mu: &mu, b: &transcript}, testKey)
+	want := fmt.Sprintf("agent speaks protocol v%d, supervisor v%d", ProtocolVersion-1, ProtocolVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("v%d challenge: handshake = %v, want %q", ProtocolVersion-1, err, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if bytes.Contains(transcript.Bytes(), testKey) || bytes.Contains(transcript.Bytes(), sign(testKey, labelSupervisor, make([]byte, nonceLen))) {
+		t.Error("key-derived bytes crossed the wire to an agent of another version")
+	}
 }
 
 // tapConn copies everything written through it (both directions pass
@@ -311,7 +333,7 @@ func TestTCPChaosDeterminism(t *testing.T) {
 		Campaign:       campaign.Options{Workers: 1, Obs: reg, JournalDir: dir},
 		Shards:         2,
 		Transport:      chaos,
-		HeartbeatEvery: 50 * time.Millisecond, // hang budget 20 × 50 ms, under the 1.5 s stall
+		heartbeatEvery: 50 * time.Millisecond, // hang budget 20 × 50 ms, under the 1.5 s stall
 		Retries:        8,
 		retryBackoff:   20 * time.Millisecond,
 		Logf:           t.Logf,

@@ -3,11 +3,11 @@
 // the matrix itself, verifies the expansion hash against the
 // supervisor's, and runs exactly its assigned cells through the same
 // in-process supervisor policy a single-process campaign uses. Every
-// completed report streams back over stdout as a CRC-32-trailed record
-// preceded by a "//shard cell <index>" control line; liveness rides the
-// same stream as periodic "//shard hb" lines. The worker trusts nothing
-// about its own lifetime — SIGTERM drains it gracefully mid-campaign,
-// and anything harsher is the supervisor's problem to detect.
+// completed report streams back over stdout as one checksummed "cell"
+// message that carries its cell index; liveness rides the same stream
+// as periodic "hb" messages. The worker trusts nothing about its own
+// lifetime — SIGTERM drains it gracefully mid-campaign, and anything
+// harsher is the supervisor's problem to detect.
 package shard
 
 import (
@@ -29,31 +29,25 @@ import (
 	"repro/internal/runcfg"
 )
 
-// emitter serializes the worker's stdout: control lines and report
-// records come from concurrent pool workers and the heartbeat
-// goroutine, and a torn interleaving would cost a record (the scanner
-// would drop it as garbage — counted, not fatal, but wasteful).
+// emitter serializes the worker's stdout: messages come from concurrent
+// pool workers and the heartbeat goroutine, and one Write per line under
+// one lock keeps lines whole.
 type emitter struct {
 	mu sync.Mutex
 	w  io.Writer
 }
 
-// control emits one "//shard ..." protocol line.
-func (e *emitter) control(format string, args ...any) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fmt.Fprintf(e.w, "//shard "+format+"\n", args...)
-}
-
-// record emits a completed cell: the index header line, then the
-// checksummed report record, under one lock so nothing interleaves.
-func (e *emitter) record(idx int, r *profiling.RunReport) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, err := fmt.Fprintf(e.w, "//shard cell %d\n", idx); err != nil {
+// send writes m as one stream line. Only a cell's caller checks the
+// error: a failed write means the supervisor end is gone, and it judges
+// the worker by what did arrive.
+func (e *emitter) send(m message) error {
+	line, err := appendLine(nil, &m)
+	if err != nil {
 		return err
 	}
-	_, err := profiling.AppendSummedRecord(e.w, r)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, err = e.w.Write(line)
 	return err
 }
 
@@ -61,7 +55,7 @@ func (e *emitter) record(idx int, r *profiling.RunReport) error {
 // subcommand, factored over explicit streams so tests can run it
 // in-process or via a helper binary. It returns the process exit code:
 // 0 on a completed (or gracefully drained) shard — per-cell failures
-// are reported in-band as "fail" lines, not via the exit code — and 2
+// are reported in-band as "fail" messages, not via the exit code — and 2
 // on unusable input (bad flags, unreadable matrix, hash mismatch).
 // Graceful drain is SIGTERM/SIGINT; RunWorker is the same entry point
 // over an explicit context for hosts (the TCP agent) that drain a
@@ -74,17 +68,17 @@ func WorkerMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 // RunWorker runs one shard-worker assignment to completion or until
 // ctx is canceled (graceful drain: in-flight cells finish their
-// cancellation poll, completed records are already streamed, the bye
-// line closes the protocol). It is WorkerMain minus signal ownership —
+// cancellation poll, completed cells are already streamed, the bye
+// message closes the protocol). It is WorkerMain minus signal ownership —
 // the TCP agent runs many assignments in one process and cancels each
 // connection's worker independently.
 func RunWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("shard-worker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	shardNo := fs.Int("shard", 0, "shard ordinal (for logs and protocol lines)")
+	shardNo := fs.Int("shard", 0, "shard ordinal (for logs and trace spans)")
 	cellSpec := fs.String("cells", "", "cell index set to execute (e.g. 0-3,7,9-12)")
 	workers := fs.Int("workers", 1, "worker pool size inside this shard")
-	hb := fs.Duration("hb", DefaultHeartbeatEvery, "heartbeat period on stdout")
+	hb := fs.Duration("hb", defaultHeartbeatEvery, "heartbeat period on stdout")
 	hash := fs.String("hash", "", "expected MatrixHash of the expansion (verified)")
 	spans := fs.Bool("spans", false, "trace campaign spans and stream them back at drain")
 	sup := runcfg.BindSupervise(fs)
@@ -129,9 +123,9 @@ func RunWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 
 	em := &emitter{w: stdout}
 	var done atomic.Int64
-	em.control("hello v=%d shard=%d cells=%d hash=%s", ProtocolVersion, *shardNo, len(subset), got)
+	em.send(message{Kind: "hello", Version: ProtocolVersion, Hash: got})
 
-	// Heartbeat: proof of life between records, so the supervisor can
+	// Heartbeat: proof of life between cells, so the supervisor can
 	// tell "long cell" from "wedged process".
 	hbDone := make(chan struct{})
 	hbStopped := make(chan struct{})
@@ -139,7 +133,7 @@ func RunWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 		defer close(hbStopped)
 		period := *hb
 		if period <= 0 {
-			period = DefaultHeartbeatEvery
+			period = defaultHeartbeatEvery
 		}
 		t := time.NewTicker(period)
 		defer t.Stop()
@@ -148,15 +142,15 @@ func RunWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 			case <-hbDone:
 				return
 			case <-t.C:
-				em.control("hb done=%d", done.Load())
+				em.send(message{Kind: "hb", Done: done.Load()})
 			}
 		}
 	}()
 
 	// Span stitching: when the supervisor asked for it, trace this
 	// worker's campaign spans (one per cell attempt, via the shared
-	// per-cell supervisor) and stream them back over the control channel
-	// at drain — the supervisor rebases them onto its own timeline and
+	// per-cell supervisor) and stream them back as "span" messages at
+	// drain — the supervisor rebases them onto its own timeline and
 	// gives each shard its own pid row in the merged Chrome trace.
 	var tracer *obs.Tracer
 	if *spans {
@@ -175,7 +169,8 @@ func RunWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 			// from here races the pool, so just stop counting — the exit
 			// path will fail on the bye line too and the supervisor's
 			// journal never saw these cells, so nothing is lost.
-			if werr := em.record(cell.Index, r); werr == nil {
+			report, merr := json.Marshal(r)
+			if merr == nil && em.send(message{Kind: "cell", Index: cell.Index, Report: report}) == nil {
 				done.Add(1)
 			}
 		},
@@ -187,19 +182,13 @@ func RunWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 		return 2
 	}
 	for _, ce := range res.Errors {
-		em.control("fail %d %s %d %q", ce.Cell.Index, ce.Class, ce.Attempts, ce.Err.Error())
+		em.send(message{Kind: "fail", Index: ce.Cell.Index, Class: ce.Class, Attempts: ce.Attempts, Error: ce.Err.Error()})
 	}
 	workSpan.End()
-	// Spans travel last, after the records they describe: one compact
-	// JSON object per control line (json.Marshal never emits newlines,
-	// so each span stays a single side-channel line).
+	// Spans travel last, after the cells they describe.
 	for _, sp := range tracer.Export() {
-		data, merr := json.Marshal(sp)
-		if merr != nil {
-			continue
-		}
-		em.control("span %s", data)
+		em.send(message{Kind: "span", Span: &sp})
 	}
-	em.control("bye done=%d failed=%d", done.Load(), len(res.Errors))
+	em.send(message{Kind: "bye", Done: done.Load(), Failed: len(res.Errors)})
 	return 0
 }

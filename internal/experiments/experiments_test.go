@@ -209,6 +209,32 @@ func TestA4BufferSizingShape(t *testing.T) {
 	}
 }
 
+// TestA4LossConservation: on A4's configuration every flow message is
+// either stored or counted lost, at every ring size — the flow messages
+// of a ring that never fills — and the lost count covers payload only: a
+// re-anchor Sync the full ring refuses is retried, not counted, and only
+// in front of the core's next payload message.
+func TestA4LossConservation(t *testing.T) {
+	ref, attempted := a4Trace(16 << 20)
+	if ref.MsgsLost != 0 || attempted == 0 {
+		t.Fatalf("unbounded ring: %d flow messages stored, %d lost", attempted, ref.MsgsLost)
+	}
+	for _, kb := range []uint32{2, 8, 32, 128, 384} {
+		m, stored := a4Trace(kb << 10)
+		if stored+m.MsgsLost != attempted {
+			t.Errorf("%d KB: %d stored + %d lost flow messages != %d attempted", kb, stored, m.MsgsLost, attempted)
+		}
+		if m.MsgsLost > attempted {
+			t.Errorf("%d KB: %d messages lost of %d payload messages attempted", kb, m.MsgsLost, attempted)
+		}
+		// Re-anchors are retried in front of payload messages, not on
+		// every retired instruction.
+		if refused := m.Sink.MsgsDropped; refused > 2*attempted {
+			t.Errorf("%d KB: the ring refused %d appends for %d payload messages", kb, refused, attempted)
+		}
+	}
+}
+
 func TestE9MulticoreShape(t *testing.T) {
 	tb := table(t, "E9", false)
 	if s := tb.Metrics["rate_scaling"]; s < 1.5 || s > 2.5 {

@@ -329,8 +329,9 @@ func (m *MCDS) refresh() {
 // emit encodes and stores one message, handling buffer overflow with the
 // overflow-marker + re-sync protocol: after a loss, the next successful
 // store is preceded by an Overflow message and per-source Sync re-anchors,
-// so the tool-side decoder never desynchronizes.
-func (m *MCDS) emit(msg *tmsg.Msg) {
+// so the tool-side decoder never desynchronizes. It reports whether the
+// message was stored.
+func (m *MCDS) emit(msg *tmsg.Msg) bool {
 	if m.pendingLost > 0 && msg.Kind != tmsg.KindOverflow {
 		of := tmsg.Msg{Kind: tmsg.KindOverflow, Src: 0, Lost: m.pendingLost}
 		// Zero pendingLost before the store: a framer flush inside the
@@ -338,10 +339,9 @@ func (m *MCDS) emit(msg *tmsg.Msg) {
 		// a fresh count rather than be cleared below.
 		m.pendingLost = 0
 		if !m.store(&of) {
-			m.pendingLost += of.Lost + 1
-			m.MsgsLost++
-			m.obs.lost.Inc()
-			return // still no room; drop the current message too
+			m.pendingLost += of.Lost
+			m.lose(msg) // still no room; drop the current message too
+			return false
 		}
 	}
 	if m.needSync[msg.Src] && msg.Kind != tmsg.KindSync && msg.Kind != tmsg.KindOverflow {
@@ -350,25 +350,36 @@ func (m *MCDS) emit(msg *tmsg.Msg) {
 		// cycle base for counter/bus sources.
 		sy := tmsg.Msg{Kind: tmsg.KindSync, Src: msg.Src, Cycle: msg.Cycle, PC: 0}
 		if !m.store(&sy) {
-			m.MsgsLost++
-			m.obs.lost.Inc()
-			m.pendingLost++
-			return
+			m.lose(msg)
+			return false
 		}
 		m.needSync[msg.Src] = false
 	}
 	if !m.store(msg) {
-		m.MsgsLost++
-		m.obs.lost.Inc()
-		m.pendingLost++
-		for i := range m.needSync {
-			m.needSync[i] = true
-		}
-		return
+		m.lose(msg)
+		return false
 	}
 	if msg.Kind == tmsg.KindSync {
 		m.needSync[msg.Src] = false
 	}
+	return true
+}
+
+// lose accounts a message the trace buffer refused. Every source then
+// re-anchors, since the Overflow marker in front of the next stored
+// message drops every anchor on the tool side. A refused Sync is not a
+// lost message: it carries no trace content, and its source retries it
+// in front of its next payload message.
+func (m *MCDS) lose(msg *tmsg.Msg) {
+	for i := range m.needSync {
+		m.needSync[i] = true
+	}
+	if msg.Kind == tmsg.KindSync {
+		return
+	}
+	m.MsgsLost++
+	m.obs.lost.Inc()
+	m.pendingLost++
 }
 
 // store encodes and appends one message, returning false on overflow.
@@ -440,6 +451,11 @@ type CoreObs struct {
 	iSinceFlow uint64
 	needSync   bool
 	lastSync   uint64
+	// unanchored: the trace buffer refused this core's last anchor or
+	// payload message, so its next anchor waits for an instruction that
+	// emits a flow or data message instead of being retried on every
+	// instruction while the buffer stays full.
+	unanchored bool
 }
 
 // AddCore attaches an observation block to cpu under trace source id src.
@@ -479,10 +495,14 @@ func (c *CoreObs) tick(m *MCDS, cycle uint64) {
 		re := &retired[i]
 		// Comparators bound to this core observe every retired
 		// instruction (evaluated below via matchRetired).
+		data := c.DataTrace && re.HasMem &&
+			(c.DataLo == 0 && c.DataHi == 0 || re.EA >= c.DataLo && re.EA < c.DataHi)
+		anchored := true
 		if c.FlowTrace {
-			if c.needSync || m.needSync[c.id] {
+			if (c.needSync || m.needSync[c.id]) && (!c.unanchored || re.Taken || data) {
 				sy := tmsg.Msg{Kind: tmsg.KindSync, Src: c.id, Cycle: re.Cycle, PC: re.PC}
-				m.emit(&sy)
+				anchored = m.emit(&sy)
+				c.unanchored = !anchored
 				c.needSync = false
 				c.lastSync = cycle
 				c.iSinceFlow = 0
@@ -491,16 +511,14 @@ func (c *CoreObs) tick(m *MCDS, cycle uint64) {
 			if re.Taken {
 				fl := tmsg.Msg{Kind: tmsg.KindFlow, Src: c.id, Cycle: re.Cycle,
 					ICount: c.iSinceFlow, PC: re.Target}
-				m.emit(&fl)
+				anchored = c.send(m, &fl, anchored)
 				c.iSinceFlow = 0
 			}
 		}
-		if c.DataTrace && re.HasMem {
-			if c.DataLo == 0 && c.DataHi == 0 || re.EA >= c.DataLo && re.EA < c.DataHi {
-				da := tmsg.Msg{Kind: tmsg.KindData, Src: c.id, Cycle: re.Cycle,
-					Addr: re.EA, Data: re.Data, Write: re.Write}
-				m.emit(&da)
-			}
+		if data {
+			da := tmsg.Msg{Kind: tmsg.KindData, Src: c.id, Cycle: re.Cycle,
+				Addr: re.EA, Data: re.Data, Write: re.Write}
+			c.send(m, &da, anchored)
 		}
 	}
 
@@ -510,6 +528,22 @@ func (c *CoreObs) tick(m *MCDS, cycle uint64) {
 			cmp.eval(m, retired, cycle)
 		}
 	}
+}
+
+// send emits one of the core's payload messages and reports whether the
+// buffer took it. Without the anchor in front of it (the core's Sync, or
+// the flow message of the same instruction) the message is lost unsent:
+// it could not be decoded. A refused message leaves the core unanchored.
+func (c *CoreObs) send(m *MCDS, msg *tmsg.Msg, anchored bool) bool {
+	if !anchored {
+		m.lose(msg)
+		return false
+	}
+	if !m.emit(msg) {
+		c.unanchored = true
+		return false
+	}
+	return true
 }
 
 // BusObs is the observation block of a bus or another counter-bearing
