@@ -103,7 +103,7 @@ func run(args []string) error {
 	case "shard-worker":
 		// Internal: the child-process half of "tcfleet run -shards N".
 		// Protocol on stdio; never invoked by hand.
-		os.Exit(shard.WorkerMain(args[1:], os.Stdin, os.Stdout, os.Stderr))
+		os.Exit(shardWorker(args[1:]))
 		return nil
 	case "-h", "-help", "--help", "help":
 		flag.Usage()
@@ -111,6 +111,24 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown subcommand %q (use \"aggregate\", \"run\", or \"agent\")", args[0])
 	}
+}
+
+// shardWorker runs the one assignment on stdin (a shard.Spec as JSON)
+// and returns the worker's exit code; SIGINT/SIGTERM drain it
+// gracefully. It takes no arguments: everything comes with the spec.
+func shardWorker(args []string) int {
+	if len(args) > 0 {
+		fmt.Fprintf(os.Stderr, "shard-worker: unexpected arguments %q (the assignment comes on stdin)\n", args)
+		return 2
+	}
+	spec, err := shard.ReadSpec(os.Stdin)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shard-worker: %v\n", err)
+		return 2
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return shard.RunWorker(ctx, spec, os.Stdout, os.Stderr)
 }
 
 // runAgent is the remote-worker daemon: it listens for authenticated
@@ -253,8 +271,8 @@ func runCampaign(args []string) error {
 	framed := fs.Bool("framed", false, "harden the trace path on every cell")
 	degrade := fs.Bool("degrade", false, "enable graceful degradation on every cell")
 	workers := fs.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
-	sup := runcfg.BindSupervise(fs)
-	shardCfg := runcfg.BindShard(fs)
+	sup := bindSupervise(fs)
+	shardCfg := bindShard(fs)
 	allowPartial := fs.Bool("allow-partial", false,
 		"exit 0 even when cells failed permanently (default: a partial aggregate exits nonzero)")
 	journalDir := fs.String("journal", "", "write-ahead journal directory (makes the campaign resumable after a crash or Ctrl-C)")

@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/profiling"
 )
@@ -87,6 +90,94 @@ func TestBareDirectoryIsNotASubcommand(t *testing.T) {
 	for _, want := range []string{"unknown subcommand", "aggregate", "run"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+func TestBindSupervise(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	s := bindSupervise(fs)
+	if err := fs.Parse([]string{"-celltimeout", "30s", "-retries", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if s.CellTimeout != 30*time.Second || s.Retries != 3 {
+		t.Fatalf("parsed supervise = %+v", *s)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []supervise{{CellTimeout: -time.Second}, {Retries: -1}} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("supervise %+v validated", bad)
+		}
+	}
+}
+
+// TestBindShardTimingValidation: the shard flag cross-checks. Remote
+// workers must authenticate, and a key file without agents is a
+// mistake worth reporting. Supervision timing has no flags: the hang
+// budget is counted in heartbeat periods, so no timing rule can be
+// broken.
+func TestBindShardTimingValidation(t *testing.T) {
+	parse := func(t *testing.T, args ...string) *shardConfig {
+		t.Helper()
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		s := bindShard(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	// Good configurations.
+	for _, args := range [][]string{
+		nil,
+		{"-shards", "4"},
+		{"-agents", "h1:9001,h2:9001", "-keyfile", "key"},
+	} {
+		if err := parse(t, args...).Validate(); err != nil {
+			t.Errorf("Validate(%v) = %v, want ok", args, err)
+		}
+	}
+
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-agents", "h1:9001"}, "requires -keyfile"},
+		{[]string{"-keyfile", "key"}, "no effect without -agents"},
+	} {
+		err := parse(t, tc.args...).Validate()
+		if err == nil {
+			t.Errorf("Validate(%v) accepted, want error mentioning %q", tc.args, tc.want)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%v) = %v, want mention of %q", tc.args, err, tc.want)
+		}
+	}
+
+	if err := (shardConfig{ShardRetries: -1}).Validate(); err != nil {
+		t.Errorf("zero-value shardConfig rejected: %v", err)
+	}
+	// The timing flags are gone, not ignored.
+	for _, name := range []string{"hb", "hbtimeout", "draintimeout"} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		bindShard(fs)
+		if err := fs.Parse([]string{"-" + name, "1s"}); err == nil {
+			t.Errorf("-%s parsed; the flag should be unknown", name)
+		}
+	}
+}
+
+// TestShardWorkerTakesNoArguments: the worker's whole assignment is the
+// spec on stdin, so any argument is a caller error, refused before
+// stdin is read.
+func TestShardWorkerTakesNoArguments(t *testing.T) {
+	for _, args := range [][]string{{"-cells", "0-3"}, {"extra"}} {
+		if code := shardWorker(args); code == 0 {
+			t.Errorf("shard-worker %q exited 0", args)
 		}
 	}
 }

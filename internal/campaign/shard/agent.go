@@ -20,7 +20,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -136,8 +135,8 @@ func (a *Agent) handle(ctx context.Context, nc net.Conn) {
 		a.logf("agent: %s: no spec after handshake (frame %d, %v)", remote, ft, err)
 		return
 	}
-	var spec Spec
-	if err := json.Unmarshal(payload, &spec); err != nil {
+	spec, err := ReadSpec(bytes.NewReader(payload))
+	if err != nil {
 		a.Obs.Counter("agent_bad_specs").Inc()
 		a.logf("agent: %s: bad spec: %v", remote, err)
 		return
@@ -152,7 +151,7 @@ func (a *Agent) handle(ctx context.Context, nc net.Conn) {
 		return
 	}
 	_ = nc.SetDeadline(time.Time{})
-	a.logf("agent: %s: shard %d assigned cells %s (%d workers)", remote, spec.Shard, spec.Cells, spec.Workers)
+	a.logf("agent: %s: shard %d assigned %d cells (%d workers)", remote, spec.Shard, len(spec.Cells), spec.Workers)
 
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -176,7 +175,7 @@ func (a *Agent) handle(ctx context.Context, nc net.Conn) {
 
 	out := &frameWriter{c: nc}
 	a.Obs.Gauge("agent_workers_active").Set(float64(a.active.Add(1)))
-	code := RunWorker(wctx, spec.Args(), bytes.NewReader(spec.Matrix), out, a.stderr())
+	code := RunWorker(wctx, spec, out, a.stderr())
 	a.Obs.Gauge("agent_workers_active").Set(float64(a.active.Add(-1)))
 	a.Obs.Counter("agent_assignments_total").Inc()
 	var exit [4]byte

@@ -64,7 +64,7 @@ func TestFrameTruncation(t *testing.T) {
 // one spec into another.
 func TestFrameBitFlip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, ftSpec, []byte(`{"Shard":3,"Cells":"0-7"}`)); err != nil {
+	if err := writeFrame(&buf, ftSpec, []byte(`{"Shard":3,"Cells":[0,1,2]}`)); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()

@@ -100,7 +100,7 @@ func TestConnLiveness(t *testing.T) {
 							LatencyProb: 0.5, Latency: time.Millisecond, ReplayProb: 0.2,
 						}}
 					}
-					conn, err := tr.Start(Spec{Shard: 0, Shards: 1, Matrix: []byte("{}"), Cells: "0", Workers: 1, HB: time.Second})
+					conn, err := tr.Start(Spec{Shard: 0, Matrix: []byte("{}"), Cells: []int{0}, Workers: 1, HB: time.Second})
 					if err != nil {
 						t.Fatal(err)
 					}

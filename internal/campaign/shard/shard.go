@@ -16,13 +16,11 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -86,97 +84,17 @@ func Split(total, shards int) [][]int {
 	return out
 }
 
-// FormatIndexSet renders sorted cell indices compactly as ranges:
-// [0 1 2 3 7 9 10] → "0-3,7,9-10". The inverse of ParseIndexSet.
-func FormatIndexSet(indices []int) string {
-	if len(indices) == 0 {
-		return ""
-	}
-	sorted := append([]int(nil), indices...)
-	sort.Ints(sorted)
-	var b strings.Builder
-	for i := 0; i < len(sorted); {
-		j := i
-		for j+1 < len(sorted) && sorted[j+1] == sorted[j]+1 {
-			j++
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		if j == i {
-			fmt.Fprintf(&b, "%d", sorted[i])
-		} else {
-			fmt.Fprintf(&b, "%d-%d", sorted[i], sorted[j])
-		}
-		i = j + 1
-	}
-	return b.String()
-}
-
-// maxIndexSetSize bounds how many indices one ParseIndexSet call may
-// materialize. Index sets name shard assignments, so the bound only
-// needs to exceed any plausible campaign; without it, a corrupted (or
-// hostile, now that specs arrive over TCP) range like "0-2000000000"
-// would allocate gigabytes before the cell-bound check ever runs.
-const maxIndexSetSize = 1 << 22
-
-// ParseIndexSet parses the FormatIndexSet syntax back into a sorted
-// index slice. The grammar is strict — exactly what FormatIndexSet
-// emits: tokens in strictly ascending order, ranges ascending, no
-// overlaps or duplicates. A set that fails these rules was not
-// produced by FormatIndexSet, and since index sets name respawn
-// assignments, silently "repairing" one (the old tolerant behavior)
-// would mask a corrupted spec rather than surface it.
-func ParseIndexSet(s string) ([]int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	prev := -1 // highest index accepted so far
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		lo, hi, isRange := strings.Cut(tok, "-")
-		a, err := strconv.Atoi(lo)
-		if err != nil || a < 0 {
-			return nil, fmt.Errorf("shard: bad index set token %q", tok)
-		}
-		b := a
-		if isRange {
-			b, err = strconv.Atoi(hi)
-			if err != nil || b < 0 {
-				return nil, fmt.Errorf("shard: bad index range %q", tok)
-			}
-			if b < a {
-				return nil, fmt.Errorf("shard: descending index range %q (%d < %d)", tok, b, a)
-			}
-		}
-		if a <= prev {
-			return nil, fmt.Errorf("shard: index set token %q overlaps or descends (already covered through %d)", tok, prev)
-		}
-		if b >= maxIndexSetSize {
-			// Bounding the index bounds the materialized size too, with no
-			// overflow risk for ranges like "0-9223372036854775807".
-			return nil, fmt.Errorf("shard: index %d in token %q exceeds the %d bound", b, tok, maxIndexSetSize)
-		}
-		for i := a; i <= b; i++ {
-			out = append(out, i)
-		}
-		prev = b
-	}
-	return out, nil
-}
-
-// Spec is everything a transport needs to start one shard worker. The
-// matrix travels as JSON over the worker's stdin; everything else is
-// small enough for argv.
+// Spec is one shard worker's assignment, and the only document a
+// worker is started from: the exec transport writes it as JSON to the
+// child's stdin, the TCP transport sends the same JSON in the ftSpec
+// frame, and both ends hand it to RunWorker, which checks it before
+// running anything.
 type Spec struct {
-	Shard  int    // shard ordinal, for logging and protocol lines
-	Shards int    // total shard count
-	Matrix []byte // campaign matrix JSON, fed to the worker's stdin
-	// Cells is the FormatIndexSet of the cell indices this spawn must
-	// execute — on a respawn, only the cells not yet journaled done.
-	Cells   string
+	Shard  int             // shard ordinal, for logging and trace spans
+	Matrix json.RawMessage // campaign matrix JSON, read with campaign.Read
+	// Cells are the expansion indices this spawn must execute, strictly
+	// ascending — on a respawn, only the cells not yet journaled done.
+	Cells   []int
 	Workers int           // in-process worker pool size inside the shard
 	Hash    string        // MatrixHash of the full expansion; worker re-verifies
 	HB      time.Duration // heartbeat period the worker must honor
@@ -190,28 +108,19 @@ type Spec struct {
 	Retries     int
 }
 
-// Args renders the spec's argv flags for the shard-worker subcommand
-// (the matrix is not included — it goes over stdin).
-func (s Spec) Args() []string {
-	args := []string{
-		"-shard", strconv.Itoa(s.Shard),
-		"-cells", s.Cells,
-		"-workers", strconv.Itoa(s.Workers),
-		"-hb", s.HB.String(),
+// ReadSpec decodes one Spec, rejecting unknown fields. The input size
+// is bounded by its carrier — MaxFramePayload over TCP, the
+// supervisor's own write into a local pipe — and every cell index must
+// fall inside the expansion (Spec.check), so no separate bound on the
+// index count is needed.
+func ReadSpec(r io.Reader) (Spec, error) {
+	var s Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return Spec{}, fmt.Errorf("shard spec: %w", err)
 	}
-	if s.Hash != "" {
-		args = append(args, "-hash", s.Hash)
-	}
-	if s.Spans {
-		args = append(args, "-spans")
-	}
-	if s.CellTimeout > 0 {
-		args = append(args, "-celltimeout", s.CellTimeout.String())
-	}
-	if s.Retries > 0 {
-		args = append(args, "-retries", strconv.Itoa(s.Retries))
-	}
-	return args
+	return s, nil
 }
 
 // Conn is one live shard worker as the supervisor sees it: a byte
@@ -243,11 +152,10 @@ type Transport interface {
 }
 
 // ExecTransport launches shard workers as local child processes:
-// Argv[0] is the binary, Argv[1:] fixed leading arguments (normally
-// {"tcfleet", "shard-worker"}), and the spec's flags are appended. The
-// matrix JSON is piped to the child's stdin; stderr is forwarded to
-// Stderr (campaign diagnostics stay human-readable and out of the
-// message stream).
+// Argv[0] is the binary, Argv[1:] its arguments (normally
+// {"tcfleet", "shard-worker"}). The spec's JSON is piped to the child's
+// stdin; stderr is forwarded to Stderr (campaign diagnostics stay
+// human-readable and out of the message stream).
 type ExecTransport struct {
 	Argv   []string
 	Env    []string // extra environment entries, appended to os.Environ()
@@ -259,9 +167,12 @@ func (t *ExecTransport) Start(spec Spec) (Conn, error) {
 	if len(t.Argv) == 0 {
 		return nil, fmt.Errorf("shard: ExecTransport has no argv")
 	}
-	args := append(append([]string(nil), t.Argv[1:]...), spec.Args()...)
-	cmd := exec.Command(t.Argv[0], args...)
-	cmd.Stdin = bytes.NewReader(spec.Matrix)
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		return nil, err
+	}
+	cmd := exec.Command(t.Argv[0], t.Argv[1:]...)
+	cmd.Stdin = bytes.NewReader(specJSON)
 	cmd.Stderr = t.Stderr
 	if len(t.Env) > 0 {
 		cmd.Env = append(os.Environ(), t.Env...)

@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"os/signal"
 	"reflect"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -19,7 +22,17 @@ import (
 func TestMain(m *testing.M) {
 	switch os.Getenv("SHARD_TEST_MODE") {
 	case "worker":
-		os.Exit(WorkerMain(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+		// What "tcfleet shard-worker" does: the spec on stdin, drained
+		// gracefully on SIGTERM.
+		spec, err := ReadSpec(os.Stdin)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		code := RunWorker(ctx, spec, os.Stdout, os.Stderr)
+		stop()
+		os.Exit(code)
 	case "hang":
 		// Says hello, then goes silent forever: the heartbeat-deadline
 		// hang case.
@@ -87,131 +100,43 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-func TestIndexSetRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		in   []int
-		text string
-	}{
-		{nil, ""},
-		{[]int{5}, "5"},
-		{[]int{0, 1, 2, 3}, "0-3"},
-		{[]int{0, 1, 2, 3, 7, 9, 10, 11, 12}, "0-3,7,9-12"},
-	} {
-		if got := FormatIndexSet(tc.in); got != tc.text {
-			t.Errorf("FormatIndexSet(%v) = %q, want %q", tc.in, got, tc.text)
-		}
-		back, err := ParseIndexSet(tc.text)
-		if err != nil {
-			t.Fatalf("ParseIndexSet(%q): %v", tc.text, err)
-		}
-		if !reflect.DeepEqual(back, tc.in) {
-			t.Errorf("ParseIndexSet(%q) = %v, want %v", tc.text, back, tc.in)
-		}
+// FuzzReadSpec: the spec decoder takes bytes from another process or
+// host. It must never panic, and whatever it accepts must re-encode and
+// decode to an equal spec. The matrix is raw JSON that encoding
+// compacts, so it is compared by its re-encoding.
+func FuzzReadSpec(f *testing.F) {
+	good, err := json.Marshal(Spec{
+		Shard: 2, Matrix: json.RawMessage(`{"mixes":["lean"],"cycles":1000}`), Cells: []int{4, 5, 7},
+		Workers: 3, Hash: "abc", HB: 250 * time.Millisecond, Spans: true, CellTimeout: time.Second, Retries: 1,
+	})
+	if err != nil {
+		f.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 100; i++ {
-		seen := map[int]bool{}
-		var set []int
-		for j := 0; j < rng.Intn(40); j++ {
-			idx := rng.Intn(100)
-			if !seen[idx] {
-				seen[idx] = true
-				set = append(set, idx)
-			}
-		}
-		sortInts(set)
-		back, err := ParseIndexSet(FormatIndexSet(set))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(back, set) {
-			t.Fatalf("round trip %v -> %q -> %v", set, FormatIndexSet(set), back)
-		}
-	}
-	for _, bad := range []string{"x", "-1", "3-1", "1,,2", "1-"} {
-		if _, err := ParseIndexSet(bad); err == nil {
-			t.Errorf("ParseIndexSet(%q) accepted", bad)
-		}
-	}
-}
-
-// TestParseIndexSetStrict: the parser accepts exactly FormatIndexSet's
-// output grammar. Descending, overlapping, or duplicated tokens mean
-// the spec did not come from FormatIndexSet — a corrupted respawn
-// assignment — and must be rejected with an error that names the
-// offending token, not silently "repaired".
-func TestParseIndexSetStrict(t *testing.T) {
-	for _, tc := range []struct{ in, wantErr string }{
-		{"5-2", "descending"},
-		{"1,1", "overlaps or descends"},
-		{"3,1-2", "overlaps or descends"},
-		{"0-4,4", "overlaps or descends"},
-		{"0-4,2-6", "overlaps or descends"},
-		{"7,3", "overlaps or descends"},
-		{"1-x", "bad index range"},
-		{"2--4", "bad index range"},
-	} {
-		_, err := ParseIndexSet(tc.in)
-		if err == nil {
-			t.Errorf("ParseIndexSet(%q) accepted, want rejection", tc.in)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("ParseIndexSet(%q) = %v, want mention of %q", tc.in, err, tc.wantErr)
-		}
-	}
-}
-
-// FuzzParseIndexSet: whatever the parser accepts must be strictly
-// ascending and must round-trip through FormatIndexSet to an equal
-// slice — the two functions are inverses on the accepted language.
-func FuzzParseIndexSet(f *testing.F) {
-	f.Add("0-3,7,9-12")
-	f.Add("5")
-	f.Add("")
-	f.Add("3-1")
-	f.Add("0-4,2-6")
-	f.Add("1,2,3")
-	f.Fuzz(func(t *testing.T, s string) {
-		set, err := ParseIndexSet(s)
+	f.Add(good)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"Cells":[3,1],"Matrix":{ "seeds" : 2 }}`))
+	f.Add([]byte(`{"Cells":"0-3"}`))
+	f.Add([]byte(`{"Shard":1,"Extra":true}`))
+	f.Add([]byte(`{"Matrix":null,"Cells":null}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := ReadSpec(bytes.NewReader(b))
 		if err != nil {
 			return
 		}
-		for i := 1; i < len(set); i++ {
-			if set[i] <= set[i-1] {
-				t.Fatalf("ParseIndexSet(%q) = %v is not strictly ascending", s, set)
-			}
-		}
-		if len(set) > 0 && set[0] < 0 {
-			t.Fatalf("ParseIndexSet(%q) yielded negative index %d", s, set[0])
-		}
-		back, err := ParseIndexSet(FormatIndexSet(set))
+		enc, err := json.Marshal(s)
 		if err != nil {
-			t.Fatalf("canonical form %q of accepted %q rejected: %v", FormatIndexSet(set), s, err)
+			t.Fatalf("accepted spec %q does not encode: %v", b, err)
 		}
-		if !reflect.DeepEqual(back, set) && !(len(back) == 0 && len(set) == 0) {
-			t.Fatalf("round trip %q -> %v -> %q -> %v", s, set, FormatIndexSet(set), back)
+		back, err := ReadSpec(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded spec %q rejected: %v", enc, err)
+		}
+		if again, _ := json.Marshal(back); !bytes.Equal(again, enc) {
+			t.Fatalf("round trip %q -> %q -> %q", b, enc, again)
+		}
+		s.Matrix, back.Matrix = nil, nil
+		if !reflect.DeepEqual(s, back) {
+			t.Fatalf("round trip %q: %+v != %+v", b, s, back)
 		}
 	})
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func TestSpecArgs(t *testing.T) {
-	s := Spec{
-		Shard: 2, Shards: 4, Cells: "4-7", Workers: 3, Hash: "abc",
-		HB: 250 * time.Millisecond, Spans: true, CellTimeout: time.Second, Retries: 1,
-	}
-	args := strings.Join(s.Args(), " ")
-	for _, want := range []string{"-shard 2", "-cells 4-7", "-workers 3", "-hb 250ms", "-hash abc", "-spans", "-celltimeout 1s", "-retries 1"} {
-		if !strings.Contains(args, want) {
-			t.Errorf("Spec.Args() = %q, missing %q", args, want)
-		}
-	}
 }

@@ -25,9 +25,10 @@ import (
 	"repro/internal/obs"
 )
 
-// ProtocolVersion versions the worker stream format; the worker's hello
-// names it, and the TCP handshake refuses an agent that speaks another.
-const ProtocolVersion = 2
+// ProtocolVersion versions the worker protocol: the Spec a worker is
+// started from and the stream it writes back. The worker's hello names
+// it, and the TCP handshake refuses an agent that speaks another.
+const ProtocolVersion = 3
 
 // maxLine bounds one stream line: far above any run report, low enough
 // that a worker flooding garbage without a newline cannot exhaust the

@@ -172,7 +172,7 @@ func (s *supervisor) Execute(ctx context.Context, l *campaign.Ledger, res *campa
 			r := &shardRunner{
 				sup: s, opt: s.opt, si: si,
 				spec: Spec{
-					Shard: si, Shards: len(assign), Matrix: s.matrix,
+					Shard: si, Matrix: s.matrix,
 					Workers: workers, Hash: hash, HB: s.opt.heartbeatEvery,
 					Spans:       tr != nil,
 					CellTimeout: s.opt.Campaign.CellTimeout, Retries: s.opt.Campaign.Retries,
@@ -271,13 +271,13 @@ func (r *shardRunner) run(ctx context.Context) {
 // clean exit that silently dropped cells is still respawned.
 func (r *shardRunner) runOnce(ctx context.Context, attempt int, remaining []int) error {
 	spec := r.spec
-	spec.Cells = FormatIndexSet(remaining)
+	spec.Cells = remaining
 	conn, err := r.opt.Transport.Start(spec)
 	if err != nil {
 		r.crashCtr.Inc()
 		return fmt.Errorf("spawn: %w", err)
 	}
-	r.opt.logf("shard %d: worker pid %d started for cells %s", r.si, conn.Pid(), spec.Cells)
+	r.opt.logf("shard %d: worker pid %d started for %d cells", r.si, conn.Pid(), len(remaining))
 	r.alive.Set(1)
 	defer r.alive.Set(0)
 	status := r.opt.Campaign.Status
@@ -393,7 +393,7 @@ func (r *shardRunner) monitor(ctx context.Context, conn Conn, lv *liveness, conn
 
 // handle acts on one verified message. A worker whose hello names
 // another protocol version or matrix is poisoned: it expanded a
-// different campaign (WorkerMain refuses a hash mismatch on its side
+// different campaign (RunWorker refuses a hash mismatch on its side
 // too — this is defense in depth against a stale binary), so its cells,
 // verdicts and spans are all dropped.
 func (r *shardRunner) handle(m *message, assigned map[int]bool, poisoned *bool, lv *liveness) {

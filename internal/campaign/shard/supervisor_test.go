@@ -238,14 +238,7 @@ func TestShardSIGKILLRecovery(t *testing.T) {
 	if len(specs) < 2 {
 		t.Fatalf("shard 0 spawned %d times, want >=2", len(specs))
 	}
-	first, err := ParseIndexSet(specs[0].Cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := ParseIndexSet(specs[1].Cells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, second := specs[0].Cells, specs[1].Cells
 	if len(second) >= len(first) {
 		t.Errorf("respawn re-assigned %d cells of original %d; journaled-done cells must be skipped", len(second), len(first))
 	}
@@ -663,31 +656,52 @@ func TestShardSpanStitching(t *testing.T) {
 	}
 }
 
-// TestWorkerHashMismatch: a worker whose local expansion disagrees with
-// the supervisor's hash must refuse to run rather than emit mis-seeded
-// records.
-func TestWorkerHashMismatch(t *testing.T) {
+// TestRunWorkerRejects: an assignment that fails the spec check exits
+// 2 with one line on stderr naming the problem, before any cell runs —
+// a worker that expanded another campaign, or was handed a corrupted
+// cell list, must not emit mis-seeded or misattributed records.
+func TestRunWorkerRejects(t *testing.T) {
 	m := testMatrix()
-	spec, err := json.Marshal(m)
+	matrix, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out, errb bytes.Buffer
-	code := WorkerMain([]string{"-cells", "0", "-hash", "not-the-real-hash"},
-		bytes.NewReader(spec), &out, &errb)
-	if code != 2 {
-		t.Fatalf("hash-mismatched worker exited %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "hash mismatch") {
-		t.Errorf("stderr does not explain the refusal: %q", errb.String())
-	}
-	if out.Len() != 0 {
-		t.Errorf("refusing worker still wrote %d bytes of records", out.Len())
+	valid := Spec{Matrix: matrix, Cells: []int{0, 1}, Workers: 1}
+	for _, tc := range []struct {
+		name string
+		edit func(*Spec)
+		want string
+	}{
+		{"unknown matrix field", func(s *Spec) {
+			s.Matrix = append(append(json.RawMessage(nil), matrix[:len(matrix)-1]...), `,"shards":4}`...)
+		}, `unknown field "shards"`},
+		{"duplicate cell", func(s *Spec) { s.Cells = []int{1, 1} }, "strictly ascending"},
+		{"descending cells", func(s *Spec) { s.Cells = []int{3, 2} }, "strictly ascending"},
+		{"cell past the expansion", func(s *Spec) { s.Cells = []int{0, 8} }, "outside expansion"},
+		{"negative cell", func(s *Spec) { s.Cells = []int{-1} }, "outside expansion"},
+		{"negative retries", func(s *Spec) { s.Retries = -1 }, "negative retry budget"},
+		{"negative cell timeout", func(s *Spec) { s.CellTimeout = -time.Second }, "negative cell timeout"},
+		{"hash mismatch", func(s *Spec) { s.Hash = "not-the-real-hash" }, "hash mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := valid
+			tc.edit(&spec)
+			var out, errb bytes.Buffer
+			if code := RunWorker(context.Background(), spec, &out, &errb); code != 2 {
+				t.Fatalf("exit %d, want 2 (stderr %q)", code, errb.String())
+			}
+			if lines := strings.Split(strings.TrimSuffix(errb.String(), "\n"), "\n"); len(lines) != 1 || !strings.Contains(lines[0], tc.want) {
+				t.Errorf("stderr %q, want one line mentioning %q", errb.String(), tc.want)
+			}
+			if strings.Contains(out.String(), `"kind":"cell"`) {
+				t.Errorf("rejected worker emitted cell lines: %q", out.String())
+			}
+		})
 	}
 }
 
-// TestWorkerMainInProcess drives WorkerMain directly over in-memory
-// pipes: reports come back verified, attributed, and seeded exactly as
+// TestWorkerMainInProcess drives RunWorker directly over in-memory
+// buffers: reports come back verified, attributed, and seeded exactly as
 // the expansion dictates.
 func TestWorkerMainInProcess(t *testing.T) {
 	m := testMatrix()
@@ -695,13 +709,13 @@ func TestWorkerMainInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := json.Marshal(m)
+	matrix, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := Spec{Matrix: matrix, Cells: []int{2, 3}, Workers: 2, HB: 50 * time.Millisecond}
 	var out, errb bytes.Buffer
-	code := WorkerMain([]string{"-cells", "2-3", "-workers", "2", "-hb", "50ms"},
-		bytes.NewReader(spec), &out, &errb)
+	code := RunWorker(context.Background(), spec, &out, &errb)
 	if code != 0 {
 		t.Fatalf("worker exited %d: %s", code, errb.String())
 	}
@@ -735,7 +749,7 @@ func TestWorkerMainInProcess(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("worker returned %d records, want 2", len(got))
 	}
-	for _, idx := range []int{2, 3} {
+	for _, idx := range spec.Cells {
 		r := got[idx]
 		if r == nil {
 			t.Fatalf("no record for cell %d", idx)

@@ -1,6 +1,6 @@
 // Worker: the child-process half of a sharded campaign. A worker is
-// handed the full matrix (stdin) plus an index set (argv), re-expands
-// the matrix itself, verifies the expansion hash against the
+// handed one Spec — the full matrix plus the cell indices to run —
+// re-expands the matrix itself, verifies the expansion hash against the
 // supervisor's, and runs exactly its assigned cells through the same
 // in-process supervisor policy a single-process campaign uses. Every
 // completed report streams back over stdout as one checksummed "cell"
@@ -11,22 +11,18 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/profiling"
-	"repro/internal/runcfg"
 )
 
 // emitter serializes the worker's stdout: messages come from concurrent
@@ -51,74 +47,21 @@ func (e *emitter) send(m message) error {
 	return err
 }
 
-// WorkerMain is the entry point of the hidden "tcfleet shard-worker"
-// subcommand, factored over explicit streams so tests can run it
-// in-process or via a helper binary. It returns the process exit code:
-// 0 on a completed (or gracefully drained) shard — per-cell failures
-// are reported in-band as "fail" messages, not via the exit code — and 2
-// on unusable input (bad flags, unreadable matrix, hash mismatch).
-// Graceful drain is SIGTERM/SIGINT; RunWorker is the same entry point
-// over an explicit context for hosts (the TCP agent) that drain a
-// worker without owning its process signals.
-func WorkerMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return RunWorker(ctx, args, stdin, stdout, stderr)
-}
-
 // RunWorker runs one shard-worker assignment to completion or until
 // ctx is canceled (graceful drain: in-flight cells finish their
 // cancellation poll, completed cells are already streamed, the bye
-// message closes the protocol). It is WorkerMain minus signal ownership —
-// the TCP agent runs many assignments in one process and cancels each
-// connection's worker independently.
-func RunWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("shard-worker", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	shardNo := fs.Int("shard", 0, "shard ordinal (for logs and trace spans)")
-	cellSpec := fs.String("cells", "", "cell index set to execute (e.g. 0-3,7,9-12)")
-	workers := fs.Int("workers", 1, "worker pool size inside this shard")
-	hb := fs.Duration("hb", defaultHeartbeatEvery, "heartbeat period on stdout")
-	hash := fs.String("hash", "", "expected MatrixHash of the expansion (verified)")
-	spans := fs.Bool("spans", false, "trace campaign spans and stream them back at drain")
-	sup := runcfg.BindSupervise(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if err := sup.Validate(); err != nil {
-		fmt.Fprintf(stderr, "shard-worker: %v\n", err)
-		return 2
-	}
-
-	m, err := campaign.Read(stdin)
-	if err != nil {
-		fmt.Fprintf(stderr, "shard-worker: matrix on stdin: %v\n", err)
-		return 2
-	}
-	cells, err := m.Expand()
+// message closes the protocol). It is the one worker entry: "tcfleet
+// shard-worker" calls it with the spec from its stdin and a
+// SIGTERM/SIGINT context, the TCP agent with the spec from its ftSpec
+// frame and a per-connection context. It returns the exit code: 0 on a
+// completed (or gracefully drained) shard — per-cell failures are
+// reported in-band as "fail" messages, not via the exit code — and 2
+// on an assignment that fails Spec.check.
+func RunWorker(ctx context.Context, spec Spec, stdout, stderr io.Writer) int {
+	subset, got, err := spec.check()
 	if err != nil {
 		fmt.Fprintf(stderr, "shard-worker: %v\n", err)
 		return 2
-	}
-	got := campaign.MatrixHash(cells)
-	if *hash != "" && got != *hash {
-		// The supervisor and this worker expanded different campaigns —
-		// running would poison the aggregate with mis-seeded cells.
-		fmt.Fprintf(stderr, "shard-worker: matrix hash mismatch: supervisor %.12s, local expansion %.12s\n", *hash, got)
-		return 2
-	}
-	indices, err := ParseIndexSet(*cellSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "shard-worker: %v\n", err)
-		return 2
-	}
-	subset := make([]campaign.Cell, 0, len(indices))
-	for _, idx := range indices {
-		if idx < 0 || idx >= len(cells) {
-			fmt.Fprintf(stderr, "shard-worker: cell index %d outside expansion (%d cells)\n", idx, len(cells))
-			return 2
-		}
-		subset = append(subset, cells[idx])
 	}
 
 	em := &emitter{w: stdout}
@@ -131,7 +74,7 @@ func RunWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 	hbStopped := make(chan struct{})
 	go func() {
 		defer close(hbStopped)
-		period := *hb
+		period := spec.HB
 		if period <= 0 {
 			period = defaultHeartbeatEvery
 		}
@@ -153,16 +96,16 @@ func RunWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 	// drain — the supervisor rebases them onto its own timeline and
 	// gives each shard its own pid row in the merged Chrome trace.
 	var tracer *obs.Tracer
-	if *spans {
+	if spec.Spans {
 		tracer = obs.NewTracer()
 	}
-	workSpan := tracer.Start(fmt.Sprintf("shard %d: cells %s", *shardNo, *cellSpec), "shard")
+	workSpan := tracer.Start(fmt.Sprintf("shard %d: %d cells", spec.Shard, len(subset)), "shard")
 
 	res, err := campaign.RunCells(ctx, subset, campaign.Options{
-		Workers:     *workers,
+		Workers:     spec.Workers,
 		Tracer:      tracer,
-		CellTimeout: sup.CellTimeout,
-		Retries:     sup.Retries,
+		CellTimeout: spec.CellTimeout,
+		Retries:     spec.Retries,
 		OnReport: func(cell campaign.Cell, r *profiling.RunReport) {
 			// A write error means the supervisor end of the pipe is gone;
 			// the remaining cells would be wasted work, but tearing down
@@ -191,4 +134,44 @@ func RunWorker(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 	}
 	em.send(message{Kind: "bye", Done: done.Load(), Failed: len(res.Errors)})
 	return 0
+}
+
+// check is the worker's whole validation of its assignment; it returns
+// the cells to run and the hash of the local expansion. A spec fails
+// when its supervision knobs are negative, its matrix does not read
+// (campaign.Read rejects unknown fields) or expands to another hash
+// than the supervisor's, or its cell indices are not strictly
+// ascending inside the expansion.
+func (s Spec) check() ([]campaign.Cell, string, error) {
+	if s.CellTimeout < 0 {
+		return nil, "", fmt.Errorf("negative cell timeout %v", s.CellTimeout)
+	}
+	if s.Retries < 0 {
+		return nil, "", fmt.Errorf("negative retry budget %d", s.Retries)
+	}
+	m, err := campaign.Read(bytes.NewReader(s.Matrix))
+	if err != nil {
+		return nil, "", err
+	}
+	cells, err := m.Expand()
+	if err != nil {
+		return nil, "", err
+	}
+	hash := campaign.MatrixHash(cells)
+	if s.Hash != "" && hash != s.Hash {
+		// The supervisor and this worker expanded different campaigns —
+		// running would poison the aggregate with mis-seeded cells.
+		return nil, "", fmt.Errorf("matrix hash mismatch: supervisor %.12s, local expansion %.12s", s.Hash, hash)
+	}
+	subset := make([]campaign.Cell, 0, len(s.Cells))
+	for i, idx := range s.Cells {
+		if idx < 0 || idx >= len(cells) {
+			return nil, "", fmt.Errorf("cell index %d outside expansion (%d cells)", idx, len(cells))
+		}
+		if i > 0 && idx <= s.Cells[i-1] {
+			return nil, "", fmt.Errorf("cell index %d after %d: indices must be strictly ascending", idx, s.Cells[i-1])
+		}
+		subset = append(subset, cells[idx])
+	}
+	return subset, hash, nil
 }

@@ -85,17 +85,15 @@ func E6OptionRanking(quick bool) *Table {
 	if err != nil {
 		panic(err)
 	}
-	signAgree, withMeas := 0, 0
+	signAgree, compared := 0, 0
 	for _, r := range ev.Ranking {
 		t.addRow(r.Row()...)
-		if r.MeaMean > 0 {
-			withMeas++
-			// Direction agreement; measured effects under 0.5 % are
-			// neutral (within the noise any estimate may call either way).
-			switch {
-			case r.MeaMean > 0.995 && r.MeaMean < 1.005:
-				signAgree++
-			case (r.EstMean >= 1) == (r.MeaMean >= 1):
+		// Direction agreement, over the options with a measured effect of
+		// at least 0.5 %: a smaller one is within the noise any estimate
+		// may call either way, so it neither agrees nor disagrees.
+		if r.MeaMean > 0 && (r.MeaMean <= 0.995 || r.MeaMean >= 1.005) {
+			compared++
+			if (r.EstMean >= 1) == (r.MeaMean >= 1) {
 				signAgree++
 			}
 		}
@@ -110,8 +108,9 @@ func E6OptionRanking(quick bool) *Table {
 		}
 		t.note("top option: %s (%s)", best.Option.Name, best.Option.Desc)
 	}
-	if withMeas > 0 {
-		t.Metrics["est_sign_agreement"] = float64(signAgree) / float64(withMeas)
+	t.Metrics["est_sign_compared"] = float64(compared)
+	if compared > 0 {
+		t.Metrics["est_sign_agreement"] = float64(signAgree) / float64(compared)
 	}
 	t.note("the ranking reproduces the paper's claim: CPU→flash path options dominate gain/cost")
 	return t

@@ -77,6 +77,9 @@ func TestE6RankingShape(t *testing.T) {
 	if a := tb.Metrics["est_sign_agreement"]; a < 0.7 {
 		t.Errorf("analytical estimates agree with measurement only %v of the time", a)
 	}
+	if n := tb.Metrics["est_sign_compared"]; n < 2 {
+		t.Errorf("only %v options measured outside the ±0.5 %% band; the sign agreement compares too few", n)
+	}
 }
 
 func TestE7FlashLeverShape(t *testing.T) {

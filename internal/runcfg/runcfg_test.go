@@ -2,10 +2,8 @@ package runcfg
 
 import (
 	"flag"
-	"io"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestValidate(t *testing.T) {
@@ -118,82 +116,5 @@ func TestBindBaseKeepsNonFlagFields(t *testing.T) {
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBindSupervise(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	s := BindSupervise(fs)
-	if err := fs.Parse([]string{"-celltimeout", "30s", "-retries", "3"}); err != nil {
-		t.Fatal(err)
-	}
-	if s.CellTimeout != 30*time.Second || s.Retries != 3 {
-		t.Fatalf("parsed supervise = %+v", *s)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []Supervise{{CellTimeout: -time.Second}, {Retries: -1}} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Supervise %+v validated", bad)
-		}
-	}
-}
-
-// TestBindShardTimingValidation: the shard flag cross-checks. Remote
-// workers must authenticate, and a key file without agents is a
-// mistake worth reporting. Supervision timing has no flags: the hang
-// budget is counted in heartbeat periods, so no timing rule can be
-// broken.
-func TestBindShardTimingValidation(t *testing.T) {
-	parse := func(t *testing.T, args ...string) *Shard {
-		t.Helper()
-		fs := flag.NewFlagSet("x", flag.ContinueOnError)
-		s := BindShard(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
-	// Good configurations.
-	for _, args := range [][]string{
-		nil,
-		{"-shards", "4"},
-		{"-agents", "h1:9001,h2:9001", "-keyfile", "key"},
-	} {
-		if err := parse(t, args...).Validate(); err != nil {
-			t.Errorf("Validate(%v) = %v, want ok", args, err)
-		}
-	}
-
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-agents", "h1:9001"}, "requires -keyfile"},
-		{[]string{"-keyfile", "key"}, "no effect without -agents"},
-	} {
-		err := parse(t, tc.args...).Validate()
-		if err == nil {
-			t.Errorf("Validate(%v) accepted, want error mentioning %q", tc.args, tc.want)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Validate(%v) = %v, want mention of %q", tc.args, err, tc.want)
-		}
-	}
-
-	if err := (Shard{ShardRetries: -1}).Validate(); err != nil {
-		t.Errorf("zero-value Shard rejected: %v", err)
-	}
-	// The timing flags are gone, not ignored.
-	for _, name := range []string{"hb", "hbtimeout", "draintimeout"} {
-		fs := flag.NewFlagSet("x", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		BindShard(fs)
-		if err := fs.Parse([]string{"-" + name, "1s"}); err == nil {
-			t.Errorf("-%s parsed; the flag should be unknown", name)
-		}
 	}
 }
