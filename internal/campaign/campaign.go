@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -89,10 +90,22 @@ func (m Matrix) withDefaults() Matrix {
 	return m
 }
 
-// Size returns the number of cells the matrix expands to.
+// maxCells bounds a matrix's expansion: far beyond any fleet campaign,
+// small enough that expanding one never exhausts a worker's memory.
+const maxCells = 1 << 16
+
+// Size returns the number of cells the matrix expands to, saturating at
+// math.MaxInt rather than overflowing.
 func (m Matrix) Size() int {
 	m = m.withDefaults()
-	return m.Seeds * len(m.SoCs) * len(m.Mixes) * len(m.Faults) * len(m.Resolutions)
+	n := m.Seeds
+	for _, d := range []int{len(m.SoCs), len(m.Mixes), len(m.Faults), len(m.Resolutions)} {
+		if n > math.MaxInt/d {
+			return math.MaxInt
+		}
+		n *= d
+	}
+	return n
 }
 
 // idToken sanitizes a dimension value for use inside a cell ID (k=v
@@ -120,6 +133,10 @@ func (m Matrix) Expand() ([]Cell, error) {
 			m.Schema, MatrixSchemaVersion)
 	}
 	total := m.Size()
+	if total > maxCells {
+		return nil, fmt.Errorf("campaign: %d seeds × %d SoCs × %d mixes × %d faults × %d resolutions is more than %d cells",
+			m.Seeds, len(m.SoCs), len(m.Mixes), len(m.Faults), len(m.Resolutions), maxCells)
+	}
 	width := len(fmt.Sprint(total - 1))
 	if width < 4 {
 		width = 4

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,23 @@ func TestExpandRejectsBadCells(t *testing.T) {
 		if _, err := m.Expand(); err == nil {
 			t.Errorf("matrix %+v expanded without error", m)
 		}
+	}
+}
+
+// TestExpandBoundsSize: Size saturates instead of wrapping, and a matrix
+// past maxCells is an error before anything is allocated for it.
+func TestExpandBoundsSize(t *testing.T) {
+	huge := Matrix{Seeds: math.MaxInt, Mixes: []string{"lean", "engine"}}
+	if n := huge.Size(); n != math.MaxInt {
+		t.Errorf("Size of an overflowing matrix = %d, want math.MaxInt", n)
+	}
+	for _, m := range []Matrix{huge, {Seeds: 2_000_000_000}, {Seeds: maxCells + 1}} {
+		if _, err := m.Expand(); err == nil || !strings.Contains(err.Error(), "more than 65536 cells") {
+			t.Errorf("matrix of %d cells: err = %v, want the cell cap", m.Size(), err)
+		}
+	}
+	if n := (Matrix{Seeds: 4, Faults: []string{"clean", "everything"}}).Size(); n != 8 {
+		t.Errorf("Size = %d, want 8", n)
 	}
 }
 

@@ -682,6 +682,7 @@ func TestRunWorkerRejects(t *testing.T) {
 		{"negative retries", func(s *Spec) { s.Retries = -1 }, "negative retry budget"},
 		{"negative cell timeout", func(s *Spec) { s.CellTimeout = -time.Second }, "negative cell timeout"},
 		{"hash mismatch", func(s *Spec) { s.Hash = "not-the-real-hash" }, "hash mismatch"},
+		{"matrix past the cell cap", func(s *Spec) { s.Matrix = json.RawMessage(`{"seeds":2000000000}`) }, "more than 65536 cells"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := valid

@@ -12,7 +12,6 @@ import (
 	"math/bits"
 
 	"repro/internal/emem"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tmsg"
 )
@@ -113,38 +112,7 @@ type DAP struct {
 	FramesAbandoned uint64 // frames given up after DefaultMaxRetries
 	GarbageBytes    uint64 // staging bytes discarded hunting for a frame
 	BackoffCycles   uint64 // cycles spent waiting out NAK backoff windows
-
-	obs dapObs
-}
-
-// dapObs holds the link's metric handles (nil handles no-op when the DAP
-// is uninstrumented).
-type dapObs struct {
-	drained   *obs.Counter // dap.bytes_drained
-	delivered *obs.Counter // dap.frames_delivered
-	retries   *obs.Counter // dap.retries
-	abandoned *obs.Counter // dap.frames_abandoned
-	garbage   *obs.Counter // dap.garbage_bytes
-	backoff   *obs.Counter // dap.backoff_cycles
-	downCyc   *obs.Counter // dap.link_down_cycles
-}
-
-// Instrument publishes the tool-link metrics into reg: drained bytes,
-// delivered frames, and the NAK/retry/backoff loss totals. A nil registry
-// is a no-op.
-func (d *DAP) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	d.obs = dapObs{
-		drained:   reg.Counter("dap.bytes_drained"),
-		delivered: reg.Counter("dap.frames_delivered"),
-		retries:   reg.Counter("dap.retries"),
-		abandoned: reg.Counter("dap.frames_abandoned"),
-		garbage:   reg.Counter("dap.garbage_bytes"),
-		backoff:   reg.Counter("dap.backoff_cycles"),
-		downCyc:   reg.Counter("dap.link_down_cycles"),
-	}
+	LinkDownCycles  uint64 // cycles the link was down (no drain, no credit)
 }
 
 // New creates a DAP draining e against a cpuMHz core clock. An append
@@ -232,7 +200,7 @@ func (d *DAP) Tick(cycle uint64) {
 	d.next = cycle + 1
 	d.lastTick = cycle
 	if d.Fault != nil && d.Fault.Down(cycle) {
-		d.obs.downCyc.Inc()
+		d.LinkDownCycles++
 		return // link down: no drain, no credit — the bandwidth is lost
 	}
 	d.credit += bytesPerSecond
@@ -248,7 +216,6 @@ func (d *DAP) Tick(cycle uint64) {
 		d.drainBuf = b
 		d.Received = append(d.Received, b...)
 		d.TotalDrained += uint64(len(b))
-		d.obs.drained.Add(uint64(len(b)))
 		return
 	}
 	if n > 0 {
@@ -256,7 +223,6 @@ func (d *DAP) Tick(cycle uint64) {
 		d.drainBuf = b
 		d.staging = append(d.staging, b...)
 		d.TotalDrained += uint64(len(b))
-		d.obs.drained.Add(uint64(len(b)))
 	}
 	d.pump(cycle, false)
 }
@@ -301,7 +267,6 @@ func (d *DAP) pump(cycle uint64, flush bool) {
 		if ok && tmsg.ValidFrame(out) {
 			d.Received = append(d.Received, out...)
 			d.FramesDelivered++
-			d.obs.delivered.Inc()
 			d.inflight = nil
 			continue
 		}
@@ -309,13 +274,11 @@ func (d *DAP) pump(cycle uint64, flush bool) {
 		// NAK: the tool rejects the frame (bad CRC or nothing arrived).
 		d.attempts++
 		d.Retries++
-		d.obs.retries.Inc()
 		if d.attempts > DefaultMaxRetries {
 			// Give up — likely corrupted at the source (EMEM soft error),
 			// where retransmission re-reads the same bad bytes. The
 			// tool-side cumulative counters will account the loss.
 			d.FramesAbandoned++
-			d.obs.abandoned.Inc()
 			d.inflight = nil
 			continue
 		}
@@ -327,7 +290,6 @@ func (d *DAP) pump(cycle uint64, flush bool) {
 			wait := uint64(DefaultBackoffBase) << shift
 			d.retryAt = cycle + wait
 			d.BackoffCycles += wait
-			d.obs.backoff.Add(wait)
 			return
 		}
 	}
@@ -344,13 +306,11 @@ func (d *DAP) nextFrame() []byte {
 		i := bytes.IndexByte(buf, tmsg.FrameMarker)
 		if i < 0 {
 			d.GarbageBytes += uint64(len(buf))
-			d.obs.garbage.Add(uint64(len(buf)))
 			d.staging, d.stagePos = d.staging[:0], 0
 			return nil
 		}
 		if i > 0 {
 			d.GarbageBytes += uint64(i)
-			d.obs.garbage.Add(uint64(i))
 			d.stagePos += i
 			buf = buf[i:]
 		}
@@ -361,7 +321,6 @@ func (d *DAP) nextFrame() []byte {
 		if n == 0 {
 			// Implausible header: false marker. Skip one byte.
 			d.GarbageBytes++
-			d.obs.garbage.Inc()
 			d.stagePos++
 			continue
 		}
@@ -387,7 +346,6 @@ func (d *DAP) DrainAll() {
 			d.Received = append(d.Received, b...)
 		}
 		d.TotalDrained += uint64(len(b))
-		d.obs.drained.Add(uint64(len(b)))
 	}
 	if d.Reliable {
 		d.pump(d.lastTick, true)

@@ -129,6 +129,9 @@ func TestStallWindowStopsDrain(t *testing.T) {
 	for cy := uint64(5_000); cy < 6_000; cy++ {
 		d.Tick(cy)
 	}
+	if d.LinkDownCycles != 5_000 {
+		t.Errorf("LinkDownCycles = %d, want 5000", d.LinkDownCycles)
+	}
 	// 0.08 B/cycle × 1000 cycles ≈ 80 bytes: no catch-up burst.
 	if d.TotalDrained > 88 {
 		t.Fatalf("drained %d bytes in 1000 cycles after stall — credit accrued while down", d.TotalDrained)

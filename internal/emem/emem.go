@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/mem"
-	"repro/internal/obs"
 )
 
 // EMEM is the emulation memory.
@@ -46,38 +45,6 @@ type EMEM struct {
 	BytesDrained uint64
 	PeakLevel    uint32
 	SoftErrors   uint64 // injected trace-ring bit flips
-
-	obs ememObs
-}
-
-// ememObs holds the ring's metric handles (all nil when uninstrumented;
-// nil handles make every update a no-op).
-type ememObs struct {
-	level     *obs.Gauge   // emem.ring.level — current occupancy, bytes
-	peak      *obs.Gauge   // emem.ring.peak — high-water mark, bytes
-	overflows *obs.Counter // emem.ring.overflows — messages refused
-	msgs      *obs.Counter // emem.ring.msgs_written
-	written   *obs.Counter // emem.ring.bytes_written
-	drained   *obs.Counter // emem.ring.bytes_drained
-	softErrs  *obs.Counter // emem.soft_errors
-}
-
-// Instrument publishes the trace-ring metrics into reg: occupancy and
-// high-water gauges plus write/drain/overflow counters. A nil registry is
-// a no-op; the ring stays uninstrumented.
-func (e *EMEM) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	e.obs = ememObs{
-		level:     reg.Gauge("emem.ring.level"),
-		peak:      reg.Gauge("emem.ring.peak"),
-		overflows: reg.Counter("emem.ring.overflows"),
-		msgs:      reg.Counter("emem.ring.msgs_written"),
-		written:   reg.Counter("emem.ring.bytes_written"),
-		drained:   reg.Counter("emem.ring.bytes_drained"),
-		softErrs:  reg.Counter("emem.soft_errors"),
-	}
 }
 
 // New creates an EMEM of size bytes with the first overlayBytes reserved
@@ -116,7 +83,6 @@ func (e *EMEM) AppendTrace(msg []byte) bool {
 	}
 	if e.Backpressure || n > e.traceSize-e.level {
 		e.MsgsDropped++
-		e.obs.overflows.Inc()
 		return false
 	}
 	first := e.traceSize - e.head
@@ -134,11 +100,7 @@ func (e *EMEM) AppendTrace(msg []byte) bool {
 	e.BytesWritten += uint64(n)
 	if e.level > e.PeakLevel {
 		e.PeakLevel = e.level
-		e.obs.peak.Set(float64(e.level))
 	}
-	e.obs.msgs.Inc()
-	e.obs.written.Add(uint64(n))
-	e.obs.level.Set(float64(e.level))
 	if rose && e.OnRise != nil {
 		e.OnRise()
 	}
@@ -174,8 +136,6 @@ func (e *EMEM) DrainInto(dst []byte, n uint32) []byte {
 	e.tail = (e.tail + n) % e.traceSize
 	e.level -= n
 	e.BytesDrained += uint64(n)
-	e.obs.drained.Add(uint64(n))
-	e.obs.level.Set(float64(e.level))
 	return dst
 }
 
@@ -195,7 +155,6 @@ func (e *EMEM) CorruptBit(i uint32, bit uint8) {
 	b[0] ^= 1 << (bit & 7)
 	e.RAM.Write(mem.EMEMBase+e.traceBase+pos, b[:])
 	e.SoftErrors++
-	e.obs.softErrs.Inc()
 }
 
 // Page describes one calibration overlay redirection: accesses to the

@@ -33,6 +33,10 @@ func TestAppendDrainFIFO(t *testing.T) {
 	if got := e.Drain(10); !bytes.Equal(got, []byte{5}) {
 		t.Errorf("tail drain = %v", got)
 	}
+	if e.MsgsWritten != 2 || e.BytesWritten != 5 || e.BytesDrained != 5 || e.PeakLevel != 5 {
+		t.Errorf("stats: %d msgs, %d bytes written, %d drained, peak %d; want 2, 5, 5, 5",
+			e.MsgsWritten, e.BytesWritten, e.BytesDrained, e.PeakLevel)
+	}
 }
 
 func TestOverflowDropsWholeMessage(t *testing.T) {

@@ -1,7 +1,5 @@
 package isa
 
-import "repro/internal/obs"
-
 // This file is the decode-once half of the isa API. Decode remains the
 // one-word reference primitive (disassemblers and differential tests use
 // it); execution-facing consumers go through a Decoder, which amortizes
@@ -92,15 +90,6 @@ type Decoder struct {
 	max    int
 	gen    uint64 // bumped on every invalidation; consumers key hints on it
 	stats  DecoderStats
-
-	// obs export (nil handles are no-ops, so an uninstrumented Decoder
-	// pays only a nil check per event).
-	cHits          *obs.Counter
-	cMisses        *obs.Counter
-	cEvictions     *obs.Counter
-	cInvalidations *obs.Counter
-	cChainLinks    *obs.Counter
-	cChainSevers   *obs.Counter
 }
 
 // NewDecoder returns a Decoder caching at most maxBlocks blocks (FIFO
@@ -114,19 +103,6 @@ func NewDecoder(maxBlocks int) *Decoder {
 		fifo:   make([]uint32, 0, maxBlocks),
 		max:    maxBlocks,
 	}
-}
-
-// Instrument registers the decoder's cache-effectiveness counters on reg.
-// Safe on a nil registry (all handles stay nil no-ops). Counters are flat
-// (no shard/worker dimension), so Prometheus exposition passes the names
-// through unfolded.
-func (d *Decoder) Instrument(reg *obs.Registry) {
-	d.cHits = reg.Counter("isa_block_hits")
-	d.cMisses = reg.Counter("isa_block_misses")
-	d.cEvictions = reg.Counter("isa_block_evictions")
-	d.cInvalidations = reg.Counter("isa_block_invalidations")
-	d.cChainLinks = reg.Counter("isa_block_chain_links")
-	d.cChainSevers = reg.Counter("isa_block_chain_severs")
 }
 
 // Stats returns the cache traffic counters.
@@ -147,11 +123,9 @@ func (d *Decoder) Gen() uint64 { return d.gen }
 func (d *Decoder) Block(pc uint32, word func(addr uint32) uint32) *Block {
 	if b, ok := d.blocks[pc]; ok {
 		d.stats.Hits++
-		d.cHits.Inc()
 		return b
 	}
 	d.stats.Misses++
-	d.cMisses.Inc()
 	b := d.build(pc, word)
 	d.insert(b)
 	return b
@@ -184,7 +158,6 @@ func (d *Decoder) Next(from *Block, pc uint32, word func(addr uint32) uint32) *B
 		from.nlinks++
 		b.preds = append(b.preds, from)
 		d.stats.ChainLinks++
-		d.cChainLinks.Inc()
 	}
 	return b
 }
@@ -222,7 +195,6 @@ func (d *Decoder) insert(b *Block) {
 			d.unlink(vb)
 			delete(d.blocks, victim)
 			d.stats.Evictions++
-			d.cEvictions.Inc()
 		}
 	}
 	d.blocks[b.PC] = b
@@ -238,7 +210,6 @@ func (d *Decoder) unlink(b *Block) {
 		for i := 0; i < int(p.nlinks); i++ {
 			if p.links[i].b == b {
 				d.stats.ChainSevers++
-				d.cChainSevers.Inc()
 				continue
 			}
 			p.links[w] = p.links[i]
@@ -260,7 +231,6 @@ func (d *Decoder) unlink(b *Block) {
 		}
 		b.links[i] = chainLink{}
 		d.stats.ChainSevers++
-		d.cChainSevers.Inc()
 	}
 	b.nlinks = 0
 }
@@ -273,7 +243,6 @@ func (d *Decoder) severAllLinks() {
 	for _, b := range d.blocks {
 		n := uint64(b.nlinks)
 		d.stats.ChainSevers += n
-		d.cChainSevers.Add(n)
 		for i := 0; i < int(b.nlinks); i++ {
 			b.links[i] = chainLink{}
 		}
@@ -288,7 +257,6 @@ func (d *Decoder) severAllLinks() {
 func (d *Decoder) InvalidateAll() {
 	d.gen++
 	d.stats.Invalidations++
-	d.cInvalidations.Inc()
 	if len(d.blocks) == 0 {
 		d.fifo = d.fifo[:0]
 		return
@@ -309,7 +277,6 @@ func (d *Decoder) InvalidateRange(addr uint32, n uint32) {
 	}
 	d.gen++
 	d.stats.Invalidations++
-	d.cInvalidations.Inc()
 	// Any generation bump invalidates every link (consumers key chain hints
 	// on the generation), so sever them all rather than only those touching
 	// dropped blocks — a survivor's stale-generation links would otherwise

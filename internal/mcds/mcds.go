@@ -34,7 +34,6 @@ import (
 	"fmt"
 
 	"repro/internal/emem"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tmsg"
 	"repro/internal/tricore"
@@ -104,42 +103,14 @@ type MCDS struct {
 	MsgsEmitted  uint64
 	BytesEmitted uint64
 	MsgsLost     uint64
+	Reanchors    uint64                  // Sync messages emitted
+	SrcMsgs      [tmsg.MaxSources]uint64 // messages emitted per trace source
 
 	// wake is the clock's handle on the MCDS (nil until attached).
 	// everyCycle pins it to a tick on every cycle: watchdogs, comparators,
 	// state machines, trigger rules and the register file all need one.
 	wake       *sim.Waker
 	everyCycle bool
-
-	obs mcdsObs
-}
-
-// mcdsObs holds the emitter's metric handles (nil handles no-op when the
-// MCDS is uninstrumented).
-type mcdsObs struct {
-	msgs      *obs.Counter // mcds.msgs_emitted
-	bytes     *obs.Counter // mcds.bytes_emitted
-	lost      *obs.Counter // mcds.msgs_lost
-	reanchors *obs.Counter // mcds.reanchors — Sync messages emitted
-	bySrc     [tmsg.MaxSources]*obs.Counter
-}
-
-// Instrument publishes the trace-emitter metrics into reg: total and
-// per-source message counts, emitted bytes, losses, and re-anchor (Sync)
-// emissions. A nil registry is a no-op.
-func (m *MCDS) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	m.obs = mcdsObs{
-		msgs:      reg.Counter("mcds.msgs_emitted"),
-		bytes:     reg.Counter("mcds.bytes_emitted"),
-		lost:      reg.Counter("mcds.msgs_lost"),
-		reanchors: reg.Counter("mcds.reanchors"),
-	}
-	for i := range m.obs.bySrc {
-		m.obs.bySrc[i] = reg.Counter(fmt.Sprintf("mcds.src%d.msgs", i))
-	}
 }
 
 // New creates an empty MCDS writing to sink (which may be nil).
@@ -378,7 +349,6 @@ func (m *MCDS) lose(msg *tmsg.Msg) {
 		return
 	}
 	m.MsgsLost++
-	m.obs.lost.Inc()
 	m.pendingLost++
 }
 
@@ -411,7 +381,6 @@ func (m *MCDS) store(msg *tmsg.Msg) bool {
 // Overflow marker and every source re-anchors its delta state.
 func (m *MCDS) noteFrameDrop(n uint64) {
 	m.MsgsLost += n
-	m.obs.lost.Add(n)
 	m.pendingLost += n
 	for i := range m.needSync {
 		m.needSync[i] = true
@@ -422,11 +391,9 @@ func (m *MCDS) noteFrameDrop(n uint64) {
 func (m *MCDS) account(msg *tmsg.Msg) {
 	m.MsgsEmitted++
 	m.BytesEmitted += uint64(len(m.scratch))
-	m.obs.msgs.Inc()
-	m.obs.bytes.Add(uint64(len(m.scratch)))
-	m.obs.bySrc[msg.Src].Inc()
+	m.SrcMsgs[msg.Src]++
 	if msg.Kind == tmsg.KindSync {
-		m.obs.reanchors.Inc()
+		m.Reanchors++
 	}
 	if m.OnEmit != nil {
 		m.emitted = *msg

@@ -116,6 +116,20 @@ func TestOverflowReanchorInvariant(t *testing.T) {
 		t.Fatalf("overflow markers report %d lost, MCDS counted %d",
 			reportedLost, m.MsgsLost)
 	}
+
+	// The per-source and Sync counts agree with the stored stream.
+	var bySrc [tmsg.MaxSources]uint64
+	var syncs uint64
+	for _, msg := range mirror {
+		bySrc[msg.Src]++
+		if msg.Kind == tmsg.KindSync {
+			syncs++
+		}
+	}
+	if bySrc != m.SrcMsgs || syncs != m.Reanchors || syncs <= 2 {
+		t.Errorf("SrcMsgs %v, Reanchors %d; the stream has %v and %d Syncs (more than the first 2)",
+			m.SrcMsgs, m.Reanchors, bySrc, syncs)
+	}
 }
 
 // TestFramedOverflowIsQuantified checks the framed path end to end at unit

@@ -5,9 +5,10 @@
 // The paper instruments the TriCore with the MCDS — non-intrusive
 // counters, cheap always-on rates, structured export. This package applies
 // the same discipline to the simulator/trace pipeline itself, which we are
-// scaling toward fleet-sized workloads: every hot layer (clock, EMEM ring,
-// DAP link, MCDS emitter) publishes counters through handles that cost one
-// atomic add when enabled and one nil check when disabled.
+// scaling toward fleet-sized workloads. The simulator clock holds handles
+// that cost one atomic add when enabled and one nil check when disabled;
+// the trace path (EMEM ring, MCDS emitter, DAP link, block decoder) keeps
+// plain statistics that the profiling session publishes into a registry.
 //
 // Disabled path: the nil *Registry (obs.Disabled) hands out nil metric
 // handles, and every method on a nil handle is a no-op. Hot loops therefore

@@ -125,10 +125,11 @@ type Spec struct {
 	// message carries its actual basis.
 	Degrade *DegradePolicy
 
-	// Obs, when non-nil, instruments the whole pipeline — simulator clock,
-	// EMEM ring, DAP link, MCDS emitter — with self-observability metrics.
-	// Overhead is one atomic update per already-expensive operation; the
-	// nil (obs.Disabled) registry costs one nil check per call site.
+	// Obs, when non-nil, receives the pipeline's self-observability
+	// metrics: the simulator clock's own, and the session's table of the
+	// EMEM ring, MCDS emitter, DAP link and block decoder statistics, read
+	// from their plain counters after every RunCancelEvery-cycle chunk of
+	// Run and once more in Result. A nil registry costs nothing.
 	Obs *obs.Registry
 
 	// Tracer, when non-nil, records the session phases (run → drain →
@@ -160,6 +161,7 @@ type Session struct {
 	cpuObs   *mcds.CoreObs
 	pcpObs   *mcds.CoreObs
 	cpu1Obs  *mcds.CoreObs
+	metrics  []metric // published into spec.Obs; nil without a registry
 }
 
 // NewSession programs an MCDS for spec on s (which must be an ED variant —
@@ -283,12 +285,7 @@ func newSession(s *soc.SoC, spec Spec, attach func(string, sim.Ticker)) *Session
 	}
 
 	if spec.Obs != nil {
-		s.EMEM.Instrument(spec.Obs)
-		s.Decoder.Instrument(spec.Obs)
-		m.Instrument(spec.Obs)
-		if sess.DAP != nil {
-			sess.DAP.Instrument(spec.Obs)
-		}
+		sess.metrics = newMetrics(spec.Obs, s, m, sess.DAP)
 		s.Clock.Instrument(spec.Obs, 0)
 	}
 	return sess
@@ -338,6 +335,7 @@ func (sess *Session) Run(ctx context.Context, app Runner, cycles uint64) error {
 			chunk = RunCancelEvery
 		}
 		app.RunFor(chunk)
+		publish(sess.metrics)
 		done += chunk
 	}
 	return nil
@@ -493,6 +491,7 @@ func (sess *Session) Result(appName string) (*Profile, error) {
 		raw = sess.SoC.EMEM.Drain(sess.SoC.EMEM.Level())
 	}
 	drainSp.End()
+	publish(sess.metrics) // the drain is the trace path's last change
 
 	// Decode: parse the received byte stream into messages.
 	decodeSp := tr.Start("decode", "pipeline")
