@@ -378,6 +378,12 @@ func runCampaign(args []string) error {
 	case *journalDir != "":
 		opt.JournalDir = *journalDir
 	}
+	// Expanding validates the matrix, so a bad one is refused before
+	// anything is announced, served or spawned.
+	cells, err := m.Expand()
+	if err != nil {
+		return err
+	}
 	if tel.TracePath != "" {
 		opt.Tracer = obs.NewTracer()
 	}
@@ -418,7 +424,7 @@ func runCampaign(args []string) error {
 		fmt.Fprintf(os.Stderr, "tcfleet: telemetry at http://%s  (/metrics /metrics/prom /status /events)\n", telAddr)
 	}
 
-	fmt.Fprintf(os.Stderr, "tcfleet: campaign %q: %d cells\n", m.Name, m.Size())
+	fmt.Fprintf(os.Stderr, "tcfleet: campaign %q: %d cells\n", m.Name, len(cells))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -431,7 +437,7 @@ func runCampaign(args []string) error {
 	if len(agentPool) > 0 && shards == 0 {
 		shards = len(agentPool)
 	}
-	if n := m.Size(); shards > n && n > 0 {
+	if n := len(cells); shards > n && n > 0 {
 		fmt.Fprintf(os.Stderr, "tcfleet: clamping -shards %d to %d (one shard per cell; empty workers would only add supervision overhead)\n", shards, n)
 		shards = n
 	}

@@ -181,3 +181,34 @@ func TestShardWorkerTakesNoArguments(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesBadMatrixQuietly: a matrix that does not expand is
+// refused before anything is announced, served or spawned — the error
+// main prints is the whole output.
+func TestRunRefusesBadMatrixQuietly(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seeds", "2000000000"},
+		{"-seeds", "2000000000", "-shards", "2"},
+		{"-mixes", "lean,bogus"},
+	} {
+		f, err := os.CreateTemp(t.TempDir(), "stderr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = f
+		err = runCampaign(args)
+		os.Stderr = stderr
+		f.Close()
+		out, rerr := os.ReadFile(f.Name())
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err == nil {
+			t.Errorf("%q: run succeeded", args)
+		}
+		if len(out) != 0 {
+			t.Errorf("%q: printed %q before the error %v", args, out, err)
+		}
+	}
+}

@@ -37,10 +37,11 @@ func BytesPerMCycle(cpuMHz uint64) uint64 {
 // LinkFault injects transport faults into the DAP connection. The fault
 // injector (internal/fault) implements it; a nil fault is a perfect link.
 type LinkFault interface {
-	// Down reports whether the link is unusable this cycle (cable stall /
-	// disconnect window). A down link drains nothing and earns no credit:
+	// UpAt returns the first cycle at or after cycle on which the link is
+	// usable: cycle itself, or the end of the cable stall / disconnect
+	// window covering it. A down link drains nothing and earns no credit:
 	// the bandwidth is simply lost.
-	Down(cycle uint64) bool
+	UpAt(cycle uint64) uint64
 	// Transmit filters one frame on its way to the tool. It returns the
 	// bytes as received — possibly corrupted or truncated — and false when
 	// the frame vanished entirely.
@@ -83,7 +84,7 @@ type DAP struct {
 	Reliable bool
 	// Fault, when non-nil, injects link faults (nil = perfect link). On a
 	// clock, the fault must call Wake whenever a link-down window opens:
-	// the DAP may be asleep, and every down cycle must be seen.
+	// the DAP may be asleep, and must tick on the window's first cycle.
 	Fault LinkFault
 
 	hz           uint64 // CPU clock in Hz: a cycle earns bytesPerSecond credit, a byte costs hz
@@ -106,13 +107,17 @@ type DAP struct {
 	next   uint64
 	parked bool // asleep until the ring rises or the link goes down
 
+	// Link-down accounting: linkDown cycles of closed windows, and the
+	// latest window [downFrom, downTo), whose cycles count as they pass.
+	linkDown         uint64
+	downFrom, downTo uint64
+
 	// Statistics.
 	FramesDelivered uint64
 	Retries         uint64 // NAKed transmission attempts
 	FramesAbandoned uint64 // frames given up after DefaultMaxRetries
 	GarbageBytes    uint64 // staging bytes discarded hunting for a frame
 	BackoffCycles   uint64 // cycles spent waiting out NAK backoff windows
-	LinkDownCycles  uint64 // cycles the link was down (no drain, no credit)
 }
 
 // New creates a DAP draining e against a cpuMHz core clock. An append
@@ -130,8 +135,8 @@ func (d *DAP) BindWake(w *sim.Waker) {
 	d.next = w.Cycle()
 }
 
-// NextWake implements sim.Sleeper. The DAP is due every cycle of a
-// link-down window (each one is counted and earns no credit) and parks
+// NextWake implements sim.Sleeper. The DAP sleeps through a link-down
+// window (its cycles earn no credit and count as they pass) and parks
 // while the ring, the staging buffer and the in-flight frame are all
 // empty. Otherwise it is due on the next cycle a byte comes due, or a
 // NAKed frame's retry, whichever is first. Nothing else happens between
@@ -142,8 +147,8 @@ func (d *DAP) NextWake(from uint64) uint64 {
 	if d.wake == nil {
 		return from // not bound yet: BindWake sets the accrual start
 	}
-	if d.Fault != nil && d.Fault.Down(from) {
-		return from
+	if d.Fault != nil {
+		from = d.Fault.UpAt(from)
 	}
 	next := sim.NoWake
 	if d.Emem.Level() > 0 || d.stagePos < len(d.staging) || d.inflight != nil {
@@ -193,16 +198,33 @@ func (d *DAP) creditAt(from uint64) uint64 {
 	return rem
 }
 
+// LinkDownCycles returns the cycles the link has been down (no drain, no
+// credit) up to the clock's current cycle, or past the last Tick when the
+// DAP is driven without a clock.
+func (d *DAP) LinkDownCycles() uint64 {
+	now := max(d.lastTick+1, d.wake.Cycle())
+	return d.linkDown + min(now, d.downTo) - d.downFrom
+}
+
 // Tick implements sim.Ticker: accumulate fractional byte credit per CPU
 // cycle and drain whole bytes.
 func (d *DAP) Tick(cycle uint64) {
 	d.credit = d.creditAt(cycle)
-	d.next = cycle + 1
 	d.lastTick = cycle
-	if d.Fault != nil && d.Fault.Down(cycle) {
-		d.LinkDownCycles++
-		return // link down: no drain, no credit — the bandwidth is lost
+	if d.Fault != nil {
+		if up := d.Fault.UpAt(cycle); up > cycle {
+			// Link down: no drain, no credit — the bandwidth is lost.
+			// Credit accrues again from up.
+			if cycle >= d.downTo {
+				d.linkDown += d.downTo - d.downFrom
+				d.downFrom = cycle
+			}
+			d.downTo = up
+			d.next = up
+			return
+		}
 	}
+	d.next = cycle + 1
 	d.credit += bytesPerSecond
 	n := d.credit / d.hz
 	if n > 0 {

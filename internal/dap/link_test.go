@@ -38,7 +38,7 @@ type flakyLink struct {
 	downUntil uint64
 }
 
-func (l *flakyLink) Down(cycle uint64) bool { return cycle < l.downUntil }
+func (l *flakyLink) UpAt(cycle uint64) uint64 { return max(cycle, l.downUntil) }
 
 func (l *flakyLink) Transmit(_ uint64, frame []byte) ([]byte, bool) {
 	l.attempt++
@@ -129,8 +129,8 @@ func TestStallWindowStopsDrain(t *testing.T) {
 	for cy := uint64(5_000); cy < 6_000; cy++ {
 		d.Tick(cy)
 	}
-	if d.LinkDownCycles != 5_000 {
-		t.Errorf("LinkDownCycles = %d, want 5000", d.LinkDownCycles)
+	if d.LinkDownCycles() != 5_000 {
+		t.Errorf("LinkDownCycles = %d, want 5000", d.LinkDownCycles())
 	}
 	// 0.08 B/cycle × 1000 cycles ≈ 80 bytes: no catch-up burst.
 	if d.TotalDrained > 88 {

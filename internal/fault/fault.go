@@ -68,9 +68,9 @@ func (p *Plan) Active() bool {
 }
 
 // Injector executes a Plan against a running pipeline. It ticks on the
-// simulation clock (stall/jam window bookkeeping, soft-error flips) and
-// doubles as the DAP's LinkFault. All methods are deterministic in
-// (plan, seed, cycle sequence).
+// simulation clock (stall/jam window bookkeeping, soft-error flips),
+// sleeping between window events, and doubles as the DAP's LinkFault.
+// All methods are deterministic in (plan, seed, cycle sequence).
 type Injector struct {
 	Plan Plan
 	Emem *emem.EMEM
@@ -82,9 +82,21 @@ type Injector struct {
 	stallUntil uint64
 	jamUntil   uint64
 
+	// Window-draw cursor. The stall and jam draws of every cycle before
+	// drawn are made on winRNG. NextWake draws ahead on a copy: ahead is
+	// winRNG's state once the draws of every cycle before aheadAt are
+	// made, none of them opening a window; aheadOK says it was drawn from
+	// the current cursor. bound is set once a clock schedules the
+	// injector; unbound, it is ticked every cycle.
+	bound   bool
+	drawn   uint64
+	ahead   sim.RNG
+	aheadAt uint64
+	aheadOK bool
+
 	// Drain, when set, is woken when a stall window opens, before its
-	// drain of that cycle: the DAP may be asleep, and must see every down
-	// cycle.
+	// drain of that cycle: the DAP may be asleep, and must see the window
+	// open.
 	Drain interface{ Wake() }
 
 	// Statistics.
@@ -111,12 +123,20 @@ func New(plan Plan, e *emem.EMEM) *Injector {
 	}
 }
 
+// maxLookahead bounds how far NextWake draws ahead, so a tiny window
+// probability costs a wake every maxLookahead cycles, not an unbounded
+// scan.
+const maxLookahead = 1 << 16
+
 // Tick implements sim.Ticker: advance fault windows and inject soft
 // errors. Attach it to the clock before the DAP so a stall window opened
 // at cycle c already blocks that cycle's drain.
 func (in *Injector) Tick(cycle uint64) {
+	if in.bound && in.drawn < cycle {
+		in.catchUp(cycle)
+	}
 	p := &in.Plan
-	if p.Link.StallProb > 0 && cycle >= in.stallUntil && in.winRNG.Bool(p.Link.StallProb) {
+	if in.stallDraws(cycle) && in.winRNG.Bool(p.Link.StallProb) {
 		n := windowLen(in.winRNG, p.Link.StallMin, p.Link.StallMax)
 		in.stallUntil = cycle + n
 		in.Stalls++
@@ -125,7 +145,7 @@ func (in *Injector) Tick(cycle uint64) {
 			in.Drain.Wake()
 		}
 	}
-	if p.Fifo.JamProb > 0 && in.Emem != nil {
+	if in.jamming() {
 		if cycle >= in.jamUntil && in.winRNG.Bool(p.Fifo.JamProb) {
 			n := windowLen(in.winRNG, p.Fifo.JamMin, p.Fifo.JamMax)
 			in.jamUntil = cycle + n
@@ -140,6 +160,80 @@ func (in *Injector) Tick(cycle uint64) {
 		in.Emem.CorruptBit(i, uint8(in.memRNG.Intn(8)))
 		in.BitFlips++
 	}
+	in.drawn = cycle + 1
+	in.aheadOK = false
+}
+
+// BindWake implements sim.WakeBinder: the window draws start on the
+// cycle the injector is attached on.
+func (in *Injector) BindWake(w *sim.Waker) {
+	in.bound = true
+	in.drawn = w.Cycle()
+}
+
+// NextWake implements sim.Sleeper. The window draws depend only on the
+// injector's own RNG and windows, so it draws ahead to the first cycle a
+// stall or jam window opens, or a jam closes (Backpressure clears), at
+// most maxLookahead cycles on. A soft-error plan ticks every cycle: its
+// draw is gated on the ring level, which the injector does not own (a
+// session attaches such an injector as a plain, unbound ticker).
+func (in *Injector) NextWake(from uint64) uint64 {
+	if !in.bound || in.Plan.Mem.FlipProb > 0 {
+		return from
+	}
+	if in.Plan.Link.StallProb == 0 && !in.jamming() {
+		return sim.NoWake
+	}
+	limit := in.drawn + maxLookahead
+	// A jam's close tick is a wake even when it is the next cycle to
+	// draw (a one-cycle jam, or a stall opened on a jam's last cycle).
+	if in.jamming() && in.jamUntil >= in.drawn {
+		limit = min(limit, in.jamUntil)
+	}
+	in.lookahead(limit)
+	return in.aheadAt
+}
+
+// jamming reports whether the plan draws jam windows.
+func (in *Injector) jamming() bool { return in.Plan.Fifo.JamProb > 0 && in.Emem != nil }
+
+// stallDraws and jamDraws report whether cycle c makes a stall or a jam
+// draw: one is made on every cycle outside an open window.
+func (in *Injector) stallDraws(c uint64) bool {
+	return in.Plan.Link.StallProb > 0 && c >= in.stallUntil
+}
+
+func (in *Injector) jamDraws(c uint64) bool { return in.jamming() && c >= in.jamUntil }
+
+// lookahead draws on a copy of winRNG from the cursor up to limit, or up
+// to the first cycle whose draws open a window, and caches where it
+// stopped. Tick(c) then makes that cycle's draws on the real RNG.
+func (in *Injector) lookahead(limit uint64) {
+	r := *in.winRNG
+	c := in.drawn
+	for ; c < limit; c++ {
+		s := r
+		if in.stallDraws(c) && s.Bool(in.Plan.Link.StallProb) ||
+			in.jamDraws(c) && s.Bool(in.Plan.Fifo.JamProb) {
+			break
+		}
+		r = s
+	}
+	in.ahead, in.aheadAt, in.aheadOK = r, c, true
+}
+
+// catchUp makes the window draws of the cycles [drawn, cycle) the
+// injector slept through. None of them opens a window, or the wake would
+// have come earlier; an early wake redraws from the cursor.
+func (in *Injector) catchUp(cycle uint64) {
+	if !in.aheadOK || in.aheadAt != cycle {
+		in.lookahead(cycle)
+		if in.aheadAt != cycle {
+			panic(fmt.Sprintf("fault: a window opened on cycle %d, which the injector slept through", in.aheadAt))
+		}
+	}
+	*in.winRNG = in.ahead
+	in.drawn = cycle
 }
 
 func windowLen(rng *sim.RNG, lo, hi uint64) uint64 {
@@ -152,8 +246,9 @@ func windowLen(rng *sim.RNG, lo, hi uint64) uint64 {
 	return lo + uint64(rng.Intn(int(hi-lo)+1))
 }
 
-// Down implements dap.LinkFault.
-func (in *Injector) Down(cycle uint64) bool { return cycle < in.stallUntil }
+// UpAt implements dap.LinkFault: the link is down until the open stall
+// window closes.
+func (in *Injector) UpAt(cycle uint64) uint64 { return max(cycle, in.stallUntil) }
 
 // Transmit implements dap.LinkFault: possibly drop, truncate or corrupt
 // the frame. The input slice is never mutated.

@@ -41,8 +41,9 @@ type SRN struct {
 	Prio     uint32 // service request priority number (higher wins; 0 invalid)
 	Provider Provider
 	Vector   uint32 // handler address (ToCPU), channel entry (ToPCP), channel id (ToDMA)
-	Enabled  bool
 
+	r       *Router
+	enabled bool
 	pending bool
 
 	// Statistics.
@@ -54,6 +55,11 @@ type SRN struct {
 // Router arbitrates SRNs per provider.
 type Router struct {
 	srns []*SRN
+
+	// top[prov] is the highest-priority pending enabled SRN for prov, or
+	// nil. Request, ack, take and enable changes keep it current, so a
+	// provider's per-cycle arbitration compares one priority.
+	top [4]*SRN
 
 	// onRequest[prov] is called on every pending-flag rise for prov.
 	// Wake-scheduled providers (PCP, DMA) register here so a request
@@ -76,9 +82,18 @@ func (r *Router) AddSRN(name string, prio uint32, prov Provider, vector uint32) 
 				prio, prov, s.Name, name))
 		}
 	}
-	s := &SRN{Name: name, Prio: prio, Provider: prov, Vector: vector, Enabled: true}
+	s := &SRN{Name: name, Prio: prio, Provider: prov, Vector: vector, r: r, enabled: true}
 	r.srns = append(r.srns, s)
 	return s
+}
+
+// SetEnabled enables or disables the node. A disabled node keeps its
+// request flag but does not arbitrate.
+func (s *SRN) SetEnabled(on bool) {
+	if s.enabled != on {
+		s.enabled = on
+		s.r.retop(s.Provider)
+	}
 }
 
 // Request raises a service request on s. Raising while already pending is
@@ -91,6 +106,9 @@ func (r *Router) Request(s *SRN) {
 		return
 	}
 	s.pending = true
+	if t := r.top[s.Provider]; s.enabled && (t == nil || s.Prio > t.Prio) {
+		r.top[s.Provider] = s
+	}
 	if fn := r.onRequest[s.Provider]; fn != nil {
 		fn()
 	}
@@ -103,22 +121,28 @@ func (r *Router) OnRequest(prov Provider, fn func()) { r.onRequest[prov] = fn }
 
 // HasPending reports whether any enabled SRN for prov is awaiting service
 // (the provider-side idle test for wake scheduling).
-func (r *Router) HasPending(prov Provider) bool {
-	return r.highestPending(prov, 0) != nil
-}
+func (r *Router) HasPending(prov Provider) bool { return r.top[prov] != nil }
 
-// highestPending returns the pending enabled SRN with the highest priority
-// strictly above floor for the provider, or nil.
-func (r *Router) highestPending(prov Provider, floor uint32) *SRN {
+// retop rescans prov's nodes for its highest-priority pending enabled SRN.
+func (r *Router) retop(prov Provider) {
 	var best *SRN
 	for _, s := range r.srns {
-		if s.Provider == prov && s.Enabled && s.pending && s.Prio > floor {
+		if s.Provider == prov && s.enabled && s.pending {
 			if best == nil || s.Prio > best.Prio {
 				best = s
 			}
 		}
 	}
-	return best
+	r.top[prov] = best
+}
+
+// service clears s's request flag: the provider accepted it.
+func (r *Router) service(s *SRN) {
+	s.pending = false
+	s.Services++
+	if r.top[s.Provider] == s {
+		r.retop(s.Provider)
+	}
 }
 
 // CPUView adapts the router to the tricore.InterruptSource interface for
@@ -133,7 +157,7 @@ func (r *Router) View(prov Provider) *CPUView { return &CPUView{r: r, prov: prov
 
 // PendingIRQ implements tricore.InterruptSource.
 func (v *CPUView) PendingIRQ(cur uint32) (uint32, uint32, bool) {
-	if s := v.r.highestPending(v.prov, cur); s != nil {
+	if s := v.r.top[v.prov]; s != nil && s.Prio > cur {
 		return s.Prio, s.Vector, true
 	}
 	return 0, 0, false
@@ -144,8 +168,7 @@ func (v *CPUView) PendingIRQ(cur uint32) (uint32, uint32, bool) {
 func (v *CPUView) AckIRQ(prio uint32) {
 	for _, s := range v.r.srns {
 		if s.Provider == v.prov && s.Prio == prio && s.pending {
-			s.pending = false
-			s.Services++
+			v.r.service(s)
 			return
 		}
 	}
@@ -155,9 +178,8 @@ func (v *CPUView) AckIRQ(prio uint32) {
 // by the DMA controller and the PCP channel dispatcher, which service one
 // request at a time without a priority floor).
 func (r *Router) TakePending(prov Provider) (*SRN, bool) {
-	if s := r.highestPending(prov, 0); s != nil {
-		s.pending = false
-		s.Services++
+	if s := r.top[prov]; s != nil {
+		r.service(s)
 		return s, true
 	}
 	return nil, false

@@ -1,6 +1,11 @@
 package irq
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/sim"
+)
 
 func TestPriorityArbitration(t *testing.T) {
 	r := New()
@@ -85,7 +90,7 @@ func TestDuplicatePriorityPanics(t *testing.T) {
 func TestDisabledSRNInvisible(t *testing.T) {
 	r := New()
 	s := r.AddSRN("s", 1, ToCPU, 0)
-	s.Enabled = false
+	s.SetEnabled(false)
 	r.Request(s)
 	if _, _, ok := r.View(ToCPU).PendingIRQ(0); ok {
 		t.Error("disabled SRN must not arbitrate")
@@ -107,4 +112,65 @@ func TestAccessors(t *testing.T) {
 		}
 	}()
 	r.AddSRN("zero", 0, ToCPU, 0)
+}
+
+// scanTop is the reference arbitration: a scan of every node for prov's
+// highest-priority pending enabled SRN.
+func scanTop(r *Router, prov Provider) *SRN {
+	var best *SRN
+	for _, s := range r.srns {
+		if s.Provider == prov && s.enabled && s.pending && (best == nil || s.Prio > best.Prio) {
+			best = s
+		}
+	}
+	return best
+}
+
+// TestCachedTopMatchesScan: after every random request, ack, take and
+// enable change, each provider's cached top is the SRN a full scan finds,
+// and PendingIRQ and HasPending answer from it.
+func TestCachedTopMatchesScan(t *testing.T) {
+	rng := sim.NewRNG(5)
+	r := New()
+	prios := make([]uint32, 24)
+	for i := range prios {
+		prios[i] = uint32(i + 1)
+	}
+	for i := len(prios) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		prios[i], prios[j] = prios[j], prios[i]
+	}
+	var srns []*SRN
+	for i, p := range prios {
+		srns = append(srns, r.AddSRN(fmt.Sprint("s", i), p, Provider(rng.Intn(4)), uint32(i)))
+	}
+	for step := 0; step < 20_000; step++ {
+		s := srns[rng.Intn(len(srns))]
+		prov := Provider(rng.Intn(4))
+		switch op := rng.Intn(4); op {
+		case 0:
+			r.Request(s)
+		case 1:
+			r.View(s.Provider).AckIRQ(s.Prio)
+		case 2:
+			r.TakePending(prov)
+		case 3:
+			s.SetEnabled(rng.Bool(0.6))
+		}
+		for p := ToCPU; p <= ToCPU1; p++ {
+			want := scanTop(r, p)
+			if r.top[p] != want {
+				t.Fatalf("step %d: provider %v cached top %v, scan finds %v", step, p, r.top[p], want)
+			}
+			if r.HasPending(p) != (want != nil) {
+				t.Fatalf("step %d: provider %v HasPending = %v with top %v", step, p, r.HasPending(p), want)
+			}
+			floor := uint32(rng.Intn(len(srns) + 1))
+			prio, vec, ok := r.View(p).PendingIRQ(floor)
+			if wantOK := want != nil && want.Prio > floor; ok != wantOK ||
+				ok && (prio != want.Prio || vec != want.Vector) {
+				t.Fatalf("step %d: provider %v PendingIRQ(%d) = %d/%d/%v, scan finds %v", step, p, floor, prio, vec, ok, want)
+			}
+		}
+	}
 }

@@ -64,7 +64,7 @@ func newMetrics(reg *obs.Registry, s *soc.SoC, m *mcds.MCDS, d *dap.DAP) []metri
 		counter("dap.frames_abandoned", func() uint64 { return d.FramesAbandoned })
 		counter("dap.garbage_bytes", func() uint64 { return d.GarbageBytes })
 		counter("dap.backoff_cycles", func() uint64 { return d.BackoffCycles })
-		counter("dap.link_down_cycles", func() uint64 { return d.LinkDownCycles })
+		counter("dap.link_down_cycles", d.LinkDownCycles)
 	}
 	return t
 }

@@ -71,7 +71,7 @@ func TestSessionPublishesTraceMetrics(t *testing.T) {
 			"dap.frames_abandoned":    float64(d.FramesAbandoned),
 			"dap.garbage_bytes":       float64(d.GarbageBytes),
 			"dap.backoff_cycles":      float64(d.BackoffCycles),
-			"dap.link_down_cycles":    float64(d.LinkDownCycles),
+			"dap.link_down_cycles":    float64(d.LinkDownCycles()),
 		}
 		for i, n := range m.SrcMsgs {
 			w[fmt.Sprintf("mcds.src%d.msgs", i)] = float64(n)
@@ -119,10 +119,10 @@ func TestSessionPublishesTraceMetrics(t *testing.T) {
 
 	// The run must exercise the lossy path, or the equalities above say little.
 	m, d := sess.MCDS, sess.DAP
-	if m.MsgsLost == 0 || m.Reanchors == 0 || d.Retries == 0 || d.LinkDownCycles == 0 ||
+	if m.MsgsLost == 0 || m.Reanchors == 0 || d.Retries == 0 || d.LinkDownCycles() == 0 ||
 		s.EMEM.MsgsDropped == 0 || s.EMEM.SoftErrors == 0 || s.Decoder.Stats().Invalidations == base.Invalidations {
 		t.Errorf("lossy run left a statistic at zero: mcds %+v, dap retries %d down %d, emem %+v",
-			[]uint64{m.MsgsLost, m.Reanchors}, d.Retries, d.LinkDownCycles,
+			[]uint64{m.MsgsLost, m.Reanchors}, d.Retries, d.LinkDownCycles(),
 			[]uint64{s.EMEM.MsgsDropped, s.EMEM.SoftErrors})
 	}
 	var bySrc uint64

@@ -267,8 +267,14 @@ func newSession(s *soc.SoC, spec Spec, attach func(string, sim.Ticker)) *Session
 	if spec.Fault.Active() {
 		sess.Injector = fault.New(*spec.Fault, s.EMEM)
 		// Attached before the DAP: a stall window opened at cycle c
-		// already blocks that cycle's drain.
-		attach("fault", sess.Injector)
+		// already blocks that cycle's drain. A soft-error plan draws on
+		// every cycle, so its injector is a plain ticker, never asked
+		// for a wake.
+		if spec.Fault.Mem.FlipProb > 0 {
+			attach("fault", sim.TickerFunc(sess.Injector.Tick))
+		} else {
+			attach("fault", sess.Injector)
+		}
 	}
 	if spec.Degrade != nil {
 		sess.Degrader = newDegrader(*spec.Degrade, s.EMEM, sess.counters)
@@ -493,18 +499,23 @@ func (sess *Session) Result(appName string) (*Profile, error) {
 	drainSp.End()
 	publish(sess.metrics) // the drain is the trace path's last change
 
-	// Decode: parse the received byte stream into messages.
+	// Decode: parse the received byte stream into messages. No more
+	// arrive than the trace buffer took, so the output is sized once.
 	decodeSp := tr.Start("decode", "pipeline")
-	var msgs []tmsg.Msg
+	stored := sess.MCDS.MsgsEmitted
+	if f := sess.MCDS.Framer(); f != nil {
+		stored -= f.MsgsDropped
+	}
+	msgs := make([]tmsg.Msg, 0, stored)
 	var stream *tmsg.StreamDecoder
 	if sess.spec.framed() {
 		stream = tmsg.NewStreamDecoder()
-		msgs = stream.Feed(raw)
+		msgs = stream.AppendFeed(msgs, raw)
 		stream.Finalize(sess.MCDS.Framer().MsgsFramed)
 	} else {
 		var dec tmsg.Decoder
 		var err error
-		msgs, _, err = dec.DecodeAll(raw)
+		msgs, _, err = dec.AppendAll(msgs, raw)
 		if err != nil {
 			decodeSp.End()
 			return nil, fmt.Errorf("profiling: decode: %w", err)
@@ -525,18 +536,30 @@ func (sess *Session) Result(appName string) (*Profile, error) {
 		TraceBytes: sess.MCDS.BytesEmitted,
 		Msgs:       msgs,
 	}
+	// Count each parameter's windows, then fill: every series is
+	// allocated once.
+	counts := make([]int, len(sess.params))
+	for _, m := range msgs {
+		if m.Kind == tmsg.KindRate && int(m.CounterID) < len(counts) {
+			counts[m.CounterID]++
+		}
+	}
 	for _, prm := range sess.params {
 		p.Series[prm.Name] = &Series{Param: prm.Name}
 	}
+	series := make([]*Series, len(sess.params))
+	for i, prm := range sess.params {
+		se := p.Series[prm.Name]
+		if counts[i] > 0 {
+			se.Samples = make([]Sample, 0, cap(se.Samples)+counts[i])
+		}
+		series[i] = se
+	}
 	for _, m := range msgs {
-		if m.Kind != tmsg.KindRate {
-			continue
+		if m.Kind == tmsg.KindRate && int(m.CounterID) < len(series) {
+			se := series[m.CounterID]
+			se.Samples = append(se.Samples, Sample{Cycle: m.Cycle, Basis: m.Basis, Count: m.Count})
 		}
-		if int(m.CounterID) >= len(sess.params) {
-			continue
-		}
-		se := p.Series[sess.params[m.CounterID].Name]
-		se.Samples = append(se.Samples, Sample{Cycle: m.Cycle, Basis: m.Basis, Count: m.Count})
 	}
 	if stream != nil {
 		p.MsgsDelivered = stream.Delivered

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -333,6 +334,41 @@ func TestMarkSuspectMatchesQuadratic(t *testing.T) {
 			if got.Samples[i] != want.Samples[i] {
 				t.Fatalf("trial %d sample %d (cycle %d): suspect %v, quadratic %v\nsamples %v\ngaps %+v",
 					trial, i, want.Samples[i].Cycle, got.Samples[i].Suspect, want.Samples[i].Suspect, samples, gaps)
+			}
+		}
+	}
+}
+
+// TestResultSizesDecodeOnce: Result decodes into one array sized from the
+// messages the trace buffer took, exact on a clean link, and fills each
+// series once.
+func TestResultSizesDecodeOnce(t *testing.T) {
+	flaky, err := fault.Parse("flaky-cable", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		spec  Spec
+		exact bool
+	}{
+		{"unframed", Spec{Resolution: 500, Params: StandardParams()}, true},
+		{"framed", Spec{Resolution: 500, Params: StandardParams(), DAP: true, Framed: true}, true},
+		{"flaky-cable", Spec{Resolution: 500, Params: StandardParams(), DAP: true, Fault: &flaky}, false},
+	} {
+		s, app := buildApp(t, soc.TC1797().WithED(), stdSpec())
+		sess := NewSession(s, c.spec)
+		mustRun(t, sess, app, 300_000)
+		p, err := sess.Result("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Msgs) == 0 || cap(p.Msgs) < len(p.Msgs) || c.exact && cap(p.Msgs) != len(p.Msgs) {
+			t.Errorf("%s: %d messages decoded into capacity %d", c.name, len(p.Msgs), cap(p.Msgs))
+		}
+		for name, se := range p.Series {
+			if cap(se.Samples) != len(se.Samples) {
+				t.Errorf("%s: series %s: %d samples in capacity %d", c.name, name, len(se.Samples), cap(se.Samples))
 			}
 		}
 	}

@@ -49,8 +49,13 @@ const NoWake = ^uint64(0)
 // (credit + k·rate) mod denom) and the next cycle with an observable
 // effect is computable from state the component owns or is woken on (the
 // MCDS bounds when a basis word can reach its due value by its maximum
-// rise per cycle). Per-cycle side effects with no closed form — RNG draws,
-// watermark sampling — must NOT sleep. A component that is *terminally
+// rise per cycle). RNG draws that a component owns, and that depend only
+// on its own state, may be made ahead: the fault injector draws its
+// window schedule on a copy of its RNG to find the first cycle a window
+// opens, and its Tick catches up the draws of the cycles it slept
+// through. Per-cycle side effects with no closed form that read state
+// the component does not own — a draw gated on the ring level, watermark
+// sampling — must NOT sleep. A component that is *terminally
 // idle* is the easy case: a halted CPU core has no per-cycle work at all,
 // so it may report NoWake — provided whatever un-halts it (Reset, an
 // interrupt router delivering to a halted core) reschedules via its Waker.

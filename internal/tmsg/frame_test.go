@@ -276,3 +276,35 @@ func TestFramingOverheadBound(t *testing.T) {
 		t.Fatalf("worst-case overhead %.1f%% ≥ 15%% bound", worst*100)
 	}
 }
+
+// TestAppendDecodeFillsSizedOutput: a caller that sizes the output for
+// the stream's messages gets them decoded into that one array, and a
+// framed stream fed whole is decoded in place, nothing held back.
+func TestAppendDecodeFillsSizedOutput(t *testing.T) {
+	msgs := genMsgs(400)
+	var enc Encoder
+	var raw []byte
+	for i := range msgs {
+		raw = enc.Encode(raw, &msgs[i])
+	}
+	var dec Decoder
+	out := make([]Msg, 0, len(msgs))
+	got, _, err := dec.AppendAll(out, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgsEqual(t, msgs, got)
+	if &got[0] != &out[:1][0] {
+		t.Fatal("AppendAll: output reallocated")
+	}
+
+	stream, f := frameStream(msgs)
+	s := NewStreamDecoder()
+	out = make([]Msg, 0, len(msgs))
+	got = s.AppendFeed(out, stream)
+	s.Finalize(f.MsgsFramed)
+	msgsEqual(t, msgs, got)
+	if &got[0] != &out[:1][0] || cap(s.buf) != 0 {
+		t.Fatalf("AppendFeed: output reallocated or %d bytes held back", cap(s.buf))
+	}
+}

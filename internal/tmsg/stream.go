@@ -135,22 +135,34 @@ func (s *StreamDecoder) accept(out []Msg, m Msg) []Msg {
 // valid until the next Feed call; callers that retain messages across
 // feeds must copy them out (an append does).
 func (s *StreamDecoder) Feed(p []byte) []Msg {
-	s.buf = append(s.buf, p...)
-	out := s.msgs[:0]
+	s.msgs = s.AppendFeed(s.msgs[:0], p)
+	return s.msgs
+}
+
+// AppendFeed is Feed appending the trusted messages to out: a caller that
+// knows how many messages the stream carries sizes out once.
+func (s *StreamDecoder) AppendFeed(out []Msg, p []byte) []Msg {
+	// Only a held-back tail is joined with the new bytes; the rest of the
+	// input is decoded in place.
+	buf := p
+	if len(s.buf) > 0 {
+		s.buf = append(s.buf, p...)
+		buf = s.buf
+	}
 	i := 0
 	for {
 		// Hunt for the next frame marker.
-		j := bytes.IndexByte(s.buf[i:], FrameMarker)
+		j := bytes.IndexByte(buf[i:], FrameMarker)
 		if j < 0 {
-			s.noteLossBytes(len(s.buf) - i)
-			i = len(s.buf)
+			s.noteLossBytes(len(buf) - i)
+			i = len(buf)
 			break
 		}
 		if j > 0 {
 			s.noteLossBytes(j)
 			i += j
 		}
-		n := FrameLen(s.buf[i:])
+		n := FrameLen(buf[i:])
 		if n == -1 {
 			break // header incomplete; wait for more bytes
 		}
@@ -161,10 +173,10 @@ func (s *StreamDecoder) Feed(p []byte) []Msg {
 			i++
 			continue
 		}
-		if n > len(s.buf)-i {
+		if n > len(buf)-i {
 			break // frame incomplete; wait for more bytes
 		}
-		f := s.buf[i : i+n]
+		f := buf[i : i+n]
 		if !ValidFrame(f) {
 			// Corrupt frame or false marker — advance one byte; the
 			// cumulative counter of the next valid frame quantifies
@@ -176,8 +188,7 @@ func (s *StreamDecoder) Feed(p []byte) []Msg {
 		i += n
 		out = s.frame(out, f)
 	}
-	s.buf = append(s.buf[:0], s.buf[i:]...)
-	s.msgs = out
+	s.buf = append(s.buf[:0], buf[i:]...)
 	return out
 }
 

@@ -293,8 +293,11 @@ func (d *Decoder) Decode(b []byte) (Msg, int, error) {
 
 // DecodeAll parses every complete message in b and returns them with the
 // number of bytes consumed (trailing partial messages are left).
-func (d *Decoder) DecodeAll(b []byte) ([]Msg, int, error) {
-	var out []Msg
+func (d *Decoder) DecodeAll(b []byte) ([]Msg, int, error) { return d.AppendAll(nil, b) }
+
+// AppendAll is DecodeAll appending to out: a caller that knows how many
+// messages b carries sizes out once.
+func (d *Decoder) AppendAll(out []Msg, b []byte) ([]Msg, int, error) {
 	off := 0
 	for off < len(b) {
 		m, n, err := d.Decode(b[off:])
