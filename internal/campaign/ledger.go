@@ -5,15 +5,19 @@
 // an Executor only runs cells and feeds each verdict into the Ledger —
 // Complete for a report, Fail for a terminal failure. The ledger
 // journals before it aggregates and keeps every cell exactly-once (a
-// replayed report is a duplicate, the first failure verdict wins), so
-// the aggregate cannot depend on which executor ran a cell, how often,
-// or in which order.
+// replayed report is a duplicate, the first verdict wins), so the
+// aggregate cannot depend on which executor ran a cell, how often, or
+// in which order.
+//
+// The ledger is also the campaign's one record of what happened: a
+// row per cell and a row per shard, each statistic counted once under
+// one lock. Result, the /status scoreboard and the campaign_* registry
+// metrics are views of that record, never copies kept beside it.
 package campaign
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,42 +30,95 @@ import (
 // supervises worker processes.
 type Executor interface {
 	// Execute runs the cells the ledger still lacks until each is
-	// complete or failed, or ctx fires. It sets the Result fields that
-	// describe execution itself: Workers, Retried, Restarts, Torn, Dup.
+	// complete or failed, or ctx fires. It sets Result.Workers; every
+	// other Result field is read from the ledger's record.
 	Execute(ctx context.Context, l *Ledger, res *Result)
 }
 
-// Ledger is the campaign-tier record of which cells are complete or
-// failed. It writes the journal, when the campaign has one, and the
-// fleet aggregate. Safe for concurrent use, provided each cell is
-// reported by one goroutine at a time — true of both executors, which
-// own every cell they run.
+// Ledger is the campaign-tier record of every cell's state and every
+// shard's supervision history. It writes the journal, when the
+// campaign has one, and the fleet aggregate. Safe for concurrent use,
+// provided each cell is reported by one goroutine at a time — true of
+// both executors, which own every cell they run.
 type Ledger struct {
-	opt     *Options
-	cells   []Cell
-	jr      *journal
-	acc     *profiling.Accumulator
-	doneCtr *obs.Counter
-	failCtr *obs.Counter
-	start   time.Time // when execution began, for throughput gauges
+	opt   *Options
+	name  string
+	cells []Cell
+	index map[int]int // cell index → position in cells and recs
+	jr    *journal
+	acc   *profiling.Accumulator
 
-	mu     sync.Mutex
-	done   map[int]bool
-	failed map[int]CellError
-	warns  []string
-	cycles uint64
+	mu      sync.Mutex
+	start   time.Time // when execution began, for the rates
+	recs    []cellRec
+	shards  []shardRec
+	metrics []metric
+	warns   []string
 }
 
-func newLedger(cells []Cell, opt *Options) *Ledger {
-	return &Ledger{
-		opt:     opt,
-		cells:   cells,
-		acc:     profiling.NewAccumulator(),
-		doneCtr: opt.Obs.Counter("campaign_sessions_done"),
-		failCtr: opt.Obs.Counter("campaign_sessions_failed"),
-		done:    map[int]bool{},
-		failed:  map[int]CellError{},
+// cellRec is one cell's row in the record.
+type cellRec struct {
+	state    CellState
+	attempts int        // attempts started by the in-process pool
+	timeouts int        // attempts the watchdog stopped
+	shard    int        // shard the cell is assigned to; -1 in-process
+	cycles   uint64     // simulated cycles of its report, once complete
+	err      *CellError // the terminal verdict, once failed
+}
+
+// shardRec is one shard ordinal's row in the record, across its spawns.
+type shardRec struct {
+	pid    int
+	alive  bool
+	done   int           // cells completed from its streams
+	silent time.Duration // heartbeat periods without a line, as time
+	note   string        // most recent supervision verdict or anomaly
+	n      [numShardStats]int
+}
+
+// ShardStat names one of a shard's supervision counts.
+type ShardStat int
+
+const (
+	ShardRestarts ShardStat = iota // respawns decided after a failed spawn
+	ShardHangs                     // spawns killed as hung
+	ShardCrashes                   // spawns that failed to start or exited nonzero
+	ShardTorn                      // torn or unreadable records dropped at ingest
+	ShardDup                       // duplicate records dropped at ingest
+	ShardOrphans                   // records for cells the spawn does not own
+	numShardStats
+)
+
+// shardStatNames are the campaign_shard_<name> counters, by ShardStat.
+var shardStatNames = [numShardStats]string{"restarts", "hangs", "crashes", "torn_records", "dup_cells", "orphan_cells"}
+
+// settled reports whether a cell in state s has its verdict.
+func (s CellState) settled() bool { return s == CellDone || s == CellFailed || s == CellResumed }
+
+func newLedger(name string, cells []Cell, opt *Options) *Ledger {
+	if opt.Status == nil {
+		opt.Status = NewStatus(nil)
 	}
+	l := &Ledger{
+		opt:   opt,
+		name:  name,
+		cells: cells,
+		index: make(map[int]int, len(cells)),
+		acc:   profiling.NewAccumulator(),
+		recs:  make([]cellRec, len(cells)),
+	}
+	for i, c := range cells {
+		l.index[c.Index] = i
+		l.recs[i] = cellRec{state: CellPending, shard: -1}
+	}
+	l.mu.Lock()
+	defer l.unlock()
+	l.addCounter("campaign_cells_total", func(*tally) float64 { return float64(len(cells)) })
+	l.addCounter("campaign_sessions_done", func(t *tally) float64 { return float64(t.cells[CellDone]) })
+	l.addCounter("campaign_sessions_failed", func(t *tally) float64 { return float64(t.cells[CellFailed]) })
+	opt.Status.l.Store(l)
+	opt.Status.events.Appendf("campaign_begin", -1, "", "%q: %d cells", name, len(cells))
+	return l
 }
 
 // RunWith is the campaign driver: it expands the matrix, opens or
@@ -77,12 +134,10 @@ func RunWith(ctx context.Context, m Matrix, opt Options, ex Executor) (*Result, 
 		return nil, err
 	}
 	res := &Result{Cells: len(cells)}
-	opt.Obs.Counter("campaign_cells_total").Add(uint64(len(cells)))
-	opt.Status.Begin(m.Name, cells)
-	l := newLedger(cells, &opt)
+	l := newLedger(m.Name, cells, &opt)
 	if opt.JournalDir != "" {
 		jSpan := opt.Tracer.Start("journal", "campaign")
-		err := l.openJournal(m, res)
+		err := l.openJournal(m)
 		jSpan.End()
 		if err != nil {
 			return nil, err
@@ -104,8 +159,8 @@ func RunWith(ctx context.Context, m Matrix, opt Options, ex Executor) (*Result, 
 
 // openJournal starts a fresh journal, or resumes one: the manifest is
 // validated against this expansion and every journaled-complete report
-// is preloaded, in index order, as a complete cell.
-func (l *Ledger) openJournal(m Matrix, res *Result) error {
+// is preloaded as a resumed cell.
+func (l *Ledger) openJournal(m Matrix) error {
 	hash := MatrixHash(l.cells)
 	if !l.opt.Resume {
 		jr, err := openJournal(l.opt.JournalDir, m, hash, l.cells)
@@ -116,64 +171,79 @@ func (l *Ledger) openJournal(m Matrix, res *Result) error {
 	if err != nil {
 		return err
 	}
-	l.jr, l.warns = jr, warns
-	skips := l.opt.Obs.Counter("campaign_resume_skips")
-	for _, cell := range l.cells {
-		rep, ok := resumed[cell.Index]
+	l.jr = jr
+	l.resume(resumed, warns)
+	return nil
+}
+
+// resume marks the journaled-complete cells resumed and adds their
+// reports to the aggregate, in index order, so the cell_resumed events
+// repeat from run to run.
+func (l *Ledger) resume(reports map[int]*profiling.RunReport, warns []string) {
+	l.mu.Lock()
+	defer l.unlock()
+	l.warns = append(l.warns, warns...)
+	l.addCounter("campaign_resume_skips", func(t *tally) float64 { return float64(t.cells[CellResumed]) })
+	for i, cell := range l.cells {
+		rep, ok := reports[cell.Index]
 		if !ok {
 			continue
 		}
 		l.acc.Add(cell.ID, rep)
-		l.done[cell.Index] = true
-		l.cycles += rep.Cycles
-		skips.Inc()
-		res.Resumed++
-		l.opt.Status.CellResumedFromJournal(cell.Index, rep.Cycles)
+		l.recs[i].state, l.recs[i].cycles = CellResumed, rep.Cycles
+		l.opt.Status.events.Append("cell_resumed", -1, cell.ID, "")
 	}
-	return nil
 }
 
 // execute runs ex under the campaign's "execute" span and records the
 // wall time.
 func (l *Ledger) execute(ctx context.Context, ex Executor, res *Result) {
 	span := l.opt.Tracer.Start("execute", "campaign")
+	l.mu.Lock()
 	l.start = time.Now()
+	l.mu.Unlock()
 	ex.Execute(ctx, l, res)
 	res.Wall = time.Since(l.start)
 	span.End()
 }
 
-// settle copies the ledger's totals into res, errors in index order.
+// settle reads the Result fields of the record: the totals, the
+// errors in index order and the journal warnings.
 func (l *Ledger) settle(ctx context.Context, res *Result) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	t := l.tally()
 	res.Canceled = ctx.Err() != nil
-	res.Completed = len(l.done)
-	res.SimCycles = l.cycles
+	res.Completed = t.cells[CellDone] + t.cells[CellResumed]
+	res.Failed = t.cells[CellFailed]
+	res.Resumed = t.cells[CellResumed]
+	res.Retried = t.retries
+	res.Restarts = t.shard[ShardRestarts]
+	res.Torn = t.shard[ShardTorn]
+	res.Dup = t.shard[ShardDup]
+	res.SimCycles = t.cycles
 	res.Warnings = l.warns
-	for _, ce := range l.failed {
-		res.Errors = append(res.Errors, ce)
+	for _, c := range l.recs {
+		if c.err != nil {
+			res.Errors = append(res.Errors, *c.err)
+		}
 	}
-	sort.Slice(res.Errors, func(i, j int) bool { return res.Errors[i].Cell.Index < res.Errors[j].Cell.Index })
-	res.Failed = len(res.Errors)
 }
 
 // Cells returns the campaign's expanded cells, in index order.
 func (l *Ledger) Cells() []Cell { return l.cells }
 
-// settled reports whether cell idx is complete or failed; l.mu is held.
-func (l *Ledger) settled(idx int) bool {
-	_, failed := l.failed[idx]
-	return failed || l.done[idx]
-}
+// rec returns the row of the cell with expansion index idx; l.mu is
+// held.
+func (l *Ledger) rec(idx int) *cellRec { return &l.recs[l.index[idx]] }
 
 // pending returns the cells neither complete nor failed.
 func (l *Ledger) pending() []Cell {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []Cell
-	for _, cell := range l.cells {
-		if !l.settled(cell.Index) {
+	for i, cell := range l.cells {
+		if !l.recs[i].state.settled() {
 			out = append(out, cell)
 		}
 	}
@@ -187,30 +257,23 @@ func (l *Ledger) Remaining(indices []int) []int {
 	defer l.mu.Unlock()
 	var out []int
 	for _, idx := range indices {
-		if !l.settled(idx) {
+		if !l.rec(idx).state.settled() {
 			out = append(out, idx)
 		}
 	}
 	return out
 }
 
-// progress returns the completed-cell count and their simulated cycles.
-func (l *Ledger) progress() (int, uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.done), l.cycles
-}
-
 // Complete records a cell's report with the attempt count the journal
 // should carry. The journal comes first: a report that cannot be
 // persisted is not complete, and the error goes back to the executor,
 // whose policy decides what happens to the cell. Then OnReport, the
-// scoreboard, the counters and the aggregate. A report for a cell that
-// is already complete — a record replayed across a respawn — is
-// dropped and reported as a duplicate.
+// aggregate and the record. A report for a cell that already has its
+// verdict — a record replayed across a respawn — is dropped and
+// reported as a duplicate.
 func (l *Ledger) Complete(cell Cell, attempts int, rep *profiling.RunReport) (dup bool, err error) {
 	l.mu.Lock()
-	dup = l.done[cell.Index]
+	dup = l.rec(cell.Index).state.settled()
 	l.mu.Unlock()
 	if dup {
 		return true, nil
@@ -225,29 +288,29 @@ func (l *Ledger) Complete(cell Cell, attempts int, rep *profiling.RunReport) (du
 	}
 	l.acc.Add(cell.ID, rep)
 	l.mu.Lock()
-	l.done[cell.Index] = true
-	l.cycles += rep.Cycles
-	l.mu.Unlock()
-	l.doneCtr.Inc()
-	l.opt.Status.CellCompleted(cell.Index, rep.Cycles)
+	defer l.unlock()
+	c := l.rec(cell.Index)
+	c.state, c.cycles = CellDone, rep.Cycles
+	if c.shard >= 0 {
+		l.shards[c.shard].done++
+	}
+	l.opt.Status.events.Append("cell_done", c.shard, cell.ID, "")
 	return false, nil
 }
 
-// Fail records a cell's terminal failure on the scoreboard, the
-// counters and the journal; a failure the journal cannot take becomes
-// a warning. The first verdict for a cell wins, and a complete cell
-// stays complete.
+// Fail records a cell's terminal failure, then journals it; a failure
+// the journal cannot take becomes a warning. The first verdict for a
+// cell wins, and a complete cell stays complete.
 func (l *Ledger) Fail(ce CellError) {
-	idx := ce.Cell.Index
 	l.mu.Lock()
-	if l.settled(idx) {
+	c := l.rec(ce.Cell.Index)
+	if c.state.settled() {
 		l.mu.Unlock()
 		return
 	}
-	l.failed[idx] = ce
-	l.mu.Unlock()
-	l.failCtr.Inc()
-	l.opt.Status.CellFailedTerminally(idx, ce.Class, ce.Err)
+	c.state, c.err = CellFailed, &ce
+	l.opt.Status.events.Appendf("cell_failed", c.shard, ce.Cell.ID, "[%s] %v", ce.Class, ce.Err)
+	l.unlock()
 	if l.jr != nil {
 		if err := l.jr.recordFailed(ce); err != nil {
 			l.Warnf("cell %s: failure not journaled: %v", ce.Cell.ID, err)
@@ -260,4 +323,219 @@ func (l *Ledger) Warnf(format string, args ...any) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.warns = append(l.warns, fmt.Sprintf(format, args...))
+}
+
+// started records the start of an in-process attempt of cell.
+func (l *Ledger) started(cell Cell, attempt int) {
+	l.mu.Lock()
+	defer l.unlock()
+	c := l.rec(cell.Index)
+	c.state, c.attempts = CellRunning, attempt
+	if attempt == 1 {
+		l.opt.Status.events.Append("cell_start", c.shard, cell.ID, "")
+	} else {
+		l.opt.Status.events.Appendf("cell_start", c.shard, cell.ID, "attempt %d", attempt)
+	}
+}
+
+// retrying records a transient failure of cell's attempt that will be
+// retried after its backoff.
+func (l *Ledger) retrying(cell Cell, attempt int, err error) {
+	l.mu.Lock()
+	defer l.unlock()
+	c := l.rec(cell.Index)
+	c.state = CellRetrying
+	l.opt.Status.events.Appendf("cell_retry", c.shard, cell.ID, "attempt %d: %v", attempt, err)
+}
+
+// timedOut counts an attempt of cell stopped by the watchdog.
+func (l *Ledger) timedOut(cell Cell) {
+	l.mu.Lock()
+	defer l.unlock()
+	l.rec(cell.Index).timeouts++
+}
+
+// addPoolViews publishes the in-process pool's views: the completion
+// rates over the execution so far, and the per-cell supervisor's
+// retry, panic and watchdog counts.
+func (l *Ledger) addPoolViews() {
+	l.mu.Lock()
+	defer l.unlock()
+	rate := func(t *tally, n float64) float64 {
+		elapsed := time.Since(l.start).Seconds()
+		if t.cells[CellDone] == 0 || elapsed <= 0 {
+			return 0 // no cell completed here yet
+		}
+		return n / elapsed
+	}
+	l.addGauge("campaign_sessions_per_sec", func(t *tally) float64 { return rate(t, float64(t.cells[CellDone]+t.cells[CellResumed])) })
+	l.addGauge("campaign_sim_cycles_per_sec", func(t *tally) float64 { return rate(t, float64(t.cycles)) })
+	l.addCounter("campaign_retries", func(t *tally) float64 { return float64(t.retries) })
+	l.addCounter("campaign_panics", func(t *tally) float64 { return float64(t.panics) })
+	l.addCounter("campaign_timeouts", func(t *tally) float64 { return float64(t.timeouts) })
+}
+
+// AddShards gives the record one row per shard ordinal 0..n-1 and
+// publishes their views. The sharded supervisor calls it once, before
+// any spawn.
+func (l *Ledger) AddShards(n int) {
+	l.mu.Lock()
+	defer l.unlock()
+	l.shards = make([]shardRec, n)
+	for st, name := range shardStatNames {
+		l.addCounter("campaign_shard_"+name, func(t *tally) float64 { return float64(t.shard[st]) })
+	}
+	for si := range l.shards {
+		sh := &l.shards[si]
+		prefix := fmt.Sprintf("campaign_shard%02d_", si)
+		l.addGauge(prefix+"alive", func(*tally) float64 {
+			if sh.alive {
+				return 1
+			}
+			return 0
+		})
+		l.addGauge(prefix+"restarts", func(*tally) float64 { return float64(sh.n[ShardRestarts]) })
+		l.addGauge(prefix+"cells_done", func(*tally) float64 { return float64(sh.done) })
+		l.addGauge(prefix+"hb_age_sec", func(*tally) float64 { return sh.silent.Seconds() })
+	}
+}
+
+// ShardCount adds n to one of shard si's supervision counts.
+func (l *Ledger) ShardCount(si int, st ShardStat, n int) {
+	l.mu.Lock()
+	defer l.unlock()
+	l.shards[si].n[st] += n
+}
+
+// ShardNote makes an anomaly (torn records, a dup record, a failed
+// handshake...) shard si's last note and a flight-recorder event.
+func (l *Ledger) ShardNote(si int, kind, detail string) {
+	l.mu.Lock()
+	defer l.unlock()
+	l.shards[si].note = kind
+	l.opt.Status.events.Append(kind, si, "", detail)
+}
+
+// ShardSpawned records a live worker for shard si that now owns cells:
+// they are attributed to the shard and the still-pending ones become
+// running. The state machine is therefore shard-granular for worker
+// cells — the supervisor only learns of per-cell completion when the
+// record lands.
+func (l *Ledger) ShardSpawned(si, pid int, cells []int) {
+	l.mu.Lock()
+	defer l.unlock()
+	sh := &l.shards[si]
+	sh.pid, sh.alive, sh.silent = pid, true, 0
+	kind := "shard_spawn"
+	if sh.n[ShardRestarts] > 0 {
+		kind = "shard_respawn"
+	}
+	l.opt.Status.events.Appendf(kind, si, "", "pid %d, %d cells", pid, len(cells))
+	for _, idx := range cells {
+		c := l.rec(idx)
+		c.shard = si
+		if c.state == CellPending {
+			c.state = CellRunning
+		}
+	}
+}
+
+// ShardSilent records how long shard si's live worker has sent
+// nothing, as the supervisor's hang count reads it: silent heartbeat
+// periods times the period. The supervisor sets it once per tick.
+func (l *Ledger) ShardSilent(si int, age time.Duration) {
+	l.mu.Lock()
+	defer l.unlock()
+	l.shards[si].silent = age
+}
+
+// ShardDown records a worker exit with the supervisor's verdict
+// ("clean exit", "crash", "hang", ...). Cells the dead shard was
+// running revert to pending — no one executes them until a respawn
+// claims them again.
+func (l *Ledger) ShardDown(si int, verdict string) {
+	l.mu.Lock()
+	defer l.unlock()
+	sh := &l.shards[si]
+	sh.alive, sh.note = false, verdict
+	for i := range l.recs {
+		if c := &l.recs[i]; c.shard == si && c.state == CellRunning {
+			c.state = CellPending
+		}
+	}
+	l.opt.Status.events.Append("shard_down", si, "", verdict)
+}
+
+// tally is one pass over the record: the totals its views read.
+type tally struct {
+	cells    map[CellState]int // cells per state
+	cycles   uint64            // simulated cycles of the complete cells
+	retries  int               // attempts beyond each cell's first
+	timeouts int
+	panics   int // cells failed by a panic
+	shard    [numShardStats]int
+}
+
+// tally sums the record; l.mu is held.
+func (l *Ledger) tally() tally {
+	t := tally{cells: map[CellState]int{}}
+	for _, c := range l.recs {
+		t.cells[c.state]++
+		t.cycles += c.cycles
+		t.retries += max(c.attempts-1, 0)
+		t.timeouts += c.timeouts
+		if c.err != nil && c.err.Class == ClassPanic {
+			t.panics++
+		}
+	}
+	for _, sh := range l.shards {
+		for st, n := range sh.n {
+			t.shard[st] += n
+		}
+	}
+	return t
+}
+
+// metric is one campaign_* registry view of the record: a counter or a
+// gauge, and its read of the tally. A counter grows by what its read
+// gained since the last publish.
+type metric struct {
+	counter *obs.Counter
+	gauge   *obs.Gauge
+	read    func(*tally) float64
+	last    uint64
+}
+
+// addCounter and addGauge register a view; l.mu is held. Without a
+// registry there is nothing to publish.
+func (l *Ledger) addCounter(name string, read func(*tally) float64) {
+	if reg := l.opt.Obs; reg != nil {
+		l.metrics = append(l.metrics, metric{counter: reg.Counter(name), read: read})
+	}
+}
+
+func (l *Ledger) addGauge(name string, read func(*tally) float64) {
+	if reg := l.opt.Obs; reg != nil {
+		l.metrics = append(l.metrics, metric{gauge: reg.Gauge(name), read: read})
+	}
+}
+
+// unlock publishes every registry view of the record and releases
+// l.mu. Every change to the record ends here: this is the one site
+// that writes a campaign_* metric of the record.
+func (l *Ledger) unlock() {
+	if len(l.metrics) > 0 {
+		t := l.tally()
+		for i := range l.metrics {
+			m := &l.metrics[i]
+			v := m.read(&t)
+			if m.gauge != nil {
+				m.gauge.Set(v)
+				continue
+			}
+			m.counter.Add(uint64(v) - m.last)
+			m.last = uint64(v)
+		}
+	}
+	l.mu.Unlock()
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -43,10 +42,10 @@ type Options struct {
 	// failures — watchdog timeouts, errors wrapped by Transient — are
 	// retried; panics and permanent errors fail fast.
 	Retries int
-	// Status, when set, receives live campaign state transitions (cell
-	// state machine, shard lifecycle) for the /status endpoint and the
-	// flight-recorder event log. Nil disables the scoreboard; it never
-	// influences execution or the aggregate.
+	// Status, when set, is bound to the campaign's ledger: it serves the
+	// ledger's record on /status, and its event log receives every cell
+	// and shard transition. It never influences execution or the
+	// aggregate.
 	Status *Status
 	// JournalDir, when set, write-ahead journals the campaign into this
 	// directory: every completed report persisted atomically with a
@@ -167,8 +166,7 @@ func RunCells(ctx context.Context, cells []Cell, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("campaign: RunCells does not journal (the coordinating campaign owns the journal)")
 	}
 	res := &Result{Cells: len(cells)}
-	opt.Obs.Counter("campaign_cells_total").Add(uint64(len(cells)))
-	l := newLedger(cells, &opt)
+	l := newLedger("", cells, &opt)
 	l.execute(ctx, pool{}, res)
 	l.settle(ctx, res)
 	return res, nil
@@ -192,20 +190,12 @@ func (pool) Execute(ctx context.Context, l *Ledger, res *Result) {
 		workers = len(pending)
 	}
 	res.Workers = workers
-
-	sessRate := opt.Obs.Gauge("campaign_sessions_per_sec")
-	cycleRate := opt.Obs.Gauge("campaign_sim_cycles_per_sec")
-	met := supMetrics{
-		retries:  opt.Obs.Counter("campaign_retries"),
-		panics:   opt.Obs.Counter("campaign_panics"),
-		timeouts: opt.Obs.Counter("campaign_timeouts"),
-	}
+	l.addPoolViews()
 	exec := opt.exec
 	if exec == nil {
 		exec = runCell
 	}
 
-	var retried atomic.Int64
 	feed := make(chan Cell)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -215,9 +205,8 @@ func (pool) Execute(ctx context.Context, l *Ledger, res *Result) {
 			var busy time.Duration
 			for cell := range feed {
 				cellStart := time.Now()
-				report, attempts, err := supervise(ctx, cell, *opt, exec, met, opt.Tracer)
+				report, attempts, err := supervise(ctx, l, cell, exec)
 				busy += time.Since(cellStart)
-				retried.Add(int64(attempts - 1))
 				if err == nil {
 					if _, jerr := l.Complete(cell, attempts, report); jerr != nil {
 						// A report we cannot persist is a failed cell:
@@ -226,17 +215,9 @@ func (pool) Execute(ctx context.Context, l *Ledger, res *Result) {
 						err = fmt.Errorf("journal: %w", jerr)
 					}
 				}
-				switch {
-				case err == nil:
-					n, cy := l.progress()
-					if elapsed := time.Since(l.start).Seconds(); elapsed > 0 {
-						sessRate.Set(float64(n) / elapsed)
-						cycleRate.Set(float64(cy) / elapsed)
-					}
-				case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-					// Canceled mid-cell by the campaign: neither completed
-					// nor failed; a journaled resume re-runs it.
-				default:
+				// A cell the campaign canceled mid-run is neither completed
+				// nor failed; a journaled resume re-runs it.
+				if err != nil && (ctx.Err() == nil || !errors.Is(err, ctx.Err())) {
 					l.Fail(newCellError(cell, err, attempts))
 				}
 			}
@@ -260,5 +241,4 @@ feedLoop:
 	}
 	close(feed)
 	wg.Wait()
-	res.Retried = int(retried.Load())
 }

@@ -199,6 +199,13 @@ func (c *scriptConn) Wait() error {
 	}
 }
 
+// executorFunc adapts a function to campaign.Executor.
+type executorFunc func(context.Context, *campaign.Ledger, *campaign.Result)
+
+func (f executorFunc) Execute(ctx context.Context, l *campaign.Ledger, res *campaign.Result) {
+	f(ctx, l, res)
+}
+
 // scriptTransport hands out one scripted connection.
 type scriptTransport struct{ conn *scriptConn }
 
@@ -228,7 +235,7 @@ func TestHangBudget(t *testing.T) {
 			conn := newScriptConn()
 			ticks := make(chan time.Time)
 			opt := &Options{
-				Campaign:  campaign.Options{Status: status},
+				Campaign:  campaign.Options{Obs: reg, Status: status},
 				Transport: scriptTransport{conn},
 				Logf:      t.Logf,
 				ticks: func(period time.Duration) (<-chan time.Time, func()) {
@@ -238,14 +245,24 @@ func TestHangBudget(t *testing.T) {
 					return ticks, func() {}
 				},
 			}
-			r := &shardRunner{
-				sup: &supervisor{opt: opt}, opt: opt,
-				spec:    Spec{HB: hb},
-				hbAge:   reg.Gauge("campaign_shard00_hb_age_sec"),
-				hangCtr: reg.Counter("campaign_shard_hangs"),
-			}
+			// One spawn of a one-shard campaign's runner, on the
+			// campaign's own ledger.
 			done := make(chan error, 1)
-			go func() { done <- r.runOnce(context.Background(), 0, nil) }()
+			finished := make(chan struct{})
+			go func() {
+				defer close(finished)
+				campaign.RunWith(context.Background(), testMatrix(), opt.Campaign, executorFunc(
+					func(ctx context.Context, l *campaign.Ledger, _ *campaign.Result) {
+						l.AddShards(1)
+						r := &shardRunner{sup: &supervisor{opt: opt, l: l}, opt: opt, spec: Spec{HB: hb}}
+						done <- r.runOnce(ctx, nil)
+					}))
+			}()
+			defer func() {
+				conn.Kill() // ends a spawn a failed step left running
+				<-finished
+			}()
+			hbAge := reg.Gauge("campaign_shard00_hb_age_sec")
 
 			// Each step blocks until the supervisor has taken it in; a
 			// stream that ends early fails the test instead of hanging it.
@@ -271,9 +288,9 @@ func TestHangBudget(t *testing.T) {
 						t.Fatalf("stream ended at step %d: %v", i, err)
 					}
 					silent++
-					for deadline := time.Now().Add(5 * time.Second); r.hbAge.Value() != float64(silent); time.Sleep(time.Millisecond) {
+					for deadline := time.Now().Add(5 * time.Second); hbAge.Value() != float64(silent); time.Sleep(time.Millisecond) {
 						if time.Now().After(deadline) {
-							t.Fatalf("monitor shows %v s of silence, want %d", r.hbAge.Value(), silent)
+							t.Fatalf("monitor shows %v s of silence, want %d", hbAge.Value(), silent)
 						}
 					}
 				}
@@ -305,7 +322,7 @@ func TestHangBudget(t *testing.T) {
 			if tc.verdict == "hang" {
 				want = 1
 			}
-			if v := r.hangCtr.Value(); v != want {
+			if v := reg.Counter("campaign_shard_hangs").Value(); v != want {
 				t.Errorf("campaign_shard_hangs = %d, want %d", v, want)
 			}
 		})

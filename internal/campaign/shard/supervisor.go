@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/obs"
 	"repro/internal/profiling"
 	"repro/internal/sim"
 )
@@ -133,11 +132,6 @@ type supervisor struct {
 	matrix []byte // campaign matrix JSON, fed to every worker
 	l      *campaign.Ledger
 	cells  []campaign.Cell
-
-	// restarts/torn/dup accumulate across all runners for Result — the
-	// stream anomalies an operator wants in the post-mortem summary
-	// without scraping the obs endpoint.
-	restarts, torn, dup atomic.Int64
 }
 
 // Execute splits every cell of the campaign across the shards — a
@@ -150,11 +144,11 @@ func (s *supervisor) Execute(ctx context.Context, l *campaign.Ledger, res *campa
 		workers = 1
 	}
 	res.Workers = workers
-	reg := s.opt.Campaign.Obs
 	tr := s.opt.Campaign.Tracer
 	hash := campaign.MatrixHash(s.cells)
 
 	assign := Split(len(s.cells), s.opt.Shards)
+	l.AddShards(len(assign))
 	// Trace stitching: the supervisor is pid 1; each shard ordinal gets
 	// its own pid row (si+2), stable across respawns, so the merged
 	// Chrome trace shows one timeline of supervisor + every worker.
@@ -177,39 +171,23 @@ func (s *supervisor) Execute(ctx context.Context, l *campaign.Ledger, res *campa
 					Spans:       tr != nil,
 					CellTimeout: s.opt.Campaign.CellTimeout, Retries: s.opt.Campaign.Retries,
 				},
-				indices:   indices,
-				alive:     reg.Gauge(fmt.Sprintf("campaign_shard%02d_alive", si)),
-				respawns:  reg.Gauge(fmt.Sprintf("campaign_shard%02d_restarts", si)),
-				cellsDone: reg.Gauge(fmt.Sprintf("campaign_shard%02d_cells_done", si)),
-				hbAge:     reg.Gauge(fmt.Sprintf("campaign_shard%02d_hb_age_sec", si)),
-				restCtr:   reg.Counter("campaign_shard_restarts"),
-				hangCtr:   reg.Counter("campaign_shard_hangs"),
-				crashCtr:  reg.Counter("campaign_shard_crashes"),
-				tornCtr:   reg.Counter("campaign_shard_torn_records"),
-				dupCtr:    reg.Counter("campaign_shard_dup_cells"),
-				orphanCtr: reg.Counter("campaign_shard_orphan_cells"),
+				indices: indices,
 			}
 			r.run(ctx)
 		}(si, assign[si])
 	}
 	wg.Wait()
-	res.Restarts = int(s.restarts.Load())
-	res.Torn = int(s.torn.Load())
-	res.Dup = int(s.dup.Load())
 }
 
-// shardRunner supervises one shard ordinal across its spawns.
+// shardRunner supervises one shard ordinal across its spawns. Every
+// spawn, verdict and anomaly lands in the campaign ledger's row for the
+// shard.
 type shardRunner struct {
 	sup     *supervisor
 	opt     *Options
 	si      int
 	spec    Spec
 	indices []int
-
-	alive, respawns, cellsDone, hbAge *obs.Gauge
-	restCtr, hangCtr, crashCtr        *obs.Counter
-	tornCtr, dupCtr, orphanCtr        *obs.Counter
-	ingested                          int64
 }
 
 // run is the respawn loop: compute the cells still missing, spawn a
@@ -241,9 +219,7 @@ func (r *shardRunner) run(ctx context.Context) {
 			return
 		}
 		if attempt > 0 {
-			r.sup.restarts.Add(1)
-			r.restCtr.Inc()
-			r.respawns.Set(float64(attempt))
+			r.sup.l.ShardCount(r.si, campaign.ShardRestarts, 1)
 			// The shard analogue of the per-cell retry schedule, on its
 			// own per-shard jitter fork.
 			d, ok := campaign.Backoff(ctx, r.opt.retryBackoff, attempt, jitter)
@@ -253,7 +229,7 @@ func (r *shardRunner) run(ctx context.Context) {
 			r.opt.logf("shard %d: respawn %d/%d after %v for %d cells (%v)",
 				r.si, attempt, r.opt.Retries, d.Round(time.Millisecond), len(remaining), lastErr)
 		}
-		lastErr = r.runOnce(ctx, attempt, remaining)
+		lastErr = r.runOnce(ctx, remaining)
 		if ctx.Err() != nil {
 			return
 		}
@@ -269,20 +245,17 @@ func (r *shardRunner) run(ctx context.Context) {
 // stream to the end. It returns nil when the worker exited cleanly; the
 // caller decides completion purely from the done/failed ledger, so a
 // clean exit that silently dropped cells is still respawned.
-func (r *shardRunner) runOnce(ctx context.Context, attempt int, remaining []int) error {
+func (r *shardRunner) runOnce(ctx context.Context, remaining []int) error {
+	l := r.sup.l
 	spec := r.spec
 	spec.Cells = remaining
 	conn, err := r.opt.Transport.Start(spec)
 	if err != nil {
-		r.crashCtr.Inc()
+		l.ShardCount(r.si, campaign.ShardCrashes, 1)
 		return fmt.Errorf("spawn: %w", err)
 	}
 	r.opt.logf("shard %d: worker pid %d started for %d cells", r.si, conn.Pid(), len(remaining))
-	r.alive.Set(1)
-	defer r.alive.Set(0)
-	status := r.opt.Campaign.Status
-	status.ShardSpawned(r.si, conn.Pid(), attempt, len(remaining))
-	status.CellsAssigned(r.si, remaining)
+	l.ShardSpawned(r.si, conn.Pid(), remaining)
 
 	lv := &liveness{}
 	connDone := make(chan struct{})
@@ -307,9 +280,8 @@ func (r *shardRunner) runOnce(ctx context.Context, attempt int, remaining []int)
 		r.handle(&m, assigned, &poisoned, lv)
 	}
 	if n := lines.torn; n > 0 {
-		r.tornCtr.Add(uint64(n))
-		r.sup.torn.Add(int64(n))
-		status.ShardAnomaly(r.si, "torn_records", fmt.Sprintf("%d torn/corrupt lines dropped", n))
+		l.ShardCount(r.si, campaign.ShardTorn, n)
+		l.ShardNote(r.si, "torn_records", fmt.Sprintf("%d torn/corrupt lines dropped", n))
 		r.opt.logf("shard %d: %d torn/corrupt lines dropped", r.si, n)
 	}
 	waitErr := conn.Wait()
@@ -318,21 +290,21 @@ func (r *shardRunner) runOnce(ctx context.Context, attempt int, remaining []int)
 
 	switch {
 	case ctx.Err() != nil:
-		status.ShardDown(r.si, "drained")
+		l.ShardDown(r.si, "drained")
 		return ctx.Err()
 	case lv.hung.Load():
-		status.ShardDown(r.si, "hang")
+		l.ShardDown(r.si, "hang")
 		return fmt.Errorf("hang: no output for %d heartbeats (%v), killed", hangBeats, hangBeats*r.spec.HB)
 	case lv.reaped.Load():
 		// Killed after its bye: every record was already delivered.
-		status.ShardDown(r.si, "killed after bye")
+		l.ShardDown(r.si, "killed after bye")
 		return nil
 	case waitErr != nil:
-		r.crashCtr.Inc()
-		status.ShardDown(r.si, "crash")
+		l.ShardCount(r.si, campaign.ShardCrashes, 1)
+		l.ShardDown(r.si, "crash")
 		return fmt.Errorf("crash: %w", waitErr)
 	default:
-		status.ShardDown(r.si, "clean exit")
+		l.ShardDown(r.si, "clean exit")
 		return nil
 	}
 }
@@ -372,8 +344,7 @@ func (r *shardRunner) monitor(ctx context.Context, conn Conn, lv *liveness, conn
 		case <-ticks:
 			n := lv.silent.Add(1)
 			age := time.Duration(n) * r.spec.HB
-			r.hbAge.Set(age.Seconds())
-			r.opt.Campaign.Status.ShardSilent(r.si, age)
+			r.sup.l.ShardSilent(r.si, age)
 			if n < hangBeats {
 				continue
 			}
@@ -382,7 +353,7 @@ func (r *shardRunner) monitor(ctx context.Context, conn Conn, lv *liveness, conn
 				r.opt.logf("shard %d: worker still running %v after its bye — killing it", r.si, age)
 			} else {
 				lv.hung.Store(true)
-				r.hangCtr.Inc()
+				r.sup.l.ShardCount(r.si, campaign.ShardHangs, 1)
 				r.opt.logf("shard %d: silent for %d heartbeats (%v) — killing wedged worker", r.si, n, age)
 			}
 			conn.Kill()
@@ -408,7 +379,7 @@ func (r *shardRunner) handle(m *message, assigned map[int]bool, poisoned *bool, 
 		r.ingest(m, assigned, *poisoned)
 	case "fail":
 		if *poisoned || !assigned[m.Index] {
-			r.orphanCtr.Inc()
+			r.sup.l.ShardCount(r.si, campaign.ShardOrphans, 1)
 			return
 		}
 		r.sup.l.Fail(campaign.CellError{
@@ -430,31 +401,27 @@ func (r *shardRunner) handle(m *message, assigned map[int]bool, poisoned *bool, 
 // Misattribution cannot slip through: the cell must be assigned to this
 // spawn and its expansion-time seed must match the report's.
 func (r *shardRunner) ingest(m *message, assigned map[int]bool, poisoned bool) {
+	l := r.sup.l
 	idx := m.Index
 	rep, err := profiling.ReadRunReport(bytes.NewReader(m.Report))
 	if err != nil {
-		r.tornCtr.Inc()
-		r.sup.torn.Add(1)
+		l.ShardCount(r.si, campaign.ShardTorn, 1)
 		return
 	}
 	if poisoned || !assigned[idx] || rep.Seed != r.sup.cells[idx].Run.Seed {
-		r.orphanCtr.Inc()
+		l.ShardCount(r.si, campaign.ShardOrphans, 1)
 		r.opt.logf("shard %d: dropping report for cell %d (poisoned stream, unassigned or seed mismatch)", r.si, idx)
 		return
 	}
-	dup, err := r.sup.l.Complete(r.sup.cells[idx], 1, rep)
+	dup, err := l.Complete(r.sup.cells[idx], 1, rep)
 	if dup {
-		r.dupCtr.Inc()
-		r.sup.dup.Add(1)
-		r.opt.Campaign.Status.ShardAnomaly(r.si, "dup_record", fmt.Sprintf("cell %d replayed across a respawn boundary", idx))
+		l.ShardCount(r.si, campaign.ShardDup, 1)
+		l.ShardNote(r.si, "dup_record", fmt.Sprintf("cell %d replayed across a respawn boundary", idx))
 		return
 	}
 	if err != nil {
 		// A report the journal cannot take is not done: the cell stays
 		// remaining, and the next spawn re-runs it.
-		r.sup.l.Warnf("cell %s: report not journaled: %v", r.sup.cells[idx].ID, err)
-		return
+		l.Warnf("cell %s: report not journaled: %v", r.sup.cells[idx].ID, err)
 	}
-	r.ingested++
-	r.cellsDone.Set(float64(r.ingested))
 }

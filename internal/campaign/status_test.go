@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/profiling"
 )
 
 func statusCells(n int) []Cell {
@@ -18,30 +19,31 @@ func statusCells(n int) []Cell {
 	return cells
 }
 
-// TestStatusNilSafe: every Status method must be a no-op on nil — the
-// disabled-telemetry contract of the whole obs plane.
-func TestStatusNilSafe(t *testing.T) {
-	var s *Status
-	s.Begin("c", statusCells(2))
-	s.CellStarted(0, 1)
-	s.CellRetryScheduled(0, 1, errors.New("x"))
-	s.CellCompleted(0, 10)
-	s.CellFailedTerminally(1, ClassPermanent, errors.New("x"))
-	s.CellResumedFromJournal(0, 10)
-	s.CellsAssigned(0, []int{0, 1})
-	s.ShardSpawned(0, 42, 0, 2)
-	s.ShardSilent(0, time.Second)
-	s.ShardDown(0, "clean")
-	s.ShardAnomaly(0, "torn_records", "x")
+// statusLedger binds s to the record of a campaign over cells whose
+// execution has begun.
+func statusLedger(name string, cells []Cell, s *Status) *Ledger {
+	l := newLedger(name, cells, &Options{Status: s})
+	l.start = time.Now()
+	return l
+}
+
+// TestStatusUnbound: a scoreboard no campaign has bound yet serves the
+// empty scoreboard, and a nil one (a transport without telemetry) drops
+// shard anomalies.
+func TestStatusUnbound(t *testing.T) {
+	s := NewStatus(nil)
 	snap := s.Snapshot()
-	if snap.Cells != 0 || snap.CellStates == nil {
-		t.Errorf("nil snapshot = %+v", snap)
+	if snap.Cells != 0 || snap.CellStates == nil || snap.ETASec != -1 {
+		t.Errorf("unbound snapshot = %+v", snap)
 	}
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
 	if rec.Code != 200 {
-		t.Errorf("nil ServeHTTP status %d", rec.Code)
+		t.Errorf("unbound ServeHTTP status %d", rec.Code)
 	}
+	s.ShardAnomaly(0, "handshake_failure", "x")
+	var none *Status
+	none.ShardAnomaly(0, "handshake_failure", "x")
 }
 
 // TestStatusCellLifecycle walks one cell through every state and checks
@@ -49,7 +51,8 @@ func TestStatusNilSafe(t *testing.T) {
 func TestStatusCellLifecycle(t *testing.T) {
 	ev := obs.NewEventLog(64)
 	s := NewStatus(ev)
-	s.Begin("lifecycle", statusCells(4))
+	cells := statusCells(4)
+	l := statusLedger("lifecycle", cells, s)
 
 	snap := s.Snapshot()
 	if snap.Campaign != "lifecycle" || snap.Cells != 4 || snap.Pending != 4 {
@@ -59,14 +62,16 @@ func TestStatusCellLifecycle(t *testing.T) {
 		t.Errorf("ETA with no throughput = %v, want -1", snap.ETASec)
 	}
 
-	s.CellStarted(0, 1)
-	s.CellRetryScheduled(0, 1, errors.New("flaky"))
-	s.CellStarted(0, 2)
-	s.CellCompleted(0, 1000)
-	s.CellStarted(1, 1)
-	s.CellFailedTerminally(1, ClassPermanent, errors.New("bad preset"))
-	s.CellResumedFromJournal(2, 500)
-	s.CellStarted(3, 1)
+	l.started(cells[0], 1)
+	l.retrying(cells[0], 1, errors.New("flaky"))
+	l.started(cells[0], 2)
+	if _, err := l.Complete(cells[0], 2, &profiling.RunReport{Cycles: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	l.started(cells[1], 1)
+	l.Fail(CellError{Cell: cells[1], Class: ClassPermanent, Err: errors.New("bad preset")})
+	l.resume(map[int]*profiling.RunReport{2: {Cycles: 500}}, nil)
+	l.started(cells[3], 1)
 
 	snap = s.Snapshot()
 	if snap.Done != 1 || snap.Failed != 1 || snap.Resumed != 1 || snap.Running != 1 || snap.Pending != 0 {
@@ -104,11 +109,11 @@ func TestStatusCellLifecycle(t *testing.T) {
 // the running→pending demotion of a dead shard's cells.
 func TestStatusShardLifecycle(t *testing.T) {
 	s := NewStatus(nil) // no recorder: state tracking must work alone
-	s.Begin("shards", statusCells(4))
-	s.ShardSpawned(0, 101, 0, 2)
-	s.CellsAssigned(0, []int{0, 1})
-	s.ShardSpawned(1, 102, 0, 2)
-	s.CellsAssigned(1, []int{2, 3})
+	cells := statusCells(4)
+	l := statusLedger("shards", cells, s)
+	l.AddShards(2)
+	l.ShardSpawned(0, 101, []int{0, 1})
+	l.ShardSpawned(1, 102, []int{2, 3})
 
 	snap := s.Snapshot()
 	if len(snap.Shards) != 2 || snap.Running != 4 {
@@ -121,13 +126,15 @@ func TestStatusShardLifecycle(t *testing.T) {
 		t.Errorf("shard 0 snap = %+v", snap.Shards[0])
 	}
 	// The heartbeat age is the supervisor's per-tick silence count.
-	s.ShardSilent(0, 1500*time.Millisecond)
+	l.ShardSilent(0, 1500*time.Millisecond)
 	if got := s.Snapshot().Shards[0].HBAgeSec; got != 1.5 {
 		t.Errorf("shard 0 hb_age_sec = %v, want 1.5", got)
 	}
 
-	s.CellCompleted(0, 10)
-	s.ShardDown(0, "crash")
+	if _, err := l.Complete(cells[0], 1, &profiling.RunReport{Cycles: 10}); err != nil {
+		t.Fatal(err)
+	}
+	l.ShardDown(0, "crash")
 	snap = s.Snapshot()
 	sh0 := snap.Shards[0]
 	if sh0.Alive || sh0.LastNote != "crash" || sh0.Done != 1 {
@@ -143,8 +150,8 @@ func TestStatusShardLifecycle(t *testing.T) {
 	}
 
 	// The respawn reclaims the cell and bumps the restart count.
-	s.ShardSpawned(0, 103, 1, 1)
-	s.CellsAssigned(0, []int{1})
+	l.ShardCount(0, ShardRestarts, 1)
+	l.ShardSpawned(0, 103, []int{1})
 	snap = s.Snapshot()
 	if snap.Shards[0].Restarts != 1 || snap.Shards[0].PID != 103 || snap.Shards[0].HBAgeSec != 0 {
 		t.Errorf("post-respawn shard 0 = %+v", snap.Shards[0])
@@ -158,9 +165,12 @@ func TestStatusShardLifecycle(t *testing.T) {
 // decodes back into StatusSnap.
 func TestStatusServeHTTP(t *testing.T) {
 	s := NewStatus(nil)
-	s.Begin("http", statusCells(2))
-	s.CellStarted(0, 1)
-	s.CellCompleted(0, 42)
+	cells := statusCells(2)
+	l := statusLedger("http", cells, s)
+	l.started(cells[0], 1)
+	if _, err := l.Complete(cells[0], 1, &profiling.RunReport{Cycles: 42}); err != nil {
+		t.Fatal(err)
+	}
 
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))

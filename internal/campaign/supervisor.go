@@ -19,7 +19,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/profiling"
 	"repro/internal/sim"
 )
@@ -118,21 +117,15 @@ const superviseLabel = 0xbacc0ff
 // implementations through Options.exec.
 type execFn func(context.Context, Cell) (*profiling.RunReport, error)
 
-// supMetrics carries the supervisor's obs counters into the retry loop
-// (all nil when observability is disabled).
-type supMetrics struct {
-	retries  *obs.Counter
-	panics   *obs.Counter
-	timeouts *obs.Counter
-}
-
 // supervise runs one cell under the full supervisor policy — panic
 // isolation, per-attempt watchdog, classified retry with seed-derived
 // jittered backoff — and returns the report, the number of attempts
-// performed, and the terminal error (nil on success). When the
-// campaign context itself fires, supervise returns ctx.Err() verbatim;
-// callers treat that as cancellation, not as a cell failure.
-func supervise(ctx context.Context, cell Cell, opt Options, exec execFn, m supMetrics, tr *obs.Tracer) (*profiling.RunReport, int, error) {
+// performed, and the terminal error (nil on success). Each attempt and
+// retry lands in the ledger's record. When the campaign context itself
+// fires, supervise returns ctx.Err() verbatim; callers treat that as
+// cancellation, not as a cell failure.
+func supervise(ctx context.Context, l *Ledger, cell Cell, exec execFn) (*profiling.RunReport, int, error) {
+	opt := l.opt
 	backoff := opt.retryBackoff
 	if backoff <= 0 {
 		backoff = defaultRetryBackoff
@@ -143,9 +136,9 @@ func supervise(ctx context.Context, cell Cell, opt Options, exec execFn, m supMe
 		if attempt > 1 {
 			name = fmt.Sprintf("%s:a%d", name, attempt)
 		}
-		opt.Status.CellStarted(cell.Index, attempt)
-		sp := tr.Start(name, "session")
-		report, err := attemptCell(ctx, cell, opt, exec, m)
+		l.started(cell, attempt)
+		sp := opt.Tracer.Start(name, "session")
+		report, err := attemptCell(ctx, l, cell, exec)
 		sp.End()
 		if err == nil {
 			return report, attempt, nil
@@ -157,8 +150,7 @@ func supervise(ctx context.Context, cell Cell, opt Options, exec execFn, m supMe
 		if Classify(err) != ClassTransient || attempt > opt.Retries {
 			return nil, attempt, err
 		}
-		m.retries.Inc()
-		opt.Status.CellRetryScheduled(cell.Index, attempt, err)
+		l.retrying(cell, attempt, err)
 		if _, ok := Backoff(ctx, backoff, attempt, jitter); !ok {
 			return nil, attempt, ctx.Err()
 		}
@@ -186,26 +178,26 @@ func Backoff(ctx context.Context, base time.Duration, attempt int, jitter *sim.R
 
 // attemptCell executes a single attempt behind the panic boundary and
 // the watchdog deadline. A deadline hit by the attempt's own context —
-// while the campaign context is still live — is converted into a
-// watchdog error (transient, hence retryable).
-func attemptCell(ctx context.Context, cell Cell, opt Options, exec execFn, m supMetrics) (report *profiling.RunReport, err error) {
+// while the campaign context is still live — is counted in the ledger
+// and converted into a watchdog error (transient, hence retryable).
+func attemptCell(ctx context.Context, l *Ledger, cell Cell, exec execFn) (report *profiling.RunReport, err error) {
+	timeout := l.opt.CellTimeout
 	actx := ctx
-	if opt.CellTimeout > 0 {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, opt.CellTimeout)
+		actx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 	defer func() {
 		if v := recover(); v != nil {
-			m.panics.Inc()
 			report = nil
 			err = &PanicError{Value: v, Stack: string(debug.Stack())}
 		}
 	}()
 	report, err = exec(actx, cell)
 	if err != nil && actx.Err() != nil && ctx.Err() == nil {
-		m.timeouts.Inc()
-		err = fmt.Errorf("watchdog: cell exceeded %v: %w", opt.CellTimeout, context.DeadlineExceeded)
+		l.timedOut(cell)
+		err = fmt.Errorf("watchdog: cell exceeded %v: %w", timeout, context.DeadlineExceeded)
 	}
 	return report, err
 }

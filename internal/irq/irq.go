@@ -42,8 +42,6 @@ type SRN struct {
 	Provider Provider
 	Vector   uint32 // handler address (ToCPU), channel entry (ToPCP), channel id (ToDMA)
 
-	r       *Router
-	enabled bool
 	pending bool
 
 	// Statistics.
@@ -56,9 +54,9 @@ type SRN struct {
 type Router struct {
 	srns []*SRN
 
-	// top[prov] is the highest-priority pending enabled SRN for prov, or
-	// nil. Request, ack, take and enable changes keep it current, so a
-	// provider's per-cycle arbitration compares one priority.
+	// top[prov] is the highest-priority pending SRN for prov, or nil.
+	// Request, ack and take keep it current, so a provider's per-cycle
+	// arbitration compares one priority.
 	top [4]*SRN
 
 	// onRequest[prov] is called on every pending-flag rise for prov.
@@ -82,18 +80,9 @@ func (r *Router) AddSRN(name string, prio uint32, prov Provider, vector uint32) 
 				prio, prov, s.Name, name))
 		}
 	}
-	s := &SRN{Name: name, Prio: prio, Provider: prov, Vector: vector, r: r, enabled: true}
+	s := &SRN{Name: name, Prio: prio, Provider: prov, Vector: vector}
 	r.srns = append(r.srns, s)
 	return s
-}
-
-// SetEnabled enables or disables the node. A disabled node keeps its
-// request flag but does not arbitrate.
-func (s *SRN) SetEnabled(on bool) {
-	if s.enabled != on {
-		s.enabled = on
-		s.r.retop(s.Provider)
-	}
 }
 
 // Request raises a service request on s. Raising while already pending is
@@ -106,7 +95,7 @@ func (r *Router) Request(s *SRN) {
 		return
 	}
 	s.pending = true
-	if t := r.top[s.Provider]; s.enabled && (t == nil || s.Prio > t.Prio) {
+	if t := r.top[s.Provider]; t == nil || s.Prio > t.Prio {
 		r.top[s.Provider] = s
 	}
 	if fn := r.onRequest[s.Provider]; fn != nil {
@@ -119,15 +108,15 @@ func (r *Router) Request(s *SRN) {
 // to reschedule itself; the hook must be idempotent and cheap.
 func (r *Router) OnRequest(prov Provider, fn func()) { r.onRequest[prov] = fn }
 
-// HasPending reports whether any enabled SRN for prov is awaiting service
+// HasPending reports whether any SRN for prov is awaiting service
 // (the provider-side idle test for wake scheduling).
 func (r *Router) HasPending(prov Provider) bool { return r.top[prov] != nil }
 
-// retop rescans prov's nodes for its highest-priority pending enabled SRN.
+// retop rescans prov's nodes for its highest-priority pending SRN.
 func (r *Router) retop(prov Provider) {
 	var best *SRN
 	for _, s := range r.srns {
-		if s.Provider == prov && s.enabled && s.pending {
+		if s.Provider == prov && s.pending {
 			if best == nil || s.Prio > best.Prio {
 				best = s
 			}

@@ -87,16 +87,6 @@ func TestDuplicatePriorityPanics(t *testing.T) {
 	r.AddSRN("b", 1, ToCPU, 0)
 }
 
-func TestDisabledSRNInvisible(t *testing.T) {
-	r := New()
-	s := r.AddSRN("s", 1, ToCPU, 0)
-	s.SetEnabled(false)
-	r.Request(s)
-	if _, _, ok := r.View(ToCPU).PendingIRQ(0); ok {
-		t.Error("disabled SRN must not arbitrate")
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	r := New()
 	r.AddSRN("a", 1, ToCPU, 0x10)
@@ -115,19 +105,19 @@ func TestAccessors(t *testing.T) {
 }
 
 // scanTop is the reference arbitration: a scan of every node for prov's
-// highest-priority pending enabled SRN.
+// highest-priority pending SRN.
 func scanTop(r *Router, prov Provider) *SRN {
 	var best *SRN
 	for _, s := range r.srns {
-		if s.Provider == prov && s.enabled && s.pending && (best == nil || s.Prio > best.Prio) {
+		if s.Provider == prov && s.pending && (best == nil || s.Prio > best.Prio) {
 			best = s
 		}
 	}
 	return best
 }
 
-// TestCachedTopMatchesScan: after every random request, ack, take and
-// enable change, each provider's cached top is the SRN a full scan finds,
+// TestCachedTopMatchesScan: after every random request, ack and take,
+// each provider's cached top is the SRN a full scan finds,
 // and PendingIRQ and HasPending answer from it.
 func TestCachedTopMatchesScan(t *testing.T) {
 	rng := sim.NewRNG(5)
@@ -147,15 +137,13 @@ func TestCachedTopMatchesScan(t *testing.T) {
 	for step := 0; step < 20_000; step++ {
 		s := srns[rng.Intn(len(srns))]
 		prov := Provider(rng.Intn(4))
-		switch op := rng.Intn(4); op {
+		switch op := rng.Intn(3); op {
 		case 0:
 			r.Request(s)
 		case 1:
 			r.View(s.Provider).AckIRQ(s.Prio)
 		case 2:
 			r.TakePending(prov)
-		case 3:
-			s.SetEnabled(rng.Bool(0.6))
 		}
 		for p := ToCPU; p <= ToCPU1; p++ {
 			want := scanTop(r, p)
