@@ -22,14 +22,17 @@
 // Interrupting a campaign (Ctrl-C) stops the
 // in-flight sessions and flushes the partial aggregate; with -journal,
 // the interrupted campaign is resumable: "tcfleet run -resume dir"
-// reloads the matrix from the journal manifest, skips every
+// reloads the matrix from the journal's header, skips every
 // journaled-complete cell, re-runs failed and missing ones, and
 // produces an aggregate byte-identical to an uninterrupted run.
+// "tcfleet aggregate dir" reads a journal directory as the campaign's
+// reports, named by cell ID.
 //
 // With -shards N the campaign runs across N child worker processes
 // ("tcfleet shard-worker", an internal subcommand), each executing a
-// deterministic slice of the expanded matrix and streaming
-// CRC-32-trailed reports back to the supervising parent, which detects
+// deterministic slice of the expanded matrix and streaming its
+// reports back as CRC-32-checksummed lines to the supervising parent
+// (the line format the journal is written in), which detects
 // hangs via heartbeats, respawns crashed workers with backoff (re-running
 // only their non-journaled cells), and produces the same byte-identical
 // aggregate as an in-process run.
@@ -59,6 +62,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -201,16 +205,27 @@ func runAggregate(args []string) error {
 		return fmt.Errorf("no inputs; usage: tcfleet aggregate [-json] [-out fleet.json] report-dir|report.json ...")
 	}
 
-	paths, err := collect(fs.Args())
+	paths, journals, err := collect(fs.Args())
 	if err != nil {
 		return err
 	}
+	// Reports that do not load, journal lines that do not verify and
+	// journals that cannot be read are skipped with a warning; none
+	// aborts the aggregation.
 	acc := profiling.NewAccumulator()
 	skipped := 0
+	for _, dir := range journals {
+		warns, err := addJournal(acc, dir)
+		if err != nil {
+			warns = []string{err.Error()}
+		}
+		for _, w := range warns {
+			fmt.Fprintf(os.Stderr, "tcfleet: skipping %s: %s\n", dir, w)
+		}
+		skipped += len(warns)
+	}
 	for _, p := range paths {
-		// Checked load: a truncated, malformed, or checksum-inconsistent
-		// report is skipped with a warning, never aborts the aggregation.
-		r, err := profiling.LoadRunReportChecked(p)
+		r, err := loadReport(p)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tcfleet: skipping %v\n", err)
 			skipped++
@@ -219,7 +234,7 @@ func runAggregate(args []string) error {
 		acc.Add(filepath.Base(p), r)
 	}
 	if acc.Len() == 0 {
-		return fmt.Errorf("no valid run reports among %d file(s)", len(paths))
+		return fmt.Errorf("no valid run reports among %d file(s) and %d journal(s)", len(paths), len(journals))
 	}
 	fp, err := acc.Finalize()
 	if err != nil {
@@ -360,7 +375,7 @@ func runCampaign(args []string) error {
 	}
 	switch {
 	case *resumeDir != "":
-		// The journal manifest is the authority on what the campaign was;
+		// The journal header is the authority on what the campaign was;
 		// re-specifying the matrix alongside -resume could only disagree.
 		if len(matrixFlags) > 0 {
 			return fmt.Errorf("-resume rebuilds the matrix from the journal; drop %s",
@@ -558,33 +573,80 @@ func emit(fp *profiling.FleetProfile, jsonOut bool, outPath string, table func()
 	return nil
 }
 
-// writeFile streams write into path atomically (temp file + rename via
-// campaign.WriteFileAtomic): a crash mid-write can no longer leave a
-// truncated report or fleet profile behind.
+// writeFile streams write into path through a temp file in the
+// target's directory and a rename, so readers only ever observe
+// absent-or-complete files, never a torn report or fleet profile.
+// After the rename, the parent directory is fsync'd: the rename lives
+// in the directory entry, and without that barrier a power loss could
+// forget it, leaving neither old nor new name.
 func writeFile(path string, write func(w io.Writer) error) error {
-	return campaign.WriteFileAtomic(path, write)
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if tmp != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err := write(tmp); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	name := tmp.Name()
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	tmp = nil
+	if err := os.Rename(name, path); err != nil {
+		os.Remove(name)
+		return err
+	}
+	return syncDir(dir)
 }
 
-// collect expands directory arguments into their *.json files.
-func collect(args []string) ([]string, error) {
-	var out []string
+// syncDir fsyncs a directory so a just-completed rename survives power
+// loss. Filesystems that refuse to sync directories (some network and
+// FUSE mounts return EINVAL/ENOTSUP) degrade to the pre-barrier
+// behavior rather than failing the write.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		return fmt.Errorf("fsync %s: %w", dir, err)
+	}
+	return nil
+}
+
+// collect sorts the arguments into plain report files — directories
+// expand into their *.json files — and journal directories, the ones
+// holding a campaign journal.
+func collect(args []string) (paths, journals []string, err error) {
 	for _, a := range args {
 		st, err := os.Stat(a)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !st.IsDir() {
-			out = append(out, a)
+			paths = append(paths, a)
+			continue
+		}
+		if _, err := os.Stat(filepath.Join(a, campaign.JournalName)); err == nil {
+			journals = append(journals, a)
 			continue
 		}
 		ents, err := os.ReadDir(a)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		n := 0
 		for _, e := range ents {
 			if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-				out = append(out, filepath.Join(a, e.Name()))
+				paths = append(paths, filepath.Join(a, e.Name()))
 				n++
 			}
 		}
@@ -592,8 +654,46 @@ func collect(args []string) ([]string, error) {
 			fmt.Fprintf(os.Stderr, "tcfleet: %s contains no *.json reports\n", a)
 		}
 	}
-	sort.Strings(out)
-	return out, nil
+	sort.Strings(paths)
+	return paths, journals, nil
+}
+
+// loadReport reads one plain run report file.
+func loadReport(path string) (*profiling.RunReport, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	r, err := profiling.ReadRunReport(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return r, nil
+}
+
+// addJournal adds every report the journal in dir verifies to acc
+// under its cell ID — the reader resume uses — and returns the
+// journal's warnings.
+func addJournal(acc *profiling.Accumulator, dir string) ([]string, error) {
+	m, err := campaign.LoadJournalMatrix(dir)
+	if err != nil {
+		return nil, err
+	}
+	cells, err := m.Expand()
+	if err != nil {
+		return nil, err
+	}
+	jd, err := campaign.ReadJournal(dir, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range jd.Reports {
+		if r != nil {
+			acc.Add(cells[i].ID, r)
+		}
+	}
+	return jd.Warnings, nil
 }
 
 func printProfile(fp *profiling.FleetProfile, skipped int) {

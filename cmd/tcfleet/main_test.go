@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -10,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/profiling"
 )
 
@@ -25,31 +29,42 @@ func testReport(seed uint64) *profiling.RunReport {
 	}
 }
 
-// TestAggregateSkipsCorruptReports: a truncated, garbage, or
-// checksum-inconsistent report in a directory is skipped with a
-// warning — never aborts the aggregation of the valid reports around
-// it.
+// captureStdout runs f with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, f func() error) ([]byte, error) {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = f()
+	os.Stdout = stdout
+	b, rerr := os.ReadFile(out.Name())
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	return b, err
+}
+
+// TestAggregateSkipsCorruptReports: a truncated or garbage report in a
+// directory, and a journal line that fails its checksum, are skipped
+// with a warning — never abort the aggregation of the valid reports
+// around them. A journal directory aggregates to the profile of the
+// campaign that wrote it, byte for byte, runs named by cell ID.
 func TestAggregateSkipsCorruptReports(t *testing.T) {
 	dir := t.TempDir()
 	for i, r := range []*profiling.RunReport{testReport(1), testReport(2)} {
-		path := filepath.Join(dir, "good"+string(rune('a'+i))+".json")
-		b, _, err := r.EncodeSummed()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, b, 0o644); err != nil {
+		if err := writeFile(filepath.Join(dir, "good"+string(rune('a'+i))+".json"), r.WriteJSON); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := os.WriteFile(filepath.Join(dir, "garbage.json"), []byte("{\"schema_ver"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	good, _, err := testReport(3).EncodeSummed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	good[len(good)/3] ^= 0x04 // valid trailer, corrupted body
-	if err := os.WriteFile(filepath.Join(dir, "badcrc.json"), good, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "junk.json"), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,6 +84,55 @@ func TestAggregateSkipsCorruptReports(t *testing.T) {
 		t.Errorf("aggregated %d runs, want the 2 valid ones", len(fp.Runs))
 	}
 
+	// A journal directory is read as the campaign it journals.
+	m := campaign.Matrix{
+		Name: "agg", Seed: 3, Seeds: 2, SoCs: []string{"TC1797"}, Mixes: []string{"lean"},
+		Faults: []string{"clean"}, Resolutions: []uint64{500}, Cycles: 30_000,
+	}
+	jdir := t.TempDir()
+	res, err := campaign.Run(context.Background(), m, campaign.Options{Workers: 1, JournalDir: jdir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := res.Profile.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := captureStdout(t, func() error { return runAggregate([]string{"-json", jdir}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("aggregate -json of the journal differs from the campaign's profile:\n got %.200s\nwant %.200s", got, want.Bytes())
+	}
+	if ents, _ := os.ReadDir(jdir); len(ents) != 1 || ents[0].Name() != campaign.JournalName {
+		t.Errorf("journal directory holds %v, want only %s", ents, campaign.JournalName)
+	}
+
+	// One flipped journal line costs its cell, with a warning.
+	path := filepath.Join(jdir, campaign.JournalName)
+	jb, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb[len(jb)-20] ^= 0x01 // inside the last cell line
+	if err := os.WriteFile(path, jb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runAggregate([]string{"-out", out, jdir}); err != nil {
+		t.Fatalf("aggregate aborted on a corrupt journal line: %v", err)
+	}
+	if data, err = os.ReadFile(out); err != nil {
+		t.Fatal(err)
+	}
+	fp = profiling.FleetProfile{}
+	if err := json.Unmarshal(data, &fp); err != nil {
+		t.Fatal(err)
+	}
+	if len(fp.Runs) != res.Cells-1 {
+		t.Errorf("aggregated %d journaled runs, want %d (one line flipped)", len(fp.Runs), res.Cells-1)
+	}
+
 	// All-corrupt input is an error, not a silent empty profile.
 	bad := t.TempDir()
 	if err := os.WriteFile(filepath.Join(bad, "junk.json"), []byte("not json"), 0o644); err != nil {
@@ -76,6 +140,40 @@ func TestAggregateSkipsCorruptReports(t *testing.T) {
 	}
 	if err := runAggregate([]string{bad}); err == nil {
 		t.Error("aggregation of only-corrupt inputs succeeded")
+	}
+}
+
+// TestWriteFileAtomicLeavesNoTornFile: a failing write callback must
+// leave neither the target nor a temp file behind.
+func TestWriteFileAtomicLeavesNoTornFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.json")
+	boom := errors.New("disk on fire")
+	if err := writeFile(path, func(w io.Writer) error {
+		w.Write([]byte("partial"))
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("error not surfaced: %v", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("failed write left %v behind", ents)
+	}
+	if err := writeFile(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("complete"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || string(got) != "complete" {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("temp residue after success: %v", ents)
 	}
 }
 

@@ -25,9 +25,9 @@ func benchMatrix() Matrix {
 }
 
 // BenchmarkCampaignJournal measures the supervisor's write-ahead
-// journal overhead on a clean campaign (the BENCH_pr4 comparison):
-// journal=on adds one atomic report write plus one fsync'd manifest
-// append per cell. The difference is below this benchmark's run-to-run
+// journal overhead on a clean campaign (the BENCH_pr4 comparison,
+// which measured the older per-file format): journal=on adds one
+// fsync'd journal line per cell. The difference is below this benchmark's run-to-run
 // noise on a shared host, so CI records it without gating on it.
 func BenchmarkCampaignJournal(b *testing.B) {
 	m := benchMatrix()

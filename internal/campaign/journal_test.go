@@ -3,10 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,40 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profiling"
 )
-
-// TestWriteFileAtomicLeavesNoTornFile: a failing write callback must
-// leave neither the target nor a temp file behind.
-func TestWriteFileAtomicLeavesNoTornFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.json")
-	boom := errors.New("disk on fire")
-	if err := WriteFileAtomic(path, func(w io.Writer) error {
-		w.Write([]byte("partial"))
-		return boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("error not surfaced: %v", err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("failed write left %v behind", ents)
-	}
-	if err := WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write([]byte("complete"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "complete" {
-		t.Fatalf("read back %q, %v", got, err)
-	}
-	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
-		t.Fatalf("temp residue after success: %v", ents)
-	}
-}
 
 // resumeMatrix is testMatrix at a lighter horizon: the resume suite
 // runs many full campaigns, and determinism holds at any horizon.
@@ -152,8 +116,26 @@ func TestCampaignResumeObs(t *testing.T) {
 	}
 }
 
-// TestCampaignResumeCorruptReports: resumed reports that were torn or
-// bit-flipped on disk fail verification, get re-run, and the final
+// journalLines reads the journal in dir as its lines, newlines kept.
+func journalLines(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, JournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.SplitAfter(data, []byte("\n"))
+}
+
+// writeJournal replaces the journal in dir with the given lines.
+func writeJournal(t *testing.T, dir string, lines [][]byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, JournalName), bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCampaignResumeCorruptReports: a bit-flipped cell line and a torn
+// last line fail verification, their cells re-run, and the final
 // aggregate is still byte-identical to an uninterrupted run.
 func TestCampaignResumeCorruptReports(t *testing.T) {
 	m := resumeMatrix()
@@ -171,29 +153,18 @@ func TestCampaignResumeCorruptReports(t *testing.T) {
 	if full.Completed != m.Size() {
 		t.Fatalf("journaled run completed %d/%d", full.Completed, m.Size())
 	}
-	cells, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
+	// Header, one line per cell, and the empty remainder after the
+	// last newline.
+	lines := journalLines(t, dir)
+	if len(lines) != m.Size()+2 || len(lines[len(lines)-1]) != 0 {
+		t.Fatalf("journal has %d lines, want header + %d cells", len(lines)-1, m.Size())
 	}
-	// Tear one report (truncation loses the trailer) and bit-flip
-	// another (trailer intact, body diverges).
-	torn := filepath.Join(dir, cells[1].ID+".json")
-	data, err := os.ReadFile(torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(torn, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	flipped := filepath.Join(dir, cells[6].ID+".json")
-	data, err = os.ReadFile(flipped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/3] ^= 0x20
-	if err := os.WriteFile(flipped, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Flip a byte inside one cell's line (checksum intact, body
+	// diverges) and tear the last one mid-write.
+	lines[3][len(lines[3])/3] ^= 0x20
+	last := lines[len(lines)-2]
+	lines[len(lines)-2] = last[:len(last)/2]
+	writeJournal(t, dir, lines)
 
 	res, err := Run(context.Background(), m, Options{Workers: 2, JournalDir: dir, Resume: true})
 	if err != nil {
@@ -202,14 +173,68 @@ func TestCampaignResumeCorruptReports(t *testing.T) {
 	if res.Resumed != m.Size()-2 {
 		t.Errorf("resumed %d cells, want %d (two corrupt)", res.Resumed, m.Size()-2)
 	}
-	if len(res.Warnings) != 2 {
-		t.Errorf("warnings = %v, want 2", res.Warnings)
+	wantWarn := []string{"2 torn or corrupt journal line(s) dropped"}
+	if !reflect.DeepEqual(res.Warnings, wantWarn) {
+		t.Errorf("warnings = %q, want %q", res.Warnings, wantWarn)
 	}
 	if res.Completed != m.Size() || res.Failed != 0 {
 		t.Fatalf("resumed run = %+v", res)
 	}
 	if got := profileJSON(t, res); !bytes.Equal(got, want) {
 		t.Error("aggregate after corrupt-report re-run differs from uninterrupted run")
+	}
+}
+
+// TestCampaignResumeTornTail: a journal whose last line was torn
+// mid-write resumes, and the resume appends its first line after the
+// last whole one, not onto the fragment — so a second resume finds
+// every cell journaled, re-runs none, and aggregates the same bytes.
+func TestCampaignResumeTornTail(t *testing.T) {
+	m := resumeMatrix()
+	m.Faults = []string{"clean"}
+	m.Seeds = 2 // 4 cells
+	ref, err := Run(context.Background(), m, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := profileJSON(t, ref)
+
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), m, Options{Workers: 1, JournalDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	lines := journalLines(t, dir)
+	last := lines[len(lines)-2]
+	lines[len(lines)-2] = last[:len(last)/2]
+	writeJournal(t, dir, lines)
+
+	res1, err := Run(context.Background(), m, Options{Workers: 1, JournalDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res1.Resumed != m.Size()-1 || res1.Completed != m.Size() {
+		t.Fatalf("first resume: resumed %d, completed %d of %d", res1.Resumed, res1.Completed, m.Size())
+	}
+	res2, err := Run(context.Background(), m, Options{Workers: 1, JournalDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Resumed != m.Size() || len(res2.Warnings) != 0 {
+		t.Errorf("second resume: resumed %d of %d, warnings %q", res2.Resumed, m.Size(), res2.Warnings)
+	}
+	for _, res := range []*Result{res1, res2} {
+		if got := profileJSON(t, res); !bytes.Equal(got, want) {
+			t.Error("aggregate after a torn-tail resume differs from uninterrupted run")
+		}
+	}
+	// The fragment is gone: every line of the journal verifies.
+	for i, line := range journalLines(t, dir) {
+		if len(line) == 0 {
+			continue
+		}
+		if _, ok := DecodeLine(bytes.TrimSuffix(line, []byte("\n"))); !ok {
+			t.Errorf("journal line %d does not verify: %.60q", i+1, line)
+		}
 	}
 }
 
@@ -234,26 +259,31 @@ func TestCampaignResumeFailedCellsRerun(t *testing.T) {
 		t.Fatalf("first run = failed %d, errors %v", res1.Failed, res1.Errors)
 	}
 
-	// The manifest must carry the classified failure with its attempts.
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	// The journal must carry the classified failure with its attempts.
+	f, err := os.Open(filepath.Join(dir, JournalName))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	lr := NewLineReader(f, MaxLine)
 	var foundFailed bool
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n")[1:] {
-		var e journalEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("bad manifest line %q: %v", line, err)
+	for {
+		e, err := lr.Next()
+		if err != nil {
+			break
 		}
-		if e.Status == "failed" {
+		if e.Kind == "fail" {
 			foundFailed = true
-			if e.Index != 2 || e.Class != string(ClassTransient) || e.Attempts != 2 || e.Error == "" {
-				t.Errorf("failed entry = %+v", e)
+			if e.Index != 2 || e.Class != ClassTransient || e.Attempts != 2 || e.Error == "" {
+				t.Errorf("fail line = %+v", e)
 			}
 		}
 	}
+	if lr.Torn() != 0 {
+		t.Errorf("journal has %d torn lines", lr.Torn())
+	}
 	if !foundFailed {
-		t.Fatal("no failed entry journaled")
+		t.Fatal("no fail line journaled")
 	}
 
 	res2, err := Run(context.Background(), m, Options{Workers: 2, JournalDir: dir, Resume: true})
@@ -274,7 +304,8 @@ func TestCampaignResumeFailedCellsRerun(t *testing.T) {
 
 // TestCampaignJournalGuards: a fresh journal refuses to clobber an
 // existing one; resume refuses a matrix the journal was not written
-// for, and a directory without a manifest.
+// for, a directory without a journal, a corrupt header and a version-1
+// manifest.
 func TestCampaignJournalGuards(t *testing.T) {
 	m := resumeMatrix()
 	dir := t.TempDir()
@@ -293,11 +324,33 @@ func TestCampaignJournalGuards(t *testing.T) {
 	}
 
 	if _, err := Run(context.Background(), m, Options{Workers: 1, JournalDir: t.TempDir(), Resume: true}); err == nil {
-		t.Error("resume without a manifest succeeded")
+		t.Error("resume without a journal succeeded")
+	}
+
+	lines := journalLines(t, dir)
+	lines[0][len(lines[0])/2] ^= 0x01
+	writeJournal(t, dir, lines)
+	if _, err := Run(context.Background(), m, Options{Workers: 1, JournalDir: dir, Resume: true}); err == nil ||
+		!strings.Contains(err.Error(), "corrupt journal header") {
+		t.Errorf("resume with a flipped header: err = %v", err)
+	}
+
+	v1 := t.TempDir()
+	manifest := `{"journal_version":1,"seed":1,"cells":8,"matrix_hash":"ab","matrix":{}}` + "\n" +
+		`{"cell":"c0000","index":0,"status":"done","attempts":1,"crc32":"01234567"}` + "\n"
+	if err := os.WriteFile(filepath.Join(v1, JournalName), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), m, Options{Workers: 1, JournalDir: v1, Resume: true}); err == nil ||
+		!strings.Contains(err.Error(), "journal version 1 not supported") {
+		t.Errorf("resume of a version-1 manifest: err = %v", err)
+	}
+	if _, err := LoadJournalMatrix(v1); err == nil || !strings.Contains(err.Error(), "journal version 1") {
+		t.Errorf("LoadJournalMatrix of a version-1 manifest: err = %v", err)
 	}
 }
 
-// TestLoadJournalMatrix: the manifest header round-trips the matrix,
+// TestLoadJournalMatrix: the journal header round-trips the matrix,
 // so resume needs no flags.
 func TestLoadJournalMatrix(t *testing.T) {
 	m := resumeMatrix()

@@ -157,36 +157,35 @@ func RunWith(ctx context.Context, m Matrix, opt Options, ex Executor) (*Result, 
 	return res, nil
 }
 
-// openJournal starts a fresh journal, or resumes one: the manifest is
+// openJournal starts a fresh journal, or resumes one: the journal is
 // validated against this expansion and every journaled-complete report
 // is preloaded as a resumed cell.
 func (l *Ledger) openJournal(m Matrix) error {
-	hash := MatrixHash(l.cells)
 	if !l.opt.Resume {
-		jr, err := openJournal(l.opt.JournalDir, m, hash, l.cells)
+		jr, err := createJournal(l.opt.JournalDir, m, l.cells)
 		l.jr = jr
 		return err
 	}
-	jr, resumed, warns, err := resumeJournal(l.opt.JournalDir, hash, l.cells)
+	jr, jd, err := resumeJournal(l.opt.JournalDir, l.cells)
 	if err != nil {
 		return err
 	}
 	l.jr = jr
-	l.resume(resumed, warns)
+	l.resume(jd)
 	return nil
 }
 
 // resume marks the journaled-complete cells resumed and adds their
 // reports to the aggregate, in index order, so the cell_resumed events
 // repeat from run to run.
-func (l *Ledger) resume(reports map[int]*profiling.RunReport, warns []string) {
+func (l *Ledger) resume(jd *Journaled) {
 	l.mu.Lock()
 	defer l.unlock()
-	l.warns = append(l.warns, warns...)
+	l.warns = append(l.warns, jd.Warnings...)
 	l.addCounter("campaign_resume_skips", func(t *tally) float64 { return float64(t.cells[CellResumed]) })
 	for i, cell := range l.cells {
-		rep, ok := reports[cell.Index]
-		if !ok {
+		rep := jd.Reports[i]
+		if rep == nil {
 			continue
 		}
 		l.acc.Add(cell.ID, rep)
@@ -355,9 +354,9 @@ func (l *Ledger) timedOut(cell Cell) {
 	l.rec(cell.Index).timeouts++
 }
 
-// addPoolViews publishes the in-process pool's views: the completion
-// rates over the execution so far, and the per-cell supervisor's
-// retry, panic and watchdog counts.
+// addPoolViews publishes the in-process pool's views: the rates of the
+// cells completed in this run, over the execution so far, and the
+// per-cell supervisor's retry, panic and watchdog counts.
 func (l *Ledger) addPoolViews() {
 	l.mu.Lock()
 	defer l.unlock()
@@ -368,8 +367,8 @@ func (l *Ledger) addPoolViews() {
 		}
 		return n / elapsed
 	}
-	l.addGauge("campaign_sessions_per_sec", func(t *tally) float64 { return rate(t, float64(t.cells[CellDone]+t.cells[CellResumed])) })
-	l.addGauge("campaign_sim_cycles_per_sec", func(t *tally) float64 { return rate(t, float64(t.cycles)) })
+	l.addGauge("campaign_sessions_per_sec", func(t *tally) float64 { return rate(t, float64(t.cells[CellDone])) })
+	l.addGauge("campaign_sim_cycles_per_sec", func(t *tally) float64 { return rate(t, float64(t.ranCycles)) })
 	l.addCounter("campaign_retries", func(t *tally) float64 { return float64(t.retries) })
 	l.addCounter("campaign_panics", func(t *tally) float64 { return float64(t.panics) })
 	l.addCounter("campaign_timeouts", func(t *tally) float64 { return float64(t.timeouts) })
@@ -468,12 +467,13 @@ func (l *Ledger) ShardDown(si int, verdict string) {
 
 // tally is one pass over the record: the totals its views read.
 type tally struct {
-	cells    map[CellState]int // cells per state
-	cycles   uint64            // simulated cycles of the complete cells
-	retries  int               // attempts beyond each cell's first
-	timeouts int
-	panics   int // cells failed by a panic
-	shard    [numShardStats]int
+	cells     map[CellState]int // cells per state
+	cycles    uint64            // simulated cycles of the complete cells
+	ranCycles uint64            // of the cells completed in this run
+	retries   int               // attempts beyond each cell's first
+	timeouts  int
+	panics    int // cells failed by a panic
+	shard     [numShardStats]int
 }
 
 // tally sums the record; l.mu is held.
@@ -482,6 +482,9 @@ func (l *Ledger) tally() tally {
 	for _, c := range l.recs {
 		t.cells[c.state]++
 		t.cycles += c.cycles
+		if c.state == CellDone {
+			t.ranCycles += c.cycles
+		}
 		t.retries += max(c.attempts-1, 0)
 		t.timeouts += c.timeouts
 		if c.err != nil && c.err.Class == ClassPanic {

@@ -47,10 +47,10 @@ type Options struct {
 	// and shard transition. It never influences execution or the
 	// aggregate.
 	Status *Status
-	// JournalDir, when set, write-ahead journals the campaign into this
-	// directory: every completed report persisted atomically with a
-	// CRC-32 trailer, plus a campaign.journal manifest of per-cell
-	// status/attempts, so an interrupted campaign can resume.
+	// JournalDir, when set, write-ahead journals the campaign into
+	// this directory's campaign.journal: one CRC-32 line per completed
+	// report or failed cell, appended and fsync'd as cells finish, so
+	// an interrupted campaign can resume.
 	JournalDir string
 	// Resume validates the journal already in JournalDir against the
 	// expanded matrix, skips journaled-complete cells (their reports are
@@ -86,8 +86,9 @@ type Result struct {
 	// Errors lists terminally failed cells in index order, classified and
 	// with their attempt counts.
 	Errors []CellError
-	// Warnings lists non-fatal journal anomalies (corrupt resumed report
-	// re-run, manifest append failure) in the order they were noticed.
+	// Warnings lists non-fatal journal anomalies (torn or corrupt lines
+	// whose cells re-ran, failures the journal could not take) in the
+	// order they were noticed.
 	Warnings []string
 }
 

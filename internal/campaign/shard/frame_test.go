@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 // TestFrameRoundTrip: every (type, payload) the codec accepts comes
@@ -41,7 +43,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // surface, not silently deliver a partial payload.
 func TestFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, ftStream, testLine(message{Kind: "hb", Done: 3})); err != nil {
+	if err := writeFrame(&buf, ftStream, testLine(campaign.Message{Kind: "hb", Done: 3})); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
@@ -130,7 +132,7 @@ func TestFrameGarbage(t *testing.T) {
 // parsed frame IS the canonical encoding of its content.
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
-	_ = writeFrame(&seed, ftStream, testLine(message{Kind: "hb", Done: 4}))
+	_ = writeFrame(&seed, ftStream, testLine(campaign.Message{Kind: "hb", Done: 4}))
 	f.Add(seed.Bytes())
 	_ = writeFrame(&seed, ftSpec, []byte(`{"Shard":1}`))
 	f.Add(seed.Bytes())

@@ -46,7 +46,7 @@ func floodAgent(t *testing.T, crash bool) string {
 				if crash {
 					time.AfterFunc(100*time.Millisecond, func() { nc.Close() })
 				}
-				line := testLine(message{Kind: "hb"})
+				line := testLine(campaign.Message{Kind: "hb"})
 				for writeFrame(nc, ftStream, line) == nil {
 				}
 			}()
@@ -270,9 +270,9 @@ func TestHangBudget(t *testing.T) {
 			for i, step := range tc.script {
 				switch step {
 				case 'l', 'b':
-					line := testLine(message{Kind: "hb"})
+					line := testLine(campaign.Message{Kind: "hb"})
 					if step == 'b' {
-						line = testLine(message{Kind: "bye"})
+						line = testLine(campaign.Message{Kind: "bye"})
 					}
 					select {
 					case conn.lines <- line:

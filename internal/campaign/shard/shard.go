@@ -2,8 +2,9 @@
 // expanded matrix is split into deterministic index ranges, each range
 // runs in a child worker process (tcfleet shard-worker), and completed
 // cells stream back over the worker's stdout one checksummed message
-// per line (see stream.go) — verified on ingest, because a pipe from a
-// process that can crash mid-write may tear at any byte.
+// per line (campaign's line codec, which the journal writes too) —
+// verified on ingest, because a pipe from a process that can crash
+// mid-write may tear at any byte.
 //
 // The split is part of the campaign's determinism contract: Split is a
 // pure function of (cell count, shard count), cell seeds were already
@@ -25,6 +26,11 @@ import (
 	"syscall"
 	"time"
 )
+
+// ProtocolVersion versions the worker protocol: the Spec a worker is
+// started from and the stream it writes back. The worker's hello names
+// it, and the TCP handshake refuses an agent that speaks another.
+const ProtocolVersion = 3
 
 // Supervision timing. The heartbeat period is the one timing input;
 // the hang budget is counted in periods of it, and the rest are fixed.

@@ -12,6 +12,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/campaign"
 )
 
 // TestMain doubles as the shard-worker helper binary: when
@@ -36,14 +38,14 @@ func TestMain(m *testing.M) {
 	case "hang":
 		// Says hello, then goes silent forever: the heartbeat-deadline
 		// hang case.
-		os.Stdout.Write(testLine(message{Kind: "hello", Version: ProtocolVersion}))
+		os.Stdout.Write(testLine(campaign.Message{Kind: "hello", Version: ProtocolVersion}))
 		time.Sleep(time.Hour)
 		os.Exit(0)
 	case "torn":
 		// Emits a torn cell line (cut before its checksum) and exits 0:
 		// the clean-exit-with-missing-cells case.
-		os.Stdout.Write(testLine(message{Kind: "hello", Version: ProtocolVersion}))
-		cell := testLine(message{Kind: "cell", Report: []byte(`{"schema_version":1,"app":"torn-worker"}`)})
+		os.Stdout.Write(testLine(campaign.Message{Kind: "hello", Version: ProtocolVersion}))
+		cell := testLine(campaign.Message{Kind: "cell", Report: []byte(`{"schema_version":1,"app":"torn-worker"}`)})
 		os.Stdout.Write(cell[:len(cell)-6])
 		os.Exit(0)
 	case "crash":
@@ -56,7 +58,7 @@ func TestMain(m *testing.M) {
 		if os.Getenv("SHARD_TEST_MODE") == "floodcrash" {
 			time.AfterFunc(100*time.Millisecond, func() { os.Exit(3) })
 		}
-		hb := testLine(message{Kind: "hb"})
+		hb := testLine(campaign.Message{Kind: "hb"})
 		for {
 			os.Stdout.Write(hb)
 		}

@@ -21,8 +21,8 @@ import (
 
 // testLine encodes one stream line, panicking on a message that cannot
 // marshal (a bug in the test itself).
-func testLine(m message) []byte {
-	line, err := appendLine(nil, &m)
+func testLine(m campaign.Message) []byte {
+	line, err := campaign.AppendLine(nil, &m)
 	if err != nil {
 		panic(err)
 	}
@@ -45,13 +45,13 @@ func testReport(seed uint64) json.RawMessage {
 	return report
 }
 
-func cellMsg(idx int) message {
-	return message{Kind: "cell", Index: idx, Report: testReport(uint64(idx)*31 + 7)}
+func cellMsg(idx int) campaign.Message {
+	return campaign.Message{Kind: "cell", Index: idx, Report: testReport(uint64(idx)*31 + 7)}
 }
 
 // everyKind is one message of each kind, in protocol order.
-func everyKind() []message {
-	return []message{
+func everyKind() []campaign.Message {
+	return []campaign.Message{
 		{Kind: "hello", Version: ProtocolVersion, Hash: "abc123"},
 		{Kind: "hb"},
 		cellMsg(0),
@@ -64,7 +64,7 @@ func everyKind() []message {
 }
 
 // encodeAll concatenates the lines of msgs.
-func encodeAll(msgs []message) []byte {
+func encodeAll(msgs []campaign.Message) []byte {
 	var b []byte
 	for _, m := range msgs {
 		b = append(b, testLine(m)...)
@@ -74,10 +74,10 @@ func encodeAll(msgs []message) []byte {
 
 // readAll drains a line reader: every verified message and the error
 // that ended the stream.
-func readAll(l *lineReader) ([]message, error) {
-	var out []message
+func readAll(l *campaign.LineReader) ([]campaign.Message, error) {
+	var out []campaign.Message
 	for {
-		m, err := l.next()
+		m, err := l.Next()
 		if err != nil {
 			return out, err
 		}
@@ -93,7 +93,7 @@ func TestStreamCleanRoundTrip(t *testing.T) {
 	if n := bytes.Count(stream, []byte("\n")); n != len(want) {
 		t.Fatalf("%d messages took %d lines", len(want), n)
 	}
-	l := newLineReader(bytes.NewReader(stream))
+	l := campaign.NewLineReader(bytes.NewReader(stream), campaign.MaxLine)
 	got, err := readAll(l)
 	if err != io.EOF {
 		t.Fatalf("clean stream ended with %v, want io.EOF", err)
@@ -101,8 +101,8 @@ func TestStreamCleanRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip:\n got %+v\nwant %+v", got, want)
 	}
-	if l.torn != 0 {
-		t.Errorf("clean stream counted %d torn lines", l.torn)
+	if l.Torn() != 0 {
+		t.Errorf("clean stream counted %d torn lines", l.Torn())
 	}
 }
 
@@ -110,18 +110,18 @@ func TestStreamCleanRoundTrip(t *testing.T) {
 // after cells reach the reader in the order written, each one its own
 // message, none counted torn and none folded into a cell.
 func TestStreamControlLines(t *testing.T) {
-	want := []message{{Kind: "hello", Version: ProtocolVersion, Hash: "abc123"}}
+	want := []campaign.Message{{Kind: "hello", Version: ProtocolVersion, Hash: "abc123"}}
 	for i := 0; i < 3; i++ {
-		want = append(want, cellMsg(i), message{Kind: "hb", Done: int64(i + 1)})
+		want = append(want, cellMsg(i), campaign.Message{Kind: "hb", Done: int64(i + 1)})
 	}
-	want = append(want, message{Kind: "bye", Done: 3})
-	l := newLineReader(bytes.NewReader(encodeAll(want)))
+	want = append(want, campaign.Message{Kind: "bye", Done: 3})
+	l := campaign.NewLineReader(bytes.NewReader(encodeAll(want)), campaign.MaxLine)
 	got, err := readAll(l)
 	if err != io.EOF {
 		t.Fatalf("stream ended with %v, want io.EOF", err)
 	}
-	if l.torn != 0 {
-		t.Errorf("control lines counted as torn: %d", l.torn)
+	if l.Torn() != 0 {
+		t.Errorf("control lines counted as torn: %d", l.Torn())
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("read %d messages, want %d in written order", len(got), len(want))
@@ -155,14 +155,14 @@ func TestEmitterRoundTrip(t *testing.T) {
 				if err := em.send(cellMsg(i*10 + j)); err != nil {
 					t.Error(err)
 				}
-				if err := em.send(message{Kind: "hb", Done: int64(j)}); err != nil {
+				if err := em.send(campaign.Message{Kind: "hb", Done: int64(j)}); err != nil {
 					t.Error(err)
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	l := newLineReader(&buf)
+	l := campaign.NewLineReader(&buf, campaign.MaxLine)
 	got, _ := readAll(l)
 	cells := map[int]bool{}
 	for _, m := range got {
@@ -173,8 +173,8 @@ func TestEmitterRoundTrip(t *testing.T) {
 			cells[m.Index] = true
 		}
 	}
-	if len(got) != 160 || len(cells) != 80 || l.torn != 0 {
-		t.Errorf("read %d messages (%d distinct cells), %d torn; want 160, 80, 0", len(got), len(cells), l.torn)
+	if len(got) != 160 || len(cells) != 80 || l.Torn() != 0 {
+		t.Errorf("read %d messages (%d distinct cells), %d torn; want 160, 80, 0", len(got), len(cells), l.Torn())
 	}
 }
 
@@ -184,9 +184,9 @@ func crcOf(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 // covers its JSON and whose JSON fits the message; every line the
 // retired text protocol wrote is torn.
 func TestDecodeLine(t *testing.T) {
-	good := bytes.TrimSuffix(testLine(message{Kind: "hb", Done: 3}), []byte("\n"))
-	if m, ok := decodeLine(good); !ok || m.Kind != "hb" || m.Done != 3 {
-		t.Fatalf("decodeLine(%q) = %+v, %v", good, m, ok)
+	good := bytes.TrimSuffix(testLine(campaign.Message{Kind: "hb", Done: 3}), []byte("\n"))
+	if m, ok := campaign.DecodeLine(good); !ok || m.Kind != "hb" || m.Done != 3 {
+		t.Fatalf("campaign.DecodeLine(%q) = %+v, %v", good, m, ok)
 	}
 	body := string(good[:len(good)-9])
 	mistyped := []byte(`{"kind":7}`)
@@ -204,8 +204,8 @@ func TestDecodeLine(t *testing.T) {
 		"//shard cell 3",
 		"//crc32:deadbeef",
 	} {
-		if m, ok := decodeLine([]byte(bad)); ok {
-			t.Errorf("decodeLine(%q) accepted: %+v", bad, m)
+		if m, ok := campaign.DecodeLine([]byte(bad)); ok {
+			t.Errorf("campaign.DecodeLine(%q) accepted: %+v", bad, m)
 		}
 	}
 }
@@ -222,7 +222,7 @@ func TestStreamGarbageBetweenLines(t *testing.T) {
 		stream = append(stream, "<<<interleaved garbage>>>\n"...)
 	}
 	stream = append(stream, "\x00\xff trailing garbage, unterminated"...)
-	l := newLineReader(bytes.NewReader(stream))
+	l := campaign.NewLineReader(bytes.NewReader(stream), campaign.MaxLine)
 	got, err := readAll(l)
 	if err != io.EOF {
 		t.Fatalf("stream ended with %v, want io.EOF", err)
@@ -230,8 +230,8 @@ func TestStreamGarbageBetweenLines(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("messages lost or mangled among garbage: got %d of %d", len(got), len(want))
 	}
-	if wantTorn := len(want) + 2; l.torn != wantTorn {
-		t.Errorf("torn = %d, want %d (one per garbage line)", l.torn, wantTorn)
+	if wantTorn := len(want) + 2; l.Torn() != wantTorn {
+		t.Errorf("torn = %d, want %d (one per garbage line)", l.Torn(), wantTorn)
 	}
 }
 
@@ -249,18 +249,18 @@ func TestStreamTornAndFlipped(t *testing.T) {
 	stream = append(stream, cell[:len(cell)/2]...)
 	stream = append(stream, cell...)
 	stream = append(stream, cell...)
-	l := newLineReader(bytes.NewReader(stream))
+	l := campaign.NewLineReader(bytes.NewReader(stream), campaign.MaxLine)
 	got, _ := readAll(l)
-	if len(got) != 2 || !reflect.DeepEqual(got[1], msgs[2]) || l.torn != 1 {
-		t.Errorf("mid-stream tear: read %d messages, %d torn; want hello + one cell, 1 torn", len(got), l.torn)
+	if len(got) != 2 || !reflect.DeepEqual(got[1], msgs[2]) || l.Torn() != 1 {
+		t.Errorf("mid-stream tear: read %d messages, %d torn; want hello + one cell, 1 torn", len(got), l.Torn())
 	}
 
 	// Torn last line: EOF before the newline.
 	stream = append(testLine(msgs[0]), cell[:len(cell)-3]...)
-	l = newLineReader(bytes.NewReader(stream))
+	l = campaign.NewLineReader(bytes.NewReader(stream), campaign.MaxLine)
 	got, err := readAll(l)
-	if err != io.EOF || len(got) != 1 || l.torn != 1 {
-		t.Errorf("torn tail: read %d messages, %d torn, err %v; want 1, 1, EOF", len(got), l.torn, err)
+	if err != io.EOF || len(got) != 1 || l.Torn() != 1 {
+		t.Errorf("torn tail: read %d messages, %d torn, err %v; want 1, 1, EOF", len(got), l.Torn(), err)
 	}
 
 	// Every single-bit flip in a line drops exactly that line's message.
@@ -270,33 +270,30 @@ func TestStreamTornAndFlipped(t *testing.T) {
 			flipped := append([]byte(nil), line...)
 			flipped[i] ^= 1 << bit
 			stream := append(append(testLine(msgs[0]), flipped...), testLine(msgs[7])...)
-			l := newLineReader(bytes.NewReader(stream))
+			l := campaign.NewLineReader(bytes.NewReader(stream), campaign.MaxLine)
 			got, _ := readAll(l)
-			if len(got) != 2 || got[0].Kind != "hello" || got[1].Kind != "bye" || l.torn == 0 {
-				t.Fatalf("flip of bit %d at byte %d: read %+v, %d torn", bit, i, got, l.torn)
+			if len(got) != 2 || got[0].Kind != "hello" || got[1].Kind != "bye" || l.Torn() == 0 {
+				t.Fatalf("flip of bit %d at byte %d: read %+v, %d torn", bit, i, got, l.Torn())
 			}
 		}
 	}
 }
 
-// TestStreamOversizedLine: a line past the bound is dropped and counted
-// without being held whole, and the next line is still read.
+// TestStreamOversizedLine: a line past the bound is dropped and
+// counted, and the next line is still read. (That the reader never
+// holds such a line whole is TestLineReaderBoundsItsBuffer.)
 func TestStreamOversizedLine(t *testing.T) {
-	big := message{Kind: "cell", Index: 1, Report: json.RawMessage(`"` + strings.Repeat("x", 5000) + `"`)}
+	big := campaign.Message{Kind: "cell", Index: 1, Report: json.RawMessage(`"` + strings.Repeat("x", 5000) + `"`)}
 	want := everyKind()
 	stream := append(testLine(big), encodeAll(want)...)
 	stream = append(stream, strings.Repeat("y", 3000)...) // unterminated flood
-	l := newLineReader(bytes.NewReader(stream))
-	l.max = 1024
+	l := campaign.NewLineReader(bytes.NewReader(stream), 1024)
 	got, err := readAll(l)
 	if err != io.EOF || !reflect.DeepEqual(got, want) {
 		t.Fatalf("after an oversized line: read %d of %d messages, err %v", len(got), len(want), err)
 	}
-	if l.torn != 2 {
-		t.Errorf("torn = %d, want 2 (the oversized line and the flood)", l.torn)
-	}
-	if cap(l.line) > 4096 {
-		t.Errorf("reader grew its line buffer to %d bytes for a %d-byte bound", cap(l.line), l.max)
+	if l.Torn() != 2 {
+		t.Errorf("torn = %d, want 2 (the oversized line and the flood)", l.Torn())
 	}
 }
 
@@ -307,13 +304,13 @@ func TestStreamReadError(t *testing.T) {
 	want := everyKind()
 	boom := errors.New("pipe broke")
 	stream := append(encodeAll(want), `{"kind":"hb"`...)
-	l := newLineReader(io.MultiReader(bytes.NewReader(stream), errReader{boom}))
+	l := campaign.NewLineReader(io.MultiReader(bytes.NewReader(stream), errReader{boom}), campaign.MaxLine)
 	got, err := readAll(l)
 	if err != boom {
 		t.Fatalf("stream ended with %v, want the read error", err)
 	}
-	if !reflect.DeepEqual(got, want) || l.torn != 1 {
-		t.Errorf("read %d of %d messages, %d torn; want all, 1 torn", len(got), len(want), l.torn)
+	if !reflect.DeepEqual(got, want) || l.Torn() != 1 {
+		t.Errorf("read %d of %d messages, %d torn; want all, 1 torn", len(got), len(want), l.Torn())
 	}
 }
 
@@ -351,7 +348,7 @@ func TestStreamProperty(t *testing.T) {
 				wrote++
 			}
 		}
-		l := newLineReader(bytes.NewReader(stream))
+		l := campaign.NewLineReader(bytes.NewReader(stream), campaign.MaxLine)
 		got, _ := readAll(l)
 		for _, m := range got {
 			found := false
@@ -365,8 +362,8 @@ func TestStreamProperty(t *testing.T) {
 		if len(got) > wrote {
 			t.Fatalf("trial %d: read %d messages, only %d intact ones written", trial, len(got), wrote)
 		}
-		if lines := bytes.Count(stream, []byte("\n")); len(got)+l.torn != lines {
-			t.Fatalf("trial %d: %d messages + %d torn != %d lines", trial, len(got), l.torn, lines)
+		if lines := bytes.Count(stream, []byte("\n")); len(got)+l.Torn() != lines {
+			t.Fatalf("trial %d: %d messages + %d torn != %d lines", trial, len(got), l.Torn(), lines)
 		}
 	}
 }
@@ -378,11 +375,10 @@ func FuzzStreamLine(f *testing.F) {
 	f.Add(encodeAll(everyKind()))
 	f.Add([]byte("//shard hello v=1 shard=0 cells=0 hash=\n//shard cell 0\n//crc32:00000000\n"))
 	f.Add([]byte(`{"kind":"hb"} 00000000` + "\n"))
-	f.Add(testLine(message{Kind: "bye"})[:10])
+	f.Add(testLine(campaign.Message{Kind: "bye"})[:10])
 	f.Add(bytes.Repeat([]byte("x"), 4096))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l := newLineReader(bytes.NewReader(data))
-		l.max = 1 << 12
+		l := campaign.NewLineReader(bytes.NewReader(data), 1<<12)
 		got, err := readAll(l)
 		if err != io.EOF {
 			t.Fatalf("in-memory stream ended with %v", err)
@@ -391,12 +387,12 @@ func FuzzStreamLine(f *testing.F) {
 		if len(data) > 0 && data[len(data)-1] != '\n' {
 			lines++
 		}
-		if len(got)+l.torn != lines {
-			t.Fatalf("%d messages + %d torn != %d lines", len(got), l.torn, lines)
+		if len(got)+l.Torn() != lines {
+			t.Fatalf("%d messages + %d torn != %d lines", len(got), l.Torn(), lines)
 		}
 		for _, m := range got {
 			line := testLine(m)
-			back, ok := decodeLine(line[:len(line)-1])
+			back, ok := campaign.DecodeLine(line[:len(line)-1])
 			if !ok || !reflect.DeepEqual(back, m) {
 				t.Fatalf("message %+v does not survive its own re-encoding", m)
 			}
@@ -425,29 +421,29 @@ func TestIngestChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report := func(idx int, seed uint64) message {
-		return message{Kind: "cell", Index: idx, Report: testReport(seed)}
+	report := func(idx int, seed uint64) campaign.Message {
+		return campaign.Message{Kind: "cell", Index: idx, Report: testReport(seed)}
 	}
 	for _, tc := range []struct {
 		name string
 		// stream after the hello
-		body                                 []message
-		hello                                message // Hash "" means the spawn's own
+		body                                 []campaign.Message
+		hello                                campaign.Message // Hash "" means the spawn's own
 		completed, failed, orphan, dup, torn int
 	}{
-		{"clean", []message{report(0, cells[0].Run.Seed), report(1, cells[1].Run.Seed)},
-			message{Version: ProtocolVersion}, 2, 0, 0, 0, 0},
-		{"v1 hello", []message{report(0, cells[0].Run.Seed), {Kind: "fail", Index: 1, Class: campaign.ClassPermanent, Error: "x"}},
-			message{Version: 1}, 0, 2, 2, 0, 0},
-		{"foreign matrix", []message{report(0, cells[0].Run.Seed), report(1, cells[1].Run.Seed)},
-			message{Version: ProtocolVersion, Hash: "another-matrix"}, 0, 2, 2, 0, 0},
-		{"seed mismatch and unassigned", []message{report(0, cells[0].Run.Seed+1), report(2, cells[1].Run.Seed), report(1, cells[1].Run.Seed)},
-			message{Version: ProtocolVersion}, 1, 1, 2, 0, 0},
-		{"replay and fail", []message{report(0, cells[0].Run.Seed), report(0, cells[0].Run.Seed),
+		{"clean", []campaign.Message{report(0, cells[0].Run.Seed), report(1, cells[1].Run.Seed)},
+			campaign.Message{Version: ProtocolVersion}, 2, 0, 0, 0, 0},
+		{"v1 hello", []campaign.Message{report(0, cells[0].Run.Seed), {Kind: "fail", Index: 1, Class: campaign.ClassPermanent, Error: "x"}},
+			campaign.Message{Version: 1}, 0, 2, 2, 0, 0},
+		{"foreign matrix", []campaign.Message{report(0, cells[0].Run.Seed), report(1, cells[1].Run.Seed)},
+			campaign.Message{Version: ProtocolVersion, Hash: "another-matrix"}, 0, 2, 2, 0, 0},
+		{"seed mismatch and unassigned", []campaign.Message{report(0, cells[0].Run.Seed+1), report(2, cells[1].Run.Seed), report(1, cells[1].Run.Seed)},
+			campaign.Message{Version: ProtocolVersion}, 1, 1, 2, 0, 0},
+		{"replay and fail", []campaign.Message{report(0, cells[0].Run.Seed), report(0, cells[0].Run.Seed),
 			{Kind: "fail", Index: 1, Class: campaign.ClassPermanent, Attempts: 2, Error: "bad preset"}},
-			message{Version: ProtocolVersion}, 1, 1, 0, 1, 0},
-		{"unreadable report", []message{{Kind: "cell", Index: 0, Report: json.RawMessage(`{"app":"x"}`)}, report(1, cells[1].Run.Seed)},
-			message{Version: ProtocolVersion}, 1, 1, 0, 0, 1},
+			campaign.Message{Version: ProtocolVersion}, 1, 1, 0, 1, 0},
+		{"unreadable report", []campaign.Message{{Kind: "cell", Index: 0, Report: json.RawMessage(`{"app":"x"}`)}, report(1, cells[1].Run.Seed)},
+			campaign.Message{Version: ProtocolVersion}, 1, 1, 0, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.New()
@@ -457,8 +453,8 @@ func TestIngestChecks(t *testing.T) {
 				if hello.Hash == "" {
 					hello.Hash = spec.Hash
 				}
-				msgs := append([]message{hello}, tc.body...)
-				return bytesConn{bytes.NewReader(encodeAll(append(msgs, message{Kind: "bye"})))}, nil
+				msgs := append([]campaign.Message{hello}, tc.body...)
+				return bytesConn{bytes.NewReader(encodeAll(append(msgs, campaign.Message{Kind: "bye"})))}, nil
 			})
 			res, err := Run(context.Background(), m, Options{
 				Campaign: campaign.Options{Obs: reg}, Shards: 1, Transport: tr, Retries: 0, Logf: t.Logf,

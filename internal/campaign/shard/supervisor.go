@@ -270,16 +270,16 @@ func (r *shardRunner) runOnce(ctx context.Context, remaining []int) error {
 		assigned[idx] = true
 	}
 	poisoned := false
-	lines := newLineReader(conn.Output())
+	lines := campaign.NewLineReader(conn.Output(), campaign.MaxLine)
 	for {
-		m, err := lines.next()
+		m, err := lines.Next()
 		if err != nil {
 			break // EOF or a dead pipe; Wait classifies which
 		}
 		lv.silent.Store(0)
 		r.handle(&m, assigned, &poisoned, lv)
 	}
-	if n := lines.torn; n > 0 {
+	if n := lines.Torn(); n > 0 {
 		l.ShardCount(r.si, campaign.ShardTorn, n)
 		l.ShardNote(r.si, "torn_records", fmt.Sprintf("%d torn/corrupt lines dropped", n))
 		r.opt.logf("shard %d: %d torn/corrupt lines dropped", r.si, n)
@@ -367,7 +367,7 @@ func (r *shardRunner) monitor(ctx context.Context, conn Conn, lv *liveness, conn
 // different campaign (RunWorker refuses a hash mismatch on its side
 // too — this is defense in depth against a stale binary), so its cells,
 // verdicts and spans are all dropped.
-func (r *shardRunner) handle(m *message, assigned map[int]bool, poisoned *bool, lv *liveness) {
+func (r *shardRunner) handle(m *campaign.Message, assigned map[int]bool, poisoned *bool, lv *liveness) {
 	switch m.Kind {
 	case "hello":
 		if m.Version != ProtocolVersion || m.Hash != r.spec.Hash {
@@ -400,7 +400,7 @@ func (r *shardRunner) handle(m *message, assigned map[int]bool, poisoned *bool, 
 // ingest folds one cell's report into the campaign ledger.
 // Misattribution cannot slip through: the cell must be assigned to this
 // spawn and its expansion-time seed must match the report's.
-func (r *shardRunner) ingest(m *message, assigned map[int]bool, poisoned bool) {
+func (r *shardRunner) ingest(m *campaign.Message, assigned map[int]bool, poisoned bool) {
 	l := r.sup.l
 	idx := m.Index
 	rep, err := profiling.ReadRunReport(bytes.NewReader(m.Report))

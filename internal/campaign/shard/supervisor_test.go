@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -262,33 +261,28 @@ func TestShardSIGKILLRecovery(t *testing.T) {
 	}
 }
 
-// journalDoneCounts parses the manifest and counts "done" lines per
-// cell index.
+// journalDoneCounts reads the journal through the line codec and
+// counts "cell" lines per cell index; a torn line fails the test.
 func journalDoneCounts(t *testing.T, dir string) map[int]int {
 	t.Helper()
-	f, err := os.Open(filepath.Join(dir, campaign.ManifestName))
+	f, err := os.Open(filepath.Join(dir, campaign.JournalName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	counts := map[int]int{}
-	sc := bufio.NewScanner(f)
-	first := true
-	for sc.Scan() {
-		if first {
-			first = false // header
-			continue
+	l := campaign.NewLineReader(f, campaign.MaxLine)
+	for {
+		m, err := l.Next()
+		if err != nil {
+			break
 		}
-		var e struct {
-			Index  int    `json:"index"`
-			Status string `json:"status"`
+		if m.Kind == "cell" {
+			counts[m.Index]++
 		}
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			continue
-		}
-		if e.Status == "done" {
-			counts[e.Index]++
-		}
+	}
+	if l.Torn() != 0 {
+		t.Errorf("journal has %d torn lines", l.Torn())
 	}
 	return counts
 }
@@ -720,11 +714,11 @@ func TestWorkerMainInProcess(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("worker exited %d: %s", code, errb.String())
 	}
-	l := newLineReader(&out)
+	l := campaign.NewLineReader(&out, campaign.MaxLine)
 	var hello, bye bool
 	got := map[int]*profiling.RunReport{}
 	for {
-		m, err := l.next()
+		m, err := l.Next()
 		if err != nil {
 			break
 		}
@@ -741,8 +735,8 @@ func TestWorkerMainInProcess(t *testing.T) {
 			got[m.Index] = r
 		}
 	}
-	if l.torn != 0 {
-		t.Errorf("worker stream counted %d torn lines", l.torn)
+	if l.Torn() != 0 {
+		t.Errorf("worker stream counted %d torn lines", l.Torn())
 	}
 	if !hello || !bye {
 		t.Errorf("protocol frame incomplete: hello=%v bye=%v", hello, bye)

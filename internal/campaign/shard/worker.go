@@ -36,8 +36,8 @@ type emitter struct {
 // send writes m as one stream line. Only a cell's caller checks the
 // error: a failed write means the supervisor end is gone, and it judges
 // the worker by what did arrive.
-func (e *emitter) send(m message) error {
-	line, err := appendLine(nil, &m)
+func (e *emitter) send(m campaign.Message) error {
+	line, err := campaign.AppendLine(nil, &m)
 	if err != nil {
 		return err
 	}
@@ -66,7 +66,7 @@ func RunWorker(ctx context.Context, spec Spec, stdout, stderr io.Writer) int {
 
 	em := &emitter{w: stdout}
 	var done atomic.Int64
-	em.send(message{Kind: "hello", Version: ProtocolVersion, Hash: got})
+	em.send(campaign.Message{Kind: "hello", Version: ProtocolVersion, Hash: got})
 
 	// Heartbeat: proof of life between cells, so the supervisor can
 	// tell "long cell" from "wedged process".
@@ -85,7 +85,7 @@ func RunWorker(ctx context.Context, spec Spec, stdout, stderr io.Writer) int {
 			case <-hbDone:
 				return
 			case <-t.C:
-				em.send(message{Kind: "hb", Done: done.Load()})
+				em.send(campaign.Message{Kind: "hb", Done: done.Load()})
 			}
 		}
 	}()
@@ -113,7 +113,7 @@ func RunWorker(ctx context.Context, spec Spec, stdout, stderr io.Writer) int {
 			// path will fail on the bye line too and the supervisor's
 			// journal never saw these cells, so nothing is lost.
 			report, merr := json.Marshal(r)
-			if merr == nil && em.send(message{Kind: "cell", Index: cell.Index, Report: report}) == nil {
+			if merr == nil && em.send(campaign.Message{Kind: "cell", Index: cell.Index, Report: report}) == nil {
 				done.Add(1)
 			}
 		},
@@ -125,14 +125,14 @@ func RunWorker(ctx context.Context, spec Spec, stdout, stderr io.Writer) int {
 		return 2
 	}
 	for _, ce := range res.Errors {
-		em.send(message{Kind: "fail", Index: ce.Cell.Index, Class: ce.Class, Attempts: ce.Attempts, Error: ce.Err.Error()})
+		em.send(campaign.Message{Kind: "fail", Index: ce.Cell.Index, Class: ce.Class, Attempts: ce.Attempts, Error: ce.Err.Error()})
 	}
 	workSpan.End()
 	// Spans travel last, after the cells they describe.
 	for _, sp := range tracer.Export() {
-		em.send(message{Kind: "span", Span: &sp})
+		em.send(campaign.Message{Kind: "span", Span: &sp})
 	}
-	em.send(message{Kind: "bye", Done: done.Load(), Failed: len(res.Errors)})
+	em.send(campaign.Message{Kind: "bye", Done: done.Load(), Failed: len(res.Errors)})
 	return 0
 }
 

@@ -83,9 +83,9 @@ type StatusSnap struct {
 	Failed     int     `json:"failed"`
 	Resumed    int     `json:"resumed"`
 	ElapsedSec float64 `json:"elapsed_sec"`
-	// CellsPerSec is completion throughput (executed + resumed) over
-	// elapsed time; ETASec extrapolates it over the remaining cells
-	// (-1 when no throughput yet).
+	// CellsPerSec is the throughput of this run: cells completed here
+	// (resumed ones excluded) over elapsed time; ETASec extrapolates it
+	// over the remaining cells (-1 when no throughput yet).
 	CellsPerSec float64           `json:"cells_per_sec"`
 	ETASec      float64           `json:"eta_sec"`
 	SimCycles   uint64            `json:"sim_cycles"`
@@ -138,8 +138,8 @@ func (l *Ledger) snapshot() StatusSnap {
 	for i, c := range l.recs {
 		snap.CellStates[l.cells[i].ID] = string(c.state)
 	}
-	if completed := snap.Done + snap.Resumed; completed > 0 && snap.ElapsedSec > 0 {
-		snap.CellsPerSec = float64(completed) / snap.ElapsedSec
+	if snap.Done > 0 && snap.ElapsedSec > 0 {
+		snap.CellsPerSec = float64(snap.Done) / snap.ElapsedSec
 		remaining := snap.Pending + snap.Running + snap.Retrying
 		snap.ETASec = float64(remaining) / snap.CellsPerSec
 	}

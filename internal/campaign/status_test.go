@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -70,7 +71,7 @@ func TestStatusCellLifecycle(t *testing.T) {
 	}
 	l.started(cells[1], 1)
 	l.Fail(CellError{Cell: cells[1], Class: ClassPermanent, Err: errors.New("bad preset")})
-	l.resume(map[int]*profiling.RunReport{2: {Cycles: 500}}, nil)
+	l.resume(&Journaled{Reports: []*profiling.RunReport{2: {Cycles: 500}, 3: nil}})
 	l.started(cells[3], 1)
 
 	snap = s.Snapshot()
@@ -102,6 +103,44 @@ func TestStatusCellLifecycle(t *testing.T) {
 		if kinds[i] != want[i] {
 			t.Errorf("event %d = %s, want %s", i, kinds[i], want[i])
 		}
+	}
+}
+
+// TestRatesCountOnlyThisRun: with cells resumed from a journal, the
+// throughput views — /status cells_per_sec and eta_sec, and the
+// campaign_sessions_per_sec and campaign_sim_cycles_per_sec gauges —
+// count only the cells completed in this run and only their cycles,
+// while sim_cycles stays the total.
+func TestRatesCountOnlyThisRun(t *testing.T) {
+	reg := obs.New()
+	s := NewStatus(nil)
+	cells := statusCells(5)
+	l := newLedger("rates", cells, &Options{Status: s, Obs: reg})
+	l.resume(&Journaled{Reports: []*profiling.RunReport{{Cycles: 7000}, {Cycles: 7000}, {Cycles: 7000}, nil, nil}})
+	l.mu.Lock()
+	l.start = time.Now().Add(-time.Second)
+	l.mu.Unlock()
+	l.addPoolViews()
+	if _, err := l.Complete(cells[3], 1, &profiling.RunReport{Cycles: 1000}); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := s.Snapshot()
+	if snap.SimCycles != 22000 {
+		t.Errorf("sim_cycles = %d, want the total 22000", snap.SimCycles)
+	}
+	if done := snap.CellsPerSec * snap.ElapsedSec; math.Abs(done-1) > 1e-9 {
+		t.Errorf("cells_per_sec × elapsed = %v, want the 1 cell done here (3 resumed)", done)
+	}
+	if eta := snap.ETASec * snap.CellsPerSec; math.Abs(eta-1) > 1e-9 {
+		t.Errorf("eta_sec × cells_per_sec = %v, want the 1 cell left", eta)
+	}
+	ms := reg.Snapshot()
+	sessions, _ := ms.Gauge("campaign_sessions_per_sec")
+	cycles, _ := ms.Gauge("campaign_sim_cycles_per_sec")
+	if sessions <= 0 || math.Abs(cycles/sessions-1000) > 1e-3 {
+		t.Errorf("campaign_sim_cycles_per_sec / campaign_sessions_per_sec = %v / %v, want 1000 cycles per cell done here",
+			cycles, sessions)
 	}
 }
 

@@ -1,13 +1,9 @@
 package profiling
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-	"strconv"
 
 	"repro/internal/obs"
 )
@@ -156,72 +152,6 @@ func (r *RunReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ChecksumPrefix marks the CRC-32 trailer line that EncodeSummed
-// appends after the report JSON. The trailer rides in the same file
-// (an embedded sidecar line), and because ReadRunReport stops at the
-// end of the first JSON value, plain readers accept checksummed files
-// unchanged.
-const ChecksumPrefix = "//crc32:"
-
-// EncodeSummed serializes the report exactly as WriteJSON does and
-// appends a CRC-32 (IEEE) trailer line over the JSON bytes. It returns
-// the full checksummed encoding and the checksum itself, so callers
-// that persist the report (the campaign journal) can cross-record the
-// CRC in their own manifest.
-func (r *RunReport) EncodeSummed() ([]byte, uint32, error) {
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		return nil, 0, err
-	}
-	crc := crc32.ChecksumIEEE(buf.Bytes())
-	fmt.Fprintf(&buf, "%s%08x\n", ChecksumPrefix, crc)
-	return buf.Bytes(), crc, nil
-}
-
-// VerifySummed splits a report encoding into its JSON body and CRC-32
-// trailer. Files without a trailer pass through untouched (summed
-// false); files with a trailer are verified against it — a malformed
-// trailer or a checksum mismatch is an error, because it means the
-// file was torn or corrupted after it was written.
-func VerifySummed(data []byte) (body []byte, crc uint32, summed bool, err error) {
-	i := bytes.LastIndex(data, []byte("\n"+ChecksumPrefix))
-	if i < 0 {
-		return data, 0, false, nil
-	}
-	line := bytes.TrimSpace(data[i+1+len(ChecksumPrefix):])
-	want, perr := strconv.ParseUint(string(line), 16, 32)
-	if perr != nil {
-		return nil, 0, true, fmt.Errorf("run report: malformed checksum trailer %q", line)
-	}
-	body = data[:i+1] // the trailing newline is part of the summed body
-	got := crc32.ChecksumIEEE(body)
-	if got != uint32(want) {
-		return nil, got, true, fmt.Errorf("run report: CRC-32 mismatch: trailer says %08x, content is %08x",
-			uint32(want), got)
-	}
-	return body, got, true, nil
-}
-
-// LoadRunReportChecked loads one run report from a file, verifying its
-// CRC-32 trailer when present. Reports written without a trailer load as
-// plain ReadRunReport JSON; checksummed reports whose content no longer
-// matches the trailer are refused.
-func LoadRunReportChecked(path string) (*RunReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	body, _, _, err := VerifySummed(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	r, err := ReadRunReport(bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
 }
 
 // ReadRunReport parses one run report and validates its schema version:

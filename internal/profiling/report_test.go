@@ -71,73 +71,6 @@ func TestRunReportGolden(t *testing.T) {
 	}
 }
 
-// TestRunReportChecksum covers the checksummed encoding the campaign
-// journal persists: round-trip, backward compatibility with plain
-// readers, and rejection of torn or bit-flipped files.
-func TestRunReportChecksum(t *testing.T) {
-	r := fixedReport()
-	b, crc, err := r.EncodeSummed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crc == 0 {
-		t.Error("zero checksum is suspicious")
-	}
-	var plain bytes.Buffer
-	if err := r.WriteJSON(&plain); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(b, plain.Bytes()) {
-		t.Fatal("checksummed encoding does not start with the plain encoding")
-	}
-	trailer := b[plain.Len():]
-	if !bytes.HasPrefix(trailer, []byte(ChecksumPrefix)) {
-		t.Fatalf("trailer = %q", trailer)
-	}
-
-	// Verification accepts the intact file and recovers the exact body.
-	body, got, summed, err := VerifySummed(b)
-	if err != nil || !summed || got != crc || !bytes.Equal(body, plain.Bytes()) {
-		t.Fatalf("VerifySummed = crc %08x summed %v err %v", got, summed, err)
-	}
-	// Plain files (no trailer) pass through unverified.
-	if _, _, summed, err := VerifySummed(plain.Bytes()); err != nil || summed {
-		t.Fatalf("plain file: summed %v err %v", summed, err)
-	}
-	// A bit flip in the body must be detected.
-	bad := append([]byte(nil), b...)
-	bad[len(bad)/2] ^= 1
-	if _, _, _, err := VerifySummed(bad); err == nil {
-		t.Error("bit-flipped file verified")
-	}
-	// A malformed trailer must be detected.
-	mangled := append(append([]byte(nil), plain.Bytes()...), []byte(ChecksumPrefix+"xyzw\n")...)
-	if _, _, _, err := VerifySummed(mangled); err == nil {
-		t.Error("malformed trailer accepted")
-	}
-
-	// The checked loader accepts a checksummed file on disk and refuses it
-	// once corrupted.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "report.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rr, err := LoadRunReportChecked(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.App != r.App || rr.Confidence != r.Confidence || len(rr.Params) != len(r.Params) {
-		t.Fatalf("round-trip drifted: %+v", rr)
-	}
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadRunReportChecked(path); err == nil {
-		t.Error("checked loader accepted a corrupted file")
-	}
-}
-
 // jsonKeys collects the JSON field names of a struct type, recursing into
 // embedded report structs, as "prefix.key" paths.
 func jsonKeys(t reflect.Type, prefix string, out *[]string) {
