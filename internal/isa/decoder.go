@@ -29,15 +29,16 @@ const MaxBlockInstrs = 64
 // successors simply keep taking the keyed lookup.
 const ChainSlots = 4
 
+// maxBlocks is the number of blocks a Decoder holds before a miss flushes
+// it: generous for real firmware working sets (the largest mix caches ~700
+// blocks), small enough that the map stays cache-friendly.
+const maxBlocks = 1024
+
 // chainLink is one direct block-to-block edge: "exiting this block to pc
-// continues in b". gen records the decoder generation the link was
-// installed at; a live link always carries the current generation, because
-// every invalidation severs all links (the check is kept as defense in
-// depth — following a stale link could execute dropped code).
+// continues in b".
 type chainLink struct {
-	pc  uint32
-	gen uint64
-	b   *Block
+	pc uint32
+	b  *Block
 }
 
 // Block is a decoded basic block: a run of instructions starting at PC
@@ -49,33 +50,35 @@ type Block struct {
 	PC  uint32
 	Ins []DInstr
 
-	// Chain state (owned by the Decoder): bounded successor links plus the
-	// reverse edges needed to sever incoming links when this block dies.
+	// Chain state (owned by the Decoder): the generation the block was
+	// built in and its bounded successor links. A flush bumps the
+	// generation, which retires the block and every link it holds.
+	gen    uint64
 	links  [ChainSlots]chainLink
 	nlinks uint8
-	preds  []*Block // blocks currently holding a link to this block
 }
 
 // DecoderStats counts cache traffic for diagnostics and tests.
 type DecoderStats struct {
 	Hits          uint64
 	Misses        uint64
-	Evictions     uint64
-	Invalidations uint64
+	Evictions     uint64 // blocks dropped by capacity flushes
+	Invalidations uint64 // InvalidateAll calls and non-empty InvalidateRange calls
 	ChainLinks    uint64 // block-to-block links installed
 	ChainFollows  uint64 // lookups served by following a chain link
-	ChainSevers   uint64 // links severed by invalidation or eviction
+	ChainSevers   uint64 // links dropped by any flush
 }
-
-// DefaultBlockCacheSize is the block capacity a SoC-attached Decoder uses:
-// generous for real firmware working sets, small enough that the map stays
-// cache-friendly.
-const DefaultBlockCacheSize = 1024
 
 // Decoder owns a bounded PC-keyed cache of decoded basic blocks. It is the
 // execution-facing decode API: cores ask it for the block at a PC and walk
 // the pre-decoded instructions instead of calling Decode on every fetched
 // word, every cycle.
+//
+// The cache has one invalidation rule, a flush: every block is dropped and
+// the generation bumped. A flush happens when InvalidateRange overlaps a
+// cached block, on InvalidateAll, and when a miss finds maxBlocks
+// blocks cached. Because a flush leaves no block behind, no chain link can
+// outlive its target.
 //
 // A Decoder is not safe for concurrent use; every simulated SoC owns one
 // (shared between its cores, which tick on one goroutine).
@@ -86,23 +89,14 @@ const DefaultBlockCacheSize = 1024
 // these hooks; see DESIGN.md §14.
 type Decoder struct {
 	blocks map[uint32]*Block
-	fifo   []uint32 // insertion order for FIFO eviction
-	max    int
-	gen    uint64 // bumped on every invalidation; consumers key hints on it
+	gen    uint64 // bumped on every flush; consumers key hints on it
+	links  uint64 // links installed since the last flush
 	stats  DecoderStats
 }
 
-// NewDecoder returns a Decoder caching at most maxBlocks blocks (FIFO
-// eviction). maxBlocks <= 0 selects DefaultBlockCacheSize.
-func NewDecoder(maxBlocks int) *Decoder {
-	if maxBlocks <= 0 {
-		maxBlocks = DefaultBlockCacheSize
-	}
-	return &Decoder{
-		blocks: make(map[uint32]*Block, maxBlocks),
-		fifo:   make([]uint32, 0, maxBlocks),
-		max:    maxBlocks,
-	}
+// NewDecoder returns an empty Decoder.
+func NewDecoder() *Decoder {
+	return &Decoder{blocks: make(map[uint32]*Block, maxBlocks)}
 }
 
 // Stats returns the cache traffic counters.
@@ -111,59 +105,60 @@ func (d *Decoder) Stats() DecoderStats { return d.stats }
 // Len returns the number of cached blocks.
 func (d *Decoder) Len() int { return len(d.blocks) }
 
-// Gen returns the invalidation generation. It changes on every
-// InvalidateRange/InvalidateAll, so a consumer holding a *Block pointer
-// across cycles can cheaply detect that its hint may be stale.
+// Gen returns the flush generation. It changes on every flush, so a
+// consumer holding a *Block pointer across cycles can cheaply detect that
+// its hint may be stale.
 func (d *Decoder) Gen() uint64 { return d.gen }
 
 // Block returns the decoded basic block starting at pc, building and
-// caching it on a miss. word supplies instruction words by address with no
-// timing effects (the PMI backdoor); the builder reads at most
-// MaxBlockInstrs words starting at pc.
+// caching it on a miss (flushing first if the cache is full). word
+// supplies instruction words by address with no timing effects (the PMI
+// backdoor); the builder reads at most MaxBlockInstrs words starting at pc.
 func (d *Decoder) Block(pc uint32, word func(addr uint32) uint32) *Block {
 	if b, ok := d.blocks[pc]; ok {
 		d.stats.Hits++
 		return b
 	}
 	d.stats.Misses++
+	if len(d.blocks) >= maxBlocks {
+		d.stats.Evictions += uint64(len(d.blocks))
+		d.flush()
+	}
 	b := d.build(pc, word)
-	d.insert(b)
+	d.blocks[pc] = b
 	return b
 }
 
 // Next is the chained lookup: the block at pc, reached by exiting from.
-// If from already links to pc at the current generation the link is
-// followed directly — no map access. Otherwise it falls back to Block and,
-// when from has a free slot, installs a link so the next traversal of this
-// edge skips the lookup. from == nil degrades to a plain Block call.
-//
-// Links never outlive an invalidation (InvalidateRange/InvalidateAll sever
-// every link before dropping blocks), so a followed link always targets a
-// live block of the current generation. A capacity eviction severs only
-// the victim's own links, which is safe: the victim stays a valid decode
-// of unchanged memory, merely no longer cached.
+// If from already links to pc the link is followed directly — no map
+// access. Otherwise it falls back to Block and, when from has a free slot,
+// installs a link so the next traversal of this edge skips the lookup.
+// from == nil, or a from built before the last flush, degrades to a plain
+// Block call: a current block's links all point at current blocks.
 func (d *Decoder) Next(from *Block, pc uint32, word func(addr uint32) uint32) *Block {
-	if from != nil {
-		for i := 0; i < int(from.nlinks); i++ {
-			l := &from.links[i]
-			if l.pc == pc && l.gen == d.gen {
-				d.stats.ChainFollows++
-				return l.b
-			}
+	if from == nil || from.gen != d.gen {
+		return d.Block(pc, word)
+	}
+	for i := range from.links[:from.nlinks] {
+		if l := &from.links[i]; l.pc == pc {
+			d.stats.ChainFollows++
+			return l.b
 		}
 	}
 	b := d.Block(pc, word)
-	if from != nil && from != b && int(from.nlinks) < ChainSlots {
-		from.links[from.nlinks] = chainLink{pc: pc, gen: d.gen, b: b}
+	// A miss on a full cache flushes, retiring from: link only if it is
+	// still current.
+	if from != b && from.gen == d.gen && int(from.nlinks) < ChainSlots {
+		from.links[from.nlinks] = chainLink{pc: pc, b: b}
 		from.nlinks++
-		b.preds = append(b.preds, from)
+		d.links++
 		d.stats.ChainLinks++
 	}
 	return b
 }
 
 func (d *Decoder) build(pc uint32, word func(addr uint32) uint32) *Block {
-	b := &Block{PC: pc}
+	b := &Block{PC: pc, gen: d.gen}
 	p := pc
 	for len(b.Ins) < MaxBlockInstrs {
 		w := word(p)
@@ -185,122 +180,36 @@ func (d *Decoder) build(pc uint32, word func(addr uint32) uint32) *Block {
 	return b
 }
 
-func (d *Decoder) insert(b *Block) {
-	for len(d.blocks) >= d.max {
-		// FIFO eviction; keys already removed by a range invalidation are
-		// skipped (the fifo may briefly hold stale keys).
-		victim := d.fifo[0]
-		d.fifo = d.fifo[1:]
-		if vb, ok := d.blocks[victim]; ok {
-			d.unlink(vb)
-			delete(d.blocks, victim)
-			d.stats.Evictions++
-		}
-	}
-	d.blocks[b.PC] = b
-	d.fifo = append(d.fifo, b.PC)
-}
-
-// unlink severs every chain edge touching b: incoming links (compacted out
-// of each predecessor's slot array, freeing the slots for relinking) and
-// outgoing links (b removed from each target's pred list).
-func (d *Decoder) unlink(b *Block) {
-	for _, p := range b.preds {
-		w := 0
-		for i := 0; i < int(p.nlinks); i++ {
-			if p.links[i].b == b {
-				d.stats.ChainSevers++
-				continue
-			}
-			p.links[w] = p.links[i]
-			w++
-		}
-		for i := w; i < int(p.nlinks); i++ {
-			p.links[i] = chainLink{}
-		}
-		p.nlinks = uint8(w)
-	}
-	b.preds = nil
-	for i := 0; i < int(b.nlinks); i++ {
-		t := b.links[i].b
-		for j, p := range t.preds {
-			if p == b {
-				t.preds = append(t.preds[:j], t.preds[j+1:]...)
-				break
-			}
-		}
-		b.links[i] = chainLink{}
-		d.stats.ChainSevers++
-	}
-	b.nlinks = 0
-}
-
-// severAllLinks drops every chain edge in the cache. Invalidation calls
-// this before removing blocks so no link — whatever its generation — can
-// survive into the next generation and pin a stale target or occupy a
-// bounded slot forever.
-func (d *Decoder) severAllLinks() {
-	for _, b := range d.blocks {
-		n := uint64(b.nlinks)
-		d.stats.ChainSevers += n
-		for i := 0; i < int(b.nlinks); i++ {
-			b.links[i] = chainLink{}
-		}
-		b.nlinks = 0
-		b.preds = nil
-	}
-}
-
-// InvalidateAll drops every cached block and bumps the generation. Called
-// when code memory changed in a way not attributable to a range (overlay
-// remaps, whole-image loads).
-func (d *Decoder) InvalidateAll() {
+// flush drops every cached block and bumps the generation, which retires
+// every chain link with its block.
+func (d *Decoder) flush() {
 	d.gen++
-	d.stats.Invalidations++
-	if len(d.blocks) == 0 {
-		d.fifo = d.fifo[:0]
-		return
-	}
-	d.severAllLinks()
-	for pc := range d.blocks {
-		delete(d.blocks, pc)
-	}
-	d.fifo = d.fifo[:0]
+	d.stats.ChainSevers += d.links
+	d.links = 0
+	clear(d.blocks)
 }
 
-// InvalidateRange drops every cached block overlapping [addr, addr+n) and
-// bumps the generation. Flash programming and program loads call this with
-// the written window.
+// InvalidateAll flushes the cache. Called when code memory changed in a
+// way not attributable to a range (overlay remaps, whole-image loads).
+func (d *Decoder) InvalidateAll() {
+	d.stats.Invalidations++
+	d.flush()
+}
+
+// InvalidateRange flushes the cache if any cached block overlaps
+// [addr, addr+n); otherwise it changes nothing. Flash programming and
+// program loads call this with the written window.
 func (d *Decoder) InvalidateRange(addr uint32, n uint32) {
 	if n == 0 {
 		return
 	}
-	d.gen++
 	d.stats.Invalidations++
-	// Any generation bump invalidates every link (consumers key chain hints
-	// on the generation), so sever them all rather than only those touching
-	// dropped blocks — a survivor's stale-generation links would otherwise
-	// occupy its bounded slots forever.
-	d.severAllLinks()
 	lo, hi := uint64(addr), uint64(addr)+uint64(n)
-	removed := false
 	for pc, b := range d.blocks {
-		start, end := uint64(pc), uint64(pc)+4*uint64(len(b.Ins))
-		if start < hi && end > lo {
-			delete(d.blocks, pc)
-			removed = true
+		if uint64(pc) < hi && uint64(pc)+4*uint64(len(b.Ins)) > lo {
+			d.flush()
+			return
 		}
-	}
-	if removed {
-		// Compact the eviction queue, preserving insertion order so the
-		// eviction sequence stays deterministic.
-		keep := d.fifo[:0]
-		for _, pc := range d.fifo {
-			if _, ok := d.blocks[pc]; ok {
-				keep = append(keep, pc)
-			}
-		}
-		d.fifo = keep
 	}
 }
 

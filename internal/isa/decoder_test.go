@@ -64,7 +64,7 @@ func TestDecoderBlockTermination(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := NewDecoder(8)
+			d := NewDecoder()
 			b := d.Block(base, memWord(base, tc.words))
 			if b.PC != base {
 				t.Fatalf("block PC = %#x, want %#x", b.PC, base)
@@ -85,7 +85,7 @@ func TestDecoderBlockTermination(t *testing.T) {
 
 func TestDecoderBlockLengthCap(t *testing.T) {
 	const base = 0x8000_0000
-	d := NewDecoder(8)
+	d := NewDecoder()
 	// All-zero memory: every word decodes as NOP, so the only terminator is
 	// the length cap.
 	b := d.Block(base, func(uint32) uint32 { return 0 })
@@ -102,7 +102,7 @@ func TestDecoderBlockLengthCap(t *testing.T) {
 func TestDecoderHitMissStats(t *testing.T) {
 	const base = 0x8000_0000
 	words := encodeAll([]Instr{{Op: OpNOP}, {Op: OpHALT}})
-	d := NewDecoder(8)
+	d := NewDecoder()
 	w := memWord(base, words)
 	b1 := d.Block(base, w)
 	b2 := d.Block(base, w)
@@ -122,49 +122,54 @@ func TestDecoderInvalidateRange(t *testing.T) {
 	words := encodeAll([]Instr{
 		{Op: OpNOP}, {Op: OpNOP}, {Op: OpNOP}, {Op: OpHALT},
 	})
-	d := NewDecoder(8)
+	d := NewDecoder()
 	w := memWord(base, words)
 	d.Block(base, w)   // covers [base, base+16)
 	d.Block(base+8, w) // covers [base+8, base+16)
 	d.Block(base+0x100, func(uint32) uint32 { return Instr{Op: OpHALT}.Encode() })
 	gen := d.Gen()
 
-	// A write before all blocks: nothing dropped, generation still bumps.
-	d.InvalidateRange(base-8, 4)
+	// A write touching no cached block changes nothing: every block
+	// stays and the generation holds. The window ends where the first
+	// block starts and starts where the second block ends.
+	d.InvalidateRange(base-8, 8)
+	d.InvalidateRange(base+16, 0x100-16)
 	if d.Len() != 3 {
-		t.Fatalf("Len after miss-range = %d, want 3", d.Len())
+		t.Fatalf("Len after non-overlapping ranges = %d, want 3", d.Len())
 	}
-	if d.Gen() == gen {
-		t.Fatal("generation did not change on InvalidateRange")
-	}
-
-	// One byte into the second block's window: drops both overlapping
-	// blocks, keeps the distant one.
-	d.InvalidateRange(base+9, 1)
-	if d.Len() != 1 {
-		t.Fatalf("Len after overlap = %d, want 1 (got PCs %#x)", d.Len(), cachedPCs(d))
-	}
-	if pcs := cachedPCs(d); len(pcs) != 1 || pcs[0] != base+0x100 {
-		t.Fatalf("cached PCs = %#x, want [%#x]", pcs, base+0x100)
-	}
-
-	// n == 0 is a no-op: no generation bump.
-	gen = d.Gen()
-	d.InvalidateRange(base, 0)
 	if d.Gen() != gen {
-		t.Fatal("zero-length invalidation bumped the generation")
+		t.Fatal("non-overlapping InvalidateRange bumped the generation")
+	}
+
+	// n == 0 is a no-op, even over a cached block.
+	d.InvalidateRange(base, 0)
+	if d.Len() != 3 || d.Gen() != gen {
+		t.Fatalf("zero-length invalidation: Len = %d, gen changed = %v", d.Len(), d.Gen() != gen)
 	}
 
 	// Wrap-around near the top of the address space must not overflow.
 	d.InvalidateRange(0xFFFF_FFFC, 16)
-	if d.Len() != 1 {
-		t.Fatalf("Len after high-address range = %d, want 1", d.Len())
+	if d.Len() != 3 || d.Gen() != gen {
+		t.Fatalf("high-address range: Len = %d, gen changed = %v", d.Len(), d.Gen() != gen)
+	}
+
+	// One byte into the second block's window flushes every block, the
+	// distant one too, and bumps the generation.
+	d.InvalidateRange(base+9, 1)
+	if d.Len() != 0 {
+		t.Fatalf("Len after overlap = %d, want 0 (got PCs %#x)", d.Len(), cachedPCs(d))
+	}
+	if d.Gen() == gen {
+		t.Fatal("overlapping InvalidateRange did not bump the generation")
+	}
+	if st := d.Stats(); st.Invalidations != 4 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 4 invalidations (n == 0 uncounted), 0 evictions", st)
 	}
 }
 
 func TestDecoderInvalidateAll(t *testing.T) {
 	const base = 0x8000_0000
-	d := NewDecoder(8)
+	d := NewDecoder()
 	halt := func(uint32) uint32 { return Instr{Op: OpHALT}.Encode() }
 	d.Block(base, halt)
 	d.Block(base+0x40, halt)
@@ -181,46 +186,32 @@ func TestDecoderInvalidateAll(t *testing.T) {
 	}
 }
 
-func TestDecoderFIFOEviction(t *testing.T) {
+func TestDecoderFullCacheFlushes(t *testing.T) {
 	halt := func(uint32) uint32 { return Instr{Op: OpHALT}.Encode() }
-	d := NewDecoder(3)
-	for i := uint32(0); i < 3; i++ {
-		d.Block(0x8000_0000+i*0x40, halt)
+	d := NewDecoder()
+	for i := uint32(0); i < maxBlocks; i++ {
+		d.Block(0x8000_0000+i*4, halt)
 	}
-	// Re-hitting the oldest block must not refresh its position: FIFO, not LRU.
-	d.Block(0x8000_0000, halt)
-	d.Block(0x8000_0000+3*0x40, halt) // evicts the first-inserted block
-	if st := d.Stats(); st.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", st.Evictions)
+	gen := d.Gen()
+	if d.Len() != maxBlocks || d.Stats().Evictions != 0 {
+		t.Fatalf("filling the cache: Len = %d, stats %+v", d.Len(), d.Stats())
 	}
-	pcs := cachedPCs(d)
-	want := []uint32{0x8000_0040, 0x8000_0080, 0x8000_00C0}
-	if len(pcs) != len(want) {
-		t.Fatalf("cached PCs = %#x, want %#x", pcs, want)
+	// A hit on a full cache changes nothing.
+	from := d.Block(0x8000_0000, halt)
+	if d.Len() != maxBlocks || d.Gen() != gen {
+		t.Fatal("a hit on a full cache flushed it")
 	}
-	for i := range want {
-		if pcs[i] != want[i] {
-			t.Fatalf("cached PCs = %#x, want %#x", pcs, want)
-		}
+	// A miss on a full cache flushes every block, then caches the new one.
+	// The flush retires from, so the miss links nothing to it.
+	b := d.Next(from, 0x9000_0000, halt)
+	if pcs := cachedPCs(d); len(pcs) != 1 || pcs[0] != b.PC {
+		t.Fatalf("cached PCs after full-cache miss = %#x, want [%#x]", pcs, b.PC)
 	}
-
-	// Eviction after a range invalidation skips the stale fifo entry
-	// without double-counting.
-	d.InvalidateRange(0x8000_0040, 4)
-	for i := uint32(4); i < 7; i++ {
-		d.Block(0x8000_0000+i*0x40, halt)
+	if d.Gen() == gen {
+		t.Fatal("full-cache flush did not bump the generation")
 	}
-	if d.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (cap)", d.Len())
-	}
-}
-
-func TestNewDecoderDefaultSize(t *testing.T) {
-	if NewDecoder(0).max != DefaultBlockCacheSize {
-		t.Fatal("NewDecoder(0) did not select the default capacity")
-	}
-	if NewDecoder(-5).max != DefaultBlockCacheSize {
-		t.Fatal("NewDecoder(-5) did not select the default capacity")
+	if st := d.Stats(); st.Evictions != maxBlocks || st.Misses != maxBlocks+1 || st.Invalidations != 0 || st.ChainLinks != 0 {
+		t.Fatalf("stats = %+v, want %d evictions, %d misses, 0 invalidations, 0 links", st, maxBlocks, maxBlocks+1)
 	}
 }
 
@@ -284,7 +275,7 @@ func FuzzDecoderBlock(f *testing.F) {
 			}
 			return w
 		}
-		d := NewDecoder(4)
+		d := NewDecoder()
 		blk := d.Block(base, word)
 		if len(blk.Ins) == 0 || len(blk.Ins) > MaxBlockInstrs {
 			t.Fatalf("block length %d out of range", len(blk.Ins))
@@ -341,7 +332,7 @@ func TestDecoderChainNext(t *testing.T) {
 		{Op: OpHALT},        // block C
 	})
 	w := memWord(base, words)
-	d := NewDecoder(8)
+	d := NewDecoder()
 	a := d.Block(base, w)
 
 	// First traversal of the edge: fallback lookup plus link install.
@@ -377,7 +368,7 @@ func TestDecoderChainNext(t *testing.T) {
 
 func TestDecoderChainSlotsBounded(t *testing.T) {
 	halt := func(uint32) uint32 { return Instr{Op: OpHALT}.Encode() }
-	d := NewDecoder(16)
+	d := NewDecoder()
 	from := d.Block(0x1000, halt)
 	for i := 1; i <= ChainSlots+2; i++ {
 		d.Next(from, 0x1000+uint32(i)*0x100, halt)
@@ -406,60 +397,72 @@ func TestDecoderChainSeverOnInvalidate(t *testing.T) {
 	w := memWord(base, words)
 
 	t.Run("range", func(t *testing.T) {
-		d := NewDecoder(8)
+		d := NewDecoder()
 		a := d.Block(base, w)
-		d.Next(a, base+4, w)
-		// Invalidate a window overlapping neither block: every link must
-		// still die (the generation bump invalidates all of them), while
-		// the blocks themselves survive.
+		b := d.Next(a, base+4, w)
+		// A window overlapping neither block keeps the blocks and the
+		// link: the next traversal still follows it.
 		d.InvalidateRange(base+0x1000, 4)
-		if st := d.Stats(); st.ChainSevers != 1 {
-			t.Fatalf("ChainSevers = %d, want 1: %+v", st.ChainSevers, st)
+		if d.Next(a, base+4, w) != b || d.Stats().ChainFollows != 1 {
+			t.Fatalf("non-overlapping invalidation broke the link: %+v", d.Stats())
 		}
-		if a.nlinks != 0 || len(a.preds) != 0 {
-			t.Fatalf("survivor kept chain state: nlinks=%d preds=%d", a.nlinks, len(a.preds))
-		}
-		if d.Len() != 2 {
-			t.Fatalf("non-overlapping invalidation dropped blocks: len=%d", d.Len())
-		}
-		// The freed slot is reusable at the new generation.
-		d.Next(a, base+4, w)
-		if st := d.Stats(); st.ChainLinks != 2 {
-			t.Fatalf("relink after invalidation failed: %+v", st)
+		// A window overlapping the target flushes: the link is severed
+		// with the blocks.
+		d.InvalidateRange(base+4, 4)
+		if st := d.Stats(); st.ChainSevers != 1 || d.Len() != 0 {
+			t.Fatalf("after overlap: Len = %d, stats %+v, want 1 sever", d.Len(), st)
 		}
 	})
 
 	t.Run("all", func(t *testing.T) {
-		d := NewDecoder(8)
+		d := NewDecoder()
 		a := d.Block(base, w)
 		d.Next(a, base+4, w)
 		d.InvalidateAll()
 		if st := d.Stats(); st.ChainSevers != 1 {
 			t.Fatalf("ChainSevers = %d, want 1: %+v", st.ChainSevers, st)
 		}
-		if a.nlinks != 0 {
-			t.Fatalf("dropped block kept links: nlinks=%d", a.nlinks)
+		// Links installed after the flush count toward the next one only.
+		a = d.Block(base, w)
+		d.Next(a, base+4, w)
+		d.InvalidateAll()
+		if st := d.Stats(); st.ChainSevers != 2 || st.ChainLinks != 2 {
+			t.Fatalf("second flush: %+v, want 2 links and 2 severs", st)
 		}
 	})
 }
 
-func TestDecoderChainSeverOnEviction(t *testing.T) {
-	halt := func(uint32) uint32 { return Instr{Op: OpHALT}.Encode() }
-	d := NewDecoder(2)
-	a := d.Block(0x1000, halt)
-	b := d.Next(a, 0x2000, halt) // installs a→b; cache now full
-	d.Block(0x3000, halt)        // FIFO-evicts a
-	st := d.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1: %+v", st.Evictions, st)
+// TestDecoderStaleFromIgnored: a block retired by a flush and handed back
+// to Next as from is treated as nil. Its old link is not followed and it
+// gets no new one, while the current block at its PC chains as usual.
+func TestDecoderStaleFromIgnored(t *testing.T) {
+	const base = 0x8000_0000
+	words := encodeAll([]Instr{
+		{Op: OpJ, Off24: 1},
+		{Op: OpHALT},
+	})
+	w := memWord(base, words)
+	d := NewDecoder()
+	old := d.Block(base, w)
+	oldB := d.Next(old, base+4, w)
+	d.InvalidateAll()
+
+	b := d.Next(old, base+4, w)
+	if b == oldB {
+		t.Fatal("Next followed a link of a flushed block")
 	}
-	if st.ChainSevers != 1 {
-		t.Fatalf("ChainSevers = %d, want 1 (victim's outgoing link): %+v", st.ChainSevers, st)
+	if st := d.Stats(); st.ChainFollows != 0 || st.ChainLinks != 1 || st.Misses != 3 {
+		t.Fatalf("stale from: %+v, want no follow, no new link, a fresh miss", st)
 	}
-	if a.nlinks != 0 {
-		t.Fatalf("evicted block kept links: nlinks=%d", a.nlinks)
+	if d.Next(old, base+4, w) != b || d.Stats().Hits != 1 {
+		t.Fatalf("stale from did not degrade to a plain lookup: %+v", d.Stats())
 	}
-	if len(b.preds) != 0 {
-		t.Fatalf("target kept a pred edge to the evicted block: %d", len(b.preds))
+	a := d.Block(base, w)
+	if a == old {
+		t.Fatal("flushed block still cached")
+	}
+	d.Next(a, base+4, w)
+	if d.Next(a, base+4, w) != b || d.Stats().ChainFollows != 1 {
+		t.Fatalf("current block did not chain: %+v", d.Stats())
 	}
 }

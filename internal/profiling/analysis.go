@@ -63,6 +63,12 @@ func FunctionProfile(msgs []tmsg.Msg, src uint8, prog *isa.Program) []FuncCost {
 	for _, pc := range pcs {
 		counts[prog.SymbolAt(pc)]++
 	}
+	return rankCosts(counts)
+}
+
+// rankCosts turns a count per name into FuncCosts sorted by descending
+// count, ties by name.
+func rankCosts(counts map[string]uint64) []FuncCost {
 	out := make([]FuncCost, 0, len(counts))
 	for name, n := range counts {
 		out = append(out, FuncCost{Name: name, Instr: n})

@@ -138,15 +138,5 @@ func TopSuspects(diags []Diagnosis, k int) []FuncCost {
 			counts[f.Param]++
 		}
 	}
-	out := make([]FuncCost, 0, len(counts))
-	for name, n := range counts {
-		out = append(out, FuncCost{Name: name, Instr: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Instr != out[j].Instr {
-			return out[i].Instr > out[j].Instr
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
+	return rankCosts(counts)
 }

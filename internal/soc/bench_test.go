@@ -117,7 +117,7 @@ func branchySoC(b testing.TB) *SoC {
 	// Ring size: enough distinct blocks that the PC-keyed map works at a
 	// realistic branchy-code footprint (hundreds of live blocks) instead
 	// of a toy L1-resident handful, while staying well under the decoder's
-	// DefaultBlockCacheSize so the block cache never thrashes.
+	// 1024-block capacity so the block cache never flushes.
 	const ring = 500
 	a := isa.NewAsm(mem.PSPRBase)
 	a.Movw(3, 1<<30)

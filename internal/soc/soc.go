@@ -196,7 +196,7 @@ func New(cfg Config, seed uint64) *SoC {
 	}
 
 	s.Flash = flash.New(cfg.Flash)
-	s.Decoder = isa.NewDecoder(isa.DefaultBlockCacheSize)
+	s.Decoder = isa.NewDecoder()
 	// Any write that can change code must invalidate decoded blocks. Flash
 	// is fetched through both its cached and uncached views, so a written
 	// window invalidates under both keys.

@@ -40,11 +40,7 @@ func (c *CPU) issueBundleCached(now uint64) {
 			// Chained lookup: if the previous bundle ended by exiting a
 			// block via taken control flow, follow (or install) a direct
 			// block-to-block link instead of the PC-keyed map lookup.
-			if from := c.chainFrom; from != nil && c.chainGen == gen {
-				blk = d.Next(from, c.pc, c.wordFn)
-			} else {
-				blk = d.Block(c.pc, c.wordFn)
-			}
+			blk = d.Next(c.chainFrom, c.pc, c.wordFn)
 			c.chainFrom = nil
 			idx = 0
 		}
@@ -86,7 +82,7 @@ func (c *CPU) issueBundleCached(now uint64) {
 			// lands inside this block — the hot-loop back edge. When it
 			// leaves the block, remember the exited block so the next
 			// lookup can chain.
-			blk, idx = c.rehintChain(blk, gen)
+			blk, idx = c.rehintChain(blk)
 			break
 		}
 		idx++
@@ -112,14 +108,14 @@ func rehint(blk *isa.Block, pc uint32) (*isa.Block, int) {
 }
 
 // rehintChain is rehint plus chain capture: when the flow target leaves
-// blk, the exited block is remembered (with the generation it is known
-// valid at) so the next lookup goes through Decoder.Next. Callers must
-// only use it when no invalidation happened during the exiting
+// blk, the exited block is remembered so the next lookup goes through
+// Decoder.Next, which ignores it if a flush has retired it since. Callers
+// must only use it when no invalidation happened during the exiting
 // instruction — the gen-bump path drops hints instead.
-func (c *CPU) rehintChain(blk *isa.Block, gen uint64) (*isa.Block, int) {
+func (c *CPU) rehintChain(blk *isa.Block) (*isa.Block, int) {
 	nb, ni := rehint(blk, c.pc)
 	if nb == nil {
-		c.chainFrom, c.chainGen = blk, gen
+		c.chainFrom = blk
 	}
 	return nb, ni
 }

@@ -12,7 +12,7 @@ import (
 // the flash write hook the SoC assembly would wire, so self-modifying
 // programs stay correct under the cached path.
 func (r *rig) enableDecoder() *isa.Decoder {
-	d := isa.NewDecoder(0)
+	d := isa.NewDecoder()
 	r.fl.OnWrite = func(addr uint32, n int) {
 		cached := mem.CachedView(addr)
 		d.InvalidateRange(cached, uint32(n))

@@ -124,7 +124,6 @@ type CPU struct {
 	// the next lookup can follow a direct block-to-block link instead of
 	// the PC-keyed map.
 	chainFrom *isa.Block // block exited by the pending control transfer
-	chainGen  uint64     // decoder generation chainFrom was captured at
 
 	waker *sim.Waker // clock wake handle; nil when driven without a clock
 

@@ -526,7 +526,7 @@ func TestAccessorsAndIllegalInstr(t *testing.T) {
 // the block-cached path alike.
 func TestIllegalInstructionBothPaths(t *testing.T) {
 	for _, w := range []uint32{0x26100009, 0x27010009, 0xFC000000} {
-		for _, dec := range []*isa.Decoder{nil, isa.NewDecoder(8)} {
+		for _, dec := range []*isa.Decoder{nil, isa.NewDecoder()} {
 			r := newRig(t, rigOpt{icache: true})
 			r.cpu.SetDecoder(dec)
 			r.fl.Load(mem.FlashBase, []byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)})
