@@ -90,9 +90,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tcasm:", err)
 		os.Exit(1)
 	}
-	if m != nil {
-		s.Clock.Step()
-	}
 	if !halted {
 		fmt.Fprintf(os.Stderr, "did not halt within %d cycles (pc=%#08x)\n", *cycles, s.CPU.PC())
 		os.Exit(1)

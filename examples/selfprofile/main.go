@@ -80,7 +80,6 @@ func main() {
 	if _, ok := s.RunUntilHalt(100_000_000); !ok {
 		log.Fatal("did not halt")
 	}
-	s.Clock.Step()
 
 	prof, err := sess.Result("selfprofile")
 	if err != nil {

@@ -91,7 +91,6 @@ func main() {
 	if _, ok := s.RunUntilHalt(50_000_000); !ok {
 		log.Fatal("did not halt")
 	}
-	s.Clock.Step()
 
 	var dec tmsg.Decoder
 	msgs, _, err := dec.DecodeAll(s.EMEM.Drain(s.EMEM.Level()))

@@ -8,7 +8,6 @@
 package dap
 
 import (
-	"bytes"
 	"math/bits"
 
 	"repro/internal/emem"
@@ -323,36 +322,15 @@ func (d *DAP) pump(cycle uint64, flush bool) {
 // frame is available yet. The frame is a copy in a reused buffer, valid
 // until the next call.
 func (d *DAP) nextFrame() []byte {
-	for {
-		buf := d.staging[d.stagePos:]
-		i := bytes.IndexByte(buf, tmsg.FrameMarker)
-		if i < 0 {
-			d.GarbageBytes += uint64(len(buf))
-			d.staging, d.stagePos = d.staging[:0], 0
-			return nil
-		}
-		if i > 0 {
-			d.GarbageBytes += uint64(i)
-			d.stagePos += i
-			buf = buf[i:]
-		}
-		n := tmsg.FrameLen(buf)
-		if n == -1 {
-			return nil // header incomplete
-		}
-		if n == 0 {
-			// Implausible header: false marker. Skip one byte.
-			d.GarbageBytes++
-			d.stagePos++
-			continue
-		}
-		if n > len(buf) {
-			return nil // frame incomplete
-		}
-		d.frame = append(d.frame[:0], buf[:n]...)
-		d.stagePos += n
-		return d.frame
+	skip, n := tmsg.NextFrame(d.staging[d.stagePos:])
+	d.GarbageBytes += uint64(skip)
+	d.stagePos += skip
+	if n == 0 {
+		return nil
 	}
+	d.frame = append(d.frame[:0], d.staging[d.stagePos:d.stagePos+n]...)
+	d.stagePos += n
+	return d.frame
 }
 
 // DrainAll empties the remaining buffer content (end of measurement run,

@@ -194,7 +194,6 @@ func a4Trace(ringBytes uint32) (*mcds.MCDS, uint64) {
 	s.Clock.Attach("mcds", m)
 	s.Clock.Attach("dap", dap.New(s.Cfg.CPUFreqMHz, ring))
 	app.RunFor(400_000)
-	s.Clock.Step()
 	return m, flows
 }
 

@@ -74,7 +74,6 @@ func E1RateSemantics() *Table {
 	if _, ok := s.RunUntilHalt(50_000_000); !ok {
 		panic("E1 did not halt")
 	}
-	s.Clock.Step()
 	prof, err := sess.Result("worked")
 	if err != nil {
 		panic(err)
@@ -328,7 +327,6 @@ func E4Cascade() *Table {
 		if _, ok := s.RunUntilHalt(50_000_000); !ok {
 			panic("E4 did not halt")
 		}
-		s.Clock.Step()
 
 		var dec tmsg.Decoder
 		msgs, _, err := dec.DecodeAll(s.EMEM.Drain(s.EMEM.Level()))

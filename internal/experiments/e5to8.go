@@ -261,7 +261,6 @@ func E8CycleTrace() *Table {
 		collect(sGT.PCP.Core, 1)
 	}))
 	sGT.RunUntilHalt(10_000_000)
-	sGT.Clock.Step()
 
 	// Traced run: MCDS data trace qualified to the shared address.
 	sTR, _ := build()
@@ -275,7 +274,6 @@ func E8CycleTrace() *Table {
 	c1.DataLo, c1.DataHi = shared, shared+4
 	sTR.Clock.Attach("mcds", m)
 	sTR.RunUntilHalt(10_000_000)
-	sTR.Clock.Step()
 
 	var dec tmsg.Decoder
 	msgs, _, err := dec.DecodeAll(sTR.EMEM.Drain(sTR.EMEM.Level()))

@@ -76,7 +76,6 @@ func E9Multicore() *Table {
 		}
 		s.Clock.Attach("mcds", m)
 		s.Clock.Run(200_000)
-		s.Clock.Step()
 
 		if flow {
 			return 0, m.BytesEmitted, 0, true

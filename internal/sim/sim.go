@@ -37,7 +37,8 @@ const NoWake = ^uint64(0)
 
 // Sleeper is an optional extension of Ticker for components that know the
 // next cycle on which they have work. The clock skips a Sleeper entirely
-// between wakes instead of dispatching no-op Ticks into it.
+// between wakes instead of dispatching no-op Ticks into it, and jumps
+// straight over cycles on which no ticker at all is due.
 //
 // Contract: NextWake(from) returns the earliest cycle >= from on which the
 // component needs its Tick called (NoWake for "never"). The clock calls it
@@ -89,12 +90,14 @@ func (w *Waker) Cycle() uint64 {
 }
 
 // Reschedule moves the component's next wake to next (NoWake parks it).
-// It is a no-op when unattached or when wake scheduling is disabled.
+// It is a no-op when unattached and for a ticker the clock does not
+// schedule: one that is not a Sleeper, or any ticker while wake
+// scheduling is disabled. Such a ticker is always due, and stays so.
 // Rescheduling earlier than necessary is always safe; rescheduling *later*
 // than the component's true next event would skip work and is the caller's
 // responsibility to avoid.
 func (w *Waker) Reschedule(next uint64) {
-	if w == nil || !w.c.scheduling {
+	if w == nil || w.c.sleepers[w.i] == nil {
 		return
 	}
 	w.c.wake[w.i] = next
@@ -119,24 +122,23 @@ func (w *Waker) Stop() {
 // Clock drives the simulation. Components are stepped in registration
 // order; registration order therefore defines intra-cycle priority (bus
 // masters registered earlier win same-cycle arbitration races
-// deterministically). Sleepers are skipped while idle, but on any cycle
-// where several components are due they still tick in registration order,
-// so the wake schedule never perturbs intra-cycle priority.
+// deterministically). One loop, dispatch, ticks the components due on a
+// cycle, always in registration order, so the wake schedule never
+// perturbs intra-cycle priority. Sleepers are skipped while idle; a cycle
+// with one component due runs it solo, and a cycle with none due is
+// jumped over (soloRun).
 type Clock struct {
 	cycle   uint64
 	tickers []Ticker
 	names   []string
 
-	// Wake schedule, parallel to tickers. sleepers[i] is nil for an
-	// always-on ticker and wake[i] is then permanently 0 (always due);
-	// for a Sleeper, wake[i] is the next cycle its Tick must run.
+	// Wake schedule, parallel to tickers: wake[i] is the next cycle on
+	// which tickers[i] is due. sleepers[i] is the ticker as a Sleeper, or
+	// nil for a ticker that is always due, whose wake stays 0. With wake
+	// scheduling disabled every sleepers[i] is nil.
 	sleepers    []Sleeper
 	wake        []uint64
-	numSleepers int
-	alwaysOn    int
 	wakeEnabled bool // SetWakeScheduling state (default true)
-	scheduling  bool // wakeEnabled && numSleepers > 0
-	skippable   bool // scheduling && every ticker is a Sleeper
 	resched     bool // a Waker.Reschedule or Stop happened (ends solo runs)
 	stopped     bool // a Waker.Stop is latched: Run executes no more cycles
 
@@ -153,47 +155,41 @@ func (c *Clock) Attach(name string, t Ticker) {
 	i := len(c.tickers)
 	c.tickers = append(c.tickers, t)
 	c.names = append(c.names, name)
-	s, _ := t.(Sleeper)
-	c.sleepers = append(c.sleepers, s)
-	w := uint64(0)
-	if s != nil {
-		c.numSleepers++
-		if c.wakeEnabled {
-			w = s.NextWake(c.cycle)
-		}
-	} else {
-		c.alwaysOn++
-	}
-	c.wake = append(c.wake, w)
+	c.sleepers = append(c.sleepers, nil)
+	c.wake = append(c.wake, 0)
+	c.schedule(i)
 	if b, ok := t.(WakeBinder); ok {
 		b.BindWake(&Waker{c: c, i: i})
 	}
-	c.refreshSched()
 	if c.obs != nil {
 		c.obs.addTicker(name)
 	}
 }
 
-func (c *Clock) refreshSched() {
-	c.scheduling = c.wakeEnabled && c.numSleepers > 0
-	c.skippable = c.scheduling && c.alwaysOn == 0 && len(c.tickers) > 0
+// schedule enters ticker i into the wake schedule: a Sleeper at its next
+// wake while scheduling is enabled, otherwise always due.
+func (c *Clock) schedule(i int) {
+	s, _ := c.tickers[i].(Sleeper)
+	if !c.wakeEnabled {
+		s = nil
+	}
+	c.sleepers[i], c.wake[i] = s, 0
+	if s != nil {
+		c.wake[i] = s.NextWake(c.cycle)
+	}
 }
 
 // SetWakeScheduling enables or disables the quiescence scheduler. Disabled,
-// every ticker is dispatched every cycle exactly as before Sleeper existed —
-// the determinism reference mode. Re-enabling recomputes all wake cycles.
-// Both modes are bit-for-bit identical in simulated behaviour; the toggle
-// exists so tests can prove it.
+// the wake schedule holds no Sleepers: every ticker is due and dispatched
+// every cycle, as before Sleeper existed — the determinism reference mode.
+// Re-enabling recomputes all wake cycles. Both modes are bit-for-bit
+// identical in simulated behaviour; the toggle exists so tests can prove
+// it.
 func (c *Clock) SetWakeScheduling(enabled bool) {
 	c.wakeEnabled = enabled
-	for i, s := range c.sleepers {
-		if s != nil && enabled {
-			c.wake[i] = s.NextWake(c.cycle)
-		} else {
-			c.wake[i] = 0
-		}
+	for i := range c.tickers {
+		c.schedule(i)
 	}
-	c.refreshSched()
 }
 
 // Cycle returns the number of completed cycles.
@@ -247,83 +243,14 @@ func (c *Clock) Instrument(reg *obs.Registry, sampleEvery uint64) {
 	c.obs = o
 }
 
-// Step advances the simulation by exactly one cycle.
+// Step advances the simulation by exactly one cycle, through the same
+// dispatch as Run. A latched stop does not hold it back and stays
+// latched; an instrumented clock does not count it as a Run.
 func (c *Clock) Step() {
-	if o := c.obs; o != nil {
-		// Countdown instead of modulo: the uninstrumented fast path pays
-		// one nil check, the instrumented fast path one decrement.
-		if o.sampleIn == 0 {
-			o.sampleIn = o.sampleEvery - 1
-			c.stepTimed(o)
-			return
-		}
-		o.sampleIn--
-	}
-	c.stepPlain()
-}
-
-// stepPlain dispatches one cycle. Without a wake schedule it is the
-// original flat loop; with one, each ticker is dispatched only when due
-// and — crucially — still in registration order, so intra-cycle priority
-// is bit-for-bit what an unscheduled clock produces.
-func (c *Clock) stepPlain() {
-	cy := c.cycle
-	if !c.scheduling {
-		for _, t := range c.tickers {
-			t.Tick(cy)
-		}
-		c.cycle++
-		return
-	}
-	for i, t := range c.tickers {
-		if c.wake[i] > cy {
-			continue
-		}
-		t.Tick(cy)
-		if s := c.sleepers[i]; s != nil {
-			c.wake[i] = s.NextWake(cy + 1)
-		}
-	}
-	c.cycle++
-}
-
-// stepTimed is a fully timed Step: each ticker's wall time is accumulated
-// into its sampled_ns counter. A sleeping ticker is not woken just to be
-// timed — its time share is sampled only on cycles it actually runs.
-func (c *Clock) stepTimed(o *clockObs) {
-	cy := c.cycle
-	if !c.scheduling {
-		for i, t := range c.tickers {
-			t0 := time.Now()
-			t.Tick(cy)
-			o.tickerNS[i].Add(uint64(time.Since(t0)))
-		}
-	} else {
-		for i, t := range c.tickers {
-			if c.wake[i] > cy {
-				continue
-			}
-			t0 := time.Now()
-			t.Tick(cy)
-			o.tickerNS[i].Add(uint64(time.Since(t0)))
-			if s := c.sleepers[i]; s != nil {
-				c.wake[i] = s.NextWake(cy + 1)
-			}
-		}
-	}
-	o.sampledCycles.Inc()
-	c.cycle++
-}
-
-// nextWake returns the earliest scheduled wake cycle across all tickers.
-func (c *Clock) nextWake() uint64 {
-	next := NoWake
-	for _, w := range c.wake {
-		if w < next {
-			next = w
-		}
-	}
-	return next
+	stopped := c.stopped
+	c.stopped = false
+	c.runTo(c.cycle + 1)
+	c.stopped = c.stopped || stopped
 }
 
 // Run advances the simulation by n cycles, or to the boundary of the
@@ -335,111 +262,107 @@ func (c *Clock) Run(n uint64) {
 	c.runTo(c.cycle + n)
 }
 
-// runTo advances the clock to cycle end. When every attached ticker is a
-// Sleeper the clock jumps straight to the earliest wake cycle instead of
-// dispatching empty cycles one by one, and a lone due ticker runs solo
-// (soloRun) — on an instrumented clock up to the next timed cycle.
-// Callers that need finer-grained control (e.g. Session.Run's
-// cancellation polling) call Run in chunks; neither fast path crosses the
-// chunk boundary, so the two compose. A latched stop ends the loop at the
-// next cycle boundary.
+// runTo advances the clock to cycle end. On an instrumented clock every
+// sampleEvery-th cycle is dispatched timed; the cadence is anchored to
+// simulated cycles, so solo runs and skips stop short of the next timed
+// cycle. Every other cycle goes to soloRun, and to dispatch when two or
+// more tickers are due. Callers that need finer-grained control (e.g.
+// Session.Run's cancellation polling) call Run in chunks; no fast path
+// crosses the chunk boundary, so the two compose. A latched stop ends the
+// loop at the next cycle boundary.
 func (c *Clock) runTo(end uint64) {
 	o := c.obs
 	for c.cycle < end && !c.stopped {
-		if c.skippable {
-			if next := c.nextWake(); next > c.cycle {
-				if next > end {
-					next = end
-				}
-				skip := next - c.cycle
-				c.cycle = next
-				if o != nil {
-					// Skipped cycles consume sampling budget: the timing
-					// sample cadence stays anchored to simulated cycles,
-					// not to dispatched steps.
-					if o.sampleIn > skip {
-						o.sampleIn -= skip
-					} else {
-						o.sampleIn = 0
-					}
-				}
-				continue
-			}
-		}
-		limit := end
+		cy, limit := c.cycle, end
 		if o != nil {
 			if o.sampleIn == 0 {
+				// Countdown instead of modulo: an instrumented clock
+				// pays one subtraction per solo run or dispatch.
 				o.sampleIn = o.sampleEvery - 1
-				c.stepTimed(o)
+				o.sampledCycles.Inc()
+				c.dispatch(cy, 0, true)
 				continue
 			}
-			// A solo run stops short of the next timed cycle.
-			limit = min(end, c.cycle+o.sampleIn)
+			limit = min(end, cy+o.sampleIn)
 		}
-		start := c.cycle
-		if !c.scheduling || !c.soloRun(limit) {
-			c.stepPlain()
+		if !c.soloRun(limit) {
+			c.dispatch(cy, 0, false)
 		}
 		if o != nil {
-			o.sampleIn -= c.cycle - start
+			o.sampleIn -= c.cycle - cy
 		}
 	}
 }
 
-// soloRun is the single-runner fast path: when exactly one ticker is due
-// this cycle and every other component sleeps strictly later, the clock
-// ticks the solo component in a tight loop — no per-cycle schedule scan —
-// until another wake comes due, a Reschedule perturbs the schedule, the
-// solo component goes to sleep, or end. It returns false (having done
-// nothing) when the cycle is not solo, leaving stepPlain to dispatch it.
-// The delivered Tick sequence is bit-identical to stepPlain's: same
-// cycles, same NextWake(cycle+1) requery after every Tick.
+// dispatch ticks every ticker due on cycle cy, from index from on, in
+// registration order, and completes the cycle. After each Sleeper's Tick
+// it asks for the Sleeper's next wake. Timed, it adds each Tick's wall
+// time to the ticker's sampled_ns counter; a sleeping ticker is not woken
+// just to be timed.
+func (c *Clock) dispatch(cy uint64, from int, timed bool) {
+	tickers := c.tickers[from:]
+	wake := c.wake[from:][:len(tickers)]
+	sleepers := c.sleepers[from:][:len(tickers)]
+	for i, t := range tickers {
+		if wake[i] > cy {
+			continue
+		}
+		if timed {
+			t0 := time.Now()
+			t.Tick(cy)
+			c.obs.tickerNS[from+i].Add(uint64(time.Since(t0)))
+		} else {
+			t.Tick(cy)
+		}
+		if s := sleepers[i]; s != nil {
+			wake[i] = s.NextWake(cy + 1)
+		}
+	}
+	c.cycle = cy + 1
+}
+
+// soloRun is the clock's fast path. One scan of the wake schedule finds
+// the tickers due this cycle and the earliest wake among the rest. With
+// none due the clock jumps straight to that wake. With exactly one due it
+// ticks that ticker in a tight loop — no per-cycle scan — until another
+// wake comes due, a Reschedule or Stop perturbs the schedule, or the solo
+// ticker goes to sleep. Neither crosses end. It returns false, having
+// done nothing, when two or more tickers are due. The delivered Tick
+// sequence is bit-identical to dispatching every cycle: same cycles, same
+// NextWake(cycle+1) requery after every Tick.
 func (c *Clock) soloRun(end uint64) bool {
 	cy := c.cycle
 	solo := -1
-	next := NoWake // earliest wake among the other tickers
+	next := NoWake // earliest wake among the tickers not due
 	for i, w := range c.wake {
 		if w > cy {
-			if w < next {
-				next = w
-			}
+			next = min(next, w)
 			continue
 		}
 		if solo >= 0 {
-			return false // two runners due: generic dispatch
+			return false // two runners due: dispatch
 		}
 		solo = i
 	}
+	next = min(next, end)
 	if solo < 0 {
-		return false // quiescent cycle: the skippable bulk skip handles it
+		c.cycle = next // nothing due before next
+		return true
 	}
-	if next > end {
-		next = end
-	}
-	t := c.tickers[solo]
-	s := c.sleepers[solo]
+	t, s := c.tickers[solo], c.sleepers[solo]
 	c.resched = false
 	for cy < next {
 		t.Tick(cy)
 		if c.resched {
 			// A Tick side effect moved someone's wake — possibly to this
-			// very cycle. stepPlain's scan would still reach any
-			// later-registered ticker whose wake just landed on cy (and
-			// would have already passed any earlier-registered one), so
-			// finish this cycle exactly that way, then hand back.
+			// very cycle — or raised a stop. Dispatching every cycle
+			// would still reach a later-registered ticker whose wake just
+			// landed on cy (and would have passed an earlier-registered
+			// one), so finish this cycle exactly that way.
 			if s != nil {
 				c.wake[solo] = s.NextWake(cy + 1)
 			}
-			for i := solo + 1; i < len(c.tickers); i++ {
-				if c.wake[i] > cy {
-					continue
-				}
-				c.tickers[i].Tick(cy)
-				if si := c.sleepers[i]; si != nil {
-					c.wake[i] = si.NextWake(cy + 1)
-				}
-			}
-			c.cycle = cy + 1
+			c.dispatch(cy, solo+1, false)
 			return true
 		}
 		cy++
@@ -459,7 +382,7 @@ func (c *Clock) soloRun(end uint64) bool {
 // the run; a stop latched before the call (a watch armed already
 // satisfied) gives 0 cycles. The latch is cleared on return, so the next
 // run starts afresh. Unlike a predicate polled between cycles, a stop
-// leaves the bulk skip and the solo-run fast path in play.
+// leaves the solo-run fast path and its skip in play.
 func (c *Clock) RunToStop(limit uint64) (uint64, bool) {
 	start := c.cycle
 	c.Run(limit)

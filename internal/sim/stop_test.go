@@ -47,7 +47,7 @@ func stepUntil(c *Clock, done func() bool, limit uint64) (uint64, bool) {
 
 func TestStopInsideSoloRun(t *testing.T) {
 	// The stopper is the solo runner (the periodic sleeper wakes far
-	// later), so the stop must end the tight solo loop, not a stepPlain.
+	// later), so the stop must end the tight solo loop, not a dispatch.
 	run := func(useStop bool) ([]uint64, uint64, bool, uint64) {
 		c := NewClock()
 		s := &stopper{stopAt: func(uint64) bool { return false }}
@@ -81,7 +81,7 @@ func TestStopLetsLaterTickersFinishTheCycle(t *testing.T) {
 	// the stopping Tick itself wakes for the current cycle (alone, the
 	// stopper is a solo runner and this is the solo run's resched path),
 	// plus, in the busy variant, an always-on ticker and a sleeper whose
-	// wake falls on the stop cycle (the stepPlain path).
+	// wake falls on the stop cycle (the dispatch path).
 	for _, busy := range []bool{false, true} {
 		for _, scheduled := range []bool{true, false} {
 			c := NewClock()

@@ -66,7 +66,7 @@ func TestSleeperMatchesAlwaysOn(t *testing.T) {
 			c.SetWakeScheduling(false)
 		}
 		p := &periodic{period: 7, offset: 5, enabled: true}
-		c.Attach("cpu", TickerFunc(func(uint64) {})) // always-on: no bulk skip
+		c.Attach("cpu", TickerFunc(func(uint64) {})) // always-on: always due
 		c.Attach("p", p)
 		c.Run(500)
 		return p.fired
@@ -177,9 +177,9 @@ func TestDisabledSleeperParksUntilRescheduled(t *testing.T) {
 
 func TestSoloRescheduleLaterSleeperSameCycle(t *testing.T) {
 	// A solo-running always-on ticker wakes a later-registered parked
-	// sleeper mid-tick, targeting the *current* cycle. stepPlain's scan
-	// order delivers that tick on the same cycle (the scan has not reached
-	// the sleeper yet), so the solo fast path must finish the cycle
+	// sleeper mid-tick, targeting the *current* cycle. The dispatch loop
+	// delivers that tick on the same cycle (it has not reached the
+	// sleeper yet), so the solo fast path must finish the cycle
 	// generically rather than deferring the wake by one cycle.
 	run := func(scheduled bool) []uint64 {
 		c := NewClock()
@@ -214,7 +214,7 @@ func TestSoloRescheduleLaterSleeperSameCycle(t *testing.T) {
 
 func TestSoloRescheduleEarlierSleeperNextCycle(t *testing.T) {
 	// Mirror case: the woken sleeper is registered *before* the solo
-	// ticker, so stepPlain's scan has already passed it and the tick lands
+	// ticker, so the dispatch loop has already passed it and the tick lands
 	// on the next cycle. The solo fast path must not deliver it early.
 	run := func(scheduled bool) []uint64 {
 		c := NewClock()

@@ -1,5 +1,7 @@
 package tmsg
 
+import "bytes"
+
 // Frame layer: the hardened tool-link format. Encoded messages are grouped
 // into fixed-overhead frames so that corruption on the DAP link or a soft
 // error in the EMEM trace ring is *detected* (CRC), *quantified* (the
@@ -93,6 +95,29 @@ func FrameLen(b []byte) int {
 		return 0
 	}
 	return FrameOverhead + n
+}
+
+// NextFrame hunts b for the next frame: it skips to a marker, and skips
+// one false-marker byte at a time where the header is implausible. It
+// returns the garbage bytes skipped and the length n of the frame at
+// b[skip:], or n = 0 when no complete frame is there yet (more bytes
+// may complete one). It does not verify the CRC.
+func NextFrame(b []byte) (skip, n int) {
+	for {
+		i := bytes.IndexByte(b[skip:], FrameMarker)
+		if i < 0 {
+			return len(b), 0
+		}
+		skip += i
+		switch n = FrameLen(b[skip:]); {
+		case n == 0:
+			skip++ // a payload byte that happens to be the marker
+		case n < 0 || n > len(b)-skip:
+			return skip, 0 // header or frame incomplete
+		default:
+			return skip, n
+		}
+	}
 }
 
 // Framer packs encoded messages into frames and hands each completed frame

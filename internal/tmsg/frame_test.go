@@ -129,6 +129,35 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+func TestNextFrame(t *testing.T) {
+	stream, _ := frameStream(genMsgs(20))
+	f := stream[:FrameLen(stream)]
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name    string
+		b       []byte
+		skip, n int
+	}{
+		{"empty", nil, 0, 0},
+		{"frame", f, 0, len(f)},
+		{"garbage then frame", cat([]byte{1, 2, 3}, f), 3, len(f)},
+		{"no marker", []byte{1, 2, 3}, 3, 0},
+		{"false marker then frame", cat([]byte{FrameMarker, 0, 0}, f), 3, len(f)},
+		{"header incomplete", []byte{7, FrameMarker, 1}, 1, 0},
+		{"frame incomplete", cat([]byte{9}, f[:len(f)-1]), 1, 0},
+	} {
+		if skip, n := NextFrame(tc.b); skip != tc.skip || n != tc.n {
+			t.Errorf("%s: NextFrame = %d, %d; want %d, %d", tc.name, skip, n, tc.skip, tc.n)
+		}
+	}
+}
+
 func TestFrameRoundTripChunked(t *testing.T) {
 	msgs := genMsgs(300)
 	stream, f := frameStream(msgs)

@@ -1,7 +1,5 @@
 package tmsg
 
-import "bytes"
-
 // Gap quantifies one detected loss region in the decoded timeline.
 // Profiling windows overlapping [StartCycle, EndCycle] carry reduced
 // confidence; analyses down-weight them instead of silently presenting a
@@ -151,30 +149,11 @@ func (s *StreamDecoder) AppendFeed(out []Msg, p []byte) []Msg {
 	}
 	i := 0
 	for {
-		// Hunt for the next frame marker.
-		j := bytes.IndexByte(buf[i:], FrameMarker)
-		if j < 0 {
-			s.noteLossBytes(len(buf) - i)
-			i = len(buf)
-			break
-		}
-		if j > 0 {
-			s.noteLossBytes(j)
-			i += j
-		}
-		n := FrameLen(buf[i:])
-		if n == -1 {
-			break // header incomplete; wait for more bytes
-		}
+		skip, n := NextFrame(buf[i:])
+		s.noteLossBytes(skip)
+		i += skip
 		if n == 0 {
-			// Implausible header: a payload byte that happens to be 0xA5.
-			// Discard it and keep scanning.
-			s.noteLossBytes(1)
-			i++
-			continue
-		}
-		if n > len(buf)-i {
-			break // frame incomplete; wait for more bytes
+			break // wait for more bytes
 		}
 		f := buf[i : i+n]
 		if !ValidFrame(f) {
