@@ -5,7 +5,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/profiling"
 	"repro/internal/soc"
 )
 
@@ -26,11 +25,7 @@ func TestCampaignBlockDecodeDeterminism(t *testing.T) {
 	}
 	ref, err := Run(context.Background(), m, Options{
 		Workers: 4,
-		exec: func(ctx context.Context, cell Cell) (*profiling.RunReport, error) {
-			return runCellWith(ctx, cell, func(s *soc.SoC) {
-				s.SetBlockDecode(false)
-			})
-		},
+		exec:    tunedCell(t, func(s *soc.SoC) { s.SetBlockDecode(false) }),
 	})
 	if err != nil {
 		t.Fatal(err)

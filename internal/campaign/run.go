@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -92,48 +93,56 @@ type Result struct {
 	Warnings []string
 }
 
-// runCell executes one expanded cell end to end: build the SoC twin and
-// workload, run the measurement under ctx, drain and assemble the
-// profile, and emit the machine-readable run report.
-func runCell(ctx context.Context, cell Cell) (*profiling.RunReport, error) {
-	return runCellWith(ctx, cell, nil)
+// Product is one cell's product session, built and not yet run.
+type Product struct {
+	*profiling.Session
+	App  *workload.App
+	Spec workload.Spec
 }
 
-// runCellWith is runCell with a hook applied to the freshly built SoC
-// before the session runs; the wake-scheduler determinism test uses it to
-// force the reference (unscheduled) kernel mode per cell.
-func runCellWith(ctx context.Context, cell Cell, tune func(*soc.SoC)) (*profiling.RunReport, error) {
+// BuildCell builds cell's product session: the ED SoC twin with the
+// cell's workload mix loaded, profiled for the standard and PCP
+// parameters under the cell's run configuration. reg and tr, both
+// optional, attach a metrics registry and a pipeline tracer. Campaign
+// cells and tcprof both start here, so a run reports the same bytes
+// however it was started.
+func BuildCell(cell Cell, reg *obs.Registry, tr *obs.Tracer) (*Product, error) {
 	cfg, err := cell.Run.SoCConfig()
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.WithED()
 	spec, ok := workload.Mix(cell.Mix, cell.Run.Seed)
 	if !ok {
-		return nil, fmt.Errorf("unknown workload mix %q", cell.Mix)
+		return nil, fmt.Errorf("unknown workload mix %q (have %s)", cell.Mix, strings.Join(workload.MixNames(), ", "))
 	}
-	s := soc.New(cfg, cell.Run.Seed)
-	if tune != nil {
-		tune(s)
-	}
+	s := soc.New(cfg.WithED(), cell.Run.Seed)
 	app, err := workload.Build(s, spec)
 	if err != nil {
 		return nil, err
 	}
-	params := append(profiling.StandardParams(), profiling.PCPParams()...)
-	profSpec, err := cell.Run.SessionSpec(params)
+	profSpec, err := cell.Run.SessionSpec(append(profiling.StandardParams(), profiling.PCPParams()...))
 	if err != nil {
 		return nil, err
 	}
-	sess := profiling.NewSession(s, profSpec)
-	if err := sess.Run(ctx, app, cell.Run.Cycles); err != nil {
-		return nil, err
-	}
-	prof, err := sess.Result(spec.Name)
+	profSpec.Obs, profSpec.Tracer = reg, tr
+	return &Product{Session: profiling.NewSession(s, profSpec), App: app, Spec: spec}, nil
+}
+
+// runCell executes one expanded cell end to end: build it, run the
+// measurement under ctx, and emit the run report.
+func runCell(ctx context.Context, cell Cell) (*profiling.RunReport, error) {
+	p, err := BuildCell(cell, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return sess.RunReport(prof, cell.Run.Seed), nil
+	if err := p.Run(ctx, p.App, cell.Run.Cycles); err != nil {
+		return nil, err
+	}
+	prof, err := p.Result(p.Spec.Name)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunReport(prof, cell.Run.Seed), nil
 }
 
 // Run expands the matrix and executes every cell across the worker

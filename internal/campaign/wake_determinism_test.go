@@ -29,11 +29,7 @@ func TestCampaignWakeSchedulerDeterminism(t *testing.T) {
 
 	unsched, err := Run(context.Background(), m, Options{
 		Workers: 4,
-		exec: func(ctx context.Context, cell Cell) (*profiling.RunReport, error) {
-			return runCellWith(ctx, cell, func(s *soc.SoC) {
-				s.Clock.SetWakeScheduling(false)
-			})
-		},
+		exec:    tunedCell(t, func(s *soc.SoC) { s.Clock.SetWakeScheduling(false) }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,5 +39,29 @@ func TestCampaignWakeSchedulerDeterminism(t *testing.T) {
 	}
 	if got := profileJSON(t, unsched); !bytes.Equal(got, want) {
 		t.Error("campaign aggregate differs between wake-scheduler modes")
+	}
+}
+
+// tunedCell is runCell with tune applied to the built SoC before the
+// session runs. tune must see the SoC at cycle 0, or the oracle it
+// switches on misses the cycles run before it.
+func tunedCell(t *testing.T, tune func(*soc.SoC)) execFn {
+	return func(ctx context.Context, cell Cell) (*profiling.RunReport, error) {
+		p, err := BuildCell(cell, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		if c := p.SoC.Clock.Cycle(); c != 0 {
+			t.Errorf("cell %s: built SoC at cycle %d, want 0", cell.ID, c)
+		}
+		tune(p.SoC)
+		if err := p.Run(ctx, p.App, cell.Run.Cycles); err != nil {
+			return nil, err
+		}
+		prof, err := p.Result(p.Spec.Name)
+		if err != nil {
+			return nil, err
+		}
+		return p.RunReport(prof, cell.Run.Seed), nil
 	}
 }

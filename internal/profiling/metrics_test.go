@@ -23,7 +23,9 @@ import (
 // reads its source minus the source's value at session creation (the
 // decoder has counted the program load by then); the name set is
 // complete; the flat isa_block_* names pass through Prometheus exposition
-// unfolded; and a session without a registry publishes nothing.
+// unfolded; the run report's ring and loss fields equal their metrics,
+// with no snapshot embedded; and a session without a registry publishes
+// nothing.
 func TestSessionPublishesTraceMetrics(t *testing.T) {
 	spec, _ := workload.Mix("engine", 1)
 	s := soc.New(soc.TC1797().WithED(), 1)
@@ -78,8 +80,7 @@ func TestSessionPublishesTraceMetrics(t *testing.T) {
 		}
 		return w
 	}
-	check := func(when string) {
-		t.Helper()
+	published := func() map[string]float64 {
 		snap := reg.Snapshot()
 		got := map[string]float64{}
 		for _, c := range snap.Counters {
@@ -88,6 +89,11 @@ func TestSessionPublishesTraceMetrics(t *testing.T) {
 		for _, g := range snap.Gauges {
 			got[g.Name] = g.Value
 		}
+		return got
+	}
+	check := func(when string) {
+		t.Helper()
+		got := published()
 		w := want()
 		if len(w) != 32 {
 			t.Fatalf("%d expected names, want 32", len(w))
@@ -112,10 +118,33 @@ func TestSessionPublishesTraceMetrics(t *testing.T) {
 	check("at creation")
 	mustRun(t, sess, app, 300_000)
 	check("after Run")
-	if _, err := sess.Result(spec.Name); err != nil {
+	prof, err := sess.Result(spec.Name)
+	if err != nil {
 		t.Fatal(err)
 	}
 	check("after Result")
+
+	// The run report and the registry are two views of one run: the
+	// report's ring and loss fields read what the metrics read, and the
+	// report embeds none of the registry's host cost.
+	r := sess.RunReport(prof, 1)
+	if r.Metrics != nil {
+		t.Error("run report embeds the session's metrics snapshot")
+	}
+	got := published()
+	for name, v := range map[string]float64{
+		"emem.ring.overflows": float64(r.Ring.Overflows),
+		"emem.ring.peak":      float64(r.Ring.Peak),
+		"mcds.msgs_lost":      float64(r.Loss.MsgsLost),
+		"mcds.bytes_emitted":  float64(r.Loss.TraceBytes),
+	} {
+		if got[name] != v {
+			t.Errorf("metric %s = %v, run report says %v", name, got[name], v)
+		}
+	}
+	if got["dap.retries"] == 0 {
+		t.Error("dap.retries = 0 under the everything plan")
+	}
 
 	// The run must exercise the lossy path, or the equalities above say little.
 	m, d := sess.MCDS, sess.DAP

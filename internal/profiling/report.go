@@ -18,8 +18,10 @@ const ReportSchemaVersion = 1
 // run — the unit the paper's methodology aggregates "from many customer
 // runs" into statistical profiles. Everything needed to reproduce and to
 // weight the run is included: the seed, the SoC configuration, the fault
-// plan, full loss accounting, per-parameter statistics, and (optionally)
-// the pipeline's own observability metrics.
+// plan, full loss accounting and per-parameter statistics. It carries no
+// host cost: the session's metrics live on its registry (tcprof -metrics)
+// and its spans on its tracer (tcprof -trace), so a report's bytes depend
+// only on the simulated run.
 type RunReport struct {
 	Schema     int    `json:"schema_version"`
 	App        string `json:"app"`
@@ -37,10 +39,12 @@ type RunReport struct {
 	// this factor.
 	Confidence float64 `json:"confidence"`
 
-	Loss    LossStats             `json:"loss"`
-	Ring    RingStats             `json:"ring"`
-	Params  map[string]ParamStats `json:"params"`
-	Metrics *obs.Snapshot         `json:"metrics,omitempty"`
+	Loss   LossStats             `json:"loss"`
+	Ring   RingStats             `json:"ring"`
+	Params map[string]ParamStats `json:"params"`
+	// Metrics has no producer. It stays in the schema v1 key set until
+	// the next schema bump deletes it.
+	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
 // LossStats is the run's trace-loss accounting.
@@ -99,8 +103,9 @@ func (p *Profile) RunConfidence() float64 {
 }
 
 // RunReport assembles the versioned report for a decoded profile. seed is
-// the workload seed (the session does not know it). The observability
-// snapshot is included when the session was created with Spec.Obs.
+// the workload seed (the session does not know it). The report never
+// embeds Spec.Obs: a registry's host-cost figures would make two runs of
+// one input differ.
 func (sess *Session) RunReport(p *Profile, seed uint64) *RunReport {
 	e := sess.SoC.EMEM
 	r := &RunReport{
@@ -138,10 +143,6 @@ func (sess *Session) RunReport(p *Profile, seed uint64) *RunReport {
 			Windows:    len(se.Samples),
 			Confidence: se.Confidence(),
 		}
-	}
-	if sess.spec.Obs != nil {
-		snap := sess.spec.Obs.Snapshot()
-		r.Metrics = &snap
 	}
 	return r
 }
